@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import ContractError, DomainError, PrecisionError
-from .harmonics import LegendreBasis, harmonic_dim, legendre_table, sphere_area
+from .harmonics import harmonic_dim, legendre_table, sphere_area
 
 __all__ = [
     "sigma_k",
@@ -32,30 +32,40 @@ __all__ = [
 ]
 
 
-def sigma_k(k: int, t):
-    """ReLU^k, i.e. max(0,t)^k.  For k=0 the value at t=0 is fixed to 1."""
+def sigma_k(k: int, t, out: np.ndarray | None = None):
+    """ReLU^k, i.e. max(0,t)^k.  For k=0 the value at t=0 is fixed to 1.
+
+    One output array is allocated, or none when out is given (out may be t
+    itself); the power is taken in place, and skipped for k=1.
+    """
     if k < 0:
         raise ContractError("k must be >= 0")
     t = np.asarray(t, dtype=float)
     if k == 0:
-        out = np.where(t >= 0.0, 1.0, 0.0)
+        out = np.greater_equal(t, 0.0, out=np.empty_like(t) if out is None else out)
     else:
-        out = np.maximum(t, 0.0) ** k
+        out = np.maximum(t, 0.0, out=out)
+        if k > 1:
+            out **= k
     return float(out) if out.ndim == 0 else out
 
 
-def sigma_k_prime(k: int, t):
+def sigma_k_prime(k: int, t, out: np.ndarray | None = None):
     """Derivative k * max(0,t)^{k-1}, defined as 0 for t <= 0.
 
-    The k=0 case is distributional and unsupported.
+    The k=0 case is distributional and unsupported.  Allocates at most
+    one output array, as sigma_k does.
     """
     if k < 1:
         raise ContractError("derivative of ReLU^0 is distributional")
     t = np.asarray(t, dtype=float)
     if k == 1:
-        out = np.where(t > 0.0, 1.0, 0.0)
+        out = np.greater(t, 0.0, out=np.empty_like(t) if out is None else out)
     else:
-        out = k * np.maximum(t, 0.0) ** (k - 1)
+        out = np.maximum(t, 0.0, out=out)
+        if k > 2:
+            out **= k - 1
+        out *= k
     return float(out) if out.ndim == 0 else out
 
 
@@ -250,7 +260,3 @@ def expansion_residual(
         vals = diff**2 * np.sin(rho) ** (d - 1)
         total += (math.pi / 4.0) * float(np.dot(w, vals))
     return math.sqrt(max(total, 0.0))
-
-
-def legendre_basis_for(spec: ActivationSpectrum) -> LegendreBasis:
-    return LegendreBasis(spec.d, spec.m_max)

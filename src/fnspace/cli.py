@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ball_map  # noqa: F401  (re-exported for interactive use)
 from . import pde_erm, quadrature
 from .activation import spectrum as build_spectrum
 from .activation import kernel as kernel_series
@@ -23,7 +22,6 @@ from .activation import sigma_k
 from .errors import ConfigurationError, ContractError, DomainError
 from .errors import NumericalError, PrecisionError
 from .harness import ExperimentConfig, loglog_slope, parse_config, run_randcmp, run_rates
-from .models import model_to_json
 from .quadrature import build_rule, rule_to_json
 from .sphere import generate_points, pointset_to_json
 

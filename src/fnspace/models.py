@@ -7,6 +7,14 @@ coefficient recipe a_j = tau_j sum_m sigma_hat(m)^{-1} (Pi_m g)(theta_j),
 which reproduces the harmonic coefficients of g up to the quadrature
 degree, and plain (optionally ridge-regularized and norm-capped) least
 squares on a sample grid.
+
+Evaluation is row-blocked: each block of EVAL_BLOCK_ROWS inputs forms the
+preactivation z = theta . (x, 1) once, in a buffer reused across blocks,
+and yields the values sigma_k(z) @ a and, when asked, the gradients
+sigma_k'(z) @ (a W) together, so temporaries stay at two blocks of
+EVAL_BLOCK_ROWS x n floats whatever the grid size.  A least-squares fit
+holds a single rows x n buffer: the preactivation, overwritten in place by
+ReLU^k and then by its sqrt-weight scaling.
 """
 
 from __future__ import annotations
@@ -37,6 +45,8 @@ __all__ = [
 ]
 
 CAP_SLACK = 1e-9
+# Input rows per evaluation block; a block holds EVAL_BLOCK_ROWS x n floats.
+EVAL_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -69,32 +79,56 @@ class FiniteNeuronModel:
     def n(self) -> int:
         return self.ps.n
 
-    def _preactivation(self, x: np.ndarray) -> np.ndarray:
+    def _lifted(self, x: np.ndarray) -> np.ndarray:
+        """Inputs as the rows the neurons see: (x, 1), or eta on the sphere."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if self.on_sphere:
             if x.shape[1] != self.d + 1:
                 raise ContractError("sphere inputs must have d+1 components")
-            xt = x
+            return x
+        if x.shape[1] != self.d:
+            raise ContractError("domain inputs must have d components")
+        return np.column_stack([x, np.ones(len(x))])
+
+    def _preactivation(self, x: np.ndarray) -> np.ndarray:
+        return self._lifted(x) @ self.ps.points.T
+
+    def _evaluate(
+        self, x: np.ndarray, grad: bool = False
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """(values, gradients or None) at the rows of x, block by block."""
+        if grad and self.k < 1:
+            raise ContractError("gradient undefined for k=0")
+        if grad and self.on_sphere:
+            raise ContractError("gradient is implemented for domain models only")
+        xt = self._lifted(x)
+        rows = len(xt)
+        pt = self.ps.points.T
+        values = np.empty(rows)
+        z_buf = np.empty((min(rows, EVAL_BLOCK_ROWS), self.n))
+        if grad:
+            grads = np.empty((rows, self.d))
+            aw = self.a[:, None] * self.ps.points[:, : self.d]
+            dz_buf = np.empty_like(z_buf)
         else:
-            if x.shape[1] != self.d:
-                raise ContractError("domain inputs must have d components")
-            xt = np.column_stack([x, np.ones(len(x))])
-        return xt @ self.ps.points.T
+            grads = None
+        for lo in range(0, rows, EVAL_BLOCK_ROWS):
+            hi = min(lo + EVAL_BLOCK_ROWS, rows)
+            z = np.matmul(xt[lo:hi], pt, out=z_buf[: hi - lo])
+            if grad:
+                grads[lo:hi] = sigma_k_prime(self.k, z, out=dz_buf[: hi - lo]) @ aw
+            values[lo:hi] = sigma_k(self.k, z, out=z) @ self.a
+        return values, grads
 
     def __call__(self, x: np.ndarray) -> np.ndarray | float:
         single = np.asarray(x).ndim == 1
-        out = sigma_k(self.k, self._preactivation(x)) @ self.a
+        out, _ = self._evaluate(x)
         return float(out[0]) if single else out
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         """Analytic gradient in x; requires k >= 1 and on_sphere=False."""
-        if self.k < 1:
-            raise ContractError("gradient undefined for k=0")
-        if self.on_sphere:
-            raise ContractError("gradient is implemented for domain models only")
         single = np.asarray(x).ndim == 1
-        z = self._preactivation(x)
-        g = (sigma_k_prime(self.k, z) * self.a) @ self.ps.points[:, : self.d]
+        _, g = self._evaluate(x, grad=True)
         return g[0] if single else g
 
 
@@ -215,11 +249,12 @@ def least_squares_fit(
     if grid_weights is None:
         grid_weights = np.full(len(grid_points), 1.0 / len(grid_points))
     probe = FiniteNeuronModel(f.d, k, ps, np.zeros(ps.n), on_sphere=f.on_sphere)
-    design = sigma_k(k, probe._preactivation(grid_points))
-    y = f(grid_points)
+    # the one rows x n buffer: preactivation, then ReLU^k and sqrt(w) in place
+    Aw = probe._preactivation(grid_points)
+    sigma_k(k, Aw, out=Aw)
     sw = np.sqrt(grid_weights)
-    Aw = design * sw[:, None]
-    yw = y * sw
+    Aw *= sw[:, None]
+    yw = f(grid_points) * sw
     if norm_cap > 0.0:
         G = Aw.T @ Aw + ridge * np.eye(ps.n)
         c = Aw.T @ yw
@@ -241,18 +276,22 @@ def error_norms(
     grid_weights: np.ndarray,
     s: int = 0,
 ) -> tuple[float, float]:
-    """Discrete (L2 error, H1-seminorm error); the latter is 0.0 when s=0."""
+    """Discrete (L2 error, H1-seminorm error); the latter is 0.0 when s=0.
+
+    Values and gradients come from one blocked pass over the grid.
+    """
     if s not in (0, 1):
         raise ContractError("s must be 0 or 1")
+    if s == 1 and f.grad is None:
+        raise ContractError("H1 error needs the target gradient")
     grid_points = np.asarray(grid_points, dtype=float)
     w = np.asarray(grid_weights, dtype=float)
-    diff = model(grid_points) - f(grid_points)
+    values, grads = model._evaluate(grid_points, grad=s == 1)
+    diff = values - f(grid_points)
     l2 = math.sqrt(max(float(np.dot(w, diff**2)), 0.0))
     if s == 0:
         return l2, 0.0
-    if f.grad is None:
-        raise ContractError("H1 error needs the target gradient")
-    gdiff = model.gradient(grid_points) - f.grad(grid_points)
+    gdiff = grads - f.grad(grid_points)
     h1 = math.sqrt(max(float(np.dot(w, np.sum(gdiff**2, axis=1))), 0.0))
     return l2, h1
 

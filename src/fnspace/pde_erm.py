@@ -23,6 +23,7 @@ from .models import FiniteNeuronModel, TargetFunction, ridge_bisect_cap
 from .sphere import PointSet, mesh_norm, separation
 
 __all__ = [
+    "EXCESS_FLOOR",
     "EllipticProblem",
     "ErmResult",
     "interval_problem",
@@ -156,6 +157,10 @@ def interval_directions(n: int) -> PointSet:
     )
 
 
+# Excess risk below this means the grid energy is off, not a better minimizer.
+EXCESS_FLOOR = -1e-9
+
+
 @dataclass(frozen=True)
 class ErmResult:
     model: FiniteNeuronModel
@@ -167,22 +172,21 @@ class ErmResult:
     seed: int
 
     def __post_init__(self):
-        if self.excess_risk < -1e-9:
+        if self.excess_risk < EXCESS_FLOOR:
             raise ContractError("excess risk below the numerical tolerance floor")
         if self.h1_error < 0.0:
             raise ContractError("h1_error must be nonnegative")
 
 
-def _psi(g, grad_g, problem: EllipticProblem, x: np.ndarray) -> np.ndarray:
-    gv = g(x)
-    gr = grad_g(x)
-    return 0.5 * np.sum(gr**2, axis=-1) + 0.5 * gv**2 - problem.source(x) * gv
+def _psi(gv: np.ndarray, gr: np.ndarray, hv: np.ndarray) -> np.ndarray:
+    """Psi from values g, gradients grad g and source values h at the same points."""
+    return 0.5 * np.sum(gr**2, axis=-1) + 0.5 * gv**2 - hv * gv
 
 
 def energy(g, grad_g, problem: EllipticProblem) -> float:
     """Grid-quadrature value of int_Omega Psi(g)."""
     pts, w = problem.grid()
-    return float(np.dot(w, _psi(g, grad_g, problem, pts)))
+    return float(np.dot(w, _psi(g(pts), grad_g(pts), problem.source(pts))))
 
 
 def empirical_risk(g, grad_g, problem: EllipticProblem, samples: np.ndarray) -> float:
@@ -190,7 +194,8 @@ def empirical_risk(g, grad_g, problem: EllipticProblem, samples: np.ndarray) -> 
     samples = np.asarray(samples, dtype=float)
     if len(samples) == 0:
         raise ContractError("empirical risk needs at least one sample")
-    return problem.volume * float(np.mean(_psi(g, grad_g, problem, samples)))
+    psi = _psi(g(samples), grad_g(samples), problem.source(samples))
+    return problem.volume * float(np.mean(psi))
 
 
 def erm_fit(
@@ -215,15 +220,17 @@ def erm_fit(
     if m == 0:
         raise ContractError("no samples")
     probe = FiniteNeuronModel(problem.d, k, ps, np.zeros(ps.n))
-    z = probe._preactivation(samples)
-    phi = sigma_k(k, z)
-    dphi = sigma_k_prime(k, z)
+    # two m x n buffers: sigma_k' from the preactivation, then sigma_k over it
+    phi = probe._preactivation(samples)
+    dphi = sigma_k_prime(k, phi)
+    sigma_k(k, phi, out=phi)
     wdirs = ps.points[:, : problem.d]
     A = (phi.T @ phi) / m
     gram_w = wdirs @ wdirs.T
     A += (dphi.T @ dphi) / m * gram_w
     A *= problem.volume
-    b = problem.volume * (phi.T @ problem.source(samples)) / m
+    h = problem.source(samples)
+    b = problem.volume * (phi.T @ h) / m
     if norm_cap > 0.0:
         a, _ = ridge_bisect_cap(A, b, ps.n, norm_cap)
         nrm = math.sqrt(ps.n) * float(np.linalg.norm(a))
@@ -235,13 +242,16 @@ def erm_fit(
         except np.linalg.LinAlgError:
             a = np.linalg.solve(A + 1e-12 * np.eye(ps.n), b)
     model = FiniteNeuronModel(problem.d, k, ps, a, norm_cap)
-    emp = empirical_risk(model, model.gradient, problem, samples)
-    pop = energy(model, model.gradient, problem)
-    excess = pop - problem.exact_energy
+    # the sample features are still at hand: risk without a re-evaluation
+    emp = problem.volume * float(np.mean(_psi(phi @ a, dphi @ (a[:, None] * wdirs), h)))
+    # one grid, one evaluation: energy and H1 error from the same values
     pts, w = problem.grid()
-    diff = model(pts) - problem.solution(pts)
-    gdiff = model.gradient(pts) - problem.solution.grad(pts)
+    values, grads = model._evaluate(pts, grad=True)
+    pop = float(np.dot(w, _psi(values, grads, problem.source(pts))))
+    excess = pop - problem.exact_energy
+    diff = values - problem.solution(pts)
+    gdiff = grads - problem.solution.grad(pts)
     h1 = math.sqrt(
         max(float(np.dot(w, diff**2 + np.sum(gdiff**2, axis=1))), 0.0)
     )
-    return ErmResult(model, emp, pop, max(excess, -1e-9 + 1e-18), h1, m, seed)
+    return ErmResult(model, emp, pop, excess, h1, m, seed)

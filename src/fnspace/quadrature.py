@@ -13,6 +13,7 @@ returned.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -117,7 +118,7 @@ def rule_to_json(rule: QuadratureRule) -> str:
         "tol": rule.tol,
         "residual": rule.residual,
         "weights": [f"{w:.17g}" for w in rule.weights],
-        "pointset_hash": f"{hash(ps_json) & 0xFFFFFFFF:08x}",
+        "pointset_hash": hashlib.sha256(ps_json.encode()).hexdigest()[:12],
         "pointset": json.loads(ps_json),
     }
     return json.dumps(payload)

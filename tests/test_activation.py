@@ -37,6 +37,27 @@ def test_sigma_k_prime():
         sigma_k_prime(0, 0.5)
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_sigma_k_leaves_input_alone(k):
+    t = np.random.Generator(np.random.Philox(k)).standard_normal((7, 5))
+    t[0, :2] = 0.0
+    before = t.copy()
+    got = sigma_k(k, t)
+    np.testing.assert_array_equal(t, before)
+    want = np.where(t >= 0.0, 1.0, 0.0) if k == 0 else np.maximum(t, 0.0) ** k
+    assert np.array_equal(got, want)
+    if k >= 1:
+        dgot = sigma_k_prime(k, t)
+        np.testing.assert_array_equal(t, before)
+        if k == 1:
+            dwant = np.where(t > 0.0, 1.0, 0.0)
+        else:
+            dwant = k * np.maximum(t, 0.0) ** (k - 1)
+        assert np.array_equal(dgot, dwant)
+    # out=t is the one in-place form, with the same values
+    assert np.array_equal(sigma_k(k, t, out=t), want) and np.array_equal(t, want)
+
+
 def test_support_set():
     assert [m for m in range(10) if in_support(2, m)] == [0, 1, 2, 3, 5, 7, 9]
     assert [m for m in range(8) if in_support(0, m)] == [0, 1, 3, 5, 7]

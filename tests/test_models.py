@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fnspace.activation import spectrum
+from fnspace.activation import sigma_k, sigma_k_prime, spectrum
 from fnspace.errors import ContractError
 from fnspace.harmonics import harmonic_block, project, reference_grid
+from fnspace.harness import domain_grid, get_target
 from fnspace.models import (
+    EVAL_BLOCK_ROWS,
     FiniteNeuronModel,
     TargetFunction,
     coef_stat,
@@ -16,6 +20,7 @@ from fnspace.models import (
     least_squares_fit,
     model_from_json,
     model_to_json,
+    ridge_bisect_cap,
 )
 from fnspace.quadrature import build_rule
 from fnspace.sphere import PointSet, generate_points, mesh_norm, separation
@@ -256,3 +261,83 @@ def test_model_json_roundtrip():
     assert (back.d, back.k, back.on_sphere) == (2, 2, False)
     x = np.array([0.2, -0.4])
     assert back(x) == model(x)
+
+
+B = EVAL_BLOCK_ROWS
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.sampled_from([1, B - 1, B, B + 1, 2 * B + 3]),
+    k=st.integers(0, 3),
+    d=st.integers(1, 2),
+    n=st.integers(1, 12),
+    on_sphere=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocked_evaluation_matches_one_shot(rows, k, d, n, on_sphere, seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    pts = rng.standard_normal((n, d + 1))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    ps = PointSet(d, pts, math.pi, max(separation(pts), 1e-3), 0.0)
+    a = rng.standard_normal(n)
+    model = FiniteNeuronModel(d, k, ps, a, on_sphere=on_sphere)
+    x = rng.uniform(-1.5, 1.5, (rows, d + 1 if on_sphere else d))
+    xt = x if on_sphere else np.column_stack([x, np.ones(rows)])
+    z = xt @ pts.T
+    scale = np.abs(sigma_k(k, z)) @ np.abs(a)
+    assert np.all(np.abs(model(x) - sigma_k(k, z) @ a) <= 1e-13 * scale)
+    if k >= 1 and not on_sphere:
+        want = (sigma_k_prime(k, z) * a) @ pts[:, :d]
+        gscale = (np.abs(sigma_k_prime(k, z)) @ np.abs(a))[:, None]
+        assert np.all(np.abs(model.gradient(x) - want) <= 1e-13 * gscale)
+
+
+def _ls_reference(f, ps, pts, w, k, ridge=0.0, norm_cap=0.0):
+    """least_squares_fit as written before the in-place design: the bit reference."""
+    z = np.column_stack([pts, np.ones(len(pts))]) @ ps.points.T
+    design = np.where(z >= 0.0, 1.0, 0.0) if k == 0 else np.maximum(z, 0.0) ** k
+    sw = np.sqrt(w)
+    Aw = design * sw[:, None]
+    yw = f(pts) * sw
+    if norm_cap > 0.0:
+        G = Aw.T @ Aw + ridge * np.eye(ps.n)
+        a, _ = ridge_bisect_cap(G, Aw.T @ yw, ps.n, norm_cap)
+        nrm = math.sqrt(ps.n) * float(np.linalg.norm(a))
+        if nrm > norm_cap:
+            a *= norm_cap / nrm
+        return a
+    if ridge > 0.0:
+        return np.linalg.solve(Aw.T @ Aw + ridge * np.eye(ps.n), Aw.T @ yw)
+    return np.linalg.lstsq(Aw, yw, rcond=None)[0]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize(
+    "path", [{}, {"ridge": 1e-6}, {"norm_cap": 0.5}], ids=["lstsq", "ridge", "cap"]
+)
+def test_ls_coefficients_bit_identical_to_reference(k, path):
+    ps = generate_points(2, 40, "fibonacci_s2")
+    pts, w = domain_grid(2, 4096)
+    target = get_target("gaussian_bump", 2)
+    model = least_squares_fit(target, ps, pts, w, k=k, **path)
+    assert np.array_equal(model.a, _ls_reference(target, ps, pts, w, k, **path))
+    if "norm_cap" in path:  # the cap path is exercised only if the cap binds
+        free = least_squares_fit(target, ps, pts, w, k=k)
+        assert coef_stat(free)[1] > path["norm_cap"]
+
+
+def test_error_norms_match_direct_evaluation():
+    ps = generate_points(2, 48, "fibonacci_s2")
+    pts, w = domain_grid(2, 4096)
+    pts, w = pts[: 3 * B + 5], w[: 3 * B + 5]  # a partial last block
+    target = get_target("gaussian_bump", 2)
+    model = least_squares_fit(target, ps, pts, w, k=2)
+    l2, h1 = error_norms(model, target, pts, w, s=1)
+    z = np.column_stack([pts, np.ones(len(pts))]) @ ps.points.T
+    diff = sigma_k(2, z) @ model.a - target(pts)
+    gdiff = (sigma_k_prime(2, z) * model.a) @ ps.points[:, :2] - target.grad(pts)
+    assert l2 == pytest.approx(math.sqrt(float(np.dot(w, diff**2))), rel=1e-13)
+    h1_direct = math.sqrt(float(np.dot(w, np.sum(gdiff**2, axis=1))))
+    assert h1 == pytest.approx(h1_direct, rel=1e-13)
+    assert error_norms(model, target, pts, w, s=0) == (l2, 0.0)

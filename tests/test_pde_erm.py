@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from fnspace.errors import ConfigurationError, ContractError
 from fnspace.pde_erm import (
+    EXCESS_FLOOR,
     EllipticProblem,
     disk_problem,
     empirical_risk,
@@ -210,3 +212,31 @@ def test_interval_directions_shape():
     assert ps.n == 6
     np.testing.assert_allclose(np.linalg.norm(ps.points, axis=1), 1.0, atol=1e-12)
     assert ps.h_sep > 0.0
+
+
+def test_erm_excess_floor_fires():
+    prob = interval_problem()
+    # an exact energy set too high makes the grid energy undercut it
+    raised = dataclasses.replace(prob, exact_energy=prob.exact_energy + 1.0)
+    with pytest.raises(ContractError, match="excess risk"):
+        erm_fit(raised, interval_directions(8), prob.sample(1024, 0), k=2)
+    res = erm_fit(prob, interval_directions(8), prob.sample(1024, 0), k=2)
+    assert res.excess_risk >= EXCESS_FLOOR
+
+
+def test_erm_single_evaluation_matches_public_functions():
+    prob = disk_problem()
+    ps = generate_points(2, 24, "fibonacci_s2")
+    samples = prob.sample(3000, 1)
+    res = erm_fit(prob, ps, samples, k=2)
+    model = res.model
+    pop = energy(model, model.gradient, prob)
+    assert res.population_energy == pytest.approx(pop, rel=1e-13)
+    emp = empirical_risk(model, model.gradient, prob, samples)
+    assert res.empirical_risk == pytest.approx(emp, rel=1e-13)
+    assert res.excess_risk == res.population_energy - prob.exact_energy
+    pts, w = prob.grid()
+    diff = model(pts) - prob.solution(pts)
+    gdiff = model.gradient(pts) - prob.solution.grad(pts)
+    h1 = math.sqrt(float(np.dot(w, diff**2 + np.sum(gdiff**2, axis=1))))
+    assert res.h1_error == pytest.approx(h1, rel=1e-13)

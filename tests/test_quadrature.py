@@ -1,4 +1,10 @@
+import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +18,14 @@ from fnspace.quadrature import (
     rule_from_json,
     rule_to_json,
 )
-from fnspace.sphere import PointSet, generate_points, mesh_norm, separation
+import fnspace
+from fnspace.sphere import (
+    PointSet,
+    generate_points,
+    mesh_norm,
+    pointset_to_json,
+    separation,
+)
 
 # frozen regression values for fibonacci_s2 n=200 at resolution 0.005:
 # achieved degree with the default target 2*floor(0.5/h), and the
@@ -116,3 +129,25 @@ def test_json_roundtrip():
     assert back.exact_degree == rule.exact_degree
     assert back.J == rule.J
     np.testing.assert_array_equal(back.ps.points, rule.ps.points)
+
+
+def test_rule_json_independent_of_hash_seed():
+    code = (
+        "from fnspace.quadrature import build_rule, rule_to_json\n"
+        "from fnspace.sphere import generate_points\n"
+        "print(rule_to_json(build_rule(generate_points(1, 8, 'equispaced_circle'), 7)))"
+    )
+    src = str(Path(fnspace.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+            capture_output=True, text=True, check=True, timeout=120,
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    assert outs[0] == outs[1]
+    ps = generate_points(1, 8, "equispaced_circle")
+    want = hashlib.sha256(pointset_to_json(ps).encode()).hexdigest()[:12]
+    assert json.loads(outs[0])["pointset_hash"] == want
