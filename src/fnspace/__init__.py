@@ -22,7 +22,7 @@ from .errors import (
     NumericalError,
     PrecisionError,
 )
-from .harmonics import LegendreBasis, ReferenceGrid, harmonic_dim, reference_grid, sphere_area
+from .harmonics import ReferenceGrid, harmonic_dim, reference_grid, sphere_area
 from .harness import ExperimentConfig, RateReport, fit_slope, run_randcmp, run_rates
 from .models import (
     FiniteNeuronModel,

@@ -89,7 +89,7 @@ def _cmd_approx(args) -> None:
     report = run_rates(exp, write=False)
     row = report.rows[-1]
     if row["error_code"]:
-        raise NumericalError(f"fit failed: {row['error_code']}")
+        raise NumericalError(f"fit failed: {row['error_code']}: {row['error_message']}")
     print(
         f"n={row['n']} l2={row['error_l2']!r} h1={row['error_h1']!r} "
         f"sqrtn_a={row['sqrtn_a_norm']!r}"

@@ -24,9 +24,7 @@ from .errors import ConfigurationError, ContractError, PrecisionError
 __all__ = [
     "sphere_area",
     "harmonic_dim",
-    "LegendreBasis",
     "legendre_table",
-    "harmonic_eval",
     "harmonic_block",
     "ReferenceGrid",
     "reference_grid",
@@ -76,28 +74,6 @@ def legendre_table(d: int, m_max: int, t: np.ndarray) -> np.ndarray:
     return q * dims.reshape((m_max + 1,) + (1,) * t.ndim)
 
 
-@dataclass(frozen=True)
-class LegendreBasis:
-    """Legendre polynomials p_m on [-1,1] for a fixed sphere dimension."""
-
-    d: int
-    m_max: int
-
-    def eval(self, m: int, t) -> np.ndarray | float:
-        if m > self.m_max:
-            raise ContractError(f"degree {m} exceeds m_max={self.m_max}")
-        arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = legendre_table(self.d, m, arr)[m]
-        return float(out[0]) if np.isscalar(t) or np.ndim(t) == 0 else out
-
-    def table(self, t: np.ndarray) -> np.ndarray:
-        return legendre_table(self.d, self.m_max, t)
-
-    def norm_sq(self, m: int) -> float:
-        """Weighted-interval norm ||p_m||^2_{w_d} = (omega_d/omega_{d-1}) N(m)."""
-        return sphere_area(self.d) / sphere_area(self.d - 1) * harmonic_dim(self.d, m)
-
-
 def _circle_angle(eta: np.ndarray) -> np.ndarray:
     return np.arctan2(eta[..., 1], eta[..., 0])
 
@@ -139,16 +115,6 @@ def harmonic_block(d: int, m: int, eta: np.ndarray) -> np.ndarray:
                 rows.append(math.sqrt(2.0) * c * p * np.sin(-mu * phi))
         return np.vstack(rows)
     raise ConfigurationError(f"harmonic bases implemented for d in {{1,2}}, got d={d}")
-
-
-def harmonic_eval(d: int, m: int, ell: int, eta: np.ndarray):
-    """Single basis function Y_{m,ell}(eta); ell runs from 1 to N(m)."""
-    if not 1 <= ell <= harmonic_dim(d, m):
-        raise ContractError(f"ell={ell} out of range for N({m})={harmonic_dim(d, m)}")
-    eta = np.asarray(eta, dtype=float)
-    single = eta.ndim == 1
-    out = harmonic_block(d, m, eta)[ell - 1]
-    return float(out[0]) if single else out
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,13 @@ import numpy as np
 
 from . import quadrature
 from .activation import spectrum
-from .errors import ConfigurationError, ContractError, DomainError
+from .errors import (
+    ConfigurationError,
+    ContractError,
+    DomainError,
+    NumericalError,
+    PrecisionError,
+)
 from .harmonics import reference_grid
 from .models import (
     TargetFunction,
@@ -42,6 +48,16 @@ __all__ = [
 ]
 
 MIN_SLOPE_ROWS = 4
+
+# failures a sweep cell may end in; anything else is a bug and propagates
+CELL_ERRORS = (
+    ContractError,
+    ConfigurationError,
+    DomainError,
+    PrecisionError,
+    NumericalError,
+    np.linalg.LinAlgError,
+)
 
 
 def fit_slope(log_points) -> tuple[float, float]:
@@ -268,7 +284,11 @@ def _write_rate_csv(path: Path, chash: str, rows) -> None:
 
 
 def run_rates(cfg: ExperimentConfig, write: bool = True) -> RateReport:
-    """One error-vs-n sweep; failed cells become error rows, not aborts."""
+    """One error-vs-n sweep; failed cells become error rows, not aborts.
+
+    An error row names the exception class in error_code and keeps its
+    message under error_message, which only the JSON report carries.
+    """
     target = get_target(cfg.target, cfg.d)
     grid = None if cfg.path == "constructive" else domain_grid(cfg.d, 4096 if cfg.d == 1 else 64 * max(cfg.ns))
     rows = []
@@ -278,7 +298,7 @@ def run_rates(cfg: ExperimentConfig, write: bool = True) -> RateReport:
                 rows.append(_rate_row_constructive(cfg, target, n))
             else:
                 rows.append(_rate_row_ls(cfg, target, n, cfg.seeds[0], grid))
-        except Exception as exc:  # error rows keep the sweep alive
+        except CELL_ERRORS as exc:  # error rows keep the sweep alive
             rows.append(
                 {
                     "n": n,
@@ -287,6 +307,7 @@ def run_rates(cfg: ExperimentConfig, write: bool = True) -> RateReport:
                     "error_h1": float("nan"),
                     "sqrtn_a_norm": float("nan"),
                     "error_code": type(exc).__name__,
+                    "error_message": str(exc),
                 }
             )
     clean = [r for r in rows if r["error_code"] == "" and r["error_l2"] > 0.0]

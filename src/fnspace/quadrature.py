@@ -9,25 +9,44 @@ is for symmetric configurations such as equispaced circles).  If the
 residual tolerance cannot be met at D, the degree is lowered by 2 and the
 solve retried, so a rule with the largest feasible exact degree is always
 returned.
+
+The moment matrix A is built once, at the target degree.  Its rows are
+ordered by harmonic degree m, so the system at a lower degree D is the
+row prefix A[:R(D)] with R(D) = sum_{m<=D} N(m), the same matrix bit for
+bit.  NNLS runs only at degrees where a rule can exist.  Row 0 of A is
+all ones, so a w >= 0 with max|Aw - b| <= tol has ||w||_2 <= sum w <=
+1 + tol; the truncated-SVD least-squares residual is then at most
+||Aw - b||_2 + cut ||w||_2 <= sqrt(R) tol + cut (1 + tol), where cut is
+the singular-value cutoff of lstsq.  A degree whose lstsq residual exceeds
+twice that bound is skipped without an NNLS solve.
+
+Each call to build_rule sends one debug record, a JSON object, to the
+"fnspace.quadrature" logger: the degrees asked for, tried and reached,
+the NNLS solves run and skipped, the solver path, the residual, the
+moment-matrix shape and the time taken.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import nnls
 
 from .errors import ContractError, NumericalError
-from .harmonics import harmonic_block
+from .harmonics import harmonic_block, harmonic_dim
 from .sphere import PointSet, pointset_from_json, pointset_to_json
 
 __all__ = ["QuadratureRule", "build_rule", "integrate", "rule_to_json", "rule_from_json"]
 
 DEFAULT_C1 = 0.5
+
+_log = logging.getLogger("fnspace.quadrature")
 
 
 @dataclass(frozen=True)
@@ -81,25 +100,51 @@ def build_rule(ps: PointSet, D_target: int, tol: float = 1e-8) -> QuadratureRule
     """Largest-degree nonnegative rule with moment residual <= tol.
 
     Starts at D_target and decrements by 2 until feasible; raises
-    NumericalError only if even mass matching (D=0) fails.
+    NumericalError only if even mass matching (D=0) fails.  The moment
+    matrix is built once at D_target and each lower degree solves its row
+    prefix.  NNLS is skipped at a degree when the lstsq residual r obeys
+    ||r||_2 > 2 (sqrt(R) tol + cut (1 + tol)): any feasible w >= 0 sums to
+    at most 1 + tol (row 0 of A is all ones), so it would bound r by
+    sqrt(R) tol + cut ||w||_2, and no rule exists there.
     """
     if D_target < 0:
         raise ContractError("D_target must be >= 0")
-    D = D_target
-    while D >= 0:
-        A, b = _moment_system(ps, D)
+    start = time.perf_counter()
+    A_top, b_top = _moment_system(ps, D_target)
+    row_ends = np.cumsum([harmonic_dim(ps.d, m) for m in range(D_target + 1)])
+    info = {"D_target": D_target, "D": None, "degrees_tried": [], "nnls_run": 0,
+            "nnls_skipped": [], "path": None, "residual": None,
+            "moment_shape": list(A_top.shape)}
+    for D in range(D_target, -1, -2):
+        info["degrees_tried"].append(D)
+        A, b = A_top[: row_ends[D]], b_top[: row_ends[D]]
         # fast path: min-norm least squares, accepted if already nonnegative
-        w, *_ = np.linalg.lstsq(A, b, rcond=None)
-        if np.min(w) < -1e-14 or np.max(np.abs(A @ w - b)) > tol:
+        w, _, _, sv = np.linalg.lstsq(A, b, rcond=None)
+        r = A @ w - b
+        path = "lstsq"
+        if np.min(w) < -1e-14 or np.max(np.abs(r)) > tol:
+            cut = np.finfo(float).eps * max(A.shape) * sv[0]
+            if np.linalg.norm(r) > 2.0 * (math.sqrt(len(A)) * tol + cut * (1.0 + tol)):
+                info["nnls_skipped"].append(D)
+                continue
             w, _ = nnls(A, b, maxiter=10 * max(A.shape))
+            info["nnls_run"] += 1
+            path = "nnls"
         w = np.maximum(w, 0.0)
         res = float(np.max(np.abs(A @ w - b)))
         if res <= tol and w.sum() > 0.0:
             w = w / w.sum()
             res = float(np.max(np.abs(A @ w - b)))
+            info.update(D=D, path=path, residual=res)
+            _report(info, start)
             return QuadratureRule(ps, w, D, res, tol)
-        D -= 2
+    _report(info, start)
     raise NumericalError("no feasible nonnegative rule at any degree >= 0")
+
+
+def _report(info: dict, start: float) -> None:
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("%s", json.dumps(info | {"seconds": time.perf_counter() - start}))
 
 
 def integrate(rule: QuadratureRule, values: np.ndarray) -> float:

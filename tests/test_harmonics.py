@@ -3,12 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from fnspace.errors import ContractError, PrecisionError
+from fnspace.errors import ConfigurationError, ContractError, PrecisionError
 from fnspace.harmonics import (
-    LegendreBasis,
     harmonic_block,
     harmonic_dim,
-    harmonic_eval,
     legendre_table,
     project,
     reference_grid,
@@ -78,23 +76,27 @@ def test_harmonic_orthonormality():
 
 
 def test_norm_sq_matches_quadrature():
-    # ||p_m||^2 under w_d(t) dt, via t = cos(rho) so the weight is smooth
+    # ||p_m||^2 = (omega_d/omega_{d-1}) N(m) under w_d(t) dt, via t = cos(rho)
+    # so the weight is smooth
     for d in (1, 2, 3):
-        basis = LegendreBasis(d, 10)
         x, w = np.polynomial.legendre.leggauss(400)
         rho = (x + 1.0) * (math.pi / 2.0)
         jac = (math.pi / 2.0) * np.sin(rho) ** (d - 1)
+        table = legendre_table(d, 7, np.cos(rho))
         for m in (0, 3, 7):
-            val = float(np.dot(w, basis.eval(m, np.cos(rho)) ** 2 * jac))
-            assert val == pytest.approx(basis.norm_sq(m), rel=1e-8)
+            val = float(np.dot(w, table[m] ** 2 * jac))
+            want = sphere_area(d) / sphere_area(d - 1) * harmonic_dim(d, m)
+            assert val == pytest.approx(want, rel=1e-8)
 
 
-def test_harmonic_eval_bounds():
+def test_harmonic_block_bounds():
     eta = random_sphere(2, 3)
-    with pytest.raises(ContractError):
-        harmonic_eval(2, 2, 6, eta)
-    v = harmonic_eval(2, 2, 1, eta[0])
-    assert isinstance(v, float)
+    assert harmonic_block(2, 2, eta).shape == (harmonic_dim(2, 2), 3)
+    single = harmonic_block(2, 2, eta[0])
+    assert single.shape == (harmonic_dim(2, 2), 1)
+    np.testing.assert_array_equal(single[:, 0], harmonic_block(2, 2, eta)[:, 0])
+    with pytest.raises(ConfigurationError):
+        harmonic_block(3, 2, random_sphere(3, 3))
 
 
 def test_reference_grid_polynomial_exactness():

@@ -1,10 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from fnspace import harness
 from fnspace.cli import main as cli_main
-from fnspace.errors import ConfigurationError, ContractError, DomainError
+from fnspace.errors import ConfigurationError, ContractError, DomainError, NumericalError
 from fnspace.harness import (
     ExperimentConfig,
     config_hash,
@@ -111,6 +113,39 @@ def test_run_rates_error_rows_do_not_abort():
     assert codes[0] == "ContractError"
     assert all(c == "" for c in codes[1:])
     assert report.fitted_slope < -1.7
+
+
+def _ls_sweep(tmp_path):
+    return ExperimentConfig(
+        d=1, k=1, target="gaussian_bump", strategy="equispaced_circle",
+        ns=(8, 16), out_dir=str(tmp_path),
+    )
+
+
+def test_run_rates_bug_propagates(monkeypatch, tmp_path):
+    def broken(*args, **kwargs):
+        raise TypeError("a programming bug")
+
+    monkeypatch.setattr(harness, "least_squares_fit", broken)
+    with pytest.raises(TypeError):
+        run_rates(_ls_sweep(tmp_path), write=False)
+
+
+def test_run_rates_error_row_keeps_message(monkeypatch, tmp_path):
+    def failing(*args, **kwargs):
+        raise NumericalError("boom")
+
+    monkeypatch.setattr(harness, "least_squares_fit", failing)
+    cfg = _ls_sweep(tmp_path)
+    report = run_rates(cfg)
+    assert [(r["error_code"], r["error_message"]) for r in report.rows] == [
+        ("NumericalError", "boom")
+    ] * 2
+    saved = json.loads((tmp_path / f"rates_{cfg.hash}.json").read_text())
+    assert saved["rows"][0]["error_message"] == "boom"
+    header, *rows = (tmp_path / f"rates_{cfg.hash}.csv").read_text().splitlines()
+    assert header == "config_hash,n,h,error_l2,error_h1,sqrtn_a_norm,error_code"
+    assert all(row.endswith(",NumericalError") for row in rows)
 
 
 def test_run_rates_csv_reproducible(tmp_path):

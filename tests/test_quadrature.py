@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import math
 import os
 import subprocess
@@ -8,10 +9,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import nnls
 
-from fnspace.errors import ContractError
-from fnspace.harmonics import harmonic_block, reference_grid
+from fnspace.errors import ContractError, NumericalError
+from fnspace.harmonics import harmonic_block, harmonic_dim, reference_grid
 from fnspace.quadrature import (
+    QuadratureRule,
+    _moment_system,
     build_rule,
     default_degree,
     integrate,
@@ -151,3 +157,106 @@ def test_rule_json_independent_of_hash_seed():
     ps = generate_points(1, 8, "equispaced_circle")
     want = hashlib.sha256(pointset_to_json(ps).encode()).hexdigest()[:12]
     assert json.loads(outs[0])["pointset_hash"] == want
+
+
+def _rebuild_per_degree(ps, D_target, tol=1e-8):
+    """Reference degree fallback: every degree rebuilds its own moment system
+    and runs NNLS whenever the lstsq fast path fails."""
+    if D_target < 0:
+        raise ContractError("D_target must be >= 0")
+    D = D_target
+    while D >= 0:
+        A, b = _moment_system(ps, D)
+        # fast path: min-norm least squares, accepted if already nonnegative
+        w, *_ = np.linalg.lstsq(A, b, rcond=None)
+        if np.min(w) < -1e-14 or np.max(np.abs(A @ w - b)) > tol:
+            w, _ = nnls(A, b, maxiter=10 * max(A.shape))
+        w = np.maximum(w, 0.0)
+        res = float(np.max(np.abs(A @ w - b)))
+        if res <= tol and w.sum() > 0.0:
+            w = w / w.sum()
+            res = float(np.max(np.abs(A @ w - b)))
+            return QuadratureRule(ps, w, D, res, tol)
+        D -= 2
+    raise NumericalError("no feasible nonnegative rule at any degree >= 0")
+
+
+def _outcome(builder, ps, D_target):
+    try:
+        return builder(ps, D_target)
+    except NumericalError as exc:  # odd D_target never tries D = 0
+        return exc
+
+
+SMALL_SETS = st.sampled_from(
+    [(1, "uniform_random"), (1, "equispaced_circle"), (2, "uniform_random"), (2, "fibonacci_s2")]
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(SMALL_SETS, st.integers(1, 40), st.integers(0, 2**32 - 1), st.data())
+def test_shared_moment_matrix_matches_rebuild_per_degree(kind, n, seed, data):
+    d, strategy = kind
+    ps = generate_points(d, n, strategy, seed=seed, resolution=0.05)
+    D_target = data.draw(st.integers(0, 2 * math.isqrt(n) + 4), label="D_target")
+    got, want = _outcome(build_rule, ps, D_target), _outcome(_rebuild_per_degree, ps, D_target)
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+        return
+    assert got.exact_degree == want.exact_degree
+    assert got.residual == want.residual
+    assert np.array_equal(got.weights, want.weights)
+
+
+def test_moment_matrix_prefix_is_lower_degree_system():
+    ps = generate_points(2, 60, "fibonacci_s2", resolution=0.05)
+    A_top, b_top = _moment_system(ps, 12)
+    for D in range(13):
+        rows = sum(harmonic_dim(2, m) for m in range(D + 1))
+        A, b = _moment_system(ps, D)
+        assert np.array_equal(A_top[:rows], A)
+        assert np.array_equal(b_top[:rows], b)
+
+
+def _diagnostics(caplog, ps, D_target):
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="fnspace.quadrature"):
+        rule = build_rule(ps, D_target)
+    (record,) = [r for r in caplog.records if r.name == "fnspace.quadrature"]
+    assert record.levelno == logging.DEBUG
+    return rule, json.loads(record.getMessage())
+
+
+def test_skipped_degrees_have_no_nnls_rule(caplog):
+    skipped = 0
+    for strategy, n in (("fibonacci_s2", 100), ("uniform_random", 200), ("fibonacci_s2", 6)):
+        ps = generate_points(2, n, strategy, seed=n, resolution=0.05)
+        rule, info = _diagnostics(caplog, ps, 2 * math.isqrt(n))
+        for D in info["nnls_skipped"]:
+            assert D > rule.exact_degree
+            A, b = _moment_system(ps, D)
+            w, _ = nnls(A, b, maxiter=10 * max(A.shape))
+            assert np.max(np.abs(A @ np.maximum(w, 0.0) - b)) > rule.tol
+        skipped += len(info["nnls_skipped"])
+    assert skipped > 0
+
+
+def test_build_rule_diagnostics_record(caplog):
+    ps = generate_points(2, 200, "uniform_random", seed=200, resolution=0.05)
+    rule, info = _diagnostics(caplog, ps, 28)
+    assert info["D_target"] == 28
+    assert info["D"] == rule.exact_degree < 28
+    assert info["degrees_tried"] == list(range(28, rule.exact_degree - 1, -2))
+    assert 0 < info["nnls_run"] <= len(info["degrees_tried"]) - len(info["nnls_skipped"])
+    assert info["path"] == "nnls"
+    assert info["residual"] == rule.residual
+    assert info["moment_shape"] == [sum(harmonic_dim(2, m) for m in range(29)), 200]
+    assert info["seconds"] >= 0.0
+
+    _, info = _diagnostics(caplog, generate_points(1, 8, "equispaced_circle"), 7)
+    assert (info["D"], info["path"], info["nnls_run"], info["nnls_skipped"]) == (7, "lstsq", 0, [])
+
+
+def test_build_rule_quiet_by_default(caplog):
+    build_rule(generate_points(1, 8, "equispaced_circle"), 7)
+    assert not [r for r in caplog.records if r.name == "fnspace.quadrature"]
