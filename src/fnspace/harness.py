@@ -33,6 +33,7 @@ from .models import (
     error_norms,
     least_squares_fit,
 )
+from .pde_erm import DISK_GRID_ANGLES, disk_grid
 from .sphere import generate_points
 
 __all__ = [
@@ -214,15 +215,7 @@ def domain_grid(d: int, min_points: int = 4096) -> tuple[np.ndarray, np.ndarray]
         x = -1.0 + 2.0 * (np.arange(n) + 0.5) / n
         return x[:, None], np.full(n, 1.0 / n)
     if d == 2:
-        n_t = 512
-        n_r = max(80, int(math.ceil(min_points / n_t)))
-        r, wr = np.polynomial.legendre.leggauss(n_r)
-        r = (r + 1.0) / 2.0
-        wr = wr / 2.0
-        t = 2.0 * math.pi * (np.arange(n_t) + 0.5) / n_t
-        R, T = np.meshgrid(r, t, indexing="ij")
-        pts = np.column_stack([(R * np.cos(T)).ravel(), (R * np.sin(T)).ravel()])
-        w = np.repeat(wr * r, n_t) / n_t
+        pts, w = disk_grid(max(80, int(math.ceil(min_points / DISK_GRID_ANGLES))))
         return pts, w / w.sum()
     raise ConfigurationError("domain grids implemented for d in {1,2}")
 

@@ -12,22 +12,26 @@ Evaluation is row-blocked: each block of EVAL_BLOCK_ROWS inputs forms the
 preactivation z = theta . (x, 1) once, in a buffer reused across blocks,
 and yields the values sigma_k(z) @ a and, when asked, the gradients
 sigma_k'(z) @ (a W) together, so temporaries stay at two blocks of
-EVAL_BLOCK_ROWS x n floats whatever the grid size.  A least-squares fit
-holds a single rows x n buffer: the preactivation, overwritten in place by
-ReLU^k and then by its sqrt-weight scaling.
+EVAL_BLOCK_ROWS x n floats whatever the grid size.  least_squares_fit and
+pde_erm.erm_fit share one feature map, `features`, which applies ReLU^k in
+place over the preactivation, and one norm-capped solver, ridge_bisect_cap:
+a single eigendecomposition of the Gram matrix, then an O(n)-per-step
+root search for the ridge.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .activation import ActivationSpectrum, sigma_k, sigma_k_prime
-from .errors import ConfigurationError, ContractError, NumericalError
+from .errors import ConfigurationError, ContractError
 from .harmonics import ReferenceGrid, harmonic_block, project
 from .quadrature import QuadratureRule
 from .sphere import PointSet, pointset_from_json, pointset_to_json
@@ -35,6 +39,7 @@ from .sphere import PointSet, pointset_from_json, pointset_to_json
 __all__ = [
     "FiniteNeuronModel",
     "TargetFunction",
+    "features",
     "constructive_fit",
     "least_squares_fit",
     "error_norms",
@@ -47,6 +52,29 @@ __all__ = [
 CAP_SLACK = 1e-9
 # Input rows per evaluation block; a block holds EVAL_BLOCK_ROWS x n floats.
 EVAL_BLOCK_ROWS = 256
+
+_log = logging.getLogger("fnspace.models")
+
+
+def _lifted(x: np.ndarray, d: int, on_sphere: bool) -> np.ndarray:
+    """Inputs as the rows the neurons see: (x, 1), or eta on the sphere."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if on_sphere:
+        if x.shape[1] != d + 1:
+            raise ContractError("sphere inputs must have d+1 components")
+        return x
+    if x.shape[1] != d:
+        raise ContractError("domain inputs must have d components")
+    return np.column_stack([x, np.ones(len(x))])
+
+
+def features(ps: PointSet, k: int, x: np.ndarray, grad: bool = False):
+    """sigma_k(z), or (sigma_k(z), sigma_k'(z)) with grad, for z = lifted(x) theta^T;
+    rows of x with d+1 components are sphere points, rows with d are lifted to (x, 1)."""
+    z = _lifted(x, ps.d, np.shape(x)[-1] == ps.d + 1) @ ps.points.T
+    dz = sigma_k_prime(k, z) if grad else None
+    sigma_k(k, z, out=z)
+    return (z, dz) if grad else z
 
 
 @dataclass(frozen=True)
@@ -67,6 +95,8 @@ class FiniteNeuronModel:
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
+        if self.d != self.ps.d:
+            raise ContractError(f"model dimension d={self.d} != direction dimension {self.ps.d}")
         if a.shape != (self.ps.n,):
             raise ContractError("coefficient count must match direction count")
         if self.norm_cap > 0.0:
@@ -79,20 +109,6 @@ class FiniteNeuronModel:
     def n(self) -> int:
         return self.ps.n
 
-    def _lifted(self, x: np.ndarray) -> np.ndarray:
-        """Inputs as the rows the neurons see: (x, 1), or eta on the sphere."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if self.on_sphere:
-            if x.shape[1] != self.d + 1:
-                raise ContractError("sphere inputs must have d+1 components")
-            return x
-        if x.shape[1] != self.d:
-            raise ContractError("domain inputs must have d components")
-        return np.column_stack([x, np.ones(len(x))])
-
-    def _preactivation(self, x: np.ndarray) -> np.ndarray:
-        return self._lifted(x) @ self.ps.points.T
-
     def _evaluate(
         self, x: np.ndarray, grad: bool = False
     ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -101,7 +117,7 @@ class FiniteNeuronModel:
             raise ContractError("gradient undefined for k=0")
         if grad and self.on_sphere:
             raise ContractError("gradient is implemented for domain models only")
-        xt = self._lifted(x)
+        xt = _lifted(x, self.d, self.on_sphere)
         rows = len(xt)
         pt = self.ps.points.T
         values = np.empty(rows)
@@ -188,44 +204,39 @@ def constructive_fit(
     return FiniteNeuronModel(spec.d, k, rule.ps, a, 0.0, on_sphere=True)
 
 
-def _solve_ridge(G: np.ndarray, c: np.ndarray, lam: float) -> np.ndarray:
-    if lam == 0.0:
-        sol, *_ = np.linalg.lstsq(G, c, rcond=None)
-        return sol
-    return np.linalg.solve(G + lam * np.eye(len(G)), c)
+def ridge_bisect_cap(G: np.ndarray, c: np.ndarray, n: int, M: float) -> tuple[np.ndarray, float]:
+    """(a, lam): smallest ridge lam >= 0 with sqrt(n)||a||_2 <= M, a = (G + lam I)^+ c.
 
-
-def ridge_bisect_cap(
-    G: np.ndarray, c: np.ndarray, n: int, M: float, max_iter: int = 60
-) -> tuple[np.ndarray, float]:
-    """Smallest ridge parameter for which sqrt(n)||a||_2 <= M.
-
-    Returns (a, lam).  ||a(lam)|| decreases monotonically in lam, so
-    bisection on log-bracketed lam converges; stops when the cap binds
-    within 1e-6 relative (or is slack at lam=0).
+    G = U diag(s) U^T once, then a(lam) = U (U^T c) / (s + lam) costs O(n).
+    At lam = 0 eigenvalues at or below lstsq's cutoff eps n s_max are zeroed.
+    ||a(lam)|| falls with lam and is at most ||c|| / lam, so a binding cap has
+    its root in (0, sqrt(n)||c|| / M]; searching up to twice that survives
+    rounding.  a is finally rescaled onto the cap.  One JSON debug record
+    per call (n, lam, cap_bound, extreme eigenvalues) goes to the
+    "fnspace.models" logger, quiet by default.
     """
-    a0 = _solve_ridge(G, c, 0.0)
-    if math.sqrt(n) * np.linalg.norm(a0) <= M:
-        return a0, 0.0
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        if math.sqrt(n) * np.linalg.norm(_solve_ridge(G, c, hi)) <= M:
-            break
-        hi *= 4.0
-    else:
-        raise NumericalError("ridge bracketing failed to satisfy the norm cap")
-    a = None
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        a = _solve_ridge(G, c, mid)
-        norm = math.sqrt(n) * float(np.linalg.norm(a))
-        if norm > M:
-            lo = mid
-        else:
-            hi = mid
-            if abs(norm - M) <= 1e-6 * M:
-                return a, mid
-    return _solve_ridge(G, c, hi), hi
+    evals, U = np.linalg.eigh(G)
+    s = np.maximum(evals, 0.0)  # a Gram matrix; rounding can leave eigenvalues at -eps
+    p = U.T @ c
+    root_n = math.sqrt(n)
+    pinv = np.divide(1.0, s, out=np.zeros_like(s), where=s > np.finfo(float).eps * len(s) * s[-1])
+
+    def coef(lam: float) -> np.ndarray:
+        return p * pinv if lam == 0.0 else p / (s + lam)
+
+    def gap(lam: float) -> float:
+        return root_n * float(np.linalg.norm(coef(lam))) - M
+
+    binds = bool(gap(0.0) > 0.0)
+    lam = brentq(gap, 0.0, 2.0 * root_n * float(np.linalg.norm(c)) / M, xtol=1e-300) if binds else 0.0
+    a = U @ coef(lam)
+    nrm = root_n * float(np.linalg.norm(a))
+    if nrm > M:
+        a *= M / nrm
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("%s", json.dumps({"n": int(n), "lam": float(lam), "cap_bound": binds,
+                                     "s_min": float(evals[0]), "s_max": float(evals[-1])}))
+    return a, lam
 
 
 def least_squares_fit(
@@ -239,29 +250,24 @@ def least_squares_fit(
 ) -> FiniteNeuronModel:
     """Weighted least squares over a sample grid on the domain (or sphere).
 
-    With norm_cap > 0, the cap sqrt(n)||a||_2 <= M is enforced by
-    increasing the ridge parameter via bisection until it binds.  A
+    With norm_cap > 0, the cap sqrt(n)||a||_2 <= M is enforced by the
+    smallest extra ridge parameter that meets it (ridge_bisect_cap).  A
     rank-deficient design with ridge=0 yields the minimum-norm solution.
     """
     grid_points = np.asarray(grid_points, dtype=float)
+    if grid_points.shape[-1] != f.d + f.on_sphere:
+        raise ContractError("grid points must have d components (d+1 on the sphere)")
     if len(grid_points) < ps.n:
         raise ConfigurationError("sample grid must have at least n points")
     if grid_weights is None:
         grid_weights = np.full(len(grid_points), 1.0 / len(grid_points))
-    probe = FiniteNeuronModel(f.d, k, ps, np.zeros(ps.n), on_sphere=f.on_sphere)
     # the one rows x n buffer: preactivation, then ReLU^k and sqrt(w) in place
-    Aw = probe._preactivation(grid_points)
-    sigma_k(k, Aw, out=Aw)
+    Aw = features(ps, k, grid_points)
     sw = np.sqrt(grid_weights)
     Aw *= sw[:, None]
     yw = f(grid_points) * sw
     if norm_cap > 0.0:
-        G = Aw.T @ Aw + ridge * np.eye(ps.n)
-        c = Aw.T @ yw
-        a, _ = ridge_bisect_cap(G, c, ps.n, norm_cap)
-        nrm = math.sqrt(ps.n) * float(np.linalg.norm(a))
-        if nrm > norm_cap:
-            a *= norm_cap / nrm
+        a, _ = ridge_bisect_cap(Aw.T @ Aw + ridge * np.eye(ps.n), Aw.T @ yw, ps.n, norm_cap)
     elif ridge > 0.0:
         a = np.linalg.solve(Aw.T @ Aw + ridge * np.eye(ps.n), Aw.T @ yw)
     else:

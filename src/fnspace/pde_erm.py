@@ -17,9 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .activation import sigma_k, sigma_k_prime
 from .errors import ConfigurationError, ContractError
-from .models import FiniteNeuronModel, TargetFunction, ridge_bisect_cap
+from .models import FiniteNeuronModel, TargetFunction, features, ridge_bisect_cap
 from .sphere import PointSet, mesh_norm, separation
 
 __all__ = [
@@ -53,6 +52,23 @@ class EllipticProblem:
     exact_energy: float
 
 
+INTERVAL_GRID_POINTS = 4096
+DISK_GRID_RADII = 256
+DISK_GRID_ANGLES = 512
+
+
+def disk_grid(n_r: int) -> tuple[np.ndarray, np.ndarray]:
+    """n_r Gauss radii x DISK_GRID_ANGLES equispaced angles on the unit disk;
+    the weights integrate over the area measure divided by 2 pi."""
+    r, wr = np.polynomial.legendre.leggauss(n_r)
+    r = (r + 1.0) / 2.0
+    wr = wr / 2.0
+    t = 2.0 * math.pi * (np.arange(DISK_GRID_ANGLES) + 0.5) / DISK_GRID_ANGLES
+    R, T = np.meshgrid(r, t, indexing="ij")
+    pts = np.column_stack([(R * np.cos(T)).ravel(), (R * np.sin(T)).ravel()])
+    return pts, np.repeat(wr * r, DISK_GRID_ANGLES) / DISK_GRID_ANGLES
+
+
 def interval_problem() -> EllipticProblem:
     """Omega = (0,1), f = cos(pi x), h = (pi^2+1) cos(pi x).
 
@@ -72,9 +88,9 @@ def interval_problem() -> EllipticProblem:
         rng = np.random.Generator(np.random.Philox(seed))
         return rng.uniform(0.0, 1.0, (m, 1))
 
-    def grid(n=4096):
-        x = (np.arange(n) + 0.5) / n
-        return x[:, None], np.full(n, 1.0 / n)
+    def grid():
+        x = (np.arange(INTERVAL_GRID_POINTS) + 0.5) / INTERVAL_GRID_POINTS
+        return x[:, None], np.full(INTERVAL_GRID_POINTS, 1.0 / INTERVAL_GRID_POINTS)
 
     sol = TargetFunction("cos_pi_x", 1, f, fg, regularity=math.inf)
     return EllipticProblem(
@@ -114,22 +130,14 @@ def disk_problem() -> EllipticProblem:
             filled += take
         return out
 
-    def grid(n_r=256, n_t=512):
-        r, wr = np.polynomial.legendre.leggauss(n_r)
-        r = (r + 1.0) / 2.0
-        wr = wr / 2.0
-        t = 2.0 * math.pi * (np.arange(n_t) + 0.5) / n_t
-        R, T = np.meshgrid(r, t, indexing="ij")
-        pts = np.column_stack([(R * np.cos(T)).ravel(), (R * np.sin(T)).ravel()])
-        w = np.repeat(wr * r, n_t) * (2.0 * math.pi / n_t)
-        return pts, w
+    def grid():
+        pts, w = disk_grid(DISK_GRID_RADII)
+        return pts, 2.0 * math.pi * w
 
     # at the minimizer E(f) = -(1/2)||f||_energy^2; computed on the dense grid
     sol = TargetFunction("cos_pi_r2", 2, f, fg, regularity=math.inf)
     gp, gw = grid()
-    e_exact = float(
-        np.dot(gw, 0.5 * np.sum(fg(gp) ** 2, axis=1) + 0.5 * f(gp) ** 2 - h(gp) * f(gp))
-    )
+    e_exact = float(np.dot(gw, _psi(f(gp), fg(gp), h(gp))))
     return EllipticProblem(2, "disk", math.pi, h, sol, sample, grid, e_exact)
 
 
@@ -217,13 +225,10 @@ def erm_fit(
         raise ConfigurationError("erm_fit needs k >= 1 for gradients")
     samples = np.asarray(samples, dtype=float)
     m = len(samples)
-    if m == 0:
-        raise ContractError("no samples")
-    probe = FiniteNeuronModel(problem.d, k, ps, np.zeros(ps.n))
+    if m == 0 or samples.shape[-1] != problem.d:
+        raise ContractError("samples must be a nonempty array of points in R^d")
     # two m x n buffers: sigma_k' from the preactivation, then sigma_k over it
-    phi = probe._preactivation(samples)
-    dphi = sigma_k_prime(k, phi)
-    sigma_k(k, phi, out=phi)
+    phi, dphi = features(ps, k, samples, grad=True)
     wdirs = ps.points[:, : problem.d]
     A = (phi.T @ phi) / m
     gram_w = wdirs @ wdirs.T
@@ -233,9 +238,6 @@ def erm_fit(
     b = problem.volume * (phi.T @ h) / m
     if norm_cap > 0.0:
         a, _ = ridge_bisect_cap(A, b, ps.n, norm_cap)
-        nrm = math.sqrt(ps.n) * float(np.linalg.norm(a))
-        if nrm > norm_cap:
-            a *= norm_cap / nrm
     else:
         try:
             a = np.linalg.solve(A, b)
@@ -251,7 +253,5 @@ def erm_fit(
     excess = pop - problem.exact_energy
     diff = values - problem.solution(pts)
     gdiff = grads - problem.solution.grad(pts)
-    h1 = math.sqrt(
-        max(float(np.dot(w, diff**2 + np.sum(gdiff**2, axis=1))), 0.0)
-    )
+    h1 = math.sqrt(max(float(np.dot(w, diff**2 + np.sum(gdiff**2, axis=1))), 0.0))
     return ErmResult(model, emp, pop, excess, h1, m, seed)

@@ -99,8 +99,8 @@ def default_degree(ps: PointSet, c1: float = DEFAULT_C1) -> int:
 def build_rule(ps: PointSet, D_target: int, tol: float = 1e-8) -> QuadratureRule:
     """Largest-degree nonnegative rule with moment residual <= tol.
 
-    Starts at D_target and decrements by 2 until feasible; raises
-    NumericalError only if even mass matching (D=0) fails.  The moment
+    Tries D_target, D_target - 2, ... down to 0 or 1, then D=0 after an odd
+    chain; raises NumericalError only if even mass matching fails.  The moment
     matrix is built once at D_target and each lower degree solves its row
     prefix.  NNLS is skipped at a degree when the lstsq residual r obeys
     ||r||_2 > 2 (sqrt(R) tol + cut (1 + tol)): any feasible w >= 0 sums to
@@ -115,7 +115,7 @@ def build_rule(ps: PointSet, D_target: int, tol: float = 1e-8) -> QuadratureRule
     info = {"D_target": D_target, "D": None, "degrees_tried": [], "nnls_run": 0,
             "nnls_skipped": [], "path": None, "residual": None,
             "moment_shape": list(A_top.shape)}
-    for D in range(D_target, -1, -2):
+    for D in list(range(D_target, -1, -2)) + [0] * (D_target % 2):
         info["degrees_tried"].append(D)
         A, b = A_top[: row_ends[D]], b_top[: row_ends[D]]
         # fast path: min-norm least squares, accepted if already nonnegative

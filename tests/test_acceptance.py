@@ -33,7 +33,7 @@ from fnspace.harness import (
     run_randcmp,
     run_rates,
 )
-from fnspace.models import FiniteNeuronModel, constructive_fit
+from fnspace.models import FiniteNeuronModel, constructive_fit, features
 from fnspace.quadrature import build_rule, default_degree
 from fnspace.sphere import generate_points
 
@@ -293,12 +293,7 @@ def test_criterion_11_pde_erm(capsys):
     ps = pde_erm.interval_directions(6)
     samples = prob.sample(4096, 0)
     res = pde_erm.erm_fit(prob, ps, samples, k=k)
-    probe = FiniteNeuronModel(1, k, ps, np.zeros(ps.n))
-    z = probe._preactivation(samples)
-    from fnspace.activation import sigma_k_prime
-
-    phi = sigma_k(k, z)
-    dphi = sigma_k_prime(k, z)
+    phi, dphi = features(ps, k, samples, grad=True)
     gram_w = ps.points[:, :1] @ ps.points[:, :1].T
     A = (phi.T @ phi + (dphi.T @ dphi) * gram_w) / len(samples)
     b = (phi.T @ prob.source(samples)) / len(samples)

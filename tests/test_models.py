@@ -1,3 +1,5 @@
+import json
+import logging
 import math
 
 import numpy as np
@@ -17,6 +19,7 @@ from fnspace.models import (
     constructive_fit,
     density_from_model,
     error_norms,
+    features,
     least_squares_fit,
     model_from_json,
     model_to_json,
@@ -128,6 +131,23 @@ def test_model_cap_invariant():
     ps = generate_points(1, 4, "equispaced_circle")
     with pytest.raises(ContractError):
         FiniteNeuronModel(1, 1, ps, np.ones(4), norm_cap=1.0)
+
+
+def test_model_dimension_must_match_directions():
+    ps = generate_points(2, 4, "fibonacci_s2")
+    with pytest.raises(ContractError, match="dimension"):
+        FiniteNeuronModel(1, 1, ps, np.ones(4))
+    with pytest.raises(ContractError, match="dimension"):
+        FiniteNeuronModel(3, 1, ps, np.ones(4), on_sphere=True)
+
+
+def test_inputs_of_the_wrong_width_are_rejected():
+    ps = generate_points(2, 4, "fibonacci_s2")
+    with pytest.raises(ContractError):
+        features(ps, 1, np.zeros((5, 4)))
+    sphere_pts = generate_points(2, 16, "fibonacci_s2").points
+    with pytest.raises(ContractError, match="components"):
+        least_squares_fit(get_target("gaussian_bump", 2), ps, sphere_pts)
 
 
 def test_single_ridge_value_and_gradient():
@@ -287,6 +307,10 @@ def test_blocked_evaluation_matches_one_shot(rows, k, d, n, on_sphere, seed):
     z = xt @ pts.T
     scale = np.abs(sigma_k(k, z)) @ np.abs(a)
     assert np.all(np.abs(model(x) - sigma_k(k, z) @ a) <= 1e-13 * scale)
+    assert np.array_equal(features(ps, k, x), sigma_k(k, z))
+    if k >= 1:
+        phi, dphi = features(ps, k, x, grad=True)
+        assert np.array_equal(phi, sigma_k(k, z)) and np.array_equal(dphi, sigma_k_prime(k, z))
     if k >= 1 and not on_sphere:
         want = (sigma_k_prime(k, z) * a) @ pts[:, :d]
         gscale = (np.abs(sigma_k_prime(k, z)) @ np.abs(a))[:, None]
@@ -302,11 +326,7 @@ def _ls_reference(f, ps, pts, w, k, ridge=0.0, norm_cap=0.0):
     yw = f(pts) * sw
     if norm_cap > 0.0:
         G = Aw.T @ Aw + ridge * np.eye(ps.n)
-        a, _ = ridge_bisect_cap(G, Aw.T @ yw, ps.n, norm_cap)
-        nrm = math.sqrt(ps.n) * float(np.linalg.norm(a))
-        if nrm > norm_cap:
-            a *= norm_cap / nrm
-        return a
+        return ridge_bisect_cap(G, Aw.T @ yw, ps.n, norm_cap)[0]
     if ridge > 0.0:
         return np.linalg.solve(Aw.T @ Aw + ridge * np.eye(ps.n), Aw.T @ yw)
     return np.linalg.lstsq(Aw, yw, rcond=None)[0]
@@ -341,3 +361,96 @@ def test_error_norms_match_direct_evaluation():
     h1_direct = math.sqrt(float(np.dot(w, np.sum(gdiff**2, axis=1))))
     assert h1 == pytest.approx(h1_direct, rel=1e-13)
     assert error_norms(model, target, pts, w, s=0) == (l2, 0.0)
+
+
+def _bisect_reference(G, c, n, M, max_iter=60):
+    """ridge_bisect_cap before the eigendecomposition, verbatim: the tolerance reference."""
+
+    def _solve_ridge(G, c, lam):
+        if lam == 0.0:
+            sol, *_ = np.linalg.lstsq(G, c, rcond=None)
+            return sol
+        return np.linalg.solve(G + lam * np.eye(len(G)), c)
+
+    a0 = _solve_ridge(G, c, 0.0)
+    if math.sqrt(n) * np.linalg.norm(a0) <= M:
+        return a0, 0.0
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        if math.sqrt(n) * np.linalg.norm(_solve_ridge(G, c, hi)) <= M:
+            break
+        hi *= 4.0
+    else:
+        raise AssertionError("ridge bracketing failed to satisfy the norm cap")
+    a = None
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        a = _solve_ridge(G, c, mid)
+        norm = math.sqrt(n) * float(np.linalg.norm(a))
+        if norm > M:
+            lo = mid
+        else:
+            hi = mid
+            if abs(norm - M) <= 1e-6 * M:
+                return a, mid
+    return _solve_ridge(G, c, hi), hi
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 24),
+    rank=st.integers(0, 24),
+    log_cond=st.floats(0.0, 12.0),
+    cap_frac=st.floats(0.01, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ridge_bisect_cap_meets_the_cap(n, rank, log_cond, cap_frac, seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    rank = min(rank, n)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    s = np.zeros(n)
+    s[:rank] = np.logspace(0.0, -log_cond, rank) * 10.0 ** rng.uniform(-3, 3)
+    G = (Q * s) @ Q.T
+    G = (G + G.T) / 2.0
+    c = rng.standard_normal(n)
+    free = math.sqrt(n) * np.linalg.norm(np.linalg.pinv(G, hermitian=True) @ c)
+    M = max(cap_frac * free, 1e-3)
+    a, lam = ridge_bisect_cap(G, c, n, M)
+    norm = math.sqrt(n) * np.linalg.norm(a)
+    assert norm <= M * (1.0 + 1e-12)
+    assert lam >= 0.0
+    if lam > 0.0:  # the cap binds: a sits on it and solves the shifted system
+        assert norm >= M * (1.0 - 1e-9)
+        shifted = G + lam * np.eye(n)
+        resid = np.linalg.norm(shifted @ a - c)  # backward error, at rounding scale
+        assert resid <= 1e-10 * (np.linalg.norm(shifted, 2) * np.linalg.norm(a) + np.linalg.norm(c))
+    if rank == n and log_cond <= 6.0:  # well conditioned: agrees with the bisection
+        want, _ = _bisect_reference(G, c, n, M)
+        nrm = math.sqrt(n) * float(np.linalg.norm(want))
+        if nrm > M:
+            want = want * (M / nrm)
+        assert np.linalg.norm(a - want) <= 1e-5 * np.linalg.norm(want)
+
+
+def _solver_records(caplog, *args):
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="fnspace.models"):
+        out = ridge_bisect_cap(*args)
+    (record,) = [r for r in caplog.records if r.name == "fnspace.models"]
+    assert record.levelno == logging.DEBUG
+    return out, json.loads(record.getMessage())
+
+
+def test_ridge_bisect_cap_diagnostics_record(caplog):
+    G = np.diag([4.0, 1.0, 0.25])
+    c = np.array([1.0, 1.0, 1.0])
+    (a, lam), info = _solver_records(caplog, G, c, np.int64(3), np.float64(0.5))  # numpy scalars too
+    assert info == {"n": 3, "lam": lam, "cap_bound": True, "s_min": 0.25, "s_max": 4.0}
+    assert lam > 0.0
+    (a, lam), info = _solver_records(caplog, G, c, 3, 100.0)
+    assert (lam, info["lam"], info["cap_bound"]) == (0.0, 0.0, False)
+
+
+def test_ridge_bisect_cap_quiet_by_default(caplog):
+    ridge_bisect_cap(np.eye(3), np.ones(3), 3, 0.5)
+    assert not [r for r in caplog.records if r.name == "fnspace.models"]

@@ -14,6 +14,7 @@ from fnspace.pde_erm import (
     erm_fit,
     interval_problem,
 )
+from fnspace.harness import domain_grid
 from fnspace.models import TargetFunction
 from fnspace.sphere import generate_points
 from fnspace.pde_erm import interval_directions
@@ -190,6 +191,11 @@ def test_erm_needs_gradients():
         erm_fit(prob, ps, prob.sample(100, 0), k=0)
 
 
+def test_erm_rejects_samples_of_the_wrong_width():
+    with pytest.raises(ContractError, match="samples"):
+        erm_fit(interval_problem(), interval_directions(4), np.zeros((100, 2)), k=2)
+
+
 def test_disk_sampling_inside():
     prob = disk_problem()
     s = prob.sample(5000, 3)
@@ -240,3 +246,26 @@ def test_erm_single_evaluation_matches_public_functions():
     gdiff = model.gradient(pts) - prob.solution.grad(pts)
     h1 = math.sqrt(float(np.dot(w, diff**2 + np.sum(gdiff**2, axis=1))))
     assert res.h1_error == pytest.approx(h1, rel=1e-13)
+
+
+def _disk_grid_reference(n_r, n_t):
+    """The disk grid as pde_erm and harness each wrote it before they shared one function."""
+    r, wr = np.polynomial.legendre.leggauss(n_r)
+    r = (r + 1.0) / 2.0
+    wr = wr / 2.0
+    t = 2.0 * math.pi * (np.arange(n_t) + 0.5) / n_t
+    R, T = np.meshgrid(r, t, indexing="ij")
+    pts = np.column_stack([(R * np.cos(T)).ravel(), (R * np.sin(T)).ravel()])
+    return pts, np.repeat(wr * r, n_t)
+
+
+def test_disk_grids_bit_identical_to_reference():
+    pts, w = disk_problem().grid()
+    want_pts, wr = _disk_grid_reference(256, 512)
+    assert np.array_equal(pts, want_pts)
+    assert np.array_equal(w, wr * (2.0 * math.pi / 512))
+    for min_points in (2048, 64 * 640):
+        pts, w = domain_grid(2, min_points)
+        want_pts, wr = _disk_grid_reference(max(80, math.ceil(min_points / 512)), 512)
+        assert np.array_equal(pts, want_pts)
+        assert np.array_equal(w, (wr / 512) / (wr / 512).sum())
