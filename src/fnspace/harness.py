@@ -247,11 +247,16 @@ def _rate_row_constructive(cfg: ExperimentConfig, target, n: int) -> dict:
     }
 
 
-def _rate_row_ls(cfg: ExperimentConfig, target, n: int, seed: int, grid) -> dict:
+def _ls_fit(cfg: ExperimentConfig, target, n: int, strategy: str, seed: int, grid):
+    """One point set and its least-squares model on the grid."""
     pts, w = grid
-    ps = generate_points(cfg.d, n, cfg.strategy, seed=seed, resolution=cfg.resolution)
-    model = least_squares_fit(target, ps, pts, w, k=cfg.k, ridge=cfg.ridge)
-    l2, h1 = error_norms(model, target, pts, w, s=cfg.s)
+    ps = generate_points(cfg.d, n, strategy, seed=seed, resolution=cfg.resolution)
+    return ps, least_squares_fit(target, ps, pts, w, k=cfg.k, ridge=cfg.ridge)
+
+
+def _rate_row_ls(cfg: ExperimentConfig, target, n: int, seed: int, grid) -> dict:
+    ps, model = _ls_fit(cfg, target, n, cfg.strategy, seed, grid)
+    l2, h1 = error_norms(model, target, *grid, s=cfg.s)
     return {
         "n": n,
         "h": ps.h,
@@ -340,23 +345,20 @@ def run_randcmp(cfg: ExperimentConfig, write: bool = True) -> dict:
     grid = domain_grid(cfg.d, 4096 if cfg.d == 1 else 64 * max(cfg.ns))
     rows = []
     for n in sorted(cfg.ns):
-        det = _rate_row_ls(cfg, target, n, cfg.seeds[0], grid)
+        det_ps, det_model = _ls_fit(cfg, target, n, cfg.strategy, cfg.seeds[0], grid)
+        det_error, _ = error_norms(det_model, target, *grid, s=0)
         rand_errs, rand_h = [], []
         for seed in cfg.seeds:
-            pts, w = grid
-            ps = generate_points(
-                cfg.d, n, "uniform_random", seed=seed, resolution=cfg.resolution
-            )
-            model = least_squares_fit(target, ps, pts, w, k=cfg.k, ridge=cfg.ridge)
-            l2, _ = error_norms(model, target, pts, w, s=0)
+            ps, model = _ls_fit(cfg, target, n, "uniform_random", seed, grid)
+            l2, _ = error_norms(model, target, *grid, s=0)
             rand_errs.append(l2)
             rand_h.append(ps.h)
         q1, q2, q3 = np.percentile(rand_errs, [25, 50, 75])
         rows.append(
             {
                 "n": n,
-                "det_error": det["error_l2"],
-                "det_h": det["h"],
+                "det_error": det_error,
+                "det_h": det_ps.h,
                 "rand_q1": float(q1),
                 "rand_median": float(q2),
                 "rand_q3": float(q3),

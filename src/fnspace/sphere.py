@@ -1,12 +1,38 @@
 """Point configurations on the unit sphere S^d in R^{d+1}.
 
 Mesh norm (covering radius) and separation are the two diagnostics that
-drive every approximation-rate experiment.  The mesh norm is estimated by
-dense-grid search: on the circle it is computed exactly from sorted
-angles; on S^2 a Fibonacci search grid with covering radius below the
-requested resolution is used, and the reported h is the grid maximum plus
-the resolution, so it over-estimates the true mesh norm by at most that
-resolution.
+drive every approximation-rate experiment.  On the circle the mesh norm
+is exact, from sorted angles.  On S^2 it is searched on a Fibonacci grid
+with covering radius below the requested resolution: the reported h is
+the largest geodesic distance from a grid point to its nearest direction,
+plus the resolution, so it over-estimates the true mesh norm by at most
+that resolution.
+
+Only the grid points that can hold that maximum are queried.  For unit
+directions the facets of their convex hull are the spherical Delaunay
+triangles; facet t has outward unit normal v_t and chord circumradius
+c_t = max_a |v_t - p_a| over its vertices p_a.  A point x of the
+spherical triangle is x = y/|y| with y = sum_a alpha_a p_a on the facet
+plane and |y| <= 1.  With b_t = min_a v_t.p_a > 0, max_a x.p_a >= |y| >=
+v_t.y >= b_t and v_t.x = v_t.y/|y| >= b_t: x lies within c_t of a vertex
+and within c_t of v_t.  When the origin is strictly inside the hull these
+triangles cover the sphere.  The exact nearest distances of the grid
+points nearest to the v_t give a lower bound L on the grid maximum, so
+every grid point that attains it lies in a circumcap with c_t >= L.  Those
+caps, widened by HULL_SLACK, are searched, and of their grid points only
+those at least L - HULL_SLACK from the facet's vertices are queried, since
+a point nearer a vertex is nearer than L to the set.  Each queried point
+gets the chord that querying the whole grid would give it, from the same
+tree, and the maximum over a set holding the argmax is the grid maximum,
+so h equals the whole-grid search bit for bit.  Where no hull bound
+exists (n < 4, a flat hull, or an origin on or outside the hull) the
+whole grid is queried.  Each S^2 mesh norm sends one JSON debug record to
+the "fnspace.sphere" logger, quiet by default: n, the grid size, the grid
+points queried, the bound used and h.
+
+Separation is 2 arcsin(chord/2) of the nearest-neighbour chord from the
+same cKDTree, which is also accurate at small angles.  Both diagnostics
+hold for unit rows only, so off-sphere rows raise ContractError.
 
 Random strategies use numpy's Philox counter-based generator, so a seed
 identifies the point set portably.
@@ -15,12 +41,14 @@ identifies the point set portably.
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy.spatial import ConvexHull, QhullError, cKDTree
+from scipy.spatial.distance import cdist
 
 from .errors import ConfigurationError, ContractError
 
@@ -36,11 +64,21 @@ __all__ = [
 ]
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
+UNIT_TOL = 1e-12
+# chord slack on the hull bound, so the queried set always holds the maximum
+HULL_SLACK = 1e-9
+
+_log = logging.getLogger("fnspace.sphere")
 
 
 def _check_unit(v: np.ndarray) -> None:
-    if abs(float(np.linalg.norm(v)) - 1.0) > 1e-12:
+    if abs(float(np.linalg.norm(v)) - 1.0) > UNIT_TOL:
         raise ContractError("direction is not a unit vector")
+
+
+def _check_unit_rows(points: np.ndarray) -> None:
+    if len(points) and np.max(np.abs(np.linalg.norm(points, axis=1) - 1.0)) > UNIT_TOL:
+        raise ContractError("points must be unit vectors")
 
 
 def geodesic_distance(u: np.ndarray, v: np.ndarray) -> float:
@@ -54,31 +92,29 @@ def geodesic_distance(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.arccos(np.clip(np.dot(u, v), -1.0, 1.0)))
 
 
-def _pairwise_min_geodesic(points: np.ndarray) -> float:
-    g = np.clip(points @ points.T, -1.0, 1.0)
-    np.fill_diagonal(g, -1.0)
-    return float(np.arccos(np.max(g)))
+def _separation(tree: cKDTree) -> float:
+    if tree.n < 2:
+        return math.pi
+    chord, _ = tree.query(tree.data, k=2)
+    return float(2.0 * np.arcsin(min(float(np.min(chord[:, 1])) / 2.0, 1.0)))
 
 
 def separation(points: np.ndarray) -> float:
-    """Minimal pairwise geodesic distance."""
-    if len(points) < 2:
-        return math.pi
-    return _pairwise_min_geodesic(np.asarray(points, dtype=float))
+    """Minimal pairwise geodesic distance of unit rows."""
+    points = np.asarray(points, dtype=float)
+    _check_unit_rows(points)
+    return _separation(cKDTree(points))
 
 
 @lru_cache(maxsize=8)
-def _search_grid(d: int, resolution: float) -> np.ndarray:
-    """Covering grid of S^d with covering radius <= resolution."""
-    if d == 1:
-        n = max(8, int(math.ceil(math.pi / resolution)))
-        ang = 2.0 * math.pi * np.arange(n) / n
-        return np.column_stack([np.cos(ang), np.sin(ang)])
-    if d == 2:
-        # Fibonacci grid covering radius is below 2.6/sqrt(N); 3.0 is margin
-        n = max(64, int(math.ceil((3.0 / resolution) ** 2)))
-        return _fibonacci_sphere(n)
-    raise ConfigurationError(f"mesh-norm grid search implemented for d in {{1,2}}")
+def _search_grid(d: int, resolution: float) -> cKDTree:
+    """Covering grid of S^d with covering radius <= resolution, as a tree
+    whose .data is the grid."""
+    if d != 2:
+        raise ConfigurationError("mesh-norm grid search implemented for d=2")
+    # Fibonacci grid covering radius is below 2.6/sqrt(N); 3.0 is margin
+    n = max(64, int(math.ceil((3.0 / resolution) ** 2)))
+    return cKDTree(_fibonacci_sphere(n), balanced_tree=False)
 
 
 def _circle_mesh_norm(points: np.ndarray) -> float:
@@ -87,14 +123,51 @@ def _circle_mesh_norm(points: np.ndarray) -> float:
     return float(np.max(gaps)) / 2.0
 
 
-def _grid_mesh_norm(points: np.ndarray, d: int, resolution: float) -> float:
+def _hull_caps(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Circumcenters v_t, chord circumradii c_t and vertices of the hull
+    facets of unit rows, or None where the facets do not cover S^2 (see the
+    module docstring)."""
+    if len(points) < 4:
+        return None
+    try:
+        hull = ConvexHull(points)
+    except QhullError:
+        return None
+    if np.max(hull.equations[:, -1]) >= -HULL_SLACK:
+        return None
+    centers = hull.equations[:, :-1]
+    vertices = points[hull.simplices]
+    radii = np.max(np.linalg.norm(vertices - centers[:, None, :], axis=2), axis=1)
+    return centers, radii, vertices
+
+
+def _grid_mesh_norm(tree: cKDTree, d: int, resolution: float) -> float:
     if d == 1:
-        return _circle_mesh_norm(points)
+        return _circle_mesh_norm(tree.data)
     grid = _search_grid(d, resolution)
-    tree = cKDTree(points)
-    chord, _ = tree.query(grid, k=1, workers=-1)
+    caps = _hull_caps(tree.data)
+    if caps is None:
+        queried = grid.data
+    else:
+        centers, radii, vertices = caps
+        # the grid points nearest the v_t bound the grid maximum from below
+        _, nearest = grid.query(centers)
+        lower = np.max(tree.query(grid.data[nearest])[0]) - HULL_SLACK
+        keep = np.flatnonzero(radii >= lower)
+        candidates = []
+        for t, idx in zip(keep, grid.query_ball_point(centers[keep], radii[keep] + HULL_SLACK)):
+            idx = np.asarray(idx, dtype=np.intp)
+            candidates.append(idx[np.min(cdist(grid.data[idx], vertices[t]), axis=1) >= lower])
+        queried = grid.data[np.unique(np.concatenate(candidates))]
+    chord, _ = tree.query(queried, k=1)
     worst = float(np.max(np.arccos(np.clip(1.0 - chord**2 / 2.0, -1.0, 1.0))))
-    return worst + resolution
+    h = worst + resolution
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("%s", json.dumps({
+            "n": tree.n, "grid": grid.n, "queried": len(queried),
+            "bound": "grid" if caps is None else "hull", "h": h,
+        }))
+    return h
 
 
 @dataclass(frozen=True)
@@ -129,7 +202,8 @@ class PointSet:
 def mesh_norm(points, d: int | None = None, resolution: float = 0.01) -> float:
     """Covering radius estimate via dense grid search (exact on the circle).
 
-    Accepts either a PointSet or a raw (n, d+1) coordinate array with d given.
+    Accepts either a PointSet or a raw (n, d+1) array of unit rows with d
+    given.
     """
     if isinstance(points, PointSet):
         d = points.d
@@ -138,15 +212,20 @@ def mesh_norm(points, d: int | None = None, resolution: float = 0.01) -> float:
         raise ContractError("d is required for raw coordinate arrays")
     if resolution <= 0.0:
         raise ContractError("resolution must be positive")
-    return _grid_mesh_norm(np.asarray(points, dtype=float), d, resolution)
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != d + 1:
+        raise ContractError("points must have shape (n, d+1)")
+    _check_unit_rows(points)
+    return _grid_mesh_norm(cKDTree(points), d, resolution)
 
 
 def _make_pointset(
     points: np.ndarray, d: int, resolution: float, strategy: str, seed: int
 ) -> PointSet:
-    h = _grid_mesh_norm(points, d, resolution)
+    tree = cKDTree(points)
+    h = _grid_mesh_norm(tree, d, resolution)
     res = 0.0 if d == 1 else resolution
-    return PointSet(d, points, h, separation(points), res, strategy, seed)
+    return PointSet(d, points, h, _separation(tree), res, strategy, seed)
 
 
 def _fibonacci_sphere(n: int) -> np.ndarray:

@@ -202,3 +202,25 @@ def test_cli_rates(tmp_path):
     assert cli_main(["--config", str(cfg), "--out", str(tmp_path), "rates"]) == 0
     reports = list(tmp_path.glob("rates_*.json"))
     assert len(reports) == 1
+
+
+def test_randcmp_deterministic_row_skips_the_h1_pass(monkeypatch):
+    cfg = ExperimentConfig(
+        d=1, k=1, target="gaussian_bump", strategy="equispaced_circle",
+        ns=(8, 16), seeds=tuple(range(10)),
+    )
+    real = harness.error_norms
+    orders = []
+
+    def spy(*args, s=0):
+        orders.append(s)
+        return real(*args, s=s)
+
+    monkeypatch.setattr(harness, "error_norms", spy)
+    summary = run_randcmp(cfg, write=False)
+    assert set(orders) == {0}
+    monkeypatch.undo()
+    rates = run_rates(cfg, write=False)
+    assert [(r["det_error"], r["det_h"]) for r in summary["rows"]] == [
+        (r["error_l2"], r["h"]) for r in rates.rows
+    ]

@@ -1,8 +1,15 @@
+import json
+import logging
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
+from fnspace import sphere
 from fnspace.errors import ConfigurationError, ContractError
 from fnspace.sphere import (
     PointSet,
@@ -163,3 +170,138 @@ def test_json_roundtrip():
     np.testing.assert_array_equal(back.points, ps.points)
     assert back.h == ps.h and back.h_sep == ps.h_sep and back.d == ps.d
     assert back.strategy == ps.strategy
+
+
+@lru_cache(maxsize=4)
+def _search_grid_reference(d, resolution):
+    n = max(64, int(math.ceil((3.0 / resolution) ** 2)))
+    return sphere._fibonacci_sphere(n)
+
+
+def _grid_mesh_norm_reference(points, d, resolution):
+    """The full-grid mesh-norm search that preceded the hull bound, verbatim."""
+    if d == 1:
+        return sphere._circle_mesh_norm(points)
+    grid = _search_grid_reference(d, resolution)
+    tree = cKDTree(points)
+    chord, _ = tree.query(grid, k=1, workers=-1)
+    worst = float(np.max(np.arccos(np.clip(1.0 - chord**2 / 2.0, -1.0, 1.0))))
+    return worst + resolution
+
+
+def _separation_reference(points):
+    """Minimal arccos of the pairwise Gram, the former separation."""
+    if len(points) < 2:
+        return math.pi
+    g = np.clip(points @ points.T, -1.0, 1.0)
+    np.fill_diagonal(g, -1.0)
+    return float(np.arccos(np.max(g)))
+
+
+@st.composite
+def _s2_rows(draw):
+    n = draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(["uniform", "hemisphere", "cap", "great_circle"]))
+    rng = np.random.Generator(np.random.Philox(draw(st.integers(0, 2**32 - 1))))
+    g = rng.standard_normal((n, 3))
+    if kind == "hemisphere":
+        g[:, 2] = np.abs(g[:, 2])
+        g[: n // 3, 2] = 0.0  # rows on the rim close the hemisphere
+    elif kind == "cap":
+        g[:, :2] *= draw(st.sampled_from([1e-3, 0.05, 0.3, 1.0]))
+        g[:, 2] = 1.0
+    elif kind == "great_circle":
+        g[:, 2] *= draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3]))
+    if draw(st.booleans()):
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        g = g @ q
+    rows = g / np.linalg.norm(g, axis=1, keepdims=True)
+    return np.vstack([rows, rows[: draw(st.integers(0, 3))]])
+
+
+@given(_s2_rows(), st.sampled_from([0.02, 0.03, 0.05, 0.07, 0.1]))
+def test_hull_mesh_norm_equals_full_grid_search(rows, resolution):
+    assert mesh_norm(rows, 2, resolution) == _grid_mesh_norm_reference(rows, 2, resolution)
+
+
+@given(st.integers(12, 60), st.integers(0, 2**32 - 1), st.integers(0, 3))
+def test_hull_caps_cover_the_sphere_and_bound_the_distance(n, seed, dups):
+    rows = sphere._uniform_random(2, n, seed)
+    rows = np.vstack([rows, rows[:dups]])
+    caps = sphere._hull_caps(rows)
+    assume(caps is not None)
+    centers, radii, vertices = caps
+    grid = sphere._search_grid(2, 0.05).data
+    to_center = np.linalg.norm(grid[:, None, :] - centers, axis=2)
+    to_vertex = np.linalg.norm(grid[:, None, None, :] - vertices, axis=3).min(axis=2)
+    slack = radii + sphere.HULL_SLACK
+    assert np.all(((to_center <= slack) & (to_vertex <= slack)).any(axis=1))
+
+
+STRATEGIES = [
+    (1, "equispaced_circle", {}),
+    (2, "fibonacci_s2", {}),
+    (2, "uniform_random", {}),
+    (2, "petrushev_tensor", {}),
+    (2, "band_with_poly_completion", {"k": 1, "lam": 0.3}),
+    (2, "band_with_poly_completion", {"k": 2, "lam": 1.0}),
+    (2, "band_with_poly_completion", {"k": 3, "lam": 3.0}),
+]
+
+
+@pytest.mark.parametrize("d,strategy,kw", STRATEGIES)
+def test_generated_mesh_norms_equal_full_grid_search(d, strategy, kw):
+    for n in (32, 64, 128, 256, 512):
+        ps = generate_points(d, n, strategy, seed=n, **kw)
+        assert ps.h == _grid_mesh_norm_reference(ps.points, d, 0.01)
+        assert ps.h_sep == pytest.approx(_separation_reference(ps.points), rel=1e-9)
+
+
+def test_separation_edge_cases():
+    pt = np.array([[0.0, 0.0, 1.0]])
+    assert separation(pt) == math.pi
+    assert separation(np.vstack([pt, pt, -pt])) == 0.0
+    assert separation(np.vstack([pt, -pt])) == pytest.approx(math.pi, abs=1e-15)
+    ang = np.array([0.0, 1e-6])
+    pair = np.column_stack([np.cos(ang), np.sin(ang)])
+    assert separation(pair) == pytest.approx(1e-6, rel=1e-12)
+
+
+def test_off_sphere_rows_rejected():
+    pts = generate_points(2, 16, "fibonacci_s2").points.copy()
+    pts[3] *= 1.0 + 1e-13
+    mesh_norm(pts, 2, resolution=0.05)
+    separation(pts)
+    pts[3] *= 1.0 + 1e-11
+    with pytest.raises(ContractError):
+        mesh_norm(pts, 2, resolution=0.05)
+    with pytest.raises(ContractError):
+        separation(pts)
+    with pytest.raises(ContractError):
+        mesh_norm(np.array([[0.5, 0.0, 0.0]]), 2)
+    with pytest.raises(ContractError):
+        mesh_norm(pts[:, :2], 2)
+
+
+def _mesh_norm_record(caplog, points, resolution=0.01):
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="fnspace.sphere"):
+        h = mesh_norm(points, 2, resolution)
+    (record,) = [r for r in caplog.records if r.name == "fnspace.sphere"]
+    assert record.levelno == logging.DEBUG
+    return h, json.loads(record.getMessage())
+
+
+def test_mesh_norm_diagnostics_record(caplog):
+    pts = generate_points(2, 128, "fibonacci_s2").points
+    h, info = _mesh_norm_record(caplog, pts)
+    assert info == {"n": 128, "grid": 90000, "queried": info["queried"], "bound": "hull", "h": h}
+    assert 0 < info["queried"] < 90000 // 10
+
+    h, info = _mesh_norm_record(caplog, pts[pts[:, 2] >= 0.0], resolution=0.05)
+    assert (info["bound"], info["queried"], info["grid"], info["h"]) == ("grid", 3600, 3600, h)
+
+
+def test_mesh_norm_quiet_by_default(caplog):
+    generate_points(2, 32, "fibonacci_s2", resolution=0.05)
+    assert not [r for r in caplog.records if r.name == "fnspace.sphere"]
