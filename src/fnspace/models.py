@@ -17,17 +17,25 @@ pde_erm.erm_fit share one feature map, `features`, which applies ReLU^k in
 place over the preactivation, and one norm-capped solver, ridge_bisect_cap:
 a single eigendecomposition of the Gram matrix, then an O(n)-per-step
 root search for the ridge.
+
+least_squares_fit on a domain drops the neurons that are 0 on the whole
+grid and fits the ones that are polynomials there through an orthonormal
+basis of their span, which leaves the solution unchanged; with a ridge or
+a cap it accumulates the normal equations over blocks of EVAL_BLOCK_ROWS
+rows, so no rows x n design is held (see its docstring).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
+from scipy.linalg.blas import dsyrk
 from scipy.optimize import brentq
 
 from .activation import ActivationSpectrum, sigma_k, sigma_k_prime
@@ -52,6 +60,9 @@ __all__ = [
 CAP_SLACK = 1e-9
 # Input rows per evaluation block; a block holds EVAL_BLOCK_ROWS x n floats.
 EVAL_BLOCK_ROWS = 256
+# A computed preactivation on the unit ball is within ~1e-15 of the exact
+# one, so classifying neurons with this margin is exact on the features.
+CLASS_MARGIN = 1e-12
 
 _log = logging.getLogger("fnspace.models")
 
@@ -68,10 +79,12 @@ def _lifted(x: np.ndarray, d: int, on_sphere: bool) -> np.ndarray:
     return np.column_stack([x, np.ones(len(x))])
 
 
-def features(ps: PointSet, k: int, x: np.ndarray, grad: bool = False):
+def features(ps: PointSet, k: int, x: np.ndarray, grad: bool = False, out: np.ndarray | None = None):
     """sigma_k(z), or (sigma_k(z), sigma_k'(z)) with grad, for z = lifted(x) theta^T;
-    rows of x with d+1 components are sphere points, rows with d are lifted to (x, 1)."""
-    z = _lifted(x, ps.d, np.shape(x)[-1] == ps.d + 1) @ ps.points.T
+    rows of x with d+1 components are used as they are (sphere points, or
+    rows already lifted), rows with d are lifted to (x, 1).  z is written
+    to out when given."""
+    z = np.matmul(_lifted(x, ps.d, np.shape(x)[-1] == ps.d + 1), ps.points.T, out=out)
     dz = sigma_k_prime(k, z) if grad else None
     sigma_k(k, z, out=z)
     return (z, dz) if grad else z
@@ -239,6 +252,56 @@ def ridge_bisect_cap(G: np.ndarray, c: np.ndarray, n: int, M: float) -> tuple[np
     return a, lam
 
 
+def _monomials(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Variable indices (C(k+d, d) x k) of the degree-k monomials in d+1
+    variables, and their multinomial coefficients in (theta . x)^k."""
+    combos = list(itertools.combinations_with_replacement(range(d + 1), k))
+    coef = [math.factorial(k) / math.prod(math.factorial(c.count(v)) for v in set(c)) for c in combos]
+    return np.array(combos, dtype=np.intp).reshape(len(combos), k), np.array(coef)
+
+
+def _polynomial_block(ps: PointSet, k: int, poly: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(T, V) with (theta_j . (x, 1))^k over the poly directions = Q(x) T V^T.
+
+    Q holds the degree-k monomials of (x, 1) and M their coefficients in the
+    poly neurons; M = U S V^T truncated at its numerical rank r gives
+    T = U_r S_r and V = V_r, whose columns are orthonormal.
+    """
+    idx, coef = _monomials(ps.d, k)
+    M = coef[:, None] * np.prod(ps.points[poly][:, idx], axis=2).T
+    U, S, Vt = np.linalg.svd(M, full_matrices=False)
+    r = int(np.count_nonzero(S > np.finfo(float).eps * max(M.shape) * S.max(initial=0.0)))
+    return U[:, :r] * S[:r], Vt[:r].T
+
+
+def _solve_reduced(live_ps, k, T, xt, sw, yw, path, ridge, norm_cap, n) -> np.ndarray:
+    """Coefficients for the weighted reduced design B = sw [sigma_k(live) | Q T].
+
+    lstsq fills B whole; solve and cap accumulate the upper triangle of
+    G = B^T B (dsyrk) and B^T y over blocks of EVAL_BLOCK_ROWS rows held in
+    one reused buffer.
+    """
+    rows, n_live = len(xt), live_ps.n
+    cols = n_live + T.shape[1]
+    idx, _ = _monomials(live_ps.d, k)
+    design = np.empty((rows if path == "lstsq" else min(rows, EVAL_BLOCK_ROWS), cols))
+    G = np.zeros((cols, cols), order="F")
+    By = np.zeros(cols)
+    for lo in range(0, rows, EVAL_BLOCK_ROWS):
+        hi = min(lo + EVAL_BLOCK_ROWS, rows)
+        B = design[lo:hi] if path == "lstsq" else design[: hi - lo]
+        features(live_ps, k, xt[lo:hi], out=B[:, :n_live])
+        np.matmul(np.prod(xt[lo:hi, idx], axis=2), T, out=B[:, n_live:])
+        B *= sw[lo:hi, None]
+        if path != "lstsq":
+            dsyrk(1.0, B.T, beta=1.0, c=G, overwrite_c=1)
+            By += B.T @ yw[lo:hi]
+    if path == "lstsq":
+        return np.linalg.lstsq(design, yw, rcond=None)[0]
+    G = np.triu(G) + np.triu(G, 1).T + ridge * np.eye(cols)
+    return np.linalg.solve(G, By) if path == "solve" else ridge_bisect_cap(G, By, n, norm_cap)[0]
+
+
 def least_squares_fit(
     f: TargetFunction,
     ps: PointSet,
@@ -253,25 +316,56 @@ def least_squares_fit(
     With norm_cap > 0, the cap sqrt(n)||a||_2 <= M is enforced by the
     smallest extra ridge parameter that meets it (ridge_bisect_cap).  A
     rank-deficient design with ridge=0 yields the minimum-norm solution.
+
+    Only the neurons the grid can tell apart are fitted.  On a domain of
+    largest grid radius r, a dead neuron (0 on the grid) gets a_j = 0, and
+    the polynomial block Q U_r S_r V_r^T is fitted through its r columns
+    Q U_r S_r with coefficients c, lifted back as a_P = V_r c.  V_r has
+    orthonormal columns, so ||a|| = ||(a_live, c)|| and the ridge,
+    minimum-norm and norm-cap problems keep their solutions exactly.
+    Sphere targets prune nothing.  ridge = 0 runs lstsq on the reduced
+    design; otherwise G = B^T B and B^T y are accumulated over blocks of
+    EVAL_BLOCK_ROWS rows of the weighted reduced design B, in one reused
+    buffer, and (G + ridge I) a = B^T y is solved, or capped.  One JSON
+    debug record per fit (rows, n, the live, polynomial and dead counts,
+    the reduced column count and the solver path) goes to the
+    "fnspace.models" logger, quiet by default.
     """
     grid_points = np.asarray(grid_points, dtype=float)
     if grid_points.shape[-1] != f.d + f.on_sphere:
         raise ContractError("grid points must have d components (d+1 on the sphere)")
-    if len(grid_points) < ps.n:
+    rows, n = len(grid_points), ps.n
+    if rows < n:
         raise ConfigurationError("sample grid must have at least n points")
     if grid_weights is None:
-        grid_weights = np.full(len(grid_points), 1.0 / len(grid_points))
-    # the one rows x n buffer: preactivation, then ReLU^k and sqrt(w) in place
-    Aw = features(ps, k, grid_points)
-    sw = np.sqrt(grid_weights)
-    Aw *= sw[:, None]
-    yw = f(grid_points) * sw
-    if norm_cap > 0.0:
-        a, _ = ridge_bisect_cap(Aw.T @ Aw + ridge * np.eye(ps.n), Aw.T @ yw, ps.n, norm_cap)
-    elif ridge > 0.0:
-        a = np.linalg.solve(Aw.T @ Aw + ridge * np.eye(ps.n), Aw.T @ yw)
-    else:
-        a, *_ = np.linalg.lstsq(Aw, yw, rcond=None)
+        grid_weights = np.full(rows, 1.0 / rows)
+    if f.on_sphere:  # theta . eta spans [-1, 1] over unit rows
+        dead = poly = np.zeros(n, dtype=bool)
+    else:  # theta . (x, 1) spans [b - |w| r, b + |w| r] over |x| <= r
+        r = float(np.max(np.linalg.norm(grid_points, axis=1)))
+        w = np.linalg.norm(ps.points[:, : ps.d], axis=1)
+        dead = ps.points[:, ps.d] + w * r < -CLASS_MARGIN
+        poly = ps.points[:, ps.d] - w * r > CLASS_MARGIN
+    live = ~(dead | poly)
+    T, V = _polynomial_block(ps, k, poly)
+    live_ps = replace(ps, points=ps.points[live])  # features reads only d and the directions
+    n_live = live_ps.n
+    cols = n_live + T.shape[1]
+    path = "cap" if norm_cap > 0.0 else "solve" if ridge > 0.0 else "lstsq"
+    if cols:
+        xt = _lifted(grid_points, ps.d, f.on_sphere)
+        sw = np.sqrt(grid_weights)
+        c = _solve_reduced(live_ps, k, T, xt, sw, f(grid_points) * sw, path, ridge, norm_cap, n)
+    else:  # every neuron is 0 on the grid
+        c = np.zeros(0)
+    a = np.zeros(n)
+    a[live] = c[:n_live]
+    a[poly] = V @ c[n_live:]
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("%s", json.dumps({
+            "rows": rows, "n": n, "live": n_live, "polynomial": int(np.count_nonzero(poly)),
+            "dead": int(np.count_nonzero(dead)), "columns": cols, "path": path,
+        }))
     return FiniteNeuronModel(f.d, k, ps, a, norm_cap, on_sphere=f.on_sphere)
 
 

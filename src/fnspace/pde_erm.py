@@ -11,6 +11,8 @@ computations to each other.
 
 from __future__ import annotations
 
+import json
+import logging
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -32,6 +34,8 @@ __all__ = [
     "empirical_risk",
     "erm_fit",
 ]
+
+_log = logging.getLogger("fnspace.pde_erm")
 
 
 @dataclass(frozen=True)
@@ -217,9 +221,13 @@ def erm_fit(
     """Empirical risk minimizer over the fixed-direction class.
 
     Assembles A_ij = |Omega| mean[grad(phi_i).grad(phi_j) + phi_i phi_j]
-    and b_i = |Omega| mean[h phi_i], solves the quadratic program (ridge
-    bisection if the cap sqrt(n)||a||_2 <= norm_cap binds), and measures
-    excess risk and H1 error against the manufactured solution.
+    and b_i = |Omega| mean[h phi_i], solves the quadratic program
+    (ridge_bisect_cap if the cap sqrt(n)||a||_2 <= norm_cap is set), and
+    measures excess risk and H1 error against the manufactured solution.
+    An uncapped A that is exactly singular (neurons 0 on every sample give
+    zero rows) is solved as A + 1e-12 I instead, and that fallback sends one
+    JSON debug record (path, n, zero_rows) to the "fnspace.pde_erm" logger,
+    quiet by default.
     """
     if k < 1:
         raise ConfigurationError("erm_fit needs k >= 1 for gradients")
@@ -243,6 +251,9 @@ def erm_fit(
             a = np.linalg.solve(A, b)
         except np.linalg.LinAlgError:
             a = np.linalg.solve(A + 1e-12 * np.eye(ps.n), b)
+            if _log.isEnabledFor(logging.DEBUG):
+                zero_rows = int(np.count_nonzero(~A.any(axis=1)))
+                _log.debug("%s", json.dumps({"path": "solve+1e-12I", "n": ps.n, "zero_rows": zero_rows}))
     model = FiniteNeuronModel(problem.d, k, ps, a, norm_cap)
     # the sample features are still at hand: risk without a re-evaluation
     emp = problem.volume * float(np.mean(_psi(phi @ a, dphi @ (a[:, None] * wdirs), h)))

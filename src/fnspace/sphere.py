@@ -18,7 +18,14 @@ v_t.y >= b_t and v_t.x = v_t.y/|y| >= b_t: x lies within c_t of a vertex
 and within c_t of v_t.  When the origin is strictly inside the hull these
 triangles cover the sphere.  The exact nearest distances of the grid
 points nearest to the v_t give a lower bound L on the grid maximum, so
-every grid point that attains it lies in a circumcap with c_t >= L.  Those
+every grid point that attains it lies in a circumcap with c_t >= L.  L is
+taken over the facets with c_t >= max c_t - 2 resolution - HULL_SLACK
+only, and is the same as over all facets: a Delaunay circumcap holds no
+direction, so the nearest direction to v_t is at chord c_t, and the grid
+point g_t nearest v_t, within chord resolution of it, has its nearest
+direction within c_t +- resolution.  The widest facet's g_t is at least
+max c_t - resolution from the set, which a facet below that threshold
+cannot exceed, so h does not change by a bit.  Those
 caps, widened by HULL_SLACK, are searched, and of their grid points only
 those at least L - HULL_SLACK from the facet's vertices are queried, since
 a point nearer a vertex is nearer than L to the set.  Each queried point
@@ -150,8 +157,8 @@ def _grid_mesh_norm(tree: cKDTree, d: int, resolution: float) -> float:
         queried = grid.data
     else:
         centers, radii, vertices = caps
-        # the grid points nearest the v_t bound the grid maximum from below
-        _, nearest = grid.query(centers)
+        # the grid points nearest the widest v_t bound the grid maximum from below
+        _, nearest = grid.query(centers[radii >= np.max(radii) - 2.0 * resolution - HULL_SLACK])
         lower = np.max(tree.query(grid.data[nearest])[0]) - HULL_SLACK
         keep = np.flatnonzero(radii >= lower)
         candidates = []

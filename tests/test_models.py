@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from fnspace.models import (
     EVAL_BLOCK_ROWS,
     FiniteNeuronModel,
     TargetFunction,
+    _monomials,
+    _polynomial_block,
     coef_stat,
     constructive_fit,
     density_from_model,
@@ -332,19 +335,225 @@ def _ls_reference(f, ps, pts, w, k, ridge=0.0, norm_cap=0.0):
     return np.linalg.lstsq(Aw, yw, rcond=None)[0]
 
 
+def _ridge_objective(f, ps, pts, w, k, a, ridge=0.0):
+    """||A_w a - y_w||^2 + ridge ||a||^2 on the full weighted design."""
+    sw = np.sqrt(w)
+    r = (features(ps, k, pts) * sw[:, None]) @ a - f(pts) * sw
+    return float(r @ r + ridge * a @ a)
+
+
 @pytest.mark.parametrize("k", [0, 1, 2])
 @pytest.mark.parametrize(
     "path", [{}, {"ridge": 1e-6}, {"norm_cap": 0.5}], ids=["lstsq", "ridge", "cap"]
 )
 def test_ls_coefficients_bit_identical_to_reference(k, path):
+    """The pruned fit solves the reference's problem: no higher objective, and
+    coefficients within 1e-8 (9.5e-10 measured, at ridge 1e-6, k=1)."""
     ps = generate_points(2, 40, "fibonacci_s2")
     pts, w = domain_grid(2, 4096)
     target = get_target("gaussian_bump", 2)
     model = least_squares_fit(target, ps, pts, w, k=k, **path)
-    assert np.array_equal(model.a, _ls_reference(target, ps, pts, w, k, **path))
+    want = _ls_reference(target, ps, pts, w, k, **path)
+    ridge = path.get("ridge", 0.0)
+    got_obj = _ridge_objective(target, ps, pts, w, k, model.a, ridge)
+    assert got_obj <= _ridge_objective(target, ps, pts, w, k, want, ridge) * (1.0 + 1e-10)
+    assert np.linalg.norm(model.a - want) <= 1e-8 * np.linalg.norm(want)
     if "norm_cap" in path:  # the cap path is exercised only if the cap binds
         free = least_squares_fit(target, ps, pts, w, k=k)
         assert coef_stat(free)[1] > path["norm_cap"]
+
+
+def _unit(rows):
+    rows = np.asarray(rows, dtype=float)
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def _direction_set(d, pts):
+    return PointSet(d, pts, math.pi, max(separation(pts), 1e-3), 0.0)
+
+
+def _small_grid(d, radius, rows, rng):
+    """rows random points in the ball of the given radius, random weights summing to 1."""
+    x = rng.standard_normal((rows, d))
+    x *= (radius * rng.uniform(0.0, 1.0, rows) ** (1.0 / d) / np.linalg.norm(x, axis=1))[:, None]
+    w = rng.uniform(0.5, 1.5, rows)
+    return x, w / w.sum()
+
+
+def _polynomial_null_space(ps, k, poly, rng):
+    """Coefficient vectors on the polynomial directions whose expansion
+    sum_j a_j (theta_j . (x, 1))^k vanishes identically, from point values."""
+    theta = ps.points[poly]
+    x = np.column_stack([rng.uniform(-1.0, 1.0, (4 * len(theta) + 40, ps.d)), np.ones(4 * len(theta) + 40)])
+    _, s, vt = np.linalg.svd((x @ theta.T) ** k)
+    rank = int(np.count_nonzero(s > 1e-10 * s[0])) if len(s) else 0
+    return vt[rank:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 2),
+    k=st.integers(0, 3),
+    n=st.integers(1, 60),
+    strategy=st.sampled_from(["uniform_random", "structured"]),
+    radius=st.floats(0.2, 1.0),
+    path=st.sampled_from([{}, {"ridge": 1e-9}, {"ridge": 1e-6}, "cap"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pruned_fit_solves_the_full_problem(d, k, n, strategy, radius, path, seed):
+    """Dead, polynomial and live neurons on a shrunk grid: dead coefficients are
+    exactly 0, the polynomial block carries no null-space component (the
+    minimum-norm choice), and the ridge objective is no worse than the
+    full-design reference's."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    if strategy == "structured":
+        ps0 = generate_points(d, max(n, 2), "equispaced_circle" if d == 1 else "fibonacci_s2")
+        pts = ps0.points
+    else:
+        pts = _unit(rng.standard_normal((n, d + 1)))
+    # one direction of each class: dead (b = -1), polynomial (b = 1), live (b = 0)
+    extra = np.zeros((3, d + 1))
+    extra[0, d], extra[1, d], extra[2, 0] = -1.0, 1.0, 1.0
+    ps = _direction_set(d, np.vstack([pts, extra]))
+    x, w = _small_grid(d, radius, 3 * ps.n + 20, rng)
+    target = get_target("gaussian_bump", d)
+    if path == "cap":
+        free = coef_stat(least_squares_fit(target, ps, x, w, k=k))[1]
+        path = {"norm_cap": 0.5 * free}
+    model = least_squares_fit(target, ps, x, w, k=k, **path)
+    a = model.a
+    r = float(np.max(np.linalg.norm(x, axis=1)))
+    b, wn = ps.points[:, d], np.linalg.norm(ps.points[:, :d], axis=1)
+    dead, poly = b + wn * r < -1e-12, b - wn * r > 1e-12
+    assert dead[-3] and poly[-2] and not (dead[-1] or poly[-1])
+    assert np.all(a[dead] == 0.0)
+    null = _polynomial_null_space(ps, k, poly, rng)
+    assert np.linalg.norm(null @ a[poly]) <= 1e-8 * max(np.linalg.norm(a), 1e-300)
+    ridge = path.get("ridge", 0.0)
+    want = _ls_reference(target, ps, x, w, k, **path)
+    got_obj = _ridge_objective(target, ps, x, w, k, a, ridge)
+    want_obj = _ridge_objective(target, ps, x, w, k, want, ridge)
+    assert got_obj <= want_obj * (1.0 + 1e-10) + 1e-13 * float(w @ target(x) ** 2)
+
+
+def test_pruned_columns_are_exact():
+    """Dead columns of the features are exactly 0 and their coefficients too;
+    polynomial columns equal the monomial reconstruction (Q T) V^T to 1e-13."""
+    pts, w = domain_grid(2, 4096)
+    r = float(np.max(np.linalg.norm(pts, axis=1)))
+    ps = generate_points(2, 96, "fibonacci_s2")
+    target = get_target("gaussian_bump", 2)
+    xt = np.column_stack([pts, np.ones(len(pts))])
+    b, wn = ps.points[:, 2], np.linalg.norm(ps.points[:, :2], axis=1)
+    dead, poly = b + wn * r < -1e-12, b - wn * r > 1e-12
+    assert dead.sum() > 0 and poly.sum() > 0
+    for k in range(4):
+        T, V = _polynomial_block(ps, k, poly)
+        phi = features(ps, k, pts)
+        assert np.all(phi[:, dead] == 0.0)
+        idx, _ = _monomials(2, k)
+        rebuilt = np.prod(xt[:, idx], axis=2) @ T @ V.T
+        assert np.max(np.abs(rebuilt - phi[:, poly])) <= 1e-13 * np.max(np.abs(phi[:, poly]))
+        for path in ({}, {"ridge": 1e-9}):
+            assert np.all(least_squares_fit(target, ps, pts, w, k=k, **path).a[dead] == 0.0)
+
+
+@pytest.mark.parametrize("path", [{}, {"ridge": 1e-6}, {"norm_cap": 1e-3}], ids=["lstsq", "ridge", "cap"])
+def test_every_direction_dead_gives_zero_coefficients(path):
+    pts, w = domain_grid(2, 4096)
+    ps = _direction_set(2, _unit([[1.0, 0.0, -1.5], [0.0, 1.0, -1.2], [-0.6, 0.8, -2.0]]))
+    model = least_squares_fit(get_target("gaussian_bump", 2), ps, pts, w, k=2, **path)
+    assert np.array_equal(model.a, np.zeros(3))
+
+
+@pytest.mark.parametrize("path", [{}, {"ridge": 1e-9}, {"norm_cap": 0.05}], ids=["lstsq", "ridge", "cap"])
+def test_fewer_polynomial_directions_than_monomials(path):
+    """k=3 on the disk has 10 monomials; 4 polynomial directions span only 4 of them."""
+    pts, w = domain_grid(2, 4096)
+    rng = np.random.Generator(np.random.Philox(4))
+    poly_dirs = np.column_stack([0.3 * rng.standard_normal((4, 2)), np.full(4, 2.0)])
+    live_dirs = np.column_stack([_unit(rng.standard_normal((12, 2))), rng.uniform(-0.3, 0.3, 12)])
+    ps = _direction_set(2, _unit(np.vstack([poly_dirs, live_dirs])))
+    poly = np.arange(16) < 4
+    T, V = _polynomial_block(ps, 3, poly)
+    assert T.shape == (10, 4) and V.shape == (4, 4)
+    target = get_target("gaussian_bump", 2)
+    model = least_squares_fit(target, ps, pts, w, k=3, **path)
+    want = _ls_reference(target, ps, pts, w, 3, **path)
+    ridge = path.get("ridge", 0.0)
+    got_obj = _ridge_objective(target, ps, pts, w, 3, model.a, ridge)
+    assert got_obj <= _ridge_objective(target, ps, pts, w, 3, want, ridge) * (1.0 + 1e-10)
+    assert np.linalg.norm(model.a - want) <= 1e-6 * np.linalg.norm(want)
+
+
+def test_capped_fit_on_a_rank_deficient_design_matches_the_design_svd(caplog):
+    """Fibonacci n=96, k=2 on the disk: the full design has cond ~ 1e16.  At the
+    fit's own lambda, a = V diag(s/(s^2+lambda)) U^T y from the SVD of the
+    full design is the accurate answer; the full Gram read 2.5e-4 from it
+    here, the pruned Gram 4.8e-5."""
+    pts, w = domain_grid(2, 4096)
+    ps = generate_points(2, 96, "fibonacci_s2")
+    target = get_target("gaussian_bump", 2)
+    cap = 0.5 * coef_stat(least_squares_fit(target, ps, pts, w, k=2))[1]
+    with caplog.at_level(logging.DEBUG, logger="fnspace.models"):
+        model = least_squares_fit(target, ps, pts, w, k=2, norm_cap=cap)
+    lam = [json.loads(r.getMessage()) for r in caplog.records if "lam" in r.getMessage()][0]["lam"]
+    assert 1e-12 < lam < 1e-10  # the cap binds near the Gram's rounding level
+    sw = np.sqrt(w)
+    U, s, Vt = np.linalg.svd(features(ps, 2, pts) * sw[:, None], full_matrices=False)
+    want = Vt.T @ (s / (s**2 + lam) * (U.T @ (target(pts) * sw)))
+    want *= min(1.0, cap / (math.sqrt(ps.n) * np.linalg.norm(want)))
+    assert np.linalg.norm(model.a - want) <= 1e-4 * np.linalg.norm(want)
+
+
+def _fit_records(caplog, *args, **kwargs):
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="fnspace.models"):
+        least_squares_fit(*args, **kwargs)
+    return [json.loads(r.getMessage()) for r in caplog.records if r.name == "fnspace.models"]
+
+
+def test_least_squares_fit_diagnostics_record(caplog):
+    pts, w = domain_grid(2, 4096)
+    ps = generate_points(2, 96, "fibonacci_s2")
+    target = get_target("gaussian_bump", 2)
+    (info,) = _fit_records(caplog, target, ps, pts, w, k=2, ridge=1e-9)
+    r = float(np.max(np.linalg.norm(pts, axis=1)))
+    b, wn = ps.points[:, 2], np.linalg.norm(ps.points[:, :2], axis=1)
+    dead, poly = int(np.sum(b + wn * r < -1e-12)), int(np.sum(b - wn * r > 1e-12))
+    assert info == {
+        "rows": len(pts), "n": 96, "live": 96 - dead - poly, "polynomial": poly,
+        "dead": dead, "columns": 96 - dead - poly + 6, "path": "solve",
+    }
+    assert dead > 0 and poly > 6  # six monomials of degree 2 stand in for the polynomial block
+    assert _fit_records(caplog, target, ps, pts, w, k=2)[0]["path"] == "lstsq"
+    capped = _fit_records(caplog, target, ps, pts, w, k=2, norm_cap=1.0)
+    assert [r.get("path") for r in capped] == [None, "cap"]  # ridge_bisect_cap's record first
+    sphere = get_target("smooth_even_circle", 1)
+    grid = reference_grid(1, 256)
+    (info,) = _fit_records(caplog, sphere, generate_points(1, 16, "equispaced_circle"), grid.nodes, grid.weights)
+    assert (info["live"], info["polynomial"], info["dead"], info["columns"]) == (16, 0, 0, 16)
+
+
+def test_least_squares_fit_quiet_by_default(caplog):
+    pts, w = domain_grid(2, 4096)
+    least_squares_fit(get_target("gaussian_bump", 2), generate_points(2, 16, "fibonacci_s2"), pts, w)
+    assert not [r for r in caplog.records if r.name == "fnspace.models"]
+
+
+def test_ridge_fit_holds_no_full_design():
+    """A ridge fit at n=256 on 40960 rows accumulates the Gram over row blocks:
+    its peak allocation stays far below one rows x n design (84 MB)."""
+    pts, w = domain_grid(2, 40960)
+    ps = generate_points(2, 256, "fibonacci_s2")
+    target = get_target("gaussian_bump", 2)
+    tracemalloc.start()
+    try:
+        least_squares_fit(target, ps, pts, w, k=1, ridge=1e-9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(pts) == 40960 and peak < len(pts) * ps.n * 8 / 8
 
 
 def test_error_norms_match_direct_evaluation():

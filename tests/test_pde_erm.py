@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import logging
 import math
 
 import numpy as np
@@ -269,3 +271,20 @@ def test_disk_grids_bit_identical_to_reference():
         want_pts, wr = _disk_grid_reference(max(80, math.ceil(min_points / 512)), 512)
         assert np.array_equal(pts, want_pts)
         assert np.array_equal(w, (wr / 512) / (wr / 512).sum())
+
+
+def test_erm_fallback_keeps_its_reason(caplog):
+    """Fibonacci directions on the disk include neurons that are 0 on every
+    sample, so the uncapped Gram has zero rows, solve raises, and the
+    shifted solve that replaces it says so."""
+    prob = disk_problem()
+    ps = generate_points(2, 64, "fibonacci_s2")
+    samples = prob.sample(16384, 0)
+    quiet = erm_fit(prob, ps, samples, k=2)
+    assert not [r for r in caplog.records if r.name == "fnspace.pde_erm"]
+    with caplog.at_level(logging.DEBUG, logger="fnspace.pde_erm"):
+        logged = erm_fit(prob, ps, samples, k=2)
+    (record,) = [r for r in caplog.records if r.name == "fnspace.pde_erm"]
+    info = json.loads(record.getMessage())
+    assert (info["path"], info["n"]) == ("solve+1e-12I", 64) and info["zero_rows"] > 0
+    assert np.array_equal(logged.model.a, quiet.model.a)
