@@ -20,9 +20,10 @@ root search for the ridge.
 
 least_squares_fit on a domain drops the neurons that are 0 on the whole
 grid and fits the ones that are polynomials there through an orthonormal
-basis of their span, which leaves the solution unchanged; with a ridge or
-a cap it accumulates the normal equations over blocks of EVAL_BLOCK_ROWS
-rows, so no rows x n design is held (see its docstring).
+basis of their span, which leaves the solution unchanged; with a ridge it
+accumulates the normal equations, and with a cap a QR factor of the
+design, over blocks of EVAL_BLOCK_ROWS rows, so no rows x n design is held
+(see its docstring).
 """
 
 from __future__ import annotations
@@ -230,9 +231,15 @@ def ridge_bisect_cap(G: np.ndarray, c: np.ndarray, n: int, M: float) -> tuple[np
     """
     evals, U = np.linalg.eigh(G)
     s = np.maximum(evals, 0.0)  # a Gram matrix; rounding can leave eigenvalues at -eps
-    p = U.T @ c
+    keep = s > np.finfo(float).eps * len(s) * s[-1]
+    return _cap_root(s, U, U.T @ c, float(np.linalg.norm(c)), keep, n, M)
+
+
+def _cap_root(s, U, p, c_norm, keep, n, M) -> tuple[np.ndarray, float]:
+    """ridge_bisect_cap given G = U diag(s) U^T, p = U^T c, ||c|| and the
+    eigenvalues `keep` inverts at lam = 0."""
     root_n = math.sqrt(n)
-    pinv = np.divide(1.0, s, out=np.zeros_like(s), where=s > np.finfo(float).eps * len(s) * s[-1])
+    pinv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
 
     def coef(lam: float) -> np.ndarray:
         return p * pinv if lam == 0.0 else p / (s + lam)
@@ -241,14 +248,14 @@ def ridge_bisect_cap(G: np.ndarray, c: np.ndarray, n: int, M: float) -> tuple[np
         return root_n * float(np.linalg.norm(coef(lam))) - M
 
     binds = bool(gap(0.0) > 0.0)
-    lam = brentq(gap, 0.0, 2.0 * root_n * float(np.linalg.norm(c)) / M, xtol=1e-300) if binds else 0.0
+    lam = brentq(gap, 0.0, 2.0 * root_n * c_norm / M, xtol=1e-300) if binds else 0.0
     a = U @ coef(lam)
     nrm = root_n * float(np.linalg.norm(a))
     if nrm > M:
         a *= M / nrm
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("%s", json.dumps({"n": int(n), "lam": float(lam), "cap_bound": binds,
-                                     "s_min": float(evals[0]), "s_max": float(evals[-1])}))
+                                     "s_min": float(np.min(s)), "s_max": float(np.max(s))}))
     return a, lam
 
 
@@ -277,29 +284,59 @@ def _polynomial_block(ps: PointSet, k: int, poly: np.ndarray) -> tuple[np.ndarra
 def _solve_reduced(live_ps, k, T, xt, sw, yw, path, ridge, norm_cap, n) -> np.ndarray:
     """Coefficients for the weighted reduced design B = sw [sigma_k(live) | Q T].
 
-    lstsq fills B whole; solve and cap accumulate the upper triangle of
-    G = B^T B (dsyrk) and B^T y over blocks of EVAL_BLOCK_ROWS rows held in
-    one reused buffer.
+    lstsq fills B whole; solve accumulates the upper triangle of G = B^T B
+    (dsyrk) and B^T y over blocks of EVAL_BLOCK_ROWS rows held in one reused
+    buffer.  cap folds blocks of max(EVAL_BLOCK_ROWS, 4 cols) rows of [B | y],
+    stacked under the previous factor in one buffer, into the triangular factor
+    [[R, z], [0, rho]] of a QR decomposition, so the singular values of
+    B = (Q U) diag(s) V^T come from R = U diag(s) V^T without squaring its
+    condition number, and the root search sees G = V diag(s^2) V^T and
+    B^T y = V diag(s) U^T z.  At lam = 0 it inverts the s above lstsq's
+    cutoff eps max(rows, cols) s_max, so an unbinding cap returns the
+    minimum-norm least-squares solution.
     """
     rows, n_live = len(xt), live_ps.n
     cols = n_live + T.shape[1]
     idx, _ = _monomials(live_ps.d, k)
-    design = np.empty((rows if path == "lstsq" else min(rows, EVAL_BLOCK_ROWS), cols))
-    G = np.zeros((cols, cols), order="F")
-    By = np.zeros(cols)
-    for lo in range(0, rows, EVAL_BLOCK_ROWS):
-        hi = min(lo + EVAL_BLOCK_ROWS, rows)
-        B = design[lo:hi] if path == "lstsq" else design[: hi - lo]
+    # a cap's QR re-factors R with every block, so its blocks are at least 4 cols rows
+    step = max(EVAL_BLOCK_ROWS, 4 * cols) if path == "cap" else EVAL_BLOCK_ROWS
+    block = min(rows, step)
+    r = 0  # rows of the cap path's R held above the block
+    if path == "lstsq":
+        design = np.empty((rows, cols))
+    elif path == "solve":
+        design = np.empty((block, cols))
+        G = np.zeros((cols, cols), order="F")
+        By = np.zeros(cols)
+    else:  # [R | z] stacked over a block of [B | y] rows
+        design = np.empty((cols + 1 + block, cols + 1))
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        top = lo if path == "lstsq" else r
+        B = design[top : top + hi - lo]
         features(live_ps, k, xt[lo:hi], out=B[:, :n_live])
-        np.matmul(np.prod(xt[lo:hi, idx], axis=2), T, out=B[:, n_live:])
-        B *= sw[lo:hi, None]
-        if path != "lstsq":
+        np.matmul(np.prod(xt[lo:hi, idx], axis=2), T, out=B[:, n_live:cols])
+        B[:, :cols] *= sw[lo:hi, None]
+        if path == "solve":
             dsyrk(1.0, B.T, beta=1.0, c=G, overwrite_c=1)
             By += B.T @ yw[lo:hi]
+        elif path == "cap":
+            B[:, cols] = yw[lo:hi]
+            R = np.linalg.qr(design[: r + hi - lo], mode="r")
+            r = len(R)
+            design[:r] = R
     if path == "lstsq":
         return np.linalg.lstsq(design, yw, rcond=None)[0]
-    G = np.triu(G) + np.triu(G, 1).T + ridge * np.eye(cols)
-    return np.linalg.solve(G, By) if path == "solve" else ridge_bisect_cap(G, By, n, norm_cap)[0]
+    if path == "solve":
+        G = np.triu(G) + np.triu(G, 1).T + ridge * np.eye(cols)
+        return np.linalg.solve(G, By)
+    R, z = np.zeros((cols, cols)), np.zeros(cols)
+    m = min(r, cols)
+    R[:m], z[:m] = design[:m, :cols], design[:m, cols]
+    U, s, Vt = np.linalg.svd(R)
+    keep = (s > np.finfo(float).eps * max(rows, cols) * s[0]) | (ridge > 0.0)
+    p = s * (U.T @ z)
+    return _cap_root(s * s + ridge, Vt.T, p, float(np.linalg.norm(p)), keep, n, norm_cap)[0]
 
 
 def least_squares_fit(
@@ -323,10 +360,12 @@ def least_squares_fit(
     Q U_r S_r with coefficients c, lifted back as a_P = V_r c.  V_r has
     orthonormal columns, so ||a|| = ||(a_live, c)|| and the ridge,
     minimum-norm and norm-cap problems keep their solutions exactly.
-    Sphere targets prune nothing.  ridge = 0 runs lstsq on the reduced
-    design; otherwise G = B^T B and B^T y are accumulated over blocks of
-    EVAL_BLOCK_ROWS rows of the weighted reduced design B, in one reused
-    buffer, and (G + ridge I) a = B^T y is solved, or capped.  One JSON
+    Sphere targets prune nothing.  Without a cap, ridge = 0 runs lstsq on
+    the reduced design; otherwise G = B^T B and B^T y are accumulated over
+    blocks of EVAL_BLOCK_ROWS rows of the weighted reduced design B, in one
+    reused buffer, and (G + ridge I) a = B^T y is solved.  A cap folds the
+    same blocks into a QR factor of B, whose SVD gives the root search
+    lstsq's accuracy rather than that of G (see _solve_reduced).  One JSON
     debug record per fit (rows, n, the live, polynomial and dead counts,
     the reduced column count and the solver path) goes to the
     "fnspace.models" logger, quiet by default.

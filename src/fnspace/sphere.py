@@ -32,8 +32,10 @@ a point nearer a vertex is nearer than L to the set.  Each queried point
 gets the chord that querying the whole grid would give it, from the same
 tree, and the maximum over a set holding the argmax is the grid maximum,
 so h equals the whole-grid search bit for bit.  Where no hull bound
-exists (n < 4, a flat hull, or an origin on or outside the hull) the
-whole grid is queried.  Each S^2 mesh norm sends one JSON debug record to
+exists (n < 4, a flat hull, or an origin on or outside the hull), or the
+caps to search hold the sphere's area HULL_CAP_COVER times over (nearly
+coplanar directions, whose caps are hemispheres), the whole grid is
+queried.  Each S^2 mesh norm sends one JSON debug record to
 the "fnspace.sphere" logger, quiet by default: n, the grid size, the grid
 points queried, the bound used and h.
 
@@ -74,6 +76,8 @@ GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 UNIT_TOL = 1e-12
 # chord slack on the hull bound, so the queried set always holds the maximum
 HULL_SLACK = 1e-9
+# searched caps covering this many spheres' area, with overlap, query the whole grid
+HULL_CAP_COVER = 1.0
 
 _log = logging.getLogger("fnspace.sphere")
 
@@ -161,18 +165,23 @@ def _grid_mesh_norm(tree: cKDTree, d: int, resolution: float) -> float:
         _, nearest = grid.query(centers[radii >= np.max(radii) - 2.0 * resolution - HULL_SLACK])
         lower = np.max(tree.query(grid.data[nearest])[0]) - HULL_SLACK
         keep = np.flatnonzero(radii >= lower)
-        candidates = []
-        for t, idx in zip(keep, grid.query_ball_point(centers[keep], radii[keep] + HULL_SLACK)):
-            idx = np.asarray(idx, dtype=np.intp)
-            candidates.append(idx[np.min(cdist(grid.data[idx], vertices[t]), axis=1) >= lower])
-        queried = grid.data[np.unique(np.concatenate(candidates))]
+        # a chord-c cap holds c^2/4 of the sphere: caps that hold it all,
+        # counted with overlap, cost more to search than the whole grid
+        if np.sum((radii[keep] + HULL_SLACK) ** 2) >= 4.0 * HULL_CAP_COVER:
+            queried = grid.data
+        else:
+            candidates = []
+            for t, idx in zip(keep, grid.query_ball_point(centers[keep], radii[keep] + HULL_SLACK)):
+                idx = np.asarray(idx, dtype=np.intp)
+                candidates.append(idx[np.min(cdist(grid.data[idx], vertices[t]), axis=1) >= lower])
+            queried = grid.data[np.unique(np.concatenate(candidates))]
     chord, _ = tree.query(queried, k=1)
     worst = float(np.max(np.arccos(np.clip(1.0 - chord**2 / 2.0, -1.0, 1.0))))
     h = worst + resolution
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("%s", json.dumps({
             "n": tree.n, "grid": grid.n, "queried": len(queried),
-            "bound": "grid" if caps is None else "hull", "h": h,
+            "bound": "grid" if len(queried) == grid.n else "hull", "h": h,
         }))
     return h
 
