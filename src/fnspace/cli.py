@@ -21,6 +21,7 @@ from .activation import kernel as kernel_series
 from .activation import sigma_k
 from .errors import ConfigurationError, ContractError, DomainError
 from .errors import NumericalError, PrecisionError
+from .harmonics import sphere_area
 from .harness import ExperimentConfig, loglog_slope, parse_config, run_randcmp, run_rates
 from .quadrature import build_rule, rule_to_json
 from .sphere import generate_points, pointset_to_json
@@ -163,7 +164,7 @@ def _cmd_kernel(args) -> None:
     rng = np.random.Generator(np.random.Philox(seed))
     theta = rng.standard_normal((n_mc, d + 1))
     theta /= np.linalg.norm(theta, axis=1, keepdims=True)
-    area = 2.0 * math.pi ** ((d + 1) / 2.0) / math.gamma((d + 1) / 2.0)
+    area = sphere_area(d)
     worst = 0.0
     for _ in range(n_pairs):
         x = rng.uniform(-0.7, 0.7, d)

@@ -33,7 +33,7 @@ from .models import (
     error_norms,
     least_squares_fit,
 )
-from .pde_erm import DISK_GRID_ANGLES, disk_grid
+from .pde_erm import DISK_GRID_ANGLES, disk_grid, midpoint_grid
 from .sphere import generate_points
 
 __all__ = [
@@ -211,9 +211,7 @@ def domain_grid(d: int, min_points: int = 4096) -> tuple[np.ndarray, np.ndarray]
     radial x equispaced angular on the unit disk for d=2.  Weights are
     normalized to sum to 1 (normalized volume measure)."""
     if d == 1:
-        n = min_points
-        x = -1.0 + 2.0 * (np.arange(n) + 0.5) / n
-        return x[:, None], np.full(n, 1.0 / n)
+        return midpoint_grid(-1.0, 1.0, min_points)[:, None], np.full(min_points, 1.0 / min_points)
     if d == 2:
         pts, w = disk_grid(max(80, int(math.ceil(min_points / DISK_GRID_ANGLES))))
         return pts, w / w.sum()
@@ -235,8 +233,7 @@ def _rate_row_constructive(cfg: ExperimentConfig, target, n: int) -> dict:
     spec = spectrum(cfg.d, cfg.k, rule.J + 4)
     grid = reference_grid(cfg.d, max(2 * rule.J + 8, 1024 if cfg.d == 1 else 64))
     model = constructive_fit(target, rule, spec, grid)
-    diff = model(grid.nodes) - target(grid.nodes)
-    l2 = math.sqrt(max(float(np.dot(grid.weights, diff**2)), 0.0))
+    l2, _ = error_norms(model, target, grid.nodes, grid.weights, s=0)
     return {
         "n": n,
         "h": ps.h,
@@ -270,14 +267,13 @@ def _rate_row_ls(cfg: ExperimentConfig, target, n: int, seed: int, grid) -> dict
 RATE_COLUMNS = ("n", "h", "error_l2", "error_h1", "sqrtn_a_norm", "error_code")
 
 
-def _write_rate_csv(path: Path, chash: str, rows) -> None:
+def _write_csv(path: Path, chash: str, columns, rows) -> None:
+    """One header line, then per row the config hash and the columns' cells,
+    floats written with repr."""
     with open(path, "w") as fh:
-        fh.write("config_hash," + ",".join(RATE_COLUMNS) + "\n")
+        fh.write("config_hash," + ",".join(columns) + "\n")
         for row in rows:
-            cells = [chash]
-            for col in RATE_COLUMNS:
-                v = row[col]
-                cells.append(repr(v) if isinstance(v, float) else str(v))
+            cells = [chash] + [repr(row[c]) if isinstance(row[c], float) else str(row[c]) for c in columns]
             fh.write(",".join(cells) + "\n")
 
 
@@ -327,7 +323,7 @@ def run_rates(cfg: ExperimentConfig, write: bool = True) -> RateReport:
     if write:
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        _write_rate_csv(out / f"rates_{cfg.hash}.csv", cfg.hash, rows)
+        _write_csv(out / f"rates_{cfg.hash}.csv", cfg.hash, RATE_COLUMNS, rows)
         (out / f"rates_{cfg.hash}.json").write_text(report.to_json())
     return report
 
@@ -369,12 +365,5 @@ def run_randcmp(cfg: ExperimentConfig, write: bool = True) -> dict:
     if write:
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        cols = list(rows[0].keys())
-        with open(out / f"randcmp_{cfg.hash}.csv", "w") as fh:
-            fh.write("config_hash," + ",".join(cols) + "\n")
-            for row in rows:
-                cells = [cfg.hash] + [
-                    repr(v) if isinstance(v, float) else str(v) for v in row.values()
-                ]
-                fh.write(",".join(cells) + "\n")
+        _write_csv(out / f"randcmp_{cfg.hash}.csv", cfg.hash, list(rows[0]), rows)
     return summary

@@ -38,12 +38,13 @@ from typing import Callable
 import numpy as np
 from scipy.linalg.blas import dsyrk
 from scipy.optimize import brentq
+from scipy.spatial import ConvexHull, cKDTree
 
 from .activation import ActivationSpectrum, sigma_k, sigma_k_prime
 from .errors import ConfigurationError, ContractError
 from .harmonics import ReferenceGrid, harmonic_block, project
 from .quadrature import QuadratureRule
-from .sphere import PointSet, pointset_from_json, pointset_to_json
+from .sphere import UNIT_TOL, PointSet, _check_unit_rows
 
 __all__ = [
     "FiniteNeuronModel",
@@ -54,8 +55,6 @@ __all__ = [
     "error_norms",
     "coef_stat",
     "density_from_model",
-    "model_to_json",
-    "model_from_json",
 ]
 
 CAP_SLACK = 1e-9
@@ -441,60 +440,69 @@ def coef_stat(model: FiniteNeuronModel) -> tuple[float, float, float]:
     return l2, math.sqrt(model.n) * l2, float(np.abs(model.a).sum())
 
 
-def density_from_model(
-    model: FiniteNeuronModel, n_mc: int = 10**6, seed: int = 0
-) -> tuple[np.ndarray, Callable]:
+def _arc_measures(angles: np.ndarray) -> np.ndarray:
+    """Normalized lengths of the Voronoi arcs of points at these angles on
+    the circle: each arc runs between the midpoints to its neighbours."""
+    ang = np.mod(angles, 2.0 * math.pi)
+    order = np.argsort(ang)
+    sa = ang[order]
+    mids = (sa[:-1] + sa[1:]) / 2.0
+    bounds = np.concatenate([[sa[0] - (2 * math.pi - sa[-1] + sa[0]) / 2], mids])
+    widths = np.diff(np.append(bounds, bounds[0] + 2.0 * math.pi))
+    measures = np.empty(len(ang))
+    measures[order] = widths / (2.0 * math.pi)
+    return measures
+
+
+def _cell_measures(pts: np.ndarray) -> np.ndarray:
+    """Normalized areas of the Voronoi cells of distinct unit rows on S^2.
+
+    Rows in one plane (n <= 3, or all on one circle) with normal v: every
+    bisector plane contains v, so the cells are lunes about v, whose
+    measures are the arc measures of the azimuths about v.  Otherwise the
+    cell of p is the normal cone of the convex hull at the vertex p, whose
+    area is the angular defect 2 pi - sum of the hull's face angles at p
+    (Descartes: the defects sum to 4 pi).  Face angles come from edges of
+    the hull, so nearly coplanar rows, whose Voronoi vertices are
+    ill-conditioned, still give accurate areas.
+    """
+    if np.linalg.matrix_rank(pts - pts[0], tol=UNIT_TOL) < 3:
+        basis = np.linalg.svd(pts - pts[0])[2]  # rows 0 and 1 span the plane
+        return _arc_measures(np.arctan2(pts @ basis[1], pts @ basis[0]))
+    hull = ConvexHull(pts)
+    if len(hull.vertices) < len(pts):
+        raise ContractError("directions too close together to resolve their Voronoi cells")
+    tri = pts[hull.simplices]
+    u, w = np.roll(tri, -1, axis=1) - tri, np.roll(tri, 1, axis=1) - tri
+    angles = np.arctan2(np.linalg.norm(np.cross(u, w), axis=2), np.sum(u * w, axis=2))
+    face_sums = np.bincount(hull.simplices.ravel(), angles.ravel(), minlength=len(pts))
+    return (2.0 * math.pi - face_sums) / (4.0 * math.pi)
+
+
+def density_from_model(model: FiniteNeuronModel) -> tuple[np.ndarray, Callable]:
     """Piecewise-constant density a_j / |A_j| on the Voronoi cells A_j.
 
-    Cell measures (normalized surface measure) are exact arc lengths on
-    the circle and Monte Carlo nearest-neighbor frequencies on S^2.
-    Returns (measures, psi) where psi evaluates the density at sphere
-    points by nearest-neighbor lookup.
+    The cell measures (normalized surface measure) are exact Voronoi
+    measures: arc lengths on the circle, lune or hull angular-defect areas
+    on S^2 (see _cell_measures).  Returns (measures, psi) where psi
+    evaluates the density at sphere points by a nearest-direction lookup
+    in a cKDTree; for unit directions the nearest chord is the largest
+    dot product.
     """
     pts = model.ps.points
     if model.ps.h_sep <= 1e-12:
         raise ContractError("duplicate directions make Voronoi cells degenerate")
+    _check_unit_rows(pts)
     if model.d == 1:
-        ang = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * math.pi)
-        order = np.argsort(ang)
-        sa = ang[order]
-        mids = (sa[:-1] + sa[1:]) / 2.0
-        bounds = np.concatenate([[sa[0] - (2 * math.pi - sa[-1] + sa[0]) / 2], mids])
-        widths = np.diff(np.append(bounds, bounds[0] + 2.0 * math.pi))
-        measures = np.empty(len(pts))
-        measures[order] = widths / (2.0 * math.pi)
+        measures = _arc_measures(np.arctan2(pts[:, 1], pts[:, 0]))
     elif model.d == 2:
-        rng = np.random.Generator(np.random.Philox(seed))
-        g = rng.standard_normal((n_mc, 3))
-        samples = g / np.linalg.norm(g, axis=1, keepdims=True)
-        idx = np.argmax(samples @ pts.T, axis=1)
-        measures = np.bincount(idx, minlength=len(pts)) / n_mc
+        measures = _cell_measures(pts)
     else:
         raise ConfigurationError("density recovery implemented for d in {1,2}")
-    with np.errstate(divide="ignore"):
-        vals = np.where(measures > 0.0, model.a / measures, 0.0)
+    vals = model.a / measures
+    tree = cKDTree(pts)
 
     def psi(eta: np.ndarray) -> np.ndarray:
-        eta = np.atleast_2d(np.asarray(eta, dtype=float))
-        return vals[np.argmax(eta @ pts.T, axis=1)]
+        return vals[tree.query(np.atleast_2d(np.asarray(eta, dtype=float)))[1]]
 
     return measures, psi
-
-
-def model_to_json(model: FiniteNeuronModel) -> str:
-    payload = {
-        "d": model.d,
-        "k": model.k,
-        "M": model.norm_cap,
-        "on_sphere": model.on_sphere,
-        "points_ref": json.loads(pointset_to_json(model.ps)),
-        "a": [f"{v:.17g}" for v in model.a],
-    }
-    return json.dumps(payload)
-
-
-def model_from_json(text: str) -> FiniteNeuronModel:
-    obj = json.loads(text)
-    ps = pointset_from_json(json.dumps(obj["points_ref"]))
-    a = np.array([float(v) for v in obj["a"]])
-    return FiniteNeuronModel(obj["d"], obj["k"], ps, a, obj["M"], obj["on_sphere"])

@@ -61,6 +61,11 @@ DISK_GRID_RADII = 256
 DISK_GRID_ANGLES = 512
 
 
+def midpoint_grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """Midpoints lo + (hi - lo)(i + 1/2)/n of n equal cells of [lo, hi]."""
+    return lo + (hi - lo) * ((np.arange(n) + 0.5) / n)
+
+
 def disk_grid(n_r: int) -> tuple[np.ndarray, np.ndarray]:
     """n_r Gauss radii x DISK_GRID_ANGLES equispaced angles on the unit disk;
     the weights integrate over the area measure divided by 2 pi."""
@@ -93,7 +98,7 @@ def interval_problem() -> EllipticProblem:
         return rng.uniform(0.0, 1.0, (m, 1))
 
     def grid():
-        x = (np.arange(INTERVAL_GRID_POINTS) + 0.5) / INTERVAL_GRID_POINTS
+        x = midpoint_grid(0.0, 1.0, INTERVAL_GRID_POINTS)
         return x[:, None], np.full(INTERVAL_GRID_POINTS, 1.0 / INTERVAL_GRID_POINTS)
 
     sol = TargetFunction("cos_pi_x", 1, f, fg, regularity=math.inf)

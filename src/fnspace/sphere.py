@@ -52,7 +52,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -67,7 +67,6 @@ __all__ = [
     "generate_points",
     "mesh_norm",
     "separation",
-    "thin_to_quasi_uniform",
     "pointset_to_json",
     "pointset_from_json",
 ]
@@ -378,23 +377,6 @@ def generate_points(
     else:
         raise ConfigurationError(f"unknown strategy {strategy!r}")
     return _make_pointset(pts, d, resolution, strategy, seed)
-
-
-def thin_to_quasi_uniform(ps: PointSet, target_ratio: float) -> PointSet:
-    """Greedy separation thinning: keep a point only if it is at least
-    h/target_ratio away from every point already kept."""
-    if target_ratio < 1.0:
-        raise ContractError("target_ratio must be >= 1")
-    cutoff = ps.h / target_ratio
-    kept = [0]
-    for i in range(1, ps.n):
-        g = np.clip(ps.points[kept] @ ps.points[i], -1.0, 1.0)
-        if float(np.arccos(np.max(g))) > cutoff:
-            kept.append(i)
-    pts = ps.points[kept]
-    resolution = ps.h_resolution if ps.h_resolution > 0 else 0.01
-    out = _make_pointset(pts, ps.d, resolution, ps.strategy + "+thinned", ps.seed)
-    return replace(out, seed=ps.seed)
 
 
 def pointset_to_json(ps: PointSet) -> str:

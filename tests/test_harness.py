@@ -224,3 +224,54 @@ def test_randcmp_deterministic_row_skips_the_h1_pass(monkeypatch):
     assert [(r["det_error"], r["det_h"]) for r in summary["rows"]] == [
         (r["error_l2"], r["h"]) for r in rates.rows
     ]
+
+
+RANDCMP_HEADER = "config_hash,n,det_error,det_h,rand_q1,rand_median,rand_q3,rand_h_median"
+
+
+def test_randcmp_csv_golden_format(tmp_path):
+    """Criterion 08's columns, one row per n, floats written with repr, and
+    the same bytes on a second run."""
+    cfg = ExperimentConfig(
+        d=1, k=1, target="gaussian_bump", strategy="equispaced_circle",
+        ns=(16, 8), seeds=tuple(range(10)), ridge=1e-9, out_dir=str(tmp_path),
+    )
+    summary = run_randcmp(cfg)
+    csv_path = tmp_path / f"randcmp_{cfg.hash}.csv"
+    first = csv_path.read_bytes()
+    run_randcmp(cfg)
+    assert csv_path.read_bytes() == first
+    header, *rows = first.decode().splitlines()
+    assert header == RANDCMP_HEADER
+    assert [r["n"] for r in summary["rows"]] == [8, 16]
+    for line, row in zip(rows, summary["rows"], strict=True):
+        floats = [row[c] for c in RANDCMP_HEADER.split(",")[2:]]
+        assert all(isinstance(v, float) for v in floats)
+        assert line == ",".join([cfg.hash, str(row["n"])] + [repr(v) for v in floats])
+
+
+CLI_CASES = {
+    "pde": ("problem = interval\nk = 2\nms = 64 128 256 512\nseeds = 0\n", "problem = nonsense\n"),
+    "kernel": ("d = 2\nk = 1\nn_mc = 2000\npairs = 2\nm_max = 40\n", "d = 2\nk = 1\nm_max = 1\n"),
+    "approx": (
+        "d = 1\nk = 1\ntarget = gaussian_bump\nstrategy = equispaced_circle\nns = 8\n",
+        "d = 1\nk = 1\ntarget = gaussian_bump\nstrategy = equispaced_circle\n",
+    ),
+    "randcmp": (
+        "d = 1\nk = 1\ntarget = gaussian_bump\nstrategy = equispaced_circle\nns = 8 16\n"
+        "seeds = 0 1 2 3 4 5 6 7 8 9\n",
+        "d = 1\nk = 1\ntarget = gaussian_bump\nstrategy = equispaced_circle\nns = 8 16\nseeds = 0 1\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLI_CASES))
+def test_cli_subcommand_exit_codes(command, tmp_path, capsys):
+    good, bad = CLI_CASES[command]
+    (tmp_path / "good.cfg").write_text(good)
+    (tmp_path / "bad.cfg").write_text(bad)
+    out = tmp_path / "out"
+    assert cli_main(["--config", str(tmp_path / "good.cfg"), "--out", str(out), command]) == 0
+    assert capsys.readouterr().out
+    assert cli_main(["--config", str(tmp_path / "bad.cfg"), "--out", str(out), command]) == 2
+    assert "configuration error" in capsys.readouterr().err

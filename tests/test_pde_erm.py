@@ -271,6 +271,14 @@ def test_disk_grids_bit_identical_to_reference():
         want_pts, wr = _disk_grid_reference(max(80, math.ceil(min_points / 512)), 512)
         assert np.array_equal(pts, want_pts)
         assert np.array_equal(w, (wr / 512) / (wr / 512).sum())
+    # the interval grids as pde_erm and harness each wrote them before midpoint_grid
+    x, w = interval_problem().grid()
+    assert np.array_equal(x[:, 0], (np.arange(4096) + 0.5) / 4096)
+    assert np.array_equal(w, np.full(4096, 1.0 / 4096))
+    for n in (1, 7, 512, 4096):
+        x, w = domain_grid(1, n)
+        assert np.array_equal(x[:, 0], -1.0 + 2.0 * (np.arange(n) + 0.5) / n)
+        assert np.array_equal(w, np.full(n, 1.0 / n))
 
 
 def test_erm_fallback_keeps_its_reason(caplog):

@@ -19,7 +19,6 @@ from fnspace.sphere import (
     pointset_from_json,
     pointset_to_json,
     separation,
-    thin_to_quasi_uniform,
 )
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -142,26 +141,6 @@ def test_duplicate_points_rejected():
     pts = np.array([[1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ContractError):
         PointSet(1, pts, 1.0, separation(pts), 0.0)
-
-
-def test_thinning_keeps_equispaced():
-    ps = generate_points(1, 16, "equispaced_circle")
-    out = thin_to_quasi_uniform(ps, 2.0)
-    assert out.n == ps.n
-
-
-def test_thinning_drops_near_duplicate():
-    ang = np.array([0.0, 1e-6, math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0])
-    pts = np.column_stack([np.cos(ang), np.sin(ang)])
-    ps = PointSet(1, pts, mesh_norm(pts, 1), separation(pts), 0.0)
-    out = thin_to_quasi_uniform(ps, 2.0)
-    assert out.n == 4
-
-
-def test_thinning_quasi_uniform_ratio():
-    ps = generate_points(2, 500, "uniform_random", seed=9)
-    out = thin_to_quasi_uniform(ps, 2.0)
-    assert out.h_sep / out.h >= 1.0 / (2.0 * 2.0)
 
 
 def test_json_roundtrip():
