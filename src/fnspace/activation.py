@@ -31,6 +31,8 @@ __all__ = [
     "expansion_residual",
 ]
 
+EXTRA_NODES = 60  # Gauss-Legendre nodes beyond the degree in the t = cos(rho) integrals
+
 
 def sigma_k(k: int, t, out: np.ndarray | None = None):
     """ReLU^k, i.e. max(0,t)^k.  For k=0 the value at t=0 is fixed to 1.
@@ -93,7 +95,7 @@ def _sigma_hat_closed(d: int, k: int, m: int) -> float:
     return sign * math.exp(logv)
 
 
-def sigma_hat_quadrature(d: int, k: int, m: int, n_nodes: int | None = None) -> float:
+def sigma_hat_quadrature(d: int, k: int, m: int) -> float:
     """Quadrature oracle for the Legendre coefficient of ReLU^k.
 
     Since relu_k vanishes on (-1,0), the inner product reduces to
@@ -102,9 +104,7 @@ def sigma_hat_quadrature(d: int, k: int, m: int, n_nodes: int | None = None) -> 
     is absorbed exactly), where Gauss-Legendre converges geometrically and
     avoids the cancellation floor a direct rule on t exhibits.
     """
-    if n_nodes is None:
-        n_nodes = m + k + 60
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x, w = np.polynomial.legendre.leggauss(m + k + EXTRA_NODES)
     rho = (x + 1.0) * (math.pi / 4.0)
     t = np.cos(rho)
     vals = t**k * legendre_table(d, m, t)[m] * np.sin(rho) ** (d - 1)
@@ -238,18 +238,14 @@ def kernel(
     return value
 
 
-def expansion_residual(
-    d: int, k: int, spec: ActivationSpectrum, n_nodes: int | None = None
-) -> float:
+def expansion_residual(d: int, k: int, spec: ActivationSpectrum) -> float:
     """Weighted-interval L2 residual of the truncated Legendre expansion of ReLU^k.
 
     The integral is split at t=0 (the activation's kink) and each half is
     computed with Gauss-Legendre after the t = cos(rho) substitution, which
     makes both integrands smooth.
     """
-    if n_nodes is None:
-        n_nodes = spec.m_max + 60
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x, w = np.polynomial.legendre.leggauss(spec.m_max + EXTRA_NODES)
     total = 0.0
     for lo in (0.0, math.pi / 2.0):
         rho = lo + (x + 1.0) * (math.pi / 4.0)

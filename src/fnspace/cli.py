@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import pde_erm, quadrature
+from . import harness, pde_erm, quadrature
 from .activation import spectrum as build_spectrum
 from .activation import kernel as kernel_series
 from .activation import sigma_k
@@ -38,17 +38,25 @@ def _load(args) -> dict:
     return cfg
 
 
+def _value(cfg: dict, key: str, kind=int, default=None):
+    """cfg[key], or default when it is given and the key is absent, converted by
+    kind; a value kind rejects is a configuration error naming key and value."""
+    text = cfg[key] if default is None else cfg.get(key, default)
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise ConfigurationError(f"bad value for {key}: {text!r}") from exc
+
+
+def _points(cfg: dict, **extra):
+    """The point set of the config's d, n, strategy, seed and resolution."""
+    seed, resolution = _value(cfg, "seed", int, "0"), _value(cfg, "resolution", float, "0.01")
+    return generate_points(_value(cfg, "d"), _value(cfg, "n"), cfg["strategy"], seed, resolution, **extra)
+
+
 def _cmd_points(args) -> None:
     cfg = _load(args)
-    ps = generate_points(
-        int(cfg["d"]),
-        int(cfg["n"]),
-        cfg["strategy"],
-        seed=int(cfg.get("seed", "0")),
-        resolution=float(cfg.get("resolution", "0.01")),
-        k=int(cfg.get("k", "1")),
-        lam=float(cfg.get("lam", "1.0")),
-    )
+    ps = _points(cfg, k=_value(cfg, "k", int, "1"), lam=_value(cfg, "lam", float, "1.0"))
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"points_{cfg['strategy']}_{ps.n}.json"
@@ -58,15 +66,9 @@ def _cmd_points(args) -> None:
 
 def _cmd_quad(args) -> None:
     cfg = _load(args)
-    ps = generate_points(
-        int(cfg["d"]),
-        int(cfg["n"]),
-        cfg["strategy"],
-        seed=int(cfg.get("seed", "0")),
-        resolution=float(cfg.get("resolution", "0.01")),
-    )
-    d_target = int(cfg.get("D_target", quadrature.default_degree(ps)))
-    rule = build_rule(ps, d_target, float(cfg.get("tol", "1e-8")))
+    ps = _points(cfg)
+    d_target = _value(cfg, "D_target", int, quadrature.default_degree(ps))
+    rule = build_rule(ps, d_target, _value(cfg, "tol", float, "1e-8"))
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"rule_{cfg['strategy']}_{ps.n}.json"
@@ -76,7 +78,7 @@ def _cmd_quad(args) -> None:
 
 def _cmd_spectrum(args) -> None:
     cfg = _load(args)
-    spec = build_spectrum(int(cfg["d"]), int(cfg["k"]), int(cfg.get("m_max", "100")))
+    spec = build_spectrum(_value(cfg, "d"), _value(cfg, "k"), _value(cfg, "m_max", int, "100"))
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"spectrum_d{spec.d}_k{spec.k}.csv"
@@ -123,9 +125,9 @@ def _cmd_pde(args) -> None:
         prob = pde_erm.disk_problem()
     else:
         raise ConfigurationError(f"unknown problem {name!r}")
-    k = int(cfg.get("k", "2"))
-    ms = [int(t) for t in cfg.get("ms", "256 512 1024 2048 4096 8192 16384").split()]
-    seeds = [int(t) for t in cfg.get("seeds", "0 1 2 3 4 5 6 7").split()]
+    k = _value(cfg, "k", int, "2")
+    ms = _value(cfg, "ms", harness._parse_int_list, "256 512 1024 2048 4096 8192 16384")
+    seeds = _value(cfg, "seeds", harness._parse_int_list, "0 1 2 3 4 5 6 7")
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"pde_{name}_k{k}.csv"
@@ -155,12 +157,12 @@ def _cmd_pde(args) -> None:
 
 def _cmd_kernel(args) -> None:
     cfg = _load(args)
-    d = int(cfg.get("d", "2"))
-    k = int(cfg.get("k", "1"))
-    n_mc = int(cfg.get("n_mc", "1000000"))
-    n_pairs = int(cfg.get("pairs", "20"))
-    seed = int(cfg.get("seed", "0"))
-    spec = build_spectrum(d, k, int(cfg.get("m_max", "600")))
+    d = _value(cfg, "d", int, "2")
+    k = _value(cfg, "k", int, "1")
+    n_mc = _value(cfg, "n_mc", int, "1000000")
+    n_pairs = _value(cfg, "pairs", int, "20")
+    seed = _value(cfg, "seed", int, "0")
+    spec = build_spectrum(d, k, _value(cfg, "m_max", int, "600"))
     rng = np.random.Generator(np.random.Philox(seed))
     theta = rng.standard_normal((n_mc, d + 1))
     theta /= np.linalg.norm(theta, axis=1, keepdims=True)

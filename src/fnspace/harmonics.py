@@ -31,6 +31,8 @@ __all__ = [
     "project",
 ]
 
+PROJECT_MARGIN = 4  # a grid projecting onto degree m must be exact to degree 2m + this
+
 
 def sphere_area(d: int) -> float:
     """Surface area omega_d of S^d embedded in R^{d+1}."""
@@ -155,13 +157,13 @@ def reference_grid(d: int, degree: int) -> ReferenceGrid:
     raise ConfigurationError(f"reference grids implemented for d in {{1,2}}, got d={d}")
 
 
-def project(grid: ReferenceGrid, samples: np.ndarray, m: int, margin: int = 4):
+def project(grid: ReferenceGrid, samples: np.ndarray, m: int):
     """Harmonic coefficients of g from its samples on the grid, plus Pi_m g.
 
     Returns (coeffs, evaluator) where coeffs[l-1] = <g, Y_{m,l}> and the
     evaluator computes Pi_m g at arbitrary sphere points.
     """
-    if grid.degree < 2 * m + margin:
+    if grid.degree < 2 * m + PROJECT_MARGIN:
         raise PrecisionError(
             f"grid degree {grid.degree} too coarse for projection onto degree {m}"
         )

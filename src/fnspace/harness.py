@@ -202,7 +202,7 @@ def get_target(name: str, d: int) -> TargetFunction:
         def fg(x):
             return (-4.0 * np.exp(-2.0 * np.sum(x**2, axis=-1)))[..., None] * x
 
-        return TargetFunction(name, d, f, fg, regularity=math.inf)
+        return TargetFunction(name, d, f, fg)
     raise ConfigurationError(f"unknown target {name!r}")
 
 

@@ -20,10 +20,10 @@ root search for the ridge.
 
 least_squares_fit on a domain drops the neurons that are 0 on the whole
 grid and fits the ones that are polynomials there through an orthonormal
-basis of their span, which leaves the solution unchanged; with a ridge it
-accumulates the normal equations, and with a cap a QR factor of the
-design, over blocks of EVAL_BLOCK_ROWS rows, so no rows x n design is held
-(see its docstring).
+basis of their span, which leaves the solution unchanged.  A ridge without
+a cap accumulates the normal equations, and every other fit a QR factor of
+the design, over blocks of rows, so no rows x n design is held (see its
+docstring).
 """
 
 from __future__ import annotations
@@ -174,7 +174,6 @@ class TargetFunction:
     d: int
     f: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray] | None = None
-    regularity: float = math.inf
     on_sphere: bool = False
     parity: int = 0
 
@@ -280,30 +279,30 @@ def _polynomial_block(ps: PointSet, k: int, poly: np.ndarray) -> tuple[np.ndarra
     return U[:, :r] * S[:r], Vt[:r].T
 
 
-def _solve_reduced(live_ps, k, T, xt, sw, yw, path, ridge, norm_cap, n) -> np.ndarray:
+def _solve_reduced(live_ps, k, T, xt, sw, yw, ridge, norm_cap, n) -> np.ndarray:
     """Coefficients for the weighted reduced design B = sw [sigma_k(live) | Q T].
 
-    lstsq fills B whole; solve accumulates the upper triangle of G = B^T B
-    (dsyrk) and B^T y over blocks of EVAL_BLOCK_ROWS rows held in one reused
-    buffer.  cap folds blocks of max(EVAL_BLOCK_ROWS, 4 cols) rows of [B | y],
-    stacked under the previous factor in one buffer, into the triangular factor
-    [[R, z], [0, rho]] of a QR decomposition, so the singular values of
-    B = (Q U) diag(s) V^T come from R = U diag(s) V^T without squaring its
-    condition number, and the root search sees G = V diag(s^2) V^T and
-    B^T y = V diag(s) U^T z.  At lam = 0 it inverts the s above lstsq's
-    cutoff eps max(rows, cols) s_max, so an unbinding cap returns the
-    minimum-norm least-squares solution.
+    A ridge without a cap accumulates the upper triangle of G = B^T B (dsyrk)
+    and B^T y over blocks of EVAL_BLOCK_ROWS rows held in one reused buffer,
+    then solves (G + ridge I) a = B^T y.  Every other fit folds blocks of
+    max(EVAL_BLOCK_ROWS, 4 cols) rows of [B | y], stacked under the previous
+    factor in one buffer, into the triangular factor [[R, z], [0, rho]] of a
+    QR decomposition, so the singular values of B = (Q U) diag(s) V^T come
+    from R = U diag(s) V^T without squaring its condition number.  Over the s
+    above lstsq's cutoff eps max(rows, cols) s_max, a = V (U^T z / s) is the
+    minimum-norm least-squares solution; a cap instead runs the root search
+    on G = V diag(s^2) V^T and B^T y = V diag(s) U^T z, which at lam = 0
+    inverts the same s.
     """
     rows, n_live = len(xt), live_ps.n
     cols = n_live + T.shape[1]
     idx, _ = _monomials(live_ps.d, k)
-    # a cap's QR re-factors R with every block, so its blocks are at least 4 cols rows
-    step = max(EVAL_BLOCK_ROWS, 4 * cols) if path == "cap" else EVAL_BLOCK_ROWS
+    normal = ridge > 0.0 and norm_cap == 0.0
+    # the QR re-factors R with every block, so its blocks are at least 4 cols rows
+    step = EVAL_BLOCK_ROWS if normal else max(EVAL_BLOCK_ROWS, 4 * cols)
     block = min(rows, step)
-    r = 0  # rows of the cap path's R held above the block
-    if path == "lstsq":
-        design = np.empty((rows, cols))
-    elif path == "solve":
+    r = 0  # rows of R held above the block
+    if normal:
         design = np.empty((block, cols))
         G = np.zeros((cols, cols), order="F")
         By = np.zeros(cols)
@@ -311,22 +310,19 @@ def _solve_reduced(live_ps, k, T, xt, sw, yw, path, ridge, norm_cap, n) -> np.nd
         design = np.empty((cols + 1 + block, cols + 1))
     for lo in range(0, rows, step):
         hi = min(lo + step, rows)
-        top = lo if path == "lstsq" else r
-        B = design[top : top + hi - lo]
+        B = design[r : r + hi - lo]
         features(live_ps, k, xt[lo:hi], out=B[:, :n_live])
         np.matmul(np.prod(xt[lo:hi, idx], axis=2), T, out=B[:, n_live:cols])
         B[:, :cols] *= sw[lo:hi, None]
-        if path == "solve":
+        if normal:
             dsyrk(1.0, B.T, beta=1.0, c=G, overwrite_c=1)
             By += B.T @ yw[lo:hi]
-        elif path == "cap":
+        else:
             B[:, cols] = yw[lo:hi]
             R = np.linalg.qr(design[: r + hi - lo], mode="r")
             r = len(R)
             design[:r] = R
-    if path == "lstsq":
-        return np.linalg.lstsq(design, yw, rcond=None)[0]
-    if path == "solve":
+    if normal:
         G = np.triu(G) + np.triu(G, 1).T + ridge * np.eye(cols)
         return np.linalg.solve(G, By)
     R, z = np.zeros((cols, cols)), np.zeros(cols)
@@ -334,6 +330,8 @@ def _solve_reduced(live_ps, k, T, xt, sw, yw, path, ridge, norm_cap, n) -> np.nd
     R[:m], z[:m] = design[:m, :cols], design[:m, cols]
     U, s, Vt = np.linalg.svd(R)
     keep = (s > np.finfo(float).eps * max(rows, cols) * s[0]) | (ridge > 0.0)
+    if norm_cap == 0.0:
+        return Vt.T @ np.divide(U.T @ z, s, out=np.zeros(cols), where=keep)
     p = s * (U.T @ z)
     return _cap_root(s * s + ridge, Vt.T, p, float(np.linalg.norm(p)), keep, n, norm_cap)[0]
 
@@ -359,15 +357,16 @@ def least_squares_fit(
     Q U_r S_r with coefficients c, lifted back as a_P = V_r c.  V_r has
     orthonormal columns, so ||a|| = ||(a_live, c)|| and the ridge,
     minimum-norm and norm-cap problems keep their solutions exactly.
-    Sphere targets prune nothing.  Without a cap, ridge = 0 runs lstsq on
-    the reduced design; otherwise G = B^T B and B^T y are accumulated over
-    blocks of EVAL_BLOCK_ROWS rows of the weighted reduced design B, in one
-    reused buffer, and (G + ridge I) a = B^T y is solved.  A cap folds the
-    same blocks into a QR factor of B, whose SVD gives the root search
-    lstsq's accuracy rather than that of G (see _solve_reduced).  One JSON
-    debug record per fit (rows, n, the live, polynomial and dead counts,
-    the reduced column count and the solver path) goes to the
-    "fnspace.models" logger, quiet by default.
+    Sphere targets prune nothing.  With a ridge and no cap, G = B^T B and
+    B^T y are accumulated over blocks of EVAL_BLOCK_ROWS rows of the
+    weighted reduced design B, in one reused buffer, and (G + ridge I) a =
+    B^T y is solved.  Every other fit folds row blocks of B into a QR
+    factor, whose SVD gives the minimum-norm solution, or the cap's root
+    search, without squaring the condition number as G does (see
+    _solve_reduced).  One JSON debug record per fit (rows, n, the live,
+    polynomial and dead counts, the reduced column count and the problem
+    solved: lstsq, solve or cap) goes to the "fnspace.models" logger, quiet
+    by default.
     """
     grid_points = np.asarray(grid_points, dtype=float)
     if grid_points.shape[-1] != f.d + f.on_sphere:
@@ -389,11 +388,10 @@ def least_squares_fit(
     live_ps = replace(ps, points=ps.points[live])  # features reads only d and the directions
     n_live = live_ps.n
     cols = n_live + T.shape[1]
-    path = "cap" if norm_cap > 0.0 else "solve" if ridge > 0.0 else "lstsq"
     if cols:
         xt = _lifted(grid_points, ps.d, f.on_sphere)
         sw = np.sqrt(grid_weights)
-        c = _solve_reduced(live_ps, k, T, xt, sw, f(grid_points) * sw, path, ridge, norm_cap, n)
+        c = _solve_reduced(live_ps, k, T, xt, sw, f(grid_points) * sw, ridge, norm_cap, n)
     else:  # every neuron is 0 on the grid
         c = np.zeros(0)
     a = np.zeros(n)
@@ -402,7 +400,8 @@ def least_squares_fit(
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("%s", json.dumps({
             "rows": rows, "n": n, "live": n_live, "polynomial": int(np.count_nonzero(poly)),
-            "dead": int(np.count_nonzero(dead)), "columns": cols, "path": path,
+            "dead": int(np.count_nonzero(dead)), "columns": cols,
+            "path": "cap" if norm_cap > 0.0 else "solve" if ridge > 0.0 else "lstsq",
         }))
     return FiniteNeuronModel(f.d, k, ps, a, norm_cap, on_sphere=f.on_sphere)
 

@@ -101,7 +101,7 @@ def interval_problem() -> EllipticProblem:
         x = midpoint_grid(0.0, 1.0, INTERVAL_GRID_POINTS)
         return x[:, None], np.full(INTERVAL_GRID_POINTS, 1.0 / INTERVAL_GRID_POINTS)
 
-    sol = TargetFunction("cos_pi_x", 1, f, fg, regularity=math.inf)
+    sol = TargetFunction("cos_pi_x", 1, f, fg)
     return EllipticProblem(
         1, "interval", 1.0, h, sol, sample, grid, -(math.pi**2 + 1.0) / 4.0
     )
@@ -144,7 +144,7 @@ def disk_problem() -> EllipticProblem:
         return pts, 2.0 * math.pi * w
 
     # at the minimizer E(f) = -(1/2)||f||_energy^2; computed on the dense grid
-    sol = TargetFunction("cos_pi_r2", 2, f, fg, regularity=math.inf)
+    sol = TargetFunction("cos_pi_r2", 2, f, fg)
     gp, gw = grid()
     e_exact = float(np.dot(gw, _psi(f(gp), fg(gp), h(gp))))
     return EllipticProblem(2, "disk", math.pi, h, sol, sample, grid, e_exact)

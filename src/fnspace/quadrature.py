@@ -91,9 +91,9 @@ def _moment_system(ps: PointSet, D: int):
     return A, b
 
 
-def default_degree(ps: PointSet, c1: float = DEFAULT_C1) -> int:
-    """Default target degree D = 2*floor(c1 / h)."""
-    return 2 * int(math.floor(c1 / ps.h))
+def default_degree(ps: PointSet) -> int:
+    """Default target degree D = 2*floor(DEFAULT_C1 / h)."""
+    return 2 * int(math.floor(DEFAULT_C1 / ps.h))
 
 
 def build_rule(ps: PointSet, D_target: int, tol: float = 1e-8) -> QuadratureRule:

@@ -251,8 +251,8 @@ def _fibonacci_sphere(n: int) -> np.ndarray:
     return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
-def _equispaced_circle(n: int, offset: float = 0.0) -> np.ndarray:
-    ang = 2.0 * math.pi * np.arange(n) / n + offset
+def _equispaced_circle(n: int) -> np.ndarray:
+    ang = 2.0 * math.pi * np.arange(n) / n
     return np.column_stack([np.cos(ang), np.sin(ang)])
 
 
@@ -348,7 +348,6 @@ def generate_points(
     strategy: str,
     seed: int = 0,
     resolution: float = 0.01,
-    offset: float = 0.0,
     k: int = 1,
     lam: float = 1.0,
 ) -> PointSet:
@@ -363,7 +362,7 @@ def generate_points(
     if strategy == "equispaced_circle":
         if d != 1:
             raise ConfigurationError("equispaced_circle requires d=1")
-        pts = _equispaced_circle(n, offset)
+        pts = _equispaced_circle(n)
     elif strategy == "fibonacci_s2":
         if d != 2:
             raise ConfigurationError("fibonacci_s2 requires d=2")

@@ -250,28 +250,50 @@ def test_randcmp_csv_golden_format(tmp_path):
         assert line == ",".join([cfg.hash, str(row["n"])] + [repr(v) for v in floats])
 
 
-CLI_CASES = {
-    "pde": ("problem = interval\nk = 2\nms = 64 128 256 512\nseeds = 0\n", "problem = nonsense\n"),
-    "kernel": ("d = 2\nk = 1\nn_mc = 2000\npairs = 2\nm_max = 40\n", "d = 2\nk = 1\nm_max = 1\n"),
+CLI_CASES = {  # command: (a good config, then bad ones: a broken config, a non-numeric value)
+    "points": (
+        "d = 1\nn = 8\nstrategy = equispaced_circle\n",
+        "d = 1\nn = 8\nstrategy = nonsense\n",
+        "d = 1\nn = eight\nstrategy = equispaced_circle\n",
+    ),
+    "quad": (
+        "d = 1\nn = 8\nstrategy = equispaced_circle\n",
+        "d = 1\nn = 8\n",
+        "d = 1\nn = 8\nstrategy = equispaced_circle\ntol = small\n",
+    ),
+    "spectrum": ("d = 2\nk = 1\nm_max = 20\n", "d = 2\nm_max = 20\n", "d = 2\nk = 1\nm_max = many\n"),
+    "pde": (
+        "problem = interval\nk = 2\nms = 64 128 256 512\nseeds = 0\n",
+        "problem = nonsense\n",
+        "problem = interval\nk = 2\nms = 64 x\nseeds = 0\n",
+    ),
+    "kernel": (
+        "d = 2\nk = 1\nn_mc = 2000\npairs = 2\nm_max = 40\n",
+        "d = 2\nk = 1\nm_max = 1\n",
+        "d = two\nk = 1\nn_mc = 2000\npairs = 2\nm_max = 40\n",
+    ),
     "approx": (
         "d = 1\nk = 1\ntarget = gaussian_bump\nstrategy = equispaced_circle\nns = 8\n",
         "d = 1\nk = 1\ntarget = gaussian_bump\nstrategy = equispaced_circle\n",
+        "d = 1\nk = 1\ntarget = gaussian_bump\nstrategy = equispaced_circle\nns = 8 x\n",
     ),
     "randcmp": (
         "d = 1\nk = 1\ntarget = gaussian_bump\nstrategy = equispaced_circle\nns = 8 16\n"
         "seeds = 0 1 2 3 4 5 6 7 8 9\n",
         "d = 1\nk = 1\ntarget = gaussian_bump\nstrategy = equispaced_circle\nns = 8 16\nseeds = 0 1\n",
+        "d = 1\nk = 1\ntarget = gaussian_bump\nstrategy = equispaced_circle\nns = 8 sixteen\n",
     ),
 }
 
 
 @pytest.mark.parametrize("command", sorted(CLI_CASES))
 def test_cli_subcommand_exit_codes(command, tmp_path, capsys):
-    good, bad = CLI_CASES[command]
+    good, *bads = CLI_CASES[command]
     (tmp_path / "good.cfg").write_text(good)
-    (tmp_path / "bad.cfg").write_text(bad)
     out = tmp_path / "out"
     assert cli_main(["--config", str(tmp_path / "good.cfg"), "--out", str(out), command]) == 0
     assert capsys.readouterr().out
-    assert cli_main(["--config", str(tmp_path / "bad.cfg"), "--out", str(out), command]) == 2
-    assert "configuration error" in capsys.readouterr().err
+    for bad in bads:
+        (tmp_path / "bad.cfg").write_text(bad)
+        assert cli_main(["--config", str(tmp_path / "bad.cfg"), "--out", str(out), command]) == 2
+        assert "configuration error" in capsys.readouterr().err

@@ -704,15 +704,19 @@ def test_least_squares_fit_quiet_by_default(caplog):
     assert not [r for r in caplog.records if r.name == "fnspace.models"]
 
 
-def test_ridge_fit_holds_no_full_design():
-    """A ridge fit at n=256 on 40960 rows accumulates the Gram over row blocks:
-    its peak allocation stays far below one rows x n design (84 MB)."""
+@pytest.mark.parametrize(
+    "path", [{}, {"ridge": 1e-9}, {"norm_cap": 1.0}], ids=["lstsq", "ridge", "cap"]
+)
+def test_ridge_fit_holds_no_full_design(path):
+    """A fit at n=256 on 40960 rows works over row blocks, accumulating the Gram
+    (ridge) or a QR factor (ridge-free or capped): its peak allocation stays far
+    below one rows x n design (84 MB)."""
     pts, w = domain_grid(2, 40960)
     ps = generate_points(2, 256, "fibonacci_s2")
     target = get_target("gaussian_bump", 2)
     tracemalloc.start()
     try:
-        least_squares_fit(target, ps, pts, w, k=1, ridge=1e-9)
+        least_squares_fit(target, ps, pts, w, k=1, **path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
