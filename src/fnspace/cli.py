@@ -128,6 +128,8 @@ def _cmd_pde(args) -> None:
     k = _value(cfg, "k", int, "2")
     ms = _value(cfg, "ms", harness._parse_int_list, "256 512 1024 2048 4096 8192 16384")
     seeds = _value(cfg, "seeds", harness._parse_int_list, "0 1 2 3 4 5 6 7")
+    if len(ms) < harness.MIN_SLOPE_ROWS:
+        raise ConfigurationError(f"need at least {harness.MIN_SLOPE_ROWS} sample sizes for a slope, got {len(ms)}")
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"pde_{name}_k{k}.csv"

@@ -9,6 +9,9 @@ which makes the addition theorem
 
 hold with the orthonormal harmonic bases implemented below (trig basis on
 the circle, real spherical harmonics on S^2).
+On S^2 one assoc_legendre_p_all(D, D, z, norm=True) evaluation gives the
+Legendre factors of all degrees m <= D (Condon-Shortley phase; times sqrt2
+orthonormal under the normalized measure), each the same for every D >= m.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import lpmv
+from scipy.special import assoc_legendre_p_all
 
 from .errors import ConfigurationError, ContractError, PrecisionError
 
@@ -26,6 +29,7 @@ __all__ = [
     "harmonic_dim",
     "legendre_table",
     "harmonic_block",
+    "harmonic_table",
     "ReferenceGrid",
     "reference_grid",
     "project",
@@ -80,19 +84,26 @@ def _circle_angle(eta: np.ndarray) -> np.ndarray:
     return np.arctan2(eta[..., 1], eta[..., 0])
 
 
-def _sph_norm(m: int, mu: int) -> float:
-    # orthonormal under the normalized measure on S^2
-    return math.sqrt(
-        (2 * m + 1) * math.exp(math.lgamma(m - mu + 1) - math.lgamma(m + mu + 1))
-    )
+def _s2_rows(eta: np.ndarray, m_lo: int, D: int) -> np.ndarray:
+    """Real spherical harmonics of degrees m_lo..D at eta, rows by m, then mu = -m..m."""
+    z, phi = np.clip(eta[..., 2], -1.0, 1.0), _circle_angle(eta)
+    p = assoc_legendre_p_all(D, D, z, norm=True)[0]  # (D+1, 2D+1, npoints); order mu at index mu >= 0
+    # norm=True returns P_m(+-1) unnormalized (seen with SciPy 1.17); the orders mu != 0 vanish there
+    pole, m = np.abs(z) == 1.0, np.arange(D + 1)[:, None]
+    p[:, 0, pole] = np.sqrt(m + 0.5) * z[pole] ** m
+    k = np.arange(1, D + 1)[:, None] * phi
+    trig = np.vstack([2.0 * np.sin(k)[::-1], np.full((1, len(z)), math.sqrt(2.0)), 2.0 * np.cos(k)])
+    degs, mus = np.array([(deg, mu) for deg in range(m_lo, D + 1) for mu in range(-deg, deg + 1)]).T
+    return p[degs, np.abs(mus)] * trig[mus + D]
 
 
 def harmonic_block(d: int, m: int, eta: np.ndarray) -> np.ndarray:
     """All basis values Y_{m,l}(eta), shape (N(m), npoints).
 
     eta has shape (npoints, d+1) with unit rows.  Bases: on S^1 the pair
-    {sqrt2 cos(m phi), sqrt2 sin(m phi)}; on S^2 real spherical harmonics,
-    both orthonormal under the normalized measure.
+    {sqrt2 cos(m phi), sqrt2 sin(m phi)}; on S^2, rows mu = -m..m, the real
+    harmonics sqrt2 P_m^|mu|(z) times sqrt2 sin(|mu| phi), 1, sqrt2 cos(mu phi)
+    for mu <, =, > 0; both orthonormal under the normalized measure.
     """
     eta = np.atleast_2d(np.asarray(eta, dtype=float))
     if d == 1:
@@ -103,20 +114,16 @@ def harmonic_block(d: int, m: int, eta: np.ndarray) -> np.ndarray:
             [math.sqrt(2.0) * np.cos(m * phi), math.sqrt(2.0) * np.sin(m * phi)]
         )
     if d == 2:
-        z = np.clip(eta[..., 2], -1.0, 1.0)
-        phi = np.arctan2(eta[..., 1], eta[..., 0])
-        rows = []
-        for mu in range(-m, m + 1):
-            p = lpmv(abs(mu), m, z)
-            c = _sph_norm(m, abs(mu))
-            if mu == 0:
-                rows.append(c * p)
-            elif mu > 0:
-                rows.append(math.sqrt(2.0) * c * p * np.cos(mu * phi))
-            else:
-                rows.append(math.sqrt(2.0) * c * p * np.sin(-mu * phi))
-        return np.vstack(rows)
+        return _s2_rows(eta, m, m)
     raise ConfigurationError(f"harmonic bases implemented for d in {{1,2}}, got d={d}")
+
+
+def harmonic_table(d: int, D: int, eta: np.ndarray) -> np.ndarray:
+    """The blocks harmonic_block(d, m, eta) for m = 0..D stacked, shape
+    (sum_{m<=D} N(m), npoints); on S^2 one Legendre evaluation for all m."""
+    if d == 2:
+        return _s2_rows(np.atleast_2d(np.asarray(eta, dtype=float)), 0, D)
+    return np.vstack([harmonic_block(d, m, eta) for m in range(D + 1)])
 
 
 @dataclass(frozen=True)

@@ -225,6 +225,13 @@ def theoretical_slope(d: int, k: int, s: int) -> float:
     return -(r - s) / d
 
 
+RATE_COLUMNS = ("n", "h", "error_l2", "error_h1", "sqrtn_a_norm", "error_code")
+
+
+def _rate_row(*cells) -> dict:
+    return dict(zip(RATE_COLUMNS, cells))
+
+
 def _rate_row_constructive(cfg: ExperimentConfig, target, n: int) -> dict:
     ps = generate_points(
         cfg.d, n, cfg.strategy, seed=cfg.seeds[0], resolution=cfg.resolution
@@ -234,14 +241,7 @@ def _rate_row_constructive(cfg: ExperimentConfig, target, n: int) -> dict:
     grid = reference_grid(cfg.d, max(2 * rule.J + 8, 1024 if cfg.d == 1 else 64))
     model = constructive_fit(target, rule, spec, grid)
     l2, _ = error_norms(model, target, grid.nodes, grid.weights, s=0)
-    return {
-        "n": n,
-        "h": ps.h,
-        "error_l2": l2,
-        "error_h1": float("nan"),
-        "sqrtn_a_norm": coef_stat(model)[1],
-        "error_code": "",
-    }
+    return _rate_row(n, ps.h, l2, float("nan"), coef_stat(model)[1], "")
 
 
 def _ls_fit(cfg: ExperimentConfig, target, n: int, strategy: str, seed: int, grid):
@@ -254,17 +254,7 @@ def _ls_fit(cfg: ExperimentConfig, target, n: int, strategy: str, seed: int, gri
 def _rate_row_ls(cfg: ExperimentConfig, target, n: int, seed: int, grid) -> dict:
     ps, model = _ls_fit(cfg, target, n, cfg.strategy, seed, grid)
     l2, h1 = error_norms(model, target, *grid, s=cfg.s)
-    return {
-        "n": n,
-        "h": ps.h,
-        "error_l2": l2,
-        "error_h1": h1,
-        "sqrtn_a_norm": coef_stat(model)[1],
-        "error_code": "",
-    }
-
-
-RATE_COLUMNS = ("n", "h", "error_l2", "error_h1", "sqrtn_a_norm", "error_code")
+    return _rate_row(n, ps.h, l2, h1, coef_stat(model)[1], "")
 
 
 def _write_csv(path: Path, chash: str, columns, rows) -> None:
@@ -293,17 +283,8 @@ def run_rates(cfg: ExperimentConfig, write: bool = True) -> RateReport:
             else:
                 rows.append(_rate_row_ls(cfg, target, n, cfg.seeds[0], grid))
         except CELL_ERRORS as exc:  # error rows keep the sweep alive
-            rows.append(
-                {
-                    "n": n,
-                    "h": float("nan"),
-                    "error_l2": float("nan"),
-                    "error_h1": float("nan"),
-                    "sqrtn_a_norm": float("nan"),
-                    "error_code": type(exc).__name__,
-                    "error_message": str(exc),
-                }
-            )
+            nan = float("nan")
+            rows.append(_rate_row(n, nan, nan, nan, nan, type(exc).__name__) | {"error_message": str(exc)})
     clean = [r for r in rows if r["error_code"] == "" and r["error_l2"] > 0.0]
     note = ""
     if len(clean) >= MIN_SLOPE_ROWS:

@@ -43,7 +43,8 @@ class EllipticProblem:
     """Manufactured Neumann problem -Lap(f) + f = h on Omega.
 
     sample(m, seed) draws uniform points on Omega; grid() returns a dense
-    quadrature (points, weights) with weights summing to |Omega|.
+    quadrature (points, weights) with weights summing to |Omega|, the same
+    read-only arrays on every call.
     """
 
     d: int
@@ -78,6 +79,12 @@ def disk_grid(n_r: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, np.repeat(wr * r, DISK_GRID_ANGLES) / DISK_GRID_ANGLES
 
 
+def _fixed_grid(pts: np.ndarray, w: np.ndarray) -> Callable[[], tuple[np.ndarray, np.ndarray]]:
+    """A grid() that returns pts and w, built once and made read-only."""
+    pts.flags.writeable = w.flags.writeable = False
+    return lambda: (pts, w)
+
+
 def interval_problem() -> EllipticProblem:
     """Omega = (0,1), f = cos(pi x), h = (pi^2+1) cos(pi x).
 
@@ -97,10 +104,8 @@ def interval_problem() -> EllipticProblem:
         rng = np.random.Generator(np.random.Philox(seed))
         return rng.uniform(0.0, 1.0, (m, 1))
 
-    def grid():
-        x = midpoint_grid(0.0, 1.0, INTERVAL_GRID_POINTS)
-        return x[:, None], np.full(INTERVAL_GRID_POINTS, 1.0 / INTERVAL_GRID_POINTS)
-
+    x = midpoint_grid(0.0, 1.0, INTERVAL_GRID_POINTS)
+    grid = _fixed_grid(x[:, None], np.full(INTERVAL_GRID_POINTS, 1.0 / INTERVAL_GRID_POINTS))
     sol = TargetFunction("cos_pi_x", 1, f, fg)
     return EllipticProblem(
         1, "interval", 1.0, h, sol, sample, grid, -(math.pi**2 + 1.0) / 4.0
@@ -139,10 +144,8 @@ def disk_problem() -> EllipticProblem:
             filled += take
         return out
 
-    def grid():
-        pts, w = disk_grid(DISK_GRID_RADII)
-        return pts, 2.0 * math.pi * w
-
+    pts, w = disk_grid(DISK_GRID_RADII)
+    grid = _fixed_grid(pts, 2.0 * math.pi * w)
     # at the minimizer E(f) = -(1/2)||f||_energy^2; computed on the dense grid
     sol = TargetFunction("cos_pi_r2", 2, f, fg)
     gp, gw = grid()

@@ -39,7 +39,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .errors import ContractError, NumericalError
-from .harmonics import harmonic_block, harmonic_dim
+from .harmonics import harmonic_dim, harmonic_table
 from .sphere import PointSet, pointset_from_json, pointset_to_json
 
 __all__ = ["QuadratureRule", "build_rule", "integrate", "rule_to_json", "rule_from_json"]
@@ -84,8 +84,7 @@ class QuadratureRule:
 
 
 def _moment_system(ps: PointSet, D: int):
-    rows = [harmonic_block(ps.d, m, ps.points) for m in range(D + 1)]
-    A = np.vstack(rows)
+    A = harmonic_table(ps.d, D, ps.points)
     b = np.zeros(len(A))
     b[0] = 1.0
     return A, b

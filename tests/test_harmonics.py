@@ -2,16 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import lpmv
 
 from fnspace.errors import ConfigurationError, ContractError, PrecisionError
 from fnspace.harmonics import (
     harmonic_block,
     harmonic_dim,
+    harmonic_table,
     legendre_table,
     project,
     reference_grid,
     sphere_area,
 )
+from fnspace.quadrature import _moment_system
+from fnspace.sphere import PointSet, separation
 
 rng = np.random.Generator(np.random.Philox(42))
 
@@ -128,3 +132,42 @@ def test_project_grid_too_coarse():
     grid = reference_grid(1, 10)
     with pytest.raises(PrecisionError):
         project(grid, np.zeros(len(grid.nodes)), 8)
+
+
+def _harmonic_block_reference(m, eta):
+    """Real spherical harmonics on S^2 from one lpmv call per order, scaled
+    by sqrt((2m+1)(m-mu)!/(m+mu)!) to be orthonormal under the normalized measure."""
+    z = np.clip(eta[..., 2], -1.0, 1.0)
+    phi = np.arctan2(eta[..., 1], eta[..., 0])
+    rows = []
+    for mu in range(-m, m + 1):
+        c = math.sqrt((2 * m + 1) * math.exp(math.lgamma(m - abs(mu) + 1) - math.lgamma(m + abs(mu) + 1)))
+        p = c * lpmv(abs(mu), m, z)
+        if mu == 0:
+            rows.append(p)
+        elif mu > 0:
+            rows.append(math.sqrt(2.0) * p * np.cos(mu * phi))
+        else:
+            rows.append(math.sqrt(2.0) * p * np.sin(-mu * phi))
+    return np.vstack(rows)
+
+
+def _points_and_poles():
+    """Random unit rows plus both poles, where phi is arbitrary."""
+    poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1e-300, -2e-300, 1.0], [-3.0e-17, 0.0, -1.0]])
+    return np.vstack([random_sphere(2, 60), poles])
+
+
+def test_s2_blocks_match_lpmv_reference():
+    eta = _points_and_poles()
+    for m in range(41):
+        np.testing.assert_allclose(harmonic_block(2, m, eta), _harmonic_block_reference(m, eta), rtol=0.0, atol=1e-12)
+
+
+def test_s2_moment_rows_match_lpmv_reference():
+    eta = _points_and_poles()[:62]  # the random rows and two distinct poles
+    A, b = _moment_system(PointSet(2, eta, math.pi, separation(eta), 0.0), 40)
+    want = np.vstack([_harmonic_block_reference(m, eta) for m in range(41)])
+    np.testing.assert_allclose(A, want, rtol=0.0, atol=1e-12)
+    assert np.array_equal(A, harmonic_table(2, 40, eta))
+    assert np.array_equal(b, np.eye(len(A))[0])

@@ -266,6 +266,7 @@ CLI_CASES = {  # command: (a good config, then bad ones: a broken config, a non-
         "problem = interval\nk = 2\nms = 64 128 256 512\nseeds = 0\n",
         "problem = nonsense\n",
         "problem = interval\nk = 2\nms = 64 x\nseeds = 0\n",
+        "problem = interval\nk = 2\nms = 256 512\nseeds = 0\n",  # too few sizes for a slope
     ),
     "kernel": (
         "d = 2\nk = 1\nn_mc = 2000\npairs = 2\nm_max = 40\n",
@@ -293,7 +294,9 @@ def test_cli_subcommand_exit_codes(command, tmp_path, capsys):
     out = tmp_path / "out"
     assert cli_main(["--config", str(tmp_path / "good.cfg"), "--out", str(out), command]) == 0
     assert capsys.readouterr().out
-    for bad in bads:
+    for i, bad in enumerate(bads):
         (tmp_path / "bad.cfg").write_text(bad)
-        assert cli_main(["--config", str(tmp_path / "bad.cfg"), "--out", str(out), command]) == 2
+        bad_out = tmp_path / f"bad_out{i}"
+        assert cli_main(["--config", str(tmp_path / "bad.cfg"), "--out", str(bad_out), command]) == 2
         assert "configuration error" in capsys.readouterr().err
+        assert not bad_out.exists() or not any(bad_out.iterdir())

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import SphericalVoronoi
 
@@ -336,7 +336,7 @@ def _s2_set(kind, n, rng):
         return _unit(g)
     c = 0.0 if rng.uniform() < 0.3 else rng.uniform(-0.9, 0.9)  # a great or a small circle
     z = np.full(n, c)
-    if kind == "nearly_coplanar":  # spreads on both sides of the rank tolerance UNIT_TOL
+    if kind == "nearly_coplanar":  # spreads on both sides of the flatness bound n UNIT_TOL
         z += 10.0 ** rng.uniform(-15.0, -5.0) * rng.standard_normal(n)
     phi = rng.uniform(0.0, 2.0 * math.pi, n)
     r = np.sqrt(1.0 - z**2)
@@ -345,6 +345,7 @@ def _s2_set(kind, n, rng):
 
 @settings(max_examples=200, deadline=None)
 @given(kind=st.sampled_from(S2_KINDS), n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+@example(kind="nearly_coplanar", n=59, seed=312)  # 1.7e-3 apart, 4e-13 off a plane: qhull dropped a vertex
 def test_s2_cell_measures_properties(kind, n, seed):
     """Exact cells are nonempty, tile the sphere and turn with it."""
     rng = np.random.Generator(np.random.Philox(seed))

@@ -281,6 +281,14 @@ def test_disk_grids_bit_identical_to_reference():
         assert np.array_equal(w, np.full(n, 1.0 / n))
 
 
+@pytest.mark.parametrize("make", [interval_problem, disk_problem])
+def test_problem_grid_is_built_once_and_read_only(make):
+    prob = make()
+    (pts, w), (pts2, w2) = prob.grid(), prob.grid()
+    assert pts is pts2 and w is w2
+    assert not pts.flags.writeable and not w.flags.writeable
+
+
 def test_erm_fallback_keeps_its_reason(caplog):
     """Fibonacci directions on the disk include neurons that are 0 on every
     sample, so the uncapped Gram has zero rows, solve raises, and the
