@@ -133,12 +133,6 @@ class ActivationSpectrum:
         ms = np.arange(lo, hi + 1)
         return ms[self.support[lo : hi + 1]]
 
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("m,in_support,sigma_hat\n")
-            for m in range(self.m_max + 1):
-                fh.write(f"{m},{int(self.support[m])},{self.coefficients[m]!r}\n")
-
 
 def spectrum(d: int, k: int, m_max: int) -> ActivationSpectrum:
     """Build the coefficient table for ReLU^k on S^d."""

@@ -74,12 +74,16 @@ def restrict_T_k(d: int, k: int, f: Callable, margin: float = 0.0) -> CapFunctio
 
     f must be defined on the ball scaled by tan(pi/4 + margin), which is
     where the projected points eta_bar/eta_{d+1} land for eta in the
-    widened cap.
+    widened cap.  On the equator eta_{d+1} = 0 (margin >= pi/4) T_k f takes
+    its limit 0, which needs f(y)/|y|^k -> 0 as |y| -> infinity.
     """
 
     def on_cap(eta: np.ndarray) -> np.ndarray:
         z = eta[:, -1]
-        return z**k * np.asarray(f(eta[:, :-1] / z[:, None]), dtype=float)
+        out = np.zeros(len(eta))
+        off = z != 0.0
+        out[off] = z[off] ** k * np.asarray(f(eta[off, :-1] / z[off, None]), dtype=float)
+        return out
 
     return CapFunction(d, k, on_cap, margin)
 

@@ -1,9 +1,10 @@
 """Experiment orchestration: rate sweeps, random-vs-deterministic
-comparisons, slope fitting, and CSV/JSON persistence.
+comparisons, slope fitting, and the one config reader and result writer.
 
-Configs are flat key=value text files; every emitted row carries a short
-hash of the parsed config so result files are self-identifying.  Identical
-configs produce byte-identical output (floats are written with repr).
+Configs are flat key=value text files read through config_value.  Result
+files are written through write_result, CSVs through write_csv (floats with
+repr).  Rates and randcmp rows carry a short hash of the parsed config, so
+identical configs produce byte-identical, self-identifying output.
 """
 
 from __future__ import annotations
@@ -41,11 +42,14 @@ __all__ = [
     "RateReport",
     "fit_slope",
     "parse_config",
+    "config_value",
     "config_hash",
     "get_target",
     "domain_grid",
     "run_rates",
     "run_randcmp",
+    "write_csv",
+    "write_result",
 ]
 
 MIN_SLOPE_ROWS = 4
@@ -95,6 +99,18 @@ def parse_config(text: str) -> dict:
     return out
 
 
+def config_value(cfg: dict, key: str, kind=int, default=None):
+    """cfg[key], or default when the key is absent, converted by kind; a
+    missing key or a value kind rejects is a ConfigurationError naming the key."""
+    text = cfg.get(key, default)
+    if text is None:
+        raise ConfigurationError(f"missing config key: {key}")
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise ConfigurationError(f"bad value for {key}: {text!r}") from exc
+
+
 def config_hash(cfg: dict) -> str:
     blob = json.dumps(cfg, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
@@ -102,6 +118,22 @@ def config_hash(cfg: dict) -> str:
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.replace(",", " ").split())
+
+
+def write_result(path: Path, text: str) -> None:
+    """Write one result file, creating its directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+
+
+def write_csv(path: Path, columns, rows) -> None:
+    """One header line, then each row's cells in column order: floats
+    (numpy scalars included) written as repr(float(v)), anything else with str."""
+    lines = [",".join(columns)]
+    for row in rows:
+        cells = (row[c] for c in columns)
+        lines.append(",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in cells))
+    write_result(path, "\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True)
@@ -123,25 +155,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "ExperimentConfig":
-        try:
-            return cls(
-                d=int(cfg["d"]),
-                k=int(cfg["k"]),
-                target=cfg["target"],
-                strategy=cfg["strategy"],
-                ns=_parse_int_list(cfg["ns"]),
-                path=cfg.get("path", "ls"),
-                seeds=_parse_int_list(cfg.get("seeds", "0")),
-                ridge=float(cfg.get("ridge", "0.0")),
-                resolution=float(cfg.get("resolution", "0.01")),
-                s=int(cfg.get("s", "1")),
-                out_dir=cfg.get("out_dir", "."),
-                raw=dict(cfg),
-            )
-        except KeyError as exc:
-            raise ConfigurationError(f"missing config key: {exc.args[0]}") from exc
-        except ValueError as exc:
-            raise ConfigurationError(f"bad config value: {exc}") from exc
+        return cls(
+            d=config_value(cfg, "d"),
+            k=config_value(cfg, "k"),
+            target=config_value(cfg, "target", str),
+            strategy=config_value(cfg, "strategy", str),
+            ns=config_value(cfg, "ns", _parse_int_list),
+            path=config_value(cfg, "path", str, "ls"),
+            seeds=config_value(cfg, "seeds", _parse_int_list, "0"),
+            ridge=config_value(cfg, "ridge", float, "0.0"),
+            resolution=config_value(cfg, "resolution", float, "0.01"),
+            s=config_value(cfg, "s", int, "1"),
+            out_dir=config_value(cfg, "out_dir", str, "."),
+            raw=dict(cfg),
+        )
 
     def __post_init__(self):
         if self.path not in ("ls", "constructive"):
@@ -161,26 +188,14 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RateReport:
-    """Sweep results plus the fitted log-log slope (NaN if < 4 clean rows)."""
+    """Sweep results and fitted log-log slope (NaN if < 4 clean rows); fields in JSON report order."""
 
     config_hash: str
-    rows: tuple[dict, ...]
     fitted_slope: float
     slope_stderr: float
     theoretical_slope: float
-    note: str = ""
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "config_hash": self.config_hash,
-                "fitted_slope": self.fitted_slope,
-                "slope_stderr": self.slope_stderr,
-                "theoretical_slope": self.theoretical_slope,
-                "note": self.note,
-                "rows": list(self.rows),
-            }
-        )
+    note: str
+    rows: tuple[dict, ...]
 
 
 def get_target(name: str, d: int) -> TargetFunction:
@@ -257,16 +272,6 @@ def _rate_row_ls(cfg: ExperimentConfig, target, n: int, seed: int, grid) -> dict
     return _rate_row(n, ps.h, l2, h1, coef_stat(model)[1], "")
 
 
-def _write_csv(path: Path, chash: str, columns, rows) -> None:
-    """One header line, then per row the config hash and the columns' cells,
-    floats written with repr."""
-    with open(path, "w") as fh:
-        fh.write("config_hash," + ",".join(columns) + "\n")
-        for row in rows:
-            cells = [chash] + [repr(row[c]) if isinstance(row[c], float) else str(row[c]) for c in columns]
-            fh.write(",".join(cells) + "\n")
-
-
 def run_rates(cfg: ExperimentConfig, write: bool = True) -> RateReport:
     """One error-vs-n sweep; failed cells become error rows, not aborts.
 
@@ -293,19 +298,12 @@ def run_rates(cfg: ExperimentConfig, write: bool = True) -> RateReport:
         )
     else:
         slope, stderr, note = float("nan"), float("nan"), "insufficient data"
-    report = RateReport(
-        cfg.hash,
-        tuple(rows),
-        slope,
-        stderr,
-        theoretical_slope(cfg.d, cfg.k, 0),
-        note,
-    )
+    report = RateReport(cfg.hash, slope, stderr, theoretical_slope(cfg.d, cfg.k, 0), note, tuple(rows))
     if write:
         out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / f"rates_{cfg.hash}.csv", cfg.hash, RATE_COLUMNS, rows)
-        (out / f"rates_{cfg.hash}.json").write_text(report.to_json())
+        hashed = [{"config_hash": cfg.hash} | row for row in rows]
+        write_csv(out / f"rates_{cfg.hash}.csv", ("config_hash",) + RATE_COLUMNS, hashed)
+        write_result(out / f"rates_{cfg.hash}.json", json.dumps(asdict(report)))
     return report
 
 
@@ -344,7 +342,6 @@ def run_randcmp(cfg: ExperimentConfig, write: bool = True) -> dict:
         )
     summary = {"config_hash": cfg.hash, "rows": rows}
     if write:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / f"randcmp_{cfg.hash}.csv", cfg.hash, list(rows[0]), rows)
+        hashed = [{"config_hash": cfg.hash} | row for row in rows]
+        write_csv(Path(cfg.out_dir) / f"randcmp_{cfg.hash}.csv", list(hashed[0]), hashed)
     return summary

@@ -13,10 +13,10 @@ preactivation z = theta . (x, 1) once, in a buffer reused across blocks,
 and yields the values sigma_k(z) @ a and, when asked, the gradients
 sigma_k'(z) @ (a W) together, so temporaries stay at two blocks of
 EVAL_BLOCK_ROWS x n floats whatever the grid size.  least_squares_fit and
-pde_erm.erm_fit share one feature map, `features`, which applies ReLU^k in
-place over the preactivation, and one norm-capped solver, ridge_bisect_cap:
-a single eigendecomposition of the Gram matrix, then an O(n)-per-step
-root search for the ridge.
+pde_erm.erm_fit share one feature map, `features`, and one O(n)-per-step
+root search for a norm cap's ridge, _cap_root: erm_fit runs it on one
+eigendecomposition of its Gram matrix (ridge_bisect_cap), capped least
+squares on the SVD of its QR factor.
 
 least_squares_fit on a domain drops the neurons that are 0 on the whole
 grid and fits the ones that are polynomials there through an orthonormal

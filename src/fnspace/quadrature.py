@@ -6,9 +6,9 @@ higher harmonics to 0 under the normalized measure).  The solver is
 nonnegative least squares, preceded by a cheap minimum-norm least-squares
 attempt that is accepted whenever it happens to be nonnegative (it always
 is for symmetric configurations such as equispaced circles).  If the
-residual tolerance cannot be met at D, the degree is lowered by 2 and the
-solve retried, so a rule with the largest feasible exact degree is always
-returned.
+residual tolerance cannot be met at D, the lower degrees D - 2, ..., 0 are
+bisected (a rule exact to one degree is exact below it), so a rule with the
+largest feasible exact degree is always returned.
 
 The moment matrix A is built once, at the target degree.  Its rows are
 ordered by harmonic degree m, so the system at a lower degree D is the
@@ -98,10 +98,10 @@ def default_degree(ps: PointSet) -> int:
 def build_rule(ps: PointSet, D_target: int, tol: float = 1e-8) -> QuadratureRule:
     """Largest-degree nonnegative rule with moment residual <= tol.
 
-    Tries D_target, D_target - 2, ... down to 0 or 1, then D=0 after an odd
-    chain; raises NumericalError only if even mass matching fails.  The moment
-    matrix is built once at D_target and each lower degree solves its row
-    prefix.  NNLS is skipped at a degree when the lstsq residual r obeys
+    Tries D_target, then bisects the chain D_target - 2, ..., 0 (a rule exact
+    to D is exact below D); raises NumericalError only if even mass matching
+    fails.  The moment matrix is built once at D_target and each degree solves
+    its row prefix.  NNLS is skipped at a degree when the lstsq residual r obeys
     ||r||_2 > 2 (sqrt(R) tol + cut (1 + tol)): any feasible w >= 0 sums to
     at most 1 + tol (row 0 of A is all ones), so it would bound r by
     sqrt(R) tol + cut ||w||_2, and no rule exists there.
@@ -114,7 +114,9 @@ def build_rule(ps: PointSet, D_target: int, tol: float = 1e-8) -> QuadratureRule
     info = {"D_target": D_target, "D": None, "degrees_tried": [], "nnls_run": 0,
             "nnls_skipped": [], "path": None, "residual": None,
             "moment_shape": list(A_top.shape)}
-    for D in list(range(D_target, -1, -2)) + [0] * (D_target % 2):
+
+    def solve(D):
+        """The rule at degree D, or None; a rule found is recorded in info."""
         info["degrees_tried"].append(D)
         A, b = A_top[: row_ends[D]], b_top[: row_ends[D]]
         # fast path: min-norm least squares, accepted if already nonnegative
@@ -125,7 +127,7 @@ def build_rule(ps: PointSet, D_target: int, tol: float = 1e-8) -> QuadratureRule
             cut = np.finfo(float).eps * max(A.shape) * sv[0]
             if np.linalg.norm(r) > 2.0 * (math.sqrt(len(A)) * tol + cut * (1.0 + tol)):
                 info["nnls_skipped"].append(D)
-                continue
+                return None
             w, _ = nnls(A, b, maxiter=10 * max(A.shape))
             info["nnls_run"] += 1
             path = "nnls"
@@ -135,10 +137,23 @@ def build_rule(ps: PointSet, D_target: int, tol: float = 1e-8) -> QuadratureRule
             w = w / w.sum()
             res = float(np.max(np.abs(A @ w - b)))
             info.update(D=D, path=path, residual=res)
-            _report(info, start)
             return QuadratureRule(ps, w, D, res, tol)
+        return None
+
+    # chain[lo] has a rule (lo = -1: none yet), chain[hi] has none (hi = len: untried)
+    chain = sorted({0, *range(D_target, -1, -2)})
+    lo, hi, mid, rule = -1, len(chain), len(chain) - 1, None
+    while hi - lo > 1:
+        found = solve(chain[mid])
+        if found is None:
+            hi = mid
+        else:
+            lo, rule = mid, found
+        mid = (lo + hi) // 2
     _report(info, start)
-    raise NumericalError("no feasible nonnegative rule at any degree >= 0")
+    if rule is None:
+        raise NumericalError("no feasible nonnegative rule at any degree >= 0")
+    return rule
 
 
 def _report(info: dict, start: float) -> None:

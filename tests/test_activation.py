@@ -16,6 +16,7 @@ from fnspace.activation import (
     xi,
     xi_forward_difference,
 )
+from fnspace.cli import main as cli_main
 from fnspace.errors import ContractError, DomainError, PrecisionError
 from fnspace.harmonics import harmonic_dim, sphere_area
 
@@ -167,9 +168,13 @@ def test_expansion_residual_monotone_and_tail():
 
 
 def test_spectrum_csv(tmp_path):
+    (tmp_path / "spec.cfg").write_text("d = 1\nk = 1\nm_max = 10\n")
+    assert cli_main(["--config", str(tmp_path / "spec.cfg"), "--out", str(tmp_path), "spectrum"]) == 0
+    header, *lines = (tmp_path / "spectrum_d1_k1.csv").read_text().splitlines()
+    assert header == "m,in_support,sigma_hat"
     sp = spectrum(1, 1, 10)
-    path = tmp_path / "spec.csv"
-    sp.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "m,in_support,sigma_hat"
-    assert len(lines) == 12
+    assert len(lines) == sp.m_max + 1
+    for m, line in enumerate(lines):
+        cells = line.split(",")
+        assert cells[:2] == [str(m), str(int(sp.support[m]))]
+        assert float(cells[2]) == sp.coefficients[m]

@@ -10,6 +10,7 @@ from fnspace.ball_map import (
     restrict_T_k,
 )
 from fnspace.errors import ConfigurationError, DomainError
+from fnspace.harmonics import reference_grid
 
 rng = np.random.Generator(np.random.Philox(17))
 
@@ -136,6 +137,19 @@ def test_parity_extend_exact_parity():
         eta = random_sphere(1000)
         res = ext(eta) - (-1.0) ** (k + 1) * ext(-eta)
         assert np.max(np.abs(res)) < 1e-12
+
+
+def test_parity_extend_on_the_equator():
+    # reference_grid(2, 64) has a node row at eta_3 = 0, where the cap
+    # formula's projection eta_bar / eta_3 is undefined
+    nodes = reference_grid(2, 64).nodes
+    equator = nodes[:, -1] == 0.0
+    assert np.any(equator)
+    gaussian = lambda x: np.exp(-2.0 * np.sum(x**2, axis=-1))  # noqa: E731
+    g = parity_extend(restrict_T_k(2, 1, gaussian, margin=math.pi / 4 + math.pi / 32))
+    vals = g(nodes)
+    assert np.all(np.isfinite(vals))
+    assert np.all(vals[equator] == 0.0)
 
 
 def test_parity_extend_constant_k_even_is_odd():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fnspace import harness
+from fnspace import cli, harness
 from fnspace.cli import main as cli_main
 from fnspace.errors import ConfigurationError, ContractError, DomainError, NumericalError
 from fnspace.harness import (
@@ -300,3 +300,29 @@ def test_cli_subcommand_exit_codes(command, tmp_path, capsys):
         assert cli_main(["--config", str(tmp_path / "bad.cfg"), "--out", str(bad_out), command]) == 2
         assert "configuration error" in capsys.readouterr().err
         assert not bad_out.exists() or not any(bad_out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["approx", "pde", "randcmp", "rates"])
+def test_cli_seed_flag_rejected_where_seeds_are_read(command, tmp_path, capsys):
+    good = CLI_CASES["approx" if command == "rates" else command][0]  # rates reads approx's keys
+    (tmp_path / "good.cfg").write_text(good)
+    out = tmp_path / "out"
+    assert cli_main(["--config", str(tmp_path / "good.cfg"), "--seed", "7", "--out", str(out), command]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_points_seed_flag(tmp_path):
+    (tmp_path / "points.cfg").write_text("d = 2\nn = 20\nstrategy = uniform_random\n")
+    assert cli_main(["--config", str(tmp_path / "points.cfg"), "--seed", "5", "--out", str(tmp_path), "points"]) == 0
+    assert json.loads((tmp_path / "points_uniform_random_20.json").read_text())["seed"] == 5
+
+
+def test_cli_bug_propagates(monkeypatch, tmp_path):
+    def broken(*args, **kwargs):
+        raise KeyError("a programming bug")
+
+    monkeypatch.setattr(cli, "run_rates", broken)
+    (tmp_path / "rates.cfg").write_text(CLI_CASES["approx"][0])
+    with pytest.raises(KeyError):
+        cli_main(["--config", str(tmp_path / "rates.cfg"), "--out", str(tmp_path), "rates"])
