@@ -34,8 +34,6 @@ PDE_COLUMNS = ("d", "k", "n", "m", "M", "seed", "emp_risk", "energy", "excess", 
 def _load(args) -> dict:
     cfg = parse_config(Path(args.config).read_text()) if args.config else {}
     if args.seed is not None:
-        if args.command in ("approx", "rates", "randcmp", "pde"):  # these read seeds, so --seed would go unread
-            raise ConfigurationError(f"{args.command} takes no --seed; set seeds in the config")
         cfg["seed"] = str(args.seed)
     cfg.setdefault("out_dir", args.out)
     return cfg
@@ -112,6 +110,7 @@ def _cmd_randcmp(args) -> None:
 
 def _cmd_pde(args) -> None:
     cfg = _load(args)
+    harness.reject_unread(cfg, ("problem", "k", "ms", "seeds", "out_dir"))
     name = config_value(cfg, "problem", str, "interval")
     if name == "interval":
         prob = pde_erm.interval_problem()

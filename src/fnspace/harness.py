@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +43,7 @@ __all__ = [
     "fit_slope",
     "parse_config",
     "config_value",
+    "reject_unread",
     "config_hash",
     "get_target",
     "domain_grid",
@@ -111,6 +112,14 @@ def config_value(cfg: dict, key: str, kind=int, default=None):
         raise ConfigurationError(f"bad value for {key}: {text!r}") from exc
 
 
+def reject_unread(cfg: dict, keys) -> None:
+    """A ConfigurationError naming every key of cfg outside keys, the keys a
+    command reads, since such a key would be silently ignored."""
+    unread = sorted(set(cfg) - set(keys))
+    if unread:
+        raise ConfigurationError(f"unknown config key: {', '.join(unread)}")
+
+
 def config_hash(cfg: dict) -> str:
     blob = json.dumps(cfg, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
@@ -155,6 +164,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "ExperimentConfig":
+        """The config that parsed key=value text describes; a key that is
+        not a field (raw included) is a ConfigurationError."""
+        reject_unread(cfg, {f.name for f in fields(cls)} - {"raw"})
         return cls(
             d=config_value(cfg, "d"),
             k=config_value(cfg, "k"),
@@ -180,10 +192,10 @@ class ExperimentConfig:
 
     @property
     def hash(self) -> str:
-        base = self.raw or {
-            k: str(v) for k, v in asdict(self).items() if k != "raw"
-        }
-        return config_hash(base)
+        """Hash of the config as read, or of its fields when it was built
+        directly; out_dir is left out, so the output directory names no file."""
+        base = self.raw or {k: str(v) for k, v in asdict(self).items() if k != "raw"}
+        return config_hash({k: v for k, v in base.items() if k != "out_dir"})
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,14 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
+from .activation import sigma_k, sigma_k_prime
 from .errors import ConfigurationError, ContractError
-from .models import FiniteNeuronModel, TargetFunction, features, ridge_bisect_cap
+from .models import FiniteNeuronModel, TargetFunction, ridge_bisect_cap
 from .sphere import PointSet, mesh_norm, separation
 
 __all__ = [
@@ -55,6 +57,16 @@ class EllipticProblem:
     sample: Callable[[int, int], np.ndarray]
     grid: Callable[[], tuple[np.ndarray, np.ndarray]]
     exact_energy: float
+
+    @cached_property
+    def grid_values(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(h, f, grad f) on grid()'s points: evaluated once per problem and
+        read-only, since every fit on the problem reads the same values."""
+        pts, _ = self.grid()
+        values = (self.source(pts), self.solution(pts), self.solution.grad(pts))
+        for v in values:
+            v.flags.writeable = False
+        return values
 
 
 INTERVAL_GRID_POINTS = 4096
@@ -206,7 +218,7 @@ def _psi(gv: np.ndarray, gr: np.ndarray, hv: np.ndarray) -> np.ndarray:
 def energy(g, grad_g, problem: EllipticProblem) -> float:
     """Grid-quadrature value of int_Omega Psi(g)."""
     pts, w = problem.grid()
-    return float(np.dot(w, _psi(g(pts), grad_g(pts), problem.source(pts))))
+    return float(np.dot(w, _psi(g(pts), grad_g(pts), problem.grid_values[0])))
 
 
 def empirical_risk(g, grad_g, problem: EllipticProblem, samples: np.ndarray) -> float:
@@ -229,9 +241,14 @@ def erm_fit(
     """Empirical risk minimizer over the fixed-direction class.
 
     Assembles A_ij = |Omega| mean[grad(phi_i).grad(phi_j) + phi_i phi_j]
-    and b_i = |Omega| mean[h phi_i], solves the quadratic program
-    (ridge_bisect_cap if the cap sqrt(n)||a||_2 <= norm_cap is set), and
-    measures excess risk and H1 error against the manufactured solution.
+    and b_i = |Omega| mean[h phi_i] in one m x n buffer: it holds sigma_k'
+    of the preactivations for the gradient term, then sigma_k of the same
+    preactivations for the rest.  Solves the quadratic program
+    (ridge_bisect_cap if the cap sqrt(n)||a||_2 <= norm_cap is set), takes
+    the empirical risk |Omega| mean Psi(g) from g's values, read off the
+    sigma_k buffer, and its gradients, from sigma_k' recomputed into it, and
+    measures excess risk and H1 error against the manufactured solution on
+    problem.grid_values.
     An uncapped A that is exactly singular (neurons 0 on every sample give
     zero rows) is solved as A + 1e-12 I instead, and that fallback sends one
     JSON debug record (path, n, zero_rows) to the "fnspace.pde_erm" logger,
@@ -243,12 +260,19 @@ def erm_fit(
     m = len(samples)
     if m == 0 or samples.shape[-1] != problem.d:
         raise ContractError("samples must be a nonempty array of points in R^d")
-    # two m x n buffers: sigma_k' from the preactivation, then sigma_k over it
-    phi, dphi = features(ps, k, samples, grad=True)
     wdirs = ps.points[:, : problem.d]
+    xt = np.column_stack([samples, np.ones(m)])
+    buf = np.empty((m, ps.n))
+
+    def activated(act):
+        # the preactivation z = (x, 1) theta^T, the same on every call, under act
+        return act(k, np.matmul(xt, ps.points.T, out=buf), out=buf)
+
+    dphi = activated(sigma_k_prime)
+    grad_term = (dphi.T @ dphi) / m * (wdirs @ wdirs.T)
+    phi = activated(sigma_k)
     A = (phi.T @ phi) / m
-    gram_w = wdirs @ wdirs.T
-    A += (dphi.T @ dphi) / m * gram_w
+    A += grad_term
     A *= problem.volume
     h = problem.source(samples)
     b = problem.volume * (phi.T @ h) / m
@@ -263,14 +287,16 @@ def erm_fit(
                 zero_rows = int(np.count_nonzero(~A.any(axis=1)))
                 _log.debug("%s", json.dumps({"path": "solve+1e-12I", "n": ps.n, "zero_rows": zero_rows}))
     model = FiniteNeuronModel(problem.d, k, ps, a, norm_cap)
-    # the sample features are still at hand: risk without a re-evaluation
-    emp = problem.volume * float(np.mean(_psi(phi @ a, dphi @ (a[:, None] * wdirs), h)))
+    values = phi @ a  # before the next pass overwrites phi
+    grads = activated(sigma_k_prime) @ (a[:, None] * wdirs)
+    emp = problem.volume * float(np.mean(_psi(values, grads, h)))
     # one grid, one evaluation: energy and H1 error from the same values
     pts, w = problem.grid()
+    hv, fv, fg = problem.grid_values
     values, grads = model._evaluate(pts, grad=True)
-    pop = float(np.dot(w, _psi(values, grads, problem.source(pts))))
+    pop = float(np.dot(w, _psi(values, grads, hv)))
     excess = pop - problem.exact_energy
-    diff = values - problem.solution(pts)
-    gdiff = grads - problem.solution.grad(pts)
+    diff = values - fv
+    gdiff = grads - fg
     h1 = math.sqrt(max(float(np.dot(w, diff**2 + np.sum(gdiff**2, axis=1))), 0.0))
     return ErmResult(model, emp, pop, excess, h1, m, seed)

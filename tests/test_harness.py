@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -71,6 +72,14 @@ def test_experiment_config_validation():
         ExperimentConfig.from_dict(
             {"d": "1", "k": "1", "target": "x", "strategy": "y", "ns": "8", "path": "bogus"}
         )
+
+
+def test_config_hash_leaves_out_out_dir():
+    keys = {"d": "1", "k": "1", "target": "gaussian_bump", "strategy": "equispaced_circle", "ns": "8"}
+    read = [ExperimentConfig.from_dict(keys | {"out_dir": out}) for out in ("a", "b")]
+    built = [dataclasses.replace(read[0], raw={}, out_dir=out) for out in ("a", "b")]
+    assert read[0].hash == read[1].hash == ExperimentConfig.from_dict(keys).hash
+    assert built[0].hash == built[1].hash
 
 
 def test_theoretical_slope():
@@ -204,6 +213,26 @@ def test_cli_rates(tmp_path):
     assert len(reports) == 1
 
 
+RATES_CFG = "d = 1\nk = 1\ntarget = gaussian_bump\nstrategy = equispaced_circle\nns = 8 16\n"
+
+
+def test_cli_rates_writes_the_same_files_under_every_out(tmp_path):
+    (tmp_path / "rates.cfg").write_text(RATES_CFG)
+    written = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        assert cli_main(["--config", str(tmp_path / "rates.cfg"), "--out", str(out), "rates"]) == 0
+        written.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert written[0] == written[1] and len(written[0]) == 2
+
+
+@pytest.mark.parametrize("line", ["seed = 7", "raw = 1"])
+def test_cli_rates_rejects_a_key_it_does_not_read(line, tmp_path, capsys):
+    (tmp_path / "rates.cfg").write_text(RATES_CFG + line + "\n")
+    assert cli_main(["--config", str(tmp_path / "rates.cfg"), "--out", str(tmp_path), "rates"]) == 2
+    assert f"unknown config key: {line.split()[0]}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("rates_*"))
+
+
 def test_randcmp_deterministic_row_skips_the_h1_pass(monkeypatch):
     cfg = ExperimentConfig(
         d=1, k=1, target="gaussian_bump", strategy="equispaced_circle",
@@ -267,6 +296,7 @@ CLI_CASES = {  # command: (a good config, then bad ones: a broken config, a non-
         "problem = nonsense\n",
         "problem = interval\nk = 2\nms = 64 x\nseeds = 0\n",
         "problem = interval\nk = 2\nms = 256 512\nseeds = 0\n",  # too few sizes for a slope
+        "problem = interval\nk = 2\nms = 64 128 256 512\nseeds = 0\nseed = 7\n",  # unread key
     ),
     "kernel": (
         "d = 2\nk = 1\nn_mc = 2000\npairs = 2\nm_max = 40\n",
@@ -277,12 +307,15 @@ CLI_CASES = {  # command: (a good config, then bad ones: a broken config, a non-
         "d = 1\nk = 1\ntarget = gaussian_bump\nstrategy = equispaced_circle\nns = 8\n",
         "d = 1\nk = 1\ntarget = gaussian_bump\nstrategy = equispaced_circle\n",
         "d = 1\nk = 1\ntarget = gaussian_bump\nstrategy = equispaced_circle\nns = 8 x\n",
+        "d = 1\nk = 1\ntarget = gaussian_bump\nstrategy = equispaced_circle\nns = 8\nseed = 7\n",  # unread key
     ),
     "randcmp": (
         "d = 1\nk = 1\ntarget = gaussian_bump\nstrategy = equispaced_circle\nns = 8 16\n"
         "seeds = 0 1 2 3 4 5 6 7 8 9\n",
         "d = 1\nk = 1\ntarget = gaussian_bump\nstrategy = equispaced_circle\nns = 8 16\nseeds = 0 1\n",
         "d = 1\nk = 1\ntarget = gaussian_bump\nstrategy = equispaced_circle\nns = 8 sixteen\n",
+        "d = 1\nk = 1\ntarget = gaussian_bump\nstrategy = equispaced_circle\nns = 8 16\n"
+        "seeds = 0 1 2 3 4 5 6 7 8 9\nseed = 7\n",
     ),
 }
 

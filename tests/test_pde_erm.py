@@ -2,14 +2,18 @@ import dataclasses
 import json
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fnspace.errors import ConfigurationError, ContractError
 from fnspace.pde_erm import (
     EXCESS_FLOOR,
     EllipticProblem,
+    _psi,
     disk_problem,
     empirical_risk,
     energy,
@@ -17,7 +21,7 @@ from fnspace.pde_erm import (
     interval_problem,
 )
 from fnspace.harness import domain_grid
-from fnspace.models import TargetFunction
+from fnspace.models import FiniteNeuronModel, TargetFunction, features, ridge_bisect_cap
 from fnspace.sphere import generate_points
 from fnspace.pde_erm import interval_directions
 
@@ -304,3 +308,108 @@ def test_erm_fallback_keeps_its_reason(caplog):
     info = json.loads(record.getMessage())
     assert (info["path"], info["n"]) == ("solve+1e-12I", 64) and info["zero_rows"] > 0
     assert np.array_equal(logged.model.a, quiet.model.a)
+
+
+def _erm_reference(problem, ps, samples, k, norm_cap=0.0):
+    """erm_fit as written with two m x n buffers and a second pass over the
+    samples for the risk: the bit reference.  (a, emp, pop, excess, h1)."""
+    m = len(samples)
+    phi, dphi = features(ps, k, samples, grad=True)
+    wdirs = ps.points[:, : problem.d]
+    A = (phi.T @ phi) / m
+    gram_w = wdirs @ wdirs.T
+    A += (dphi.T @ dphi) / m * gram_w
+    A *= problem.volume
+    h = problem.source(samples)
+    b = problem.volume * (phi.T @ h) / m
+    if norm_cap > 0.0:
+        a, _ = ridge_bisect_cap(A, b, ps.n, norm_cap)
+    else:
+        try:
+            a = np.linalg.solve(A, b)
+        except np.linalg.LinAlgError:
+            a = np.linalg.solve(A + 1e-12 * np.eye(ps.n), b)
+    model = FiniteNeuronModel(problem.d, k, ps, a, norm_cap)
+    emp = problem.volume * float(np.mean(_psi(phi @ a, dphi @ (a[:, None] * wdirs), h)))
+    pts, w = problem.grid()
+    values, grads = model._evaluate(pts, grad=True)
+    pop = float(np.dot(w, _psi(values, grads, problem.source(pts))))
+    diff = values - problem.solution(pts)
+    gdiff = grads - problem.solution.grad(pts)
+    h1 = math.sqrt(max(float(np.dot(w, diff**2 + np.sum(gdiff**2, axis=1))), 0.0))
+    return a, emp, pop, pop - problem.exact_energy, h1
+
+
+PROBLEMS = {"interval": interval_problem(), "disk": disk_problem()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(PROBLEMS)),
+    k=st.integers(1, 3),
+    n=st.integers(1, 24),
+    rows_per_neuron=st.integers(16, 128),
+    fibonacci=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    cap_share=st.sampled_from([0.0, 0.5, 0.9, 2.0]),
+)
+def test_erm_fit_bit_identical_to_two_buffer_reference(name, k, n, rows_per_neuron, fibonacci, seed, cap_share):
+    """One reused buffer gives the same a, risks and H1 error, bit for bit."""
+    prob = PROBLEMS[name]
+    if fibonacci:
+        ps = interval_directions(n) if prob.d == 1 else generate_points(2, n, "fibonacci_s2")
+    else:
+        ps = generate_points(prob.d, n, "uniform_random", seed)
+    samples = prob.sample(rows_per_neuron * n, seed)
+    cap = 0.0
+    if cap_share:  # a share of the free norm: binding below 1, loose above
+        free = _erm_reference(prob, ps, samples, k)[0]
+        cap = cap_share * math.sqrt(n) * float(np.linalg.norm(free))
+        assume(cap > 0.0)
+    a, emp, pop, excess, h1 = _erm_reference(prob, ps, samples, k, cap)
+    if excess < EXCESS_FLOOR:  # a kink pair no sample or grid point resolves
+        with pytest.raises(ContractError, match="excess risk"):
+            erm_fit(prob, ps, samples, k, norm_cap=cap)
+        return
+    res = erm_fit(prob, ps, samples, k, norm_cap=cap)
+    assert np.array_equal(res.model.a, a)
+    assert (res.empirical_risk, res.population_energy, res.excess_risk, res.h1_error) == (emp, pop, excess, h1)
+
+
+def test_erm_fit_holds_one_sample_buffer():
+    """A warm fit's tracemalloc peak stays below 1.5 m x n float64 buffers
+    (two buffers read 2.08)."""
+    prob = interval_problem()
+    ps = interval_directions(64)
+    m = 32768
+    samples = prob.sample(m, 0)
+    erm_fit(prob, ps, samples, k=2)
+    tracemalloc.start()
+    try:
+        erm_fit(prob, ps, samples, k=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * m * ps.n
+
+
+@pytest.mark.parametrize("make", [interval_problem, disk_problem])
+def test_grid_values_are_evaluated_once_and_read_only(make):
+    base = make()
+    calls = []
+
+    def source(x):
+        calls.append(len(x))
+        return base.source(x)
+
+    prob = dataclasses.replace(base, source=source)
+    ps = interval_directions(4) if prob.d == 1 else generate_points(2, 8, "fibonacci_s2")
+    hv, fv, fg = prob.grid_values
+    erm_fit(prob, ps, prob.sample(256, 0), k=2)
+    energy(prob.solution, prob.solution.grad, prob)
+    assert prob.grid_values[0] is hv
+    pts, _ = prob.grid()
+    assert calls.count(len(pts)) == 1
+    assert np.array_equal(hv, base.source(pts)) and np.array_equal(fv, base.solution(pts))
+    assert np.array_equal(fg, base.solution.grad(pts))
+    assert not any(v.flags.writeable for v in (hv, fv, fg))
