@@ -1,9 +1,13 @@
 """Command-line entry point.
 
 Subcommands: points, quad, spectrum, approx, rates, randcmp, pde, kernel.
-Every subcommand reads a key=value config file (--config), writes results
-under --out, and exits 0 on success, 2 on configuration problems, and 3
-on numerical failures.
+COMMANDS gives each its handler and its key table, {key: (kind, default)}
+with MISSING marking a required key.  A subcommand reads a key=value config
+file (--config) through harness.read_config, which rejects every key outside
+its table; --seed sets the key seed, so it is valid exactly where the table
+lists seed.  Results go under --out, the only setting of the output
+directory.  Exit codes: 0 on success, 2 on configuration problems (nothing
+is written), 3 on numerical failures.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +27,7 @@ from .activation import sigma_k
 from .errors import ConfigurationError, ContractError, DomainError
 from .errors import NumericalError, PrecisionError
 from .harmonics import sphere_area
-from .harness import ExperimentConfig, config_value, loglog_slope, parse_config, run_randcmp, run_rates
+from .harness import ExperimentConfig, loglog_slope, parse_config, read_config, run_randcmp, run_rates
 from .quadrature import build_rule, rule_to_json
 from .sphere import generate_points, pointset_to_json
 
@@ -31,58 +36,49 @@ NUMERIC_ERRORS = (PrecisionError, NumericalError, np.linalg.LinAlgError)
 PDE_COLUMNS = ("d", "k", "n", "m", "M", "seed", "emp_risk", "energy", "excess", "h1", "sqrtn_a_norm")
 
 
-def _load(args) -> dict:
-    cfg = parse_config(Path(args.config).read_text()) if args.config else {}
-    if args.seed is not None:
-        cfg["seed"] = str(args.seed)
-    cfg.setdefault("out_dir", args.out)
-    return cfg
+def _point_keys(**extra) -> dict:
+    """The keys of generate_points' point set, then extra."""
+    return {"d": (int, MISSING), "n": (int, MISSING), "strategy": (str, MISSING),
+            "seed": (int, 0), "resolution": (float, 0.01)} | extra
 
 
-def _result(cfg: dict, name: str) -> Path:
-    return Path(config_value(cfg, "out_dir", str)) / name
+def _sweep_keys() -> dict:
+    """ExperimentConfig's fields but out_dir, each with the field's default."""
+    kinds = {"d": int, "k": int, "target": str, "strategy": str, "ns": harness._parse_int_list, "path": str,
+             "seeds": harness._parse_int_list, "ridge": float, "resolution": float, "s": int}
+    return {f.name: (kinds[f.name], f.default) for f in fields(ExperimentConfig) if f.name in kinds}
 
 
-def _points(cfg: dict, **extra):
-    """The point set of the config's d, n, strategy, seed and resolution."""
-    d, n, strategy = config_value(cfg, "d"), config_value(cfg, "n"), config_value(cfg, "strategy", str)
-    seed, resolution = config_value(cfg, "seed", int, "0"), config_value(cfg, "resolution", float, "0.01")
-    return generate_points(d, n, strategy, seed, resolution, **extra)
-
-
-def _cmd_points(args) -> None:
-    cfg = _load(args)
-    ps = _points(cfg, k=config_value(cfg, "k", int, "1"), lam=config_value(cfg, "lam", float, "1.0"))
-    path = _result(cfg, f"points_{ps.strategy}_{ps.n}.json")
+def _cmd_points(v: dict, out: Path) -> None:
+    ps = generate_points(**v)
+    path = out / f"points_{ps.strategy}_{ps.n}.json"
     harness.write_result(path, pointset_to_json(ps))
     print(f"{path} h={ps.h!r} h_sep={ps.h_sep!r}")
 
 
-def _cmd_quad(args) -> None:
-    cfg = _load(args)
-    ps = _points(cfg)
-    d_target = config_value(cfg, "D_target", int, quadrature.default_degree(ps))
-    rule = build_rule(ps, d_target, config_value(cfg, "tol", float, "1e-8"))
-    path = _result(cfg, f"rule_{ps.strategy}_{ps.n}.json")
+def _cmd_quad(v: dict, out: Path) -> None:
+    d_target, tol = v.pop("D_target"), v.pop("tol")
+    ps = generate_points(**v)
+    rule = build_rule(ps, quadrature.default_degree(ps) if d_target is None else d_target, tol)
+    path = out / f"rule_{ps.strategy}_{ps.n}.json"
     harness.write_result(path, rule_to_json(rule))
     print(f"{path} D={rule.exact_degree} residual={rule.residual!r}")
 
 
-def _cmd_spectrum(args) -> None:
-    cfg = _load(args)
-    spec = build_spectrum(config_value(cfg, "d"), config_value(cfg, "k"), config_value(cfg, "m_max", int, "100"))
-    path = _result(cfg, f"spectrum_d{spec.d}_k{spec.k}.csv")
+def _cmd_spectrum(v: dict, out: Path) -> None:
+    spec = build_spectrum(**v)
+    path = out / f"spectrum_d{spec.d}_k{spec.k}.csv"
     rows = [{"m": m, "in_support": int(spec.support[m]), "sigma_hat": spec.coefficients[m]}
             for m in range(spec.m_max + 1)]
     harness.write_csv(path, ("m", "in_support", "sigma_hat"), rows)
     print(f"{path} m_max={spec.m_max}")
 
 
-def _cmd_approx(args) -> None:
-    cfg = _load(args)
-    exp = ExperimentConfig.from_dict(cfg)
-    report = run_rates(exp, write=False)
-    row = report.rows[-1]
+def _cmd_approx(v: dict, out: Path) -> None:
+    """The fit at the largest n alone: the grid depends only on max(ns), and
+    a row only on its own n."""
+    exp = ExperimentConfig(**v)
+    (row,) = run_rates(replace(exp, ns=(max(exp.ns),)), write=False).rows
     if row["error_code"]:
         raise NumericalError(f"fit failed: {row['error_code']}: {row['error_message']}")
     print(
@@ -91,16 +87,16 @@ def _cmd_approx(args) -> None:
     )
 
 
-def _cmd_rates(args) -> None:
-    report = run_rates(ExperimentConfig.from_dict(_load(args)))
+def _cmd_rates(v: dict, out: Path) -> None:
+    report = run_rates(ExperimentConfig(**v, out_dir=str(out)))
     print(
         f"slope={report.fitted_slope!r} stderr={report.slope_stderr!r} "
         f"theory={report.theoretical_slope!r} {report.note}"
     )
 
 
-def _cmd_randcmp(args) -> None:
-    summary = run_randcmp(ExperimentConfig.from_dict(_load(args)))
+def _cmd_randcmp(v: dict, out: Path) -> None:
+    summary = run_randcmp(ExperimentConfig(**v, out_dir=str(out)))
     for row in summary["rows"]:
         print(
             f"n={row['n']} det={row['det_error']!r} "
@@ -108,22 +104,17 @@ def _cmd_randcmp(args) -> None:
         )
 
 
-def _cmd_pde(args) -> None:
-    cfg = _load(args)
-    harness.reject_unread(cfg, ("problem", "k", "ms", "seeds", "out_dir"))
-    name = config_value(cfg, "problem", str, "interval")
+def _cmd_pde(v: dict, out: Path) -> None:
+    name, k, ms, seeds = v["problem"], v["k"], v["ms"], v["seeds"]
     if name == "interval":
         prob = pde_erm.interval_problem()
     elif name == "disk":
         prob = pde_erm.disk_problem()
     else:
         raise ConfigurationError(f"unknown problem {name!r}")
-    k = config_value(cfg, "k", int, "2")
-    ms = config_value(cfg, "ms", harness._parse_int_list, "256 512 1024 2048 4096 8192 16384")
-    seeds = config_value(cfg, "seeds", harness._parse_int_list, "0 1 2 3 4 5 6 7")
     if len(ms) < harness.MIN_SLOPE_ROWS:
         raise ConfigurationError(f"need at least {harness.MIN_SLOPE_ROWS} sample sizes for a slope, got {len(ms)}")
-    path = _result(cfg, f"pde_{name}_k{k}.csv")
+    path = out / f"pde_{name}_k{k}.csv"
     rows, means = [], []
     for m in ms:
         n = math.ceil(m ** (prob.d / (2.0 * (prob.d + 2 * k - 1))))
@@ -145,15 +136,10 @@ def _cmd_pde(args) -> None:
     print(f"{path} excess_slope={slope!r} stderr={stderr!r}")
 
 
-def _cmd_kernel(args) -> None:
-    cfg = _load(args)
-    d = config_value(cfg, "d", int, "2")
-    k = config_value(cfg, "k", int, "1")
-    n_mc = config_value(cfg, "n_mc", int, "1000000")
-    n_pairs = config_value(cfg, "pairs", int, "20")
-    seed = config_value(cfg, "seed", int, "0")
-    spec = build_spectrum(d, k, config_value(cfg, "m_max", int, "600"))
-    rng = np.random.Generator(np.random.Philox(seed))
+def _cmd_kernel(v: dict, out: Path) -> None:
+    d, k, n_mc, n_pairs = v["d"], v["k"], v["n_mc"], v["pairs"]
+    spec = build_spectrum(d, k, v["m_max"])
+    rng = np.random.Generator(np.random.Philox(v["seed"]))
     theta = rng.standard_normal((n_mc, d + 1))
     theta /= np.linalg.norm(theta, axis=1, keepdims=True)
     area = sphere_area(d)
@@ -170,6 +156,21 @@ def _cmd_kernel(args) -> None:
     print(f"max |series-mc|/se = {worst!r} over {n_pairs} pairs")
 
 
+COMMANDS = {
+    "points": (_cmd_points, _point_keys(k=(int, 1), lam=(float, 1.0))),
+    "quad": (_cmd_quad, _point_keys(D_target=(int, None), tol=(float, 1e-8))),
+    "spectrum": (_cmd_spectrum, {"d": (int, MISSING), "k": (int, MISSING), "m_max": (int, 100)}),
+    "approx": (_cmd_approx, _sweep_keys()),
+    "rates": (_cmd_rates, _sweep_keys()),
+    "randcmp": (_cmd_randcmp, _sweep_keys()),
+    "pde": (_cmd_pde, {"problem": (str, "interval"), "k": (int, 2),
+                       "ms": (harness._parse_int_list, (256, 512, 1024, 2048, 4096, 8192, 16384)),
+                       "seeds": (harness._parse_int_list, (0, 1, 2, 3, 4, 5, 6, 7))}),
+    "kernel": (_cmd_kernel, {"d": (int, 2), "k": (int, 1), "n_mc": (int, 1000000), "pairs": (int, 20),
+                             "seed": (int, 0), "m_max": (int, 600)}),
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="fnspace",
@@ -179,21 +180,15 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="point-set seed of points, quad and kernel")
     sub = parser.add_subparsers(dest="command", required=True)
-    handlers = {
-        "points": _cmd_points,
-        "quad": _cmd_quad,
-        "spectrum": _cmd_spectrum,
-        "approx": _cmd_approx,
-        "rates": _cmd_rates,
-        "randcmp": _cmd_randcmp,
-        "pde": _cmd_pde,
-        "kernel": _cmd_kernel,
-    }
-    for name in handlers:
+    for name in COMMANDS:
         sub.add_parser(name)
     args = parser.parse_args(argv)
+    handler, keys = COMMANDS[args.command]
     try:
-        handlers[args.command](args)
+        cfg = parse_config(Path(args.config).read_text()) if args.config else {}
+        if args.seed is not None:
+            cfg["seed"] = str(args.seed)
+        handler(read_config(cfg, keys), Path(args.out))
     except CONFIG_ERRORS as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

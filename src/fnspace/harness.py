@@ -1,10 +1,12 @@
 """Experiment orchestration: rate sweeps, random-vs-deterministic
 comparisons, slope fitting, and the one config reader and result writer.
 
-Configs are flat key=value text files read through config_value.  Result
-files are written through write_result, CSVs through write_csv (floats with
-repr).  Rates and randcmp rows carry a short hash of the parsed config, so
-identical configs produce byte-identical, self-identifying output.
+Configs are flat key=value text files, parsed by parse_config and typed by
+read_config against a command's key table, which rejects every key the
+command does not read.  Result files are written through write_result, CSVs
+through write_csv (floats with repr).  Rates and randcmp rows carry a short
+hash of the sweep's typed values, so every spelling of one sweep names the
+same files and identical sweeps produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import MISSING, asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,8 +44,7 @@ __all__ = [
     "RateReport",
     "fit_slope",
     "parse_config",
-    "config_value",
-    "reject_unread",
+    "read_config",
     "config_hash",
     "get_target",
     "domain_grid",
@@ -100,24 +101,26 @@ def parse_config(text: str) -> dict:
     return out
 
 
-def config_value(cfg: dict, key: str, kind=int, default=None):
-    """cfg[key], or default when the key is absent, converted by kind; a
-    missing key or a value kind rejects is a ConfigurationError naming the key."""
-    text = cfg.get(key, default)
-    if text is None:
-        raise ConfigurationError(f"missing config key: {key}")
-    try:
-        return kind(text)
-    except ValueError as exc:
-        raise ConfigurationError(f"bad value for {key}: {text!r}") from exc
-
-
-def reject_unread(cfg: dict, keys) -> None:
-    """A ConfigurationError naming every key of cfg outside keys, the keys a
-    command reads, since such a key would be silently ignored."""
-    unread = sorted(set(cfg) - set(keys))
-    if unread:
-        raise ConfigurationError(f"unknown config key: {', '.join(unread)}")
+def read_config(cfg: dict, keys: dict) -> dict:
+    """The typed values a command reads from cfg.  keys is its table
+    {key: (kind, default)}: each value is kind(cfg[key]), or default when the
+    key is absent.  A key of cfg outside the table, an absent key whose default
+    is MISSING, or a value kind rejects is a ConfigurationError naming the key."""
+    unknown = sorted(set(cfg) - set(keys))
+    if unknown:
+        raise ConfigurationError(f"unknown config key: {', '.join(unknown)}")
+    values = {}
+    for key, (kind, default) in keys.items():
+        if key in cfg:
+            try:
+                values[key] = kind(cfg[key])
+            except ValueError as exc:
+                raise ConfigurationError(f"bad value for {key}: {cfg[key]!r}") from exc
+        elif default is MISSING:
+            raise ConfigurationError(f"missing config key: {key}")
+        else:
+            values[key] = default
+    return values
 
 
 def config_hash(cfg: dict) -> str:
@@ -160,27 +163,6 @@ class ExperimentConfig:
     resolution: float = 0.01
     s: int = 1
     out_dir: str = "."
-    raw: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_dict(cls, cfg: dict) -> "ExperimentConfig":
-        """The config that parsed key=value text describes; a key that is
-        not a field (raw included) is a ConfigurationError."""
-        reject_unread(cfg, {f.name for f in fields(cls)} - {"raw"})
-        return cls(
-            d=config_value(cfg, "d"),
-            k=config_value(cfg, "k"),
-            target=config_value(cfg, "target", str),
-            strategy=config_value(cfg, "strategy", str),
-            ns=config_value(cfg, "ns", _parse_int_list),
-            path=config_value(cfg, "path", str, "ls"),
-            seeds=config_value(cfg, "seeds", _parse_int_list, "0"),
-            ridge=config_value(cfg, "ridge", float, "0.0"),
-            resolution=config_value(cfg, "resolution", float, "0.01"),
-            s=config_value(cfg, "s", int, "1"),
-            out_dir=config_value(cfg, "out_dir", str, "."),
-            raw=dict(cfg),
-        )
 
     def __post_init__(self):
         if self.path not in ("ls", "constructive"):
@@ -192,10 +174,9 @@ class ExperimentConfig:
 
     @property
     def hash(self) -> str:
-        """Hash of the config as read, or of its fields when it was built
-        directly; out_dir is left out, so the output directory names no file."""
-        base = self.raw or {k: str(v) for k, v in asdict(self).items() if k != "raw"}
-        return config_hash({k: v for k, v in base.items() if k != "out_dir"})
+        """Hash of the typed fields without out_dir: every spelling of one
+        sweep gets one hash, and the output directory names no file."""
+        return config_hash({k: v for k, v in asdict(self).items() if k != "out_dir"})
 
 
 @dataclass(frozen=True)

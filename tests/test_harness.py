@@ -1,9 +1,15 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fnspace import cli, harness
 from fnspace.cli import main as cli_main
@@ -16,6 +22,7 @@ from fnspace.harness import (
     get_target,
     loglog_slope,
     parse_config,
+    read_config,
     run_randcmp,
     run_rates,
     theoretical_slope,
@@ -65,21 +72,29 @@ def test_config_hash_stability():
     assert config_hash({"d": "2", "k": "2"}) != a
 
 
+SWEEP_KEYS = cli.COMMANDS["rates"][1]
+
+
+def _sweep(cfg: dict) -> ExperimentConfig:
+    """The sweep a rates config file describes, as the CLI reads it."""
+    return ExperimentConfig(**read_config(cfg, SWEEP_KEYS))
+
+
 def test_experiment_config_validation():
     with pytest.raises(ConfigurationError):
-        ExperimentConfig.from_dict({"d": "1", "k": "1"})
+        _sweep({"d": "1", "k": "1"})
     with pytest.raises(ConfigurationError):
-        ExperimentConfig.from_dict(
-            {"d": "1", "k": "1", "target": "x", "strategy": "y", "ns": "8", "path": "bogus"}
-        )
+        _sweep({"d": "1", "k": "1", "target": "x", "strategy": "y", "ns": "8", "path": "bogus"})
 
 
 def test_config_hash_leaves_out_out_dir():
     keys = {"d": "1", "k": "1", "target": "gaussian_bump", "strategy": "equispaced_circle", "ns": "8"}
-    read = [ExperimentConfig.from_dict(keys | {"out_dir": out}) for out in ("a", "b")]
-    built = [dataclasses.replace(read[0], raw={}, out_dir=out) for out in ("a", "b")]
-    assert read[0].hash == read[1].hash == ExperimentConfig.from_dict(keys).hash
-    assert built[0].hash == built[1].hash
+    read = [dataclasses.replace(_sweep(keys), out_dir=out) for out in ("a", "b")]
+    built = [
+        ExperimentConfig(d=1, k=1, target="gaussian_bump", strategy="equispaced_circle", ns=(8,), out_dir=out)
+        for out in ("a", "b")
+    ]
+    assert read[0].hash == read[1].hash == built[0].hash == built[1].hash == _sweep(keys).hash
 
 
 def test_theoretical_slope():
@@ -213,7 +228,8 @@ def test_cli_rates(tmp_path):
     assert len(reports) == 1
 
 
-RATES_CFG = "d = 1\nk = 1\ntarget = gaussian_bump\nstrategy = equispaced_circle\nns = 8 16\n"
+RATES_KEYS = {"d": "1", "k": "1", "target": "gaussian_bump", "strategy": "equispaced_circle", "ns": "8 16"}
+RATES_CFG = "".join(f"{key} = {val}\n" for key, val in RATES_KEYS.items())
 
 
 def test_cli_rates_writes_the_same_files_under_every_out(tmp_path):
@@ -223,6 +239,36 @@ def test_cli_rates_writes_the_same_files_under_every_out(tmp_path):
         assert cli_main(["--config", str(tmp_path / "rates.cfg"), "--out", str(out), "rates"]) == 0
         written.append({p.name: p.read_bytes() for p in out.iterdir()})
     assert written[0] == written[1] and len(written[0]) == 2
+
+
+DEFAULT_SPELLINGS = {  # a sweep key's default, spelled as a config line could write it
+    "path": ["ls"],
+    "seeds": ["0"],
+    "ridge": ["0", "0.0", "0e0"],
+    "resolution": ["0.01", "1e-2"],
+    "s": ["1"],
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from([" ", ",", ", ", "  "]),
+    st.fixed_dictionaries({}, optional={key: st.sampled_from(vals) for key, vals in DEFAULT_SPELLINGS.items()}),
+    st.randoms(use_true_random=False),
+)
+def test_every_spelling_of_a_sweep_names_the_same_files(sep, defaults, rnd):
+    built = ExperimentConfig(d=1, k=1, target="gaussian_bump", strategy="equispaced_circle", ns=(8, 16))
+    lines = [f"{key} = {val}" for key, val in RATES_KEYS.items() if key != "ns"]
+    lines += [f"ns = 8{sep}16"] + [f"{key} = {val}" for key, val in defaults.items()]
+    rnd.shuffle(lines)
+    text = "\n".join(lines) + "\n"
+    assert _sweep(parse_config(text)).hash == built.hash
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "rates.cfg").write_text(text)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli_main(["--config", str(Path(tmp) / "rates.cfg"), "--out", str(Path(tmp) / "out"), "rates"]) == 0
+        names = sorted(p.name for p in (Path(tmp) / "out").iterdir())
+    assert names == [f"rates_{built.hash}.csv", f"rates_{built.hash}.json"]
 
 
 @pytest.mark.parametrize("line", ["seed = 7", "raw = 1"])
@@ -284,13 +330,20 @@ CLI_CASES = {  # command: (a good config, then bad ones: a broken config, a non-
         "d = 1\nn = 8\nstrategy = equispaced_circle\n",
         "d = 1\nn = 8\nstrategy = nonsense\n",
         "d = 1\nn = eight\nstrategy = equispaced_circle\n",
+        "d = 1\nn = 8\nstrategy = equispaced_circle\nbogus = 1\n",  # unread key
     ),
     "quad": (
         "d = 1\nn = 8\nstrategy = equispaced_circle\n",
         "d = 1\nn = 8\n",
         "d = 1\nn = 8\nstrategy = equispaced_circle\ntol = small\n",
+        "d = 1\nn = 8\nstrategy = equispaced_circle\nlam = 2\n",  # unread key
     ),
-    "spectrum": ("d = 2\nk = 1\nm_max = 20\n", "d = 2\nm_max = 20\n", "d = 2\nk = 1\nm_max = many\n"),
+    "spectrum": (
+        "d = 2\nk = 1\nm_max = 20\n",
+        "d = 2\nm_max = 20\n",
+        "d = 2\nk = 1\nm_max = many\n",
+        "d = 2\nk = 1\nm_max = 20\nseed = 7\n",  # unread key
+    ),
     "pde": (
         "problem = interval\nk = 2\nms = 64 128 256 512\nseeds = 0\n",
         "problem = nonsense\n",
@@ -302,6 +355,7 @@ CLI_CASES = {  # command: (a good config, then bad ones: a broken config, a non-
         "d = 2\nk = 1\nn_mc = 2000\npairs = 2\nm_max = 40\n",
         "d = 2\nk = 1\nm_max = 1\n",
         "d = two\nk = 1\nn_mc = 2000\npairs = 2\nm_max = 40\n",
+        "d = 2\nk = 1\nn_mc = 2000\npairs = 2\nm_max = 40\nseeds = 4\n",  # unread key
     ),
     "approx": (
         "d = 1\nk = 1\ntarget = gaussian_bump\nstrategy = equispaced_circle\nns = 8\n",
@@ -335,10 +389,41 @@ def test_cli_subcommand_exit_codes(command, tmp_path, capsys):
         assert not bad_out.exists() or not any(bad_out.iterdir())
 
 
-@pytest.mark.parametrize("command", ["approx", "pde", "randcmp", "rates"])
+def _good_config(command: str) -> str:
+    return CLI_CASES["approx" if command == "rates" else command][0]  # rates reads approx's keys
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_cli_out_dir_is_not_a_config_key(command, tmp_path, capsys):
+    (tmp_path / "good.cfg").write_text(_good_config(command) + f"out_dir = {tmp_path / 'x'}\n")
+    out = tmp_path / "out"
+    assert cli_main(["--config", str(tmp_path / "good.cfg"), "--out", str(out), command]) == 2
+    assert "unknown config key: out_dir" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists() and not out.exists()
+
+
+def test_cli_approx_fits_only_the_largest_n(monkeypatch, tmp_path, capsys):
+    (tmp_path / "approx.cfg").write_text(_good_config("approx").replace("ns = 8", "ns = 8 16 32"))
+    real = harness._rate_row_ls
+    calls = []
+
+    def spy(cfg, target, n, *rest):
+        calls.append(n)
+        return real(cfg, target, n, *rest)
+
+    monkeypatch.setattr(harness, "_rate_row_ls", spy)
+    assert cli_main(["--config", str(tmp_path / "approx.cfg"), "approx"]) == 0
+    assert calls == [32]
+    monkeypatch.undo()
+    full = ExperimentConfig(d=1, k=1, target="gaussian_bump", strategy="equispaced_circle", ns=(8, 16, 32))
+    row = run_rates(full, write=False).rows[-1]  # the sweep the command ran before printing its last row
+    want = f"n={row['n']} l2={row['error_l2']!r} h1={row['error_h1']!r} sqrtn_a={row['sqrtn_a_norm']!r}\n"
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("command", ["approx", "pde", "randcmp", "rates", "spectrum"])  # no seed key
 def test_cli_seed_flag_rejected_where_seeds_are_read(command, tmp_path, capsys):
-    good = CLI_CASES["approx" if command == "rates" else command][0]  # rates reads approx's keys
-    (tmp_path / "good.cfg").write_text(good)
+    (tmp_path / "good.cfg").write_text(_good_config(command))
     out = tmp_path / "out"
     assert cli_main(["--config", str(tmp_path / "good.cfg"), "--seed", "7", "--out", str(out), command]) == 2
     assert "configuration error" in capsys.readouterr().err

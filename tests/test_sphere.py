@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
@@ -203,6 +203,7 @@ def test_hull_mesh_norm_equals_full_grid_search(rows, resolution):
     assert mesh_norm(rows, 2, resolution) == _grid_mesh_norm_reference(rows, 2, resolution)
 
 
+@settings(deadline=None)  # one example takes up to ~0.2 s, near the default deadline
 @given(st.integers(12, 60), st.integers(0, 2**32 - 1), st.integers(0, 3))
 def test_hull_caps_cover_the_sphere_and_bound_the_distance(n, seed, dups):
     rows = sphere._uniform_random(2, n, seed)
