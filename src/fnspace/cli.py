@@ -5,17 +5,19 @@ COMMANDS gives each its handler and its key table, {key: (kind, default)}
 with MISSING marking a required key.  A subcommand reads a key=value config
 file (--config) through harness.read_config, which rejects every key outside
 its table; --seed sets the key seed, so it is valid exactly where the table
-lists seed.  Results go under --out, the only setting of the output
-directory.  Exit codes: 0 on success, 2 on configuration problems (nothing
+lists seed.  The handlers write every result file, under --out, the only
+setting of the output directory; the sweeps in harness return rows and
+write nothing.  Exit codes: 0 on success, 2 on configuration problems (nothing
 is written), 3 on numerical failures.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,11 +44,11 @@ def _point_keys(**extra) -> dict:
             "seed": (int, 0), "resolution": (float, 0.01)} | extra
 
 
-def _sweep_keys() -> dict:
-    """ExperimentConfig's fields but out_dir, each with the field's default."""
+def _sweep_keys(*unread) -> dict:
+    """ExperimentConfig's fields but the unread ones, each with the field's default."""
     kinds = {"d": int, "k": int, "target": str, "strategy": str, "ns": harness._parse_int_list, "path": str,
              "seeds": harness._parse_int_list, "ridge": float, "resolution": float, "s": int}
-    return {f.name: (kinds[f.name], f.default) for f in fields(ExperimentConfig) if f.name in kinds}
+    return {f.name: (kinds[f.name], f.default) for f in fields(ExperimentConfig) if f.name not in unread}
 
 
 def _cmd_points(v: dict, out: Path) -> None:
@@ -78,7 +80,7 @@ def _cmd_approx(v: dict, out: Path) -> None:
     """The fit at the largest n alone: the grid depends only on max(ns), and
     a row only on its own n."""
     exp = ExperimentConfig(**v)
-    (row,) = run_rates(replace(exp, ns=(max(exp.ns),)), write=False).rows
+    (row,) = run_rates(replace(exp, ns=(max(exp.ns),))).rows
     if row["error_code"]:
         raise NumericalError(f"fit failed: {row['error_code']}: {row['error_message']}")
     print(
@@ -87,8 +89,16 @@ def _cmd_approx(v: dict, out: Path) -> None:
     )
 
 
+def _hashed(cfg_hash: str, rows) -> list[dict]:
+    return [{"config_hash": cfg_hash} | row for row in rows]
+
+
 def _cmd_rates(v: dict, out: Path) -> None:
-    report = run_rates(ExperimentConfig(**v, out_dir=str(out)))
+    report = run_rates(ExperimentConfig(**v))
+    name = f"rates_{report.config_hash}"
+    harness.write_csv(out / f"{name}.csv", ("config_hash",) + harness.RATE_COLUMNS,
+                      _hashed(report.config_hash, report.rows))
+    harness.write_result(out / f"{name}.json", json.dumps(asdict(report)))
     print(
         f"slope={report.fitted_slope!r} stderr={report.slope_stderr!r} "
         f"theory={report.theoretical_slope!r} {report.note}"
@@ -96,7 +106,9 @@ def _cmd_rates(v: dict, out: Path) -> None:
 
 
 def _cmd_randcmp(v: dict, out: Path) -> None:
-    summary = run_randcmp(ExperimentConfig(**v, out_dir=str(out)))
+    summary = run_randcmp(ExperimentConfig(**v))
+    rows = _hashed(summary["config_hash"], summary["rows"])
+    harness.write_csv(out / f"randcmp_{summary['config_hash']}.csv", list(rows[0]), rows)
     for row in summary["rows"]:
         print(
             f"n={row['n']} det={row['det_error']!r} "
@@ -162,7 +174,7 @@ COMMANDS = {
     "spectrum": (_cmd_spectrum, {"d": (int, MISSING), "k": (int, MISSING), "m_max": (int, 100)}),
     "approx": (_cmd_approx, _sweep_keys()),
     "rates": (_cmd_rates, _sweep_keys()),
-    "randcmp": (_cmd_randcmp, _sweep_keys()),
+    "randcmp": (_cmd_randcmp, _sweep_keys("path", "s")),
     "pde": (_cmd_pde, {"problem": (str, "interval"), "k": (int, 2),
                        "ms": (harness._parse_int_list, (256, 512, 1024, 2048, 4096, 8192, 16384)),
                        "seeds": (harness._parse_int_list, (0, 1, 2, 3, 4, 5, 6, 7))}),

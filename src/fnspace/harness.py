@@ -3,10 +3,11 @@ comparisons, slope fitting, and the one config reader and result writer.
 
 Configs are flat key=value text files, parsed by parse_config and typed by
 read_config against a command's key table, which rejects every key the
-command does not read.  Result files are written through write_result, CSVs
-through write_csv (floats with repr).  Rates and randcmp rows carry a short
-hash of the sweep's typed values, so every spelling of one sweep names the
-same files and identical sweeps produce byte-identical output.
+command does not read.  run_rates and run_randcmp compute and return their
+rows and write nothing; the CLI writes every result file, through
+write_result, and every CSV through write_csv (floats with repr).  A sweep's
+hash is the hash of all its typed values, so every spelling of one sweep
+names the same files and identical sweeps produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -150,7 +151,8 @@ def write_csv(path: Path, columns, rows) -> None:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated sweep description shared by rates / randcmp runs."""
+    """Validated sweep description shared by rates / randcmp runs; ns is
+    stored sorted, so its order names no file."""
 
     d: int
     k: int
@@ -162,7 +164,6 @@ class ExperimentConfig:
     ridge: float = 0.0
     resolution: float = 0.01
     s: int = 1
-    out_dir: str = "."
 
     def __post_init__(self):
         if self.path not in ("ls", "constructive"):
@@ -171,12 +172,14 @@ class ExperimentConfig:
             raise ConfigurationError("s must be 0 or 1")
         if len(self.ns) == 0:
             raise ConfigurationError("ns must be nonempty")
+        if len(set(self.ns)) != len(self.ns):
+            raise ConfigurationError(f"ns repeats a size: {' '.join(map(str, self.ns))}")
+        object.__setattr__(self, "ns", tuple(sorted(self.ns)))
 
     @property
     def hash(self) -> str:
-        """Hash of the typed fields without out_dir: every spelling of one
-        sweep gets one hash, and the output directory names no file."""
-        return config_hash({k: v for k, v in asdict(self).items() if k != "out_dir"})
+        """Hash of every typed field: every spelling of one sweep gets one hash."""
+        return config_hash(asdict(self))
 
 
 @dataclass(frozen=True)
@@ -265,16 +268,22 @@ def _rate_row_ls(cfg: ExperimentConfig, target, n: int, seed: int, grid) -> dict
     return _rate_row(n, ps.h, l2, h1, coef_stat(model)[1], "")
 
 
-def run_rates(cfg: ExperimentConfig, write: bool = True) -> RateReport:
+def run_rates(cfg: ExperimentConfig) -> RateReport:
     """One error-vs-n sweep; failed cells become error rows, not aborts.
 
     An error row names the exception class in error_code and keeps its
-    message under error_message, which only the JSON report carries.
+    message under error_message, which only the JSON report carries.  The
+    sweep reads one seed, and the constructive path no ridge, so more seeds
+    or a nonzero ridge there is a ConfigurationError.
     """
+    if len(cfg.seeds) != 1:
+        raise ConfigurationError(f"a rate sweep reads one seed, got {len(cfg.seeds)}")
+    if cfg.path == "constructive" and cfg.ridge != 0.0:
+        raise ConfigurationError("the constructive path takes no ridge")
     target = get_target(cfg.target, cfg.d)
     grid = None if cfg.path == "constructive" else domain_grid(cfg.d, 4096 if cfg.d == 1 else 64 * max(cfg.ns))
     rows = []
-    for n in sorted(cfg.ns):
+    for n in cfg.ns:
         try:
             if cfg.path == "constructive":
                 rows.append(_rate_row_constructive(cfg, target, n))
@@ -291,16 +300,10 @@ def run_rates(cfg: ExperimentConfig, write: bool = True) -> RateReport:
         )
     else:
         slope, stderr, note = float("nan"), float("nan"), "insufficient data"
-    report = RateReport(cfg.hash, slope, stderr, theoretical_slope(cfg.d, cfg.k, 0), note, tuple(rows))
-    if write:
-        out = Path(cfg.out_dir)
-        hashed = [{"config_hash": cfg.hash} | row for row in rows]
-        write_csv(out / f"rates_{cfg.hash}.csv", ("config_hash",) + RATE_COLUMNS, hashed)
-        write_result(out / f"rates_{cfg.hash}.json", json.dumps(asdict(report)))
-    return report
+    return RateReport(cfg.hash, slope, stderr, theoretical_slope(cfg.d, cfg.k, 0), note, tuple(rows))
 
 
-def run_randcmp(cfg: ExperimentConfig, write: bool = True) -> dict:
+def run_randcmp(cfg: ExperimentConfig) -> dict:
     """Deterministic vs random-direction least squares at each n.
 
     For every n the deterministic strategy from the config is compared
@@ -312,7 +315,7 @@ def run_randcmp(cfg: ExperimentConfig, write: bool = True) -> dict:
     target = get_target(cfg.target, cfg.d)
     grid = domain_grid(cfg.d, 4096 if cfg.d == 1 else 64 * max(cfg.ns))
     rows = []
-    for n in sorted(cfg.ns):
+    for n in cfg.ns:
         det_ps, det_model = _ls_fit(cfg, target, n, cfg.strategy, cfg.seeds[0], grid)
         det_error, _ = error_norms(det_model, target, *grid, s=0)
         rand_errs, rand_h = [], []
@@ -333,8 +336,4 @@ def run_randcmp(cfg: ExperimentConfig, write: bool = True) -> dict:
                 "rand_h_median": float(np.median(rand_h)),
             }
         )
-    summary = {"config_hash": cfg.hash, "rows": rows}
-    if write:
-        hashed = [{"config_hash": cfg.hash} | row for row in rows]
-        write_csv(Path(cfg.out_dir) / f"randcmp_{cfg.hash}.csv", list(hashed[0]), hashed)
-    return summary
+    return {"config_hash": cfg.hash, "rows": rows}

@@ -42,7 +42,7 @@ from scipy.spatial import ConvexHull, cKDTree
 
 from .activation import ActivationSpectrum, sigma_k, sigma_k_prime
 from .errors import ConfigurationError, ContractError
-from .harmonics import ReferenceGrid, harmonic_block, project
+from .harmonics import ReferenceGrid, project
 from .quadrature import QuadratureRule
 from .sphere import UNIT_TOL, PointSet, _check_unit_rows
 

@@ -156,7 +156,7 @@ def ls_rate_report():
         s=1,
     )
     t0 = time.monotonic()
-    report_ = run_rates(cfg, write=False)
+    report_ = run_rates(cfg)
     return report_, time.monotonic() - t0
 
 
@@ -197,7 +197,7 @@ def test_criterion_08_random_vs_deterministic(capsys):
         seeds=tuple(range(20)),
         ridge=1e-9,
     )
-    summary = run_randcmp(cfg, write=False)
+    summary = run_randcmp(cfg)
     rows = {r["n"]: r for r in summary["rows"]}
     med_ok = rows[256]["rand_median"] >= rows[256]["det_error"]
     slope, _ = loglog_slope(

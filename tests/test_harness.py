@@ -85,16 +85,19 @@ def test_experiment_config_validation():
         _sweep({"d": "1", "k": "1"})
     with pytest.raises(ConfigurationError):
         _sweep({"d": "1", "k": "1", "target": "x", "strategy": "y", "ns": "8", "path": "bogus"})
+    with pytest.raises(ConfigurationError, match="repeats"):
+        _sweep({"d": "1", "k": "1", "target": "x", "strategy": "y", "ns": "8 8 16"})
 
 
-def test_config_hash_leaves_out_out_dir():
-    keys = {"d": "1", "k": "1", "target": "gaussian_bump", "strategy": "equispaced_circle", "ns": "8"}
-    read = [dataclasses.replace(_sweep(keys), out_dir=out) for out in ("a", "b")]
-    built = [
-        ExperimentConfig(d=1, k=1, target="gaussian_bump", strategy="equispaced_circle", ns=(8,), out_dir=out)
-        for out in ("a", "b")
-    ]
-    assert read[0].hash == read[1].hash == built[0].hash == built[1].hash == _sweep(keys).hash
+def test_config_hash_reads_every_field():
+    keys = {"d": "1", "k": "1", "target": "gaussian_bump", "strategy": "equispaced_circle", "ns": "16 8"}
+    built = ExperimentConfig(d=1, k=1, target="gaussian_bump", strategy="equispaced_circle", ns=(8, 16))
+    assert _sweep(keys).ns == built.ns == (8, 16)
+    assert _sweep(keys).hash == built.hash == config_hash(dataclasses.asdict(built))
+    other = {"d": 2, "k": 2, "target": "smooth_even_circle", "strategy": "uniform_random", "ns": (8, 32),
+             "path": "constructive", "seeds": (1,), "ridge": 1e-9, "resolution": 0.02, "s": 0}
+    for field in dataclasses.fields(ExperimentConfig):
+        assert dataclasses.replace(built, **{field.name: other[field.name]}).hash != built.hash
 
 
 def test_theoretical_slope():
@@ -120,7 +123,7 @@ def test_run_rates_insufficient_rows():
         d=1, k=1, target="smooth_even_circle", strategy="equispaced_circle",
         ns=(16, 32, 64), path="constructive",
     )
-    report = run_rates(cfg, write=False)
+    report = run_rates(cfg)
     assert report.note == "insufficient data"
     assert math.isnan(report.fitted_slope)
 
@@ -132,27 +135,30 @@ def test_run_rates_error_rows_do_not_abort():
         d=1, k=1, target="smooth_even_circle", strategy="equispaced_circle",
         ns=(4, 16, 32, 64, 128, 256), path="constructive",
     )
-    report = run_rates(cfg, write=False)
+    report = run_rates(cfg)
     codes = [r["error_code"] for r in report.rows]
     assert codes[0] == "ContractError"
     assert all(c == "" for c in codes[1:])
     assert report.fitted_slope < -1.7
 
 
-def _ls_sweep(tmp_path):
-    return ExperimentConfig(
-        d=1, k=1, target="gaussian_bump", strategy="equispaced_circle",
-        ns=(8, 16), out_dir=str(tmp_path),
-    )
+LS_SWEEP = ExperimentConfig(d=1, k=1, target="gaussian_bump", strategy="equispaced_circle", ns=(8, 16))
 
 
-def test_run_rates_bug_propagates(monkeypatch, tmp_path):
+def _cli(tmp_path, command: str, cfg_text: str, out) -> int:
+    """fnspace <command> on cfg_text, its stdout swallowed."""
+    (tmp_path / f"{command}.cfg").write_text(cfg_text)
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli_main(["--config", str(tmp_path / f"{command}.cfg"), "--out", str(out), command])
+
+
+def test_run_rates_bug_propagates(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("a programming bug")
 
     monkeypatch.setattr(harness, "least_squares_fit", broken)
     with pytest.raises(TypeError):
-        run_rates(_ls_sweep(tmp_path), write=False)
+        run_rates(LS_SWEEP)
 
 
 def test_run_rates_error_row_keeps_message(monkeypatch, tmp_path):
@@ -160,30 +166,38 @@ def test_run_rates_error_row_keeps_message(monkeypatch, tmp_path):
         raise NumericalError("boom")
 
     monkeypatch.setattr(harness, "least_squares_fit", failing)
-    cfg = _ls_sweep(tmp_path)
-    report = run_rates(cfg)
+    report = run_rates(LS_SWEEP)
     assert [(r["error_code"], r["error_message"]) for r in report.rows] == [
         ("NumericalError", "boom")
     ] * 2
-    saved = json.loads((tmp_path / f"rates_{cfg.hash}.json").read_text())
-    assert saved["rows"][0]["error_message"] == "boom"
-    header, *rows = (tmp_path / f"rates_{cfg.hash}.csv").read_text().splitlines()
+    assert _cli(tmp_path, "rates", RATES_CFG, tmp_path / "out") == 0
+    saved = (tmp_path / "out" / f"rates_{LS_SWEEP.hash}.json").read_text()
+    assert saved == json.dumps(dataclasses.asdict(report))
+    assert json.loads(saved)["rows"][0]["error_message"] == "boom"
+    header, *rows = (tmp_path / "out" / f"rates_{LS_SWEEP.hash}.csv").read_text().splitlines()
     assert header == "config_hash,n,h,error_l2,error_h1,sqrtn_a_norm,error_code"
     assert all(row.endswith(",NumericalError") for row in rows)
 
 
 def test_run_rates_csv_reproducible(tmp_path):
-    cfg = ExperimentConfig(
-        d=1, k=1, target="smooth_even_circle", strategy="equispaced_circle",
-        ns=(16, 32, 64, 128), path="constructive", out_dir=str(tmp_path),
+    text = (
+        "d = 1\nk = 1\ntarget = smooth_even_circle\nstrategy = equispaced_circle\n"
+        "ns = 16 32 64 128\npath = constructive\n"
     )
-    run_rates(cfg)
-    csv_path = tmp_path / f"rates_{cfg.hash}.csv"
+    csv_path = tmp_path / "out" / f"rates_{_sweep(parse_config(text)).hash}.csv"
+    assert _cli(tmp_path, "rates", text, tmp_path / "out") == 0
     first = csv_path.read_bytes()
-    run_rates(cfg)
+    assert _cli(tmp_path, "rates", text, tmp_path / "out") == 0
     assert csv_path.read_bytes() == first
     header = first.decode().splitlines()[0]
     assert header.startswith("config_hash,n,h,error_l2")
+
+
+def test_sweeps_write_nothing(monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    run_rates(LS_SWEEP)
+    run_randcmp(dataclasses.replace(LS_SWEEP, seeds=tuple(range(10))))
+    assert not any(tmp_path.iterdir())
 
 
 def test_randcmp_seed_guard():
@@ -192,7 +206,7 @@ def test_randcmp_seed_guard():
         ns=(32, 64), seeds=(0,),
     )
     with pytest.raises(ConfigurationError):
-        run_randcmp(cfg, write=False)
+        run_randcmp(cfg)
 
 
 def test_cli_exit_codes(tmp_path):
@@ -253,13 +267,14 @@ DEFAULT_SPELLINGS = {  # a sweep key's default, spelled as a config line could w
 @settings(max_examples=20, deadline=None)
 @given(
     st.sampled_from([" ", ",", ", ", "  "]),
+    st.sampled_from([(8, 16), (16, 8)]),
     st.fixed_dictionaries({}, optional={key: st.sampled_from(vals) for key, vals in DEFAULT_SPELLINGS.items()}),
     st.randoms(use_true_random=False),
 )
-def test_every_spelling_of_a_sweep_names_the_same_files(sep, defaults, rnd):
+def test_every_spelling_of_a_sweep_names_the_same_files(sep, ns, defaults, rnd):
     built = ExperimentConfig(d=1, k=1, target="gaussian_bump", strategy="equispaced_circle", ns=(8, 16))
     lines = [f"{key} = {val}" for key, val in RATES_KEYS.items() if key != "ns"]
-    lines += [f"ns = 8{sep}16"] + [f"{key} = {val}" for key, val in defaults.items()]
+    lines += [f"ns = {ns[0]}{sep}{ns[1]}"] + [f"{key} = {val}" for key, val in defaults.items()]
     rnd.shuffle(lines)
     text = "\n".join(lines) + "\n"
     assert _sweep(parse_config(text)).hash == built.hash
@@ -292,10 +307,10 @@ def test_randcmp_deterministic_row_skips_the_h1_pass(monkeypatch):
         return real(*args, s=s)
 
     monkeypatch.setattr(harness, "error_norms", spy)
-    summary = run_randcmp(cfg, write=False)
+    summary = run_randcmp(cfg)
     assert set(orders) == {0}
     monkeypatch.undo()
-    rates = run_rates(cfg, write=False)
+    rates = run_rates(dataclasses.replace(cfg, seeds=cfg.seeds[:1]))
     assert [(r["det_error"], r["det_h"]) for r in summary["rows"]] == [
         (r["error_l2"], r["h"]) for r in rates.rows
     ]
@@ -307,14 +322,16 @@ RANDCMP_HEADER = "config_hash,n,det_error,det_h,rand_q1,rand_median,rand_q3,rand
 def test_randcmp_csv_golden_format(tmp_path):
     """Criterion 08's columns, one row per n, floats written with repr, and
     the same bytes on a second run."""
-    cfg = ExperimentConfig(
-        d=1, k=1, target="gaussian_bump", strategy="equispaced_circle",
-        ns=(16, 8), seeds=tuple(range(10)), ridge=1e-9, out_dir=str(tmp_path),
+    text = (
+        "d = 1\nk = 1\ntarget = gaussian_bump\nstrategy = equispaced_circle\n"
+        "ns = 16 8\nseeds = 0 1 2 3 4 5 6 7 8 9\nridge = 1e-9\n"
     )
+    cfg = ExperimentConfig(**read_config(parse_config(text), cli.COMMANDS["randcmp"][1]))
     summary = run_randcmp(cfg)
-    csv_path = tmp_path / f"randcmp_{cfg.hash}.csv"
+    csv_path = tmp_path / "out" / f"randcmp_{cfg.hash}.csv"
+    assert _cli(tmp_path, "randcmp", text, tmp_path / "out") == 0
     first = csv_path.read_bytes()
-    run_randcmp(cfg)
+    assert _cli(tmp_path, "randcmp", text, tmp_path / "out") == 0
     assert csv_path.read_bytes() == first
     header, *rows = first.decode().splitlines()
     assert header == RANDCMP_HEADER
@@ -362,6 +379,14 @@ CLI_CASES = {  # command: (a good config, then bad ones: a broken config, a non-
         "d = 1\nk = 1\ntarget = gaussian_bump\nstrategy = equispaced_circle\n",
         "d = 1\nk = 1\ntarget = gaussian_bump\nstrategy = equispaced_circle\nns = 8 x\n",
         "d = 1\nk = 1\ntarget = gaussian_bump\nstrategy = equispaced_circle\nns = 8\nseed = 7\n",  # unread key
+        "d = 1\nk = 1\ntarget = gaussian_bump\nstrategy = equispaced_circle\nns = 8\nseeds = 0 1\n",  # one seed read
+    ),
+    "rates": (
+        RATES_CFG,
+        RATES_CFG + "seeds = 0 1\n",  # one seed read
+        RATES_CFG.replace("ns = 8 16", "ns = 8 8 16"),
+        "d = 1\nk = 1\ntarget = smooth_even_circle\nstrategy = equispaced_circle\nns = 16 32\n"
+        "path = constructive\nridge = 0.5\ns = 0\n",  # no ridge on the constructive path
     ),
     "randcmp": (
         "d = 1\nk = 1\ntarget = gaussian_bump\nstrategy = equispaced_circle\nns = 8 16\n"
@@ -370,6 +395,10 @@ CLI_CASES = {  # command: (a good config, then bad ones: a broken config, a non-
         "d = 1\nk = 1\ntarget = gaussian_bump\nstrategy = equispaced_circle\nns = 8 sixteen\n",
         "d = 1\nk = 1\ntarget = gaussian_bump\nstrategy = equispaced_circle\nns = 8 16\n"
         "seeds = 0 1 2 3 4 5 6 7 8 9\nseed = 7\n",
+        "d = 1\nk = 1\ntarget = gaussian_bump\nstrategy = equispaced_circle\nns = 8 16\n"
+        "seeds = 0 1 2 3 4 5 6 7 8 9\npath = constructive\n",  # randcmp reads no path
+        "d = 1\nk = 1\ntarget = gaussian_bump\nstrategy = equispaced_circle\nns = 8 16\n"
+        "seeds = 0 1 2 3 4 5 6 7 8 9\ns = 0\n",  # nor s
     ),
 }
 
@@ -389,13 +418,9 @@ def test_cli_subcommand_exit_codes(command, tmp_path, capsys):
         assert not bad_out.exists() or not any(bad_out.iterdir())
 
 
-def _good_config(command: str) -> str:
-    return CLI_CASES["approx" if command == "rates" else command][0]  # rates reads approx's keys
-
-
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
 def test_cli_out_dir_is_not_a_config_key(command, tmp_path, capsys):
-    (tmp_path / "good.cfg").write_text(_good_config(command) + f"out_dir = {tmp_path / 'x'}\n")
+    (tmp_path / "good.cfg").write_text(CLI_CASES[command][0] + f"out_dir = {tmp_path / 'x'}\n")
     out = tmp_path / "out"
     assert cli_main(["--config", str(tmp_path / "good.cfg"), "--out", str(out), command]) == 2
     assert "unknown config key: out_dir" in capsys.readouterr().err
@@ -403,7 +428,7 @@ def test_cli_out_dir_is_not_a_config_key(command, tmp_path, capsys):
 
 
 def test_cli_approx_fits_only_the_largest_n(monkeypatch, tmp_path, capsys):
-    (tmp_path / "approx.cfg").write_text(_good_config("approx").replace("ns = 8", "ns = 8 16 32"))
+    (tmp_path / "approx.cfg").write_text(CLI_CASES["approx"][0].replace("ns = 8", "ns = 8 16 32"))
     real = harness._rate_row_ls
     calls = []
 
@@ -416,14 +441,14 @@ def test_cli_approx_fits_only_the_largest_n(monkeypatch, tmp_path, capsys):
     assert calls == [32]
     monkeypatch.undo()
     full = ExperimentConfig(d=1, k=1, target="gaussian_bump", strategy="equispaced_circle", ns=(8, 16, 32))
-    row = run_rates(full, write=False).rows[-1]  # the sweep the command ran before printing its last row
+    row = run_rates(full).rows[-1]  # the sweep the command ran before printing its last row
     want = f"n={row['n']} l2={row['error_l2']!r} h1={row['error_h1']!r} sqrtn_a={row['sqrtn_a_norm']!r}\n"
     assert capsys.readouterr().out == want
 
 
 @pytest.mark.parametrize("command", ["approx", "pde", "randcmp", "rates", "spectrum"])  # no seed key
 def test_cli_seed_flag_rejected_where_seeds_are_read(command, tmp_path, capsys):
-    (tmp_path / "good.cfg").write_text(_good_config(command))
+    (tmp_path / "good.cfg").write_text(CLI_CASES[command][0])
     out = tmp_path / "out"
     assert cli_main(["--config", str(tmp_path / "good.cfg"), "--seed", "7", "--out", str(out), command]) == 2
     assert "configuration error" in capsys.readouterr().err
