@@ -9,7 +9,7 @@ Library layout:
 - models: finite neuron models, constructive and least-squares fitting
 - ball_map: cap/ball homogeneity transfer and parity extension
 - pde_erm: Ritz-energy empirical risk minimization
-- harness: rate sweeps, slope fits, CSV reports
+- harness: the rate, randcmp and PDE sweeps, slope fits, config and CSV I/O
 - cli: the `fnspace` command
 """
 
@@ -23,7 +23,7 @@ from .errors import (
     PrecisionError,
 )
 from .harmonics import ReferenceGrid, harmonic_dim, reference_grid, sphere_area
-from .harness import ExperimentConfig, RateReport, fit_slope, run_randcmp, run_rates
+from .harness import ExperimentConfig, RateReport, fit_slope, run_pde, run_randcmp, run_rates
 from .models import (
     FiniteNeuronModel,
     TargetFunction,

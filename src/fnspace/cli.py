@@ -6,9 +6,11 @@ with MISSING marking a required key.  A subcommand reads a key=value config
 file (--config) through harness.read_config, which rejects every key outside
 its table; --seed sets the key seed, so it is valid exactly where the table
 lists seed.  The handlers write every result file, under --out, the only
-setting of the output directory; the sweeps in harness return rows and
-write nothing.  Exit codes: 0 on success, 2 on configuration problems (nothing
-is written), 3 on numerical failures.
+setting of the output directory; the sweeps in harness (run_rates,
+run_randcmp, run_pde) return their config hash and rows and write nothing,
+and _write_sweep writes each sweep's CSV as <sweep>_<hash>.csv.  Exit
+codes: 0 on success, 2 on configuration problems (nothing is written), 3 on
+numerical failures.
 """
 
 from __future__ import annotations
@@ -22,20 +24,19 @@ from pathlib import Path
 
 import numpy as np
 
-from . import harness, pde_erm, quadrature
+from . import harness, quadrature
 from .activation import spectrum as build_spectrum
 from .activation import kernel as kernel_series
 from .activation import sigma_k
 from .errors import ConfigurationError, ContractError, DomainError
 from .errors import NumericalError, PrecisionError
 from .harmonics import sphere_area
-from .harness import ExperimentConfig, loglog_slope, parse_config, read_config, run_randcmp, run_rates
+from .harness import ExperimentConfig, parse_config, read_config, run_pde, run_randcmp, run_rates
 from .quadrature import build_rule, rule_to_json
 from .sphere import generate_points, pointset_to_json
 
 CONFIG_ERRORS = (ConfigurationError, ContractError, DomainError, FileNotFoundError)
 NUMERIC_ERRORS = (PrecisionError, NumericalError, np.linalg.LinAlgError)
-PDE_COLUMNS = ("d", "k", "n", "m", "M", "seed", "emp_risk", "energy", "excess", "h1", "sqrtn_a_norm")
 
 
 def _point_keys(**extra) -> dict:
@@ -89,16 +90,17 @@ def _cmd_approx(v: dict, out: Path) -> None:
     )
 
 
-def _hashed(cfg_hash: str, rows) -> list[dict]:
-    return [{"config_hash": cfg_hash} | row for row in rows]
+def _write_sweep(out: Path, sweep: str, cfg_hash: str, columns, rows) -> Path:
+    """A sweep's CSV, <sweep>_<hash>.csv: the config_hash column, then columns."""
+    path = out / f"{sweep}_{cfg_hash}.csv"
+    harness.write_csv(path, ("config_hash", *columns), [{"config_hash": cfg_hash} | row for row in rows])
+    return path
 
 
 def _cmd_rates(v: dict, out: Path) -> None:
     report = run_rates(ExperimentConfig(**v))
-    name = f"rates_{report.config_hash}"
-    harness.write_csv(out / f"{name}.csv", ("config_hash",) + harness.RATE_COLUMNS,
-                      _hashed(report.config_hash, report.rows))
-    harness.write_result(out / f"{name}.json", json.dumps(asdict(report)))
+    path = _write_sweep(out, "rates", report.config_hash, harness.RATE_COLUMNS, report.rows)
+    harness.write_result(path.with_suffix(".json"), json.dumps(asdict(report)))
     print(
         f"slope={report.fitted_slope!r} stderr={report.slope_stderr!r} "
         f"theory={report.theoretical_slope!r} {report.note}"
@@ -107,8 +109,7 @@ def _cmd_rates(v: dict, out: Path) -> None:
 
 def _cmd_randcmp(v: dict, out: Path) -> None:
     summary = run_randcmp(ExperimentConfig(**v))
-    rows = _hashed(summary["config_hash"], summary["rows"])
-    harness.write_csv(out / f"randcmp_{summary['config_hash']}.csv", list(rows[0]), rows)
+    _write_sweep(out, "randcmp", summary["config_hash"], list(summary["rows"][0]), summary["rows"])
     for row in summary["rows"]:
         print(
             f"n={row['n']} det={row['det_error']!r} "
@@ -117,35 +118,9 @@ def _cmd_randcmp(v: dict, out: Path) -> None:
 
 
 def _cmd_pde(v: dict, out: Path) -> None:
-    name, k, ms, seeds = v["problem"], v["k"], v["ms"], v["seeds"]
-    if name == "interval":
-        prob = pde_erm.interval_problem()
-    elif name == "disk":
-        prob = pde_erm.disk_problem()
-    else:
-        raise ConfigurationError(f"unknown problem {name!r}")
-    if len(ms) < harness.MIN_SLOPE_ROWS:
-        raise ConfigurationError(f"need at least {harness.MIN_SLOPE_ROWS} sample sizes for a slope, got {len(ms)}")
-    path = out / f"pde_{name}_k{k}.csv"
-    rows, means = [], []
-    for m in ms:
-        n = math.ceil(m ** (prob.d / (2.0 * (prob.d + 2 * k - 1))))
-        if prob.d == 1:
-            ps = pde_erm.interval_directions(n)
-        else:
-            ps = generate_points(prob.d, n, "fibonacci_s2")
-        excesses = []
-        for seed in seeds:
-            res = pde_erm.erm_fit(prob, ps, prob.sample(m, seed), k, seed=seed)
-            excesses.append(res.excess_risk)
-            stat = math.sqrt(res.model.n) * float(np.linalg.norm(res.model.a))
-            cells = (prob.d, k, n, m, res.model.norm_cap, seed, res.empirical_risk,
-                     res.population_energy, res.excess_risk, res.h1_error, stat)
-            rows.append(dict(zip(PDE_COLUMNS, cells)))
-        means.append(float(np.mean(excesses)))
-    harness.write_csv(path, PDE_COLUMNS, rows)
-    slope, stderr = loglog_slope(ms, means)
-    print(f"{path} excess_slope={slope!r} stderr={stderr!r}")
+    result = run_pde(**v)
+    path = _write_sweep(out, "pde", result["config_hash"], harness.PDE_COLUMNS, result["rows"])
+    print(f"{path} excess_slope={result['excess_slope']!r} stderr={result['stderr']!r}")
 
 
 def _cmd_kernel(v: dict, out: Path) -> None:

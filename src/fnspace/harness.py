@@ -1,13 +1,15 @@
 """Experiment orchestration: rate sweeps, random-vs-deterministic
-comparisons, slope fitting, and the one config reader and result writer.
+comparisons, the PDE ERM sweep, slope fitting, and the one config reader and
+result writer.
 
 Configs are flat key=value text files, parsed by parse_config and typed by
 read_config against a command's key table, which rejects every key the
-command does not read.  run_rates and run_randcmp compute and return their
-rows and write nothing; the CLI writes every result file, through
-write_result, and every CSV through write_csv (floats with repr).  A sweep's
-hash is the hash of all its typed values, so every spelling of one sweep
-names the same files and identical sweeps produce byte-identical output.
+command does not read.  run_rates, run_randcmp and run_pde compute and
+return their config hash and rows and write nothing; the CLI writes every
+result file, through write_result, and every CSV through write_csv (floats
+with repr).  A sweep's hash is the hash of all its typed values, with its
+sizes (ns, ms) sorted, so every spelling of one sweep names the same files
+and identical sweeps produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -22,50 +24,23 @@ import numpy as np
 
 from . import quadrature
 from .activation import spectrum
-from .errors import (
-    ConfigurationError,
-    ContractError,
-    DomainError,
-    NumericalError,
-    PrecisionError,
-)
+from .errors import ConfigurationError, ContractError, DomainError, NumericalError, PrecisionError
 from .harmonics import reference_grid
-from .models import (
-    TargetFunction,
-    coef_stat,
-    constructive_fit,
-    error_norms,
-    least_squares_fit,
-)
-from .pde_erm import DISK_GRID_ANGLES, disk_grid, midpoint_grid
+from .models import TargetFunction, coef_stat, constructive_fit, error_norms, least_squares_fit
+from .pde_erm import DISK_GRID_ANGLES, disk_grid, disk_problem, erm_fit, interval_directions, interval_problem
+from .pde_erm import midpoint_grid
 from .sphere import generate_points
 
 __all__ = [
-    "ExperimentConfig",
-    "RateReport",
-    "fit_slope",
-    "parse_config",
-    "read_config",
-    "config_hash",
-    "get_target",
-    "domain_grid",
-    "run_rates",
-    "run_randcmp",
-    "write_csv",
-    "write_result",
+    "ExperimentConfig", "RateReport", "fit_slope", "parse_config", "read_config", "config_hash", "get_target",
+    "domain_grid", "run_rates", "run_randcmp", "run_pde", "write_csv", "write_result",
 ]
 
 MIN_SLOPE_ROWS = 4
 
 # failures a sweep cell may end in; anything else is a bug and propagates
-CELL_ERRORS = (
-    ContractError,
-    ConfigurationError,
-    DomainError,
-    PrecisionError,
-    NumericalError,
-    np.linalg.LinAlgError,
-)
+CELL_ERRORS = (ContractError, ConfigurationError, DomainError, PrecisionError, NumericalError,
+               np.linalg.LinAlgError)
 
 
 def fit_slope(log_points) -> tuple[float, float]:
@@ -133,6 +108,13 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.replace(",", " ").split())
 
 
+def _size_set(key: str, sizes) -> tuple[int, ...]:
+    """A sweep's sizes as a set: sorted, and a repeated size is a ConfigurationError."""
+    if len(set(sizes)) != len(sizes):
+        raise ConfigurationError(f"{key} repeats a size: {' '.join(map(str, sizes))}")
+    return tuple(sorted(sizes))
+
+
 def write_result(path: Path, text: str) -> None:
     """Write one result file, creating its directory."""
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -172,9 +154,7 @@ class ExperimentConfig:
             raise ConfigurationError("s must be 0 or 1")
         if len(self.ns) == 0:
             raise ConfigurationError("ns must be nonempty")
-        if len(set(self.ns)) != len(self.ns):
-            raise ConfigurationError(f"ns repeats a size: {' '.join(map(str, self.ns))}")
-        object.__setattr__(self, "ns", tuple(sorted(self.ns)))
+        object.__setattr__(self, "ns", _size_set("ns", self.ns))
 
     @property
     def hash(self) -> str:
@@ -237,6 +217,7 @@ def theoretical_slope(d: int, k: int, s: int) -> float:
 
 
 RATE_COLUMNS = ("n", "h", "error_l2", "error_h1", "sqrtn_a_norm", "error_code")
+PDE_COLUMNS = ("d", "k", "n", "m", "M", "seed", "emp_risk", "energy", "excess", "h1", "sqrtn_a_norm")
 
 
 def _rate_row(*cells) -> dict:
@@ -255,16 +236,16 @@ def _rate_row_constructive(cfg: ExperimentConfig, target, n: int) -> dict:
     return _rate_row(n, ps.h, l2, float("nan"), coef_stat(model)[1], "")
 
 
-def _ls_fit(cfg: ExperimentConfig, target, n: int, strategy: str, seed: int, grid):
-    """One point set and its least-squares model on the grid."""
-    pts, w = grid
+def _ls_grid(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The least-squares sweeps' grid: it depends only on d and max(ns)."""
+    return domain_grid(cfg.d, 4096 if cfg.d == 1 else 64 * max(cfg.ns))
+
+
+def _rate_row_ls(cfg: ExperimentConfig, target, n: int, strategy: str, seed: int, grid, s: int) -> dict:
+    """One least-squares cell: the point set, its fit on the grid, and the errors up to order s."""
     ps = generate_points(cfg.d, n, strategy, seed=seed, resolution=cfg.resolution)
-    return ps, least_squares_fit(target, ps, pts, w, k=cfg.k, ridge=cfg.ridge)
-
-
-def _rate_row_ls(cfg: ExperimentConfig, target, n: int, seed: int, grid) -> dict:
-    ps, model = _ls_fit(cfg, target, n, cfg.strategy, seed, grid)
-    l2, h1 = error_norms(model, target, *grid, s=cfg.s)
+    model = least_squares_fit(target, ps, *grid, k=cfg.k, ridge=cfg.ridge)
+    l2, h1 = error_norms(model, target, *grid, s=s)
     return _rate_row(n, ps.h, l2, h1, coef_stat(model)[1], "")
 
 
@@ -281,14 +262,14 @@ def run_rates(cfg: ExperimentConfig) -> RateReport:
     if cfg.path == "constructive" and cfg.ridge != 0.0:
         raise ConfigurationError("the constructive path takes no ridge")
     target = get_target(cfg.target, cfg.d)
-    grid = None if cfg.path == "constructive" else domain_grid(cfg.d, 4096 if cfg.d == 1 else 64 * max(cfg.ns))
+    grid = None if cfg.path == "constructive" else _ls_grid(cfg)
     rows = []
     for n in cfg.ns:
         try:
             if cfg.path == "constructive":
                 rows.append(_rate_row_constructive(cfg, target, n))
             else:
-                rows.append(_rate_row_ls(cfg, target, n, cfg.seeds[0], grid))
+                rows.append(_rate_row_ls(cfg, target, n, cfg.strategy, cfg.seeds[0], grid, cfg.s))
         except CELL_ERRORS as exc:  # error rows keep the sweep alive
             nan = float("nan")
             rows.append(_rate_row(n, nan, nan, nan, nan, type(exc).__name__) | {"error_message": str(exc)})
@@ -308,32 +289,70 @@ def run_randcmp(cfg: ExperimentConfig) -> dict:
 
     For every n the deterministic strategy from the config is compared
     with uniform_random draws over all config seeds; the summary records
-    the random-error median and quartiles plus random mesh norms.
+    the random-error median and quartiles plus random mesh norms.  Each
+    cell is a rate-sweep cell with s = 0.  The comparison reads neither
+    path nor s, so either one away from its default is a ConfigurationError.
     """
+    for key in ("path", "s"):
+        if getattr(cfg, key) != getattr(ExperimentConfig, key):
+            raise ConfigurationError(f"randcmp reads no {key}, got {key} = {getattr(cfg, key)}")
     if len(cfg.seeds) < 10:
         raise ConfigurationError("randcmp needs at least 10 seeds")
     target = get_target(cfg.target, cfg.d)
-    grid = domain_grid(cfg.d, 4096 if cfg.d == 1 else 64 * max(cfg.ns))
+    grid = _ls_grid(cfg)
     rows = []
     for n in cfg.ns:
-        det_ps, det_model = _ls_fit(cfg, target, n, cfg.strategy, cfg.seeds[0], grid)
-        det_error, _ = error_norms(det_model, target, *grid, s=0)
-        rand_errs, rand_h = [], []
-        for seed in cfg.seeds:
-            ps, model = _ls_fit(cfg, target, n, "uniform_random", seed, grid)
-            l2, _ = error_norms(model, target, *grid, s=0)
-            rand_errs.append(l2)
-            rand_h.append(ps.h)
-        q1, q2, q3 = np.percentile(rand_errs, [25, 50, 75])
+        det = _rate_row_ls(cfg, target, n, cfg.strategy, cfg.seeds[0], grid, 0)
+        rand = [_rate_row_ls(cfg, target, n, "uniform_random", seed, grid, 0) for seed in cfg.seeds]
+        q1, q2, q3 = np.percentile([r["error_l2"] for r in rand], [25, 50, 75])
         rows.append(
             {
                 "n": n,
-                "det_error": det_error,
-                "det_h": det_ps.h,
+                "det_error": det["error_l2"],
+                "det_h": det["h"],
                 "rand_q1": float(q1),
                 "rand_median": float(q2),
                 "rand_q3": float(q3),
-                "rand_h_median": float(np.median(rand_h)),
+                "rand_h_median": float(np.median([r["h"] for r in rand])),
             }
         )
     return {"config_hash": cfg.hash, "rows": rows}
+
+
+PDE_PROBLEMS = {"interval": interval_problem, "disk": disk_problem}
+
+
+def run_pde(problem: str, k: int, ms, seeds) -> dict:
+    """Ritz-energy ERM of a linearized network at each sample count m.
+
+    The inner directions are fixed (interval_directions on the interval,
+    Fibonacci on the disk) at n = ceil(m^(d/(2(d+2k-1)))) and only the outer
+    coefficients are fitted, once per seed.  ms is a set of sizes (sorted,
+    no repeats, at least MIN_SLOPE_ROWS); excess_slope and its stderr are the
+    log-log slope of the seed-mean excess risk against m.
+    """
+    if problem not in PDE_PROBLEMS:
+        raise ConfigurationError(f"unknown problem {problem!r}")
+    if k < 1:
+        raise ConfigurationError(f"the ERM fit needs k >= 1 for gradients, got k = {k}")
+    if not seeds:
+        raise ConfigurationError("seeds must be nonempty")
+    ms = _size_set("ms", ms)
+    if len(ms) < MIN_SLOPE_ROWS:
+        raise ConfigurationError(f"need at least {MIN_SLOPE_ROWS} sample sizes for a slope, got {len(ms)}")
+    prob = PDE_PROBLEMS[problem]()
+    rows, means = [], []
+    for m in ms:
+        n = math.ceil(m ** (prob.d / (2.0 * (prob.d + 2 * k - 1))))
+        ps = interval_directions(n) if prob.d == 1 else generate_points(prob.d, n, "fibonacci_s2")
+        excesses = []
+        for seed in seeds:
+            res = erm_fit(prob, ps, prob.sample(m, seed), k, seed=seed)
+            excesses.append(res.excess_risk)
+            cells = (prob.d, k, n, m, res.model.norm_cap, seed, res.empirical_risk,
+                     res.population_energy, res.excess_risk, res.h1_error, coef_stat(res.model)[1])
+            rows.append(dict(zip(PDE_COLUMNS, cells)))
+        means.append(float(np.mean(excesses)))
+    slope, stderr = loglog_slope(ms, means)
+    return {"config_hash": config_hash({"problem": problem, "k": k, "ms": ms, "seeds": seeds}),
+            "rows": rows, "excess_slope": slope, "stderr": stderr}

@@ -23,6 +23,7 @@ from fnspace.harness import (
     loglog_slope,
     parse_config,
     read_config,
+    run_pde,
     run_randcmp,
     run_rates,
     theoretical_slope,
@@ -197,7 +198,15 @@ def test_sweeps_write_nothing(monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     run_rates(LS_SWEEP)
     run_randcmp(dataclasses.replace(LS_SWEEP, seeds=tuple(range(10))))
+    run_pde("interval", 2, (64, 128, 256, 512), (0,))
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("unread", [{"path": "constructive"}, {"s": 0}])
+def test_randcmp_rejects_what_it_does_not_read(unread):
+    cfg = dataclasses.replace(LS_SWEEP, seeds=tuple(range(10)), **unread)
+    with pytest.raises(ConfigurationError, match=f"randcmp reads no {next(iter(unread))}"):
+        run_randcmp(cfg)
 
 
 def test_randcmp_seed_guard():
@@ -342,6 +351,48 @@ def test_randcmp_csv_golden_format(tmp_path):
         assert line == ",".join([cfg.hash, str(row["n"])] + [repr(v) for v in floats])
 
 
+PDE_CFG = "problem = interval\nk = 2\nms = 64 128 256 512\nseeds = 0\n"
+PDE_HEADER = "config_hash,d,k,n,m,M,seed,emp_risk,energy,excess,h1,sqrtn_a_norm"
+
+
+def test_pde_csv_golden_format(tmp_path):
+    """One row per (m, seed) in PDE_COLUMNS order after the config hash,
+    floats written with repr, and the same bytes on a second run."""
+    result = run_pde("interval", 2, (64, 128, 256, 512), (0, 1))
+    text = PDE_CFG.replace("seeds = 0", "seeds = 0 1")
+    csv_path = tmp_path / "out" / f"pde_{result['config_hash']}.csv"
+    assert _cli(tmp_path, "pde", text, tmp_path / "out") == 0
+    first = csv_path.read_bytes()
+    assert _cli(tmp_path, "pde", text, tmp_path / "out") == 0
+    assert csv_path.read_bytes() == first
+    header, *rows = first.decode().splitlines()
+    assert header == PDE_HEADER
+    assert [(r["m"], r["seed"]) for r in result["rows"]] == [(m, s) for m in (64, 128, 256, 512) for s in (0, 1)]
+    columns = PDE_HEADER.split(",")[1:]
+    for line, row in zip(rows, result["rows"], strict=True):
+        cells = [row[c] for c in columns]
+        assert all(isinstance(v, int if c in ("d", "k", "n", "m", "seed") else float) for c, v in zip(columns, cells))
+        assert line == ",".join([result["config_hash"]] + [repr(v) if isinstance(v, float) else str(v) for v in cells])
+
+
+def test_cli_pde_names_one_file_per_config(tmp_path):
+    configs = [PDE_CFG, PDE_CFG.replace("ms = 64", "ms = 32"), PDE_CFG.replace("seeds = 0", "seeds = 1")]
+    for text in configs:
+        assert _cli(tmp_path, "pde", text, tmp_path / "out") == 0
+    assert len(list((tmp_path / "out").glob("pde_*.csv"))) == len(configs)
+
+
+def test_cli_pde_ms_order_names_the_same_file(tmp_path, capsys):
+    written, slopes = [], []
+    for name, ms in (("a", "64 128 256 512"), ("b", "512 256 128 64")):
+        (tmp_path / "pde.cfg").write_text(PDE_CFG.replace("64 128 256 512", ms))
+        assert cli_main(["--config", str(tmp_path / "pde.cfg"), "--out", str(tmp_path / name), "pde"]) == 0
+        written.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
+        slopes.append(capsys.readouterr().out.split(" ", 1)[1])
+    assert written[0] == written[1] and len(written[0]) == 1
+    assert slopes[0] == slopes[1]
+
+
 CLI_CASES = {  # command: (a good config, then bad ones: a broken config, a non-numeric value)
     "points": (
         "d = 1\nn = 8\nstrategy = equispaced_circle\n",
@@ -366,6 +417,9 @@ CLI_CASES = {  # command: (a good config, then bad ones: a broken config, a non-
         "problem = nonsense\n",
         "problem = interval\nk = 2\nms = 64 x\nseeds = 0\n",
         "problem = interval\nk = 2\nms = 256 512\nseeds = 0\n",  # too few sizes for a slope
+        "problem = interval\nk = 2\nms = 64 64 128 256 512\nseeds = 0\n",  # a repeated size
+        "problem = interval\nk = 0\nms = 64 128 256 512\nseeds = 0\n",  # no gradients at k = 0
+        "problem = interval\nk = 2\nms = 64 128 256 512\nseeds =\n",  # no seed
         "problem = interval\nk = 2\nms = 64 128 256 512\nseeds = 0\nseed = 7\n",  # unread key
     ),
     "kernel": (
