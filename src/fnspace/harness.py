@@ -8,8 +8,8 @@ command does not read.  run_rates, run_randcmp and run_pde compute and
 return their config hash and rows and write nothing; the CLI writes every
 result file, through write_result, and every CSV through write_csv (floats
 with repr).  A sweep's hash is the hash of all its typed values, with its
-sizes (ns, ms) sorted, so every spelling of one sweep names the same files
-and identical sweeps produce byte-identical output.
+sizes (ns, ms) and pde's seeds sorted, so every spelling of one sweep names
+the same files and identical sweeps produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -109,9 +109,9 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 
 def _size_set(key: str, sizes) -> tuple[int, ...]:
-    """A sweep's sizes as a set: sorted, and a repeated size is a ConfigurationError."""
+    """A sweep's sizes or seeds as a set: sorted, and a repeat is a ConfigurationError."""
     if len(set(sizes)) != len(sizes):
-        raise ConfigurationError(f"{key} repeats a size: {' '.join(map(str, sizes))}")
+        raise ConfigurationError(f"{key} repeats a value: {' '.join(map(str, sizes))}")
     return tuple(sorted(sizes))
 
 
@@ -225,9 +225,7 @@ def _rate_row(*cells) -> dict:
 
 
 def _rate_row_constructive(cfg: ExperimentConfig, target, n: int) -> dict:
-    ps = generate_points(
-        cfg.d, n, cfg.strategy, seed=cfg.seeds[0], resolution=cfg.resolution
-    )
+    ps = generate_points(cfg.d, n, cfg.strategy, seed=cfg.seeds[0], resolution=cfg.resolution, k=cfg.k)
     rule = quadrature.build_rule(ps, n - 1 if cfg.d == 1 else quadrature.default_degree(ps))
     spec = spectrum(cfg.d, cfg.k, rule.J + 4)
     grid = reference_grid(cfg.d, max(2 * rule.J + 8, 1024 if cfg.d == 1 else 64))
@@ -243,7 +241,7 @@ def _ls_grid(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
 
 def _rate_row_ls(cfg: ExperimentConfig, target, n: int, strategy: str, seed: int, grid, s: int) -> dict:
     """One least-squares cell: the point set, its fit on the grid, and the errors up to order s."""
-    ps = generate_points(cfg.d, n, strategy, seed=seed, resolution=cfg.resolution)
+    ps = generate_points(cfg.d, n, strategy, seed=seed, resolution=cfg.resolution, k=cfg.k)
     model = least_squares_fit(target, ps, *grid, k=cfg.k, ridge=cfg.ridge)
     l2, h1 = error_norms(model, target, *grid, s=s)
     return _rate_row(n, ps.h, l2, h1, coef_stat(model)[1], "")
@@ -328,8 +326,9 @@ def run_pde(problem: str, k: int, ms, seeds) -> dict:
     The inner directions are fixed (interval_directions on the interval,
     Fibonacci on the disk) at n = ceil(m^(d/(2(d+2k-1)))) and only the outer
     coefficients are fitted, once per seed.  ms is a set of sizes (sorted,
-    no repeats, at least MIN_SLOPE_ROWS); excess_slope and its stderr are the
-    log-log slope of the seed-mean excess risk against m.
+    no repeats, at least MIN_SLOPE_ROWS) and seeds a set of seeds (sorted,
+    no repeats, at least one); excess_slope and its stderr are the log-log
+    slope of the seed-mean excess risk against m.
     """
     if problem not in PDE_PROBLEMS:
         raise ConfigurationError(f"unknown problem {problem!r}")
@@ -337,7 +336,7 @@ def run_pde(problem: str, k: int, ms, seeds) -> dict:
         raise ConfigurationError(f"the ERM fit needs k >= 1 for gradients, got k = {k}")
     if not seeds:
         raise ConfigurationError("seeds must be nonempty")
-    ms = _size_set("ms", ms)
+    ms, seeds = _size_set("ms", ms), _size_set("seeds", seeds)
     if len(ms) < MIN_SLOPE_ROWS:
         raise ConfigurationError(f"need at least {MIN_SLOPE_ROWS} sample sizes for a slope, got {len(ms)}")
     prob = PDE_PROBLEMS[problem]()

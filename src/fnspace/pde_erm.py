@@ -241,14 +241,15 @@ def erm_fit(
     """Empirical risk minimizer over the fixed-direction class.
 
     Assembles A_ij = |Omega| mean[grad(phi_i).grad(phi_j) + phi_i phi_j]
-    and b_i = |Omega| mean[h phi_i] in one m x n buffer: it holds sigma_k'
-    of the preactivations for the gradient term, then sigma_k of the same
-    preactivations for the rest.  Solves the quadratic program
-    (ridge_bisect_cap if the cap sqrt(n)||a||_2 <= norm_cap is set), takes
-    the empirical risk |Omega| mean Psi(g) from g's values, read off the
-    sigma_k buffer, and its gradients, from sigma_k' recomputed into it, and
-    measures excess risk and H1 error against the manufactured solution on
-    problem.grid_values.
+    and b_i = |Omega| mean[h phi_i] in one m x n buffer, which holds only
+    the Gram's operands: sigma_k' of the preactivations for the gradient
+    term, then sigma_k of the same preactivations for the rest, and is
+    released before the solve.  Solves the quadratic program
+    (ridge_bisect_cap if the cap sqrt(n)||a||_2 <= norm_cap is set).  The
+    fitted model's blocked evaluation then gives the empirical risk
+    |Omega| mean Psi(g) at the samples, equal to empirical_risk(model,
+    model.gradient, problem, samples), and the energy, excess risk and H1
+    error against the manufactured solution on problem.grid_values.
     An uncapped A that is exactly singular (neurons 0 on every sample give
     zero rows) is solved as A + 1e-12 I instead, and that fallback sends one
     JSON debug record (path, n, zero_rows) to the "fnspace.pde_erm" logger,
@@ -276,6 +277,7 @@ def erm_fit(
     A *= problem.volume
     h = problem.source(samples)
     b = problem.volume * (phi.T @ h) / m
+    del buf, phi, dphi  # free the m x n buffer: nothing after the Gram reads it
     if norm_cap > 0.0:
         a, _ = ridge_bisect_cap(A, b, ps.n, norm_cap)
     else:
@@ -287,9 +289,7 @@ def erm_fit(
                 zero_rows = int(np.count_nonzero(~A.any(axis=1)))
                 _log.debug("%s", json.dumps({"path": "solve+1e-12I", "n": ps.n, "zero_rows": zero_rows}))
     model = FiniteNeuronModel(problem.d, k, ps, a, norm_cap)
-    values = phi @ a  # before the next pass overwrites phi
-    grads = activated(sigma_k_prime) @ (a[:, None] * wdirs)
-    emp = problem.volume * float(np.mean(_psi(values, grads, h)))
+    emp = problem.volume * float(np.mean(_psi(*model._evaluate(samples, grad=True), h)))
     # one grid, one evaluation: energy and H1 error from the same values
     pts, w = problem.grid()
     hv, fv, fg = problem.grid_values

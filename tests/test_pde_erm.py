@@ -242,10 +242,8 @@ def test_erm_single_evaluation_matches_public_functions():
     samples = prob.sample(3000, 1)
     res = erm_fit(prob, ps, samples, k=2)
     model = res.model
-    pop = energy(model, model.gradient, prob)
-    assert res.population_energy == pytest.approx(pop, rel=1e-13)
-    emp = empirical_risk(model, model.gradient, prob, samples)
-    assert res.empirical_risk == pytest.approx(emp, rel=1e-13)
+    assert res.population_energy == energy(model, model.gradient, prob)
+    assert res.empirical_risk == empirical_risk(model, model.gradient, prob, samples)
     assert res.excess_risk == res.population_energy - prob.exact_energy
     pts, w = prob.grid()
     diff = model(pts) - prob.solution(pts)
@@ -311,8 +309,8 @@ def test_erm_fallback_keeps_its_reason(caplog):
 
 
 def _erm_reference(problem, ps, samples, k, norm_cap=0.0):
-    """erm_fit as written with two m x n buffers and a second pass over the
-    samples for the risk: the bit reference.  (a, emp, pop, excess, h1)."""
+    """erm_fit as written with two m x n buffers, the risk read off them: the
+    bit reference for a, pop, excess and h1.  (a, emp, pop, excess, h1)."""
     m = len(samples)
     phi, dphi = features(ps, k, samples, grad=True)
     wdirs = ps.points[:, : problem.d]
@@ -354,7 +352,9 @@ PROBLEMS = {"interval": interval_problem(), "disk": disk_problem()}
     cap_share=st.sampled_from([0.0, 0.5, 0.9, 2.0]),
 )
 def test_erm_fit_bit_identical_to_two_buffer_reference(name, k, n, rows_per_neuron, fibonacci, seed, cap_share):
-    """One reused buffer gives the same a, risks and H1 error, bit for bit."""
+    """One reused buffer gives the same a, energy and H1 error, bit for bit;
+    the empirical risk is the fitted model's, bit for bit, and within
+    rounding of the two-buffer risk."""
     prob = PROBLEMS[name]
     if fibonacci:
         ps = interval_directions(n) if prob.d == 1 else generate_points(2, n, "fibonacci_s2")
@@ -373,7 +373,9 @@ def test_erm_fit_bit_identical_to_two_buffer_reference(name, k, n, rows_per_neur
         return
     res = erm_fit(prob, ps, samples, k, norm_cap=cap)
     assert np.array_equal(res.model.a, a)
-    assert (res.empirical_risk, res.population_energy, res.excess_risk, res.h1_error) == (emp, pop, excess, h1)
+    assert (res.population_energy, res.excess_risk, res.h1_error) == (pop, excess, h1)
+    assert res.empirical_risk == empirical_risk(res.model, res.model.gradient, prob, samples)
+    assert res.empirical_risk == pytest.approx(emp, rel=1e-13)
 
 
 def test_erm_fit_holds_one_sample_buffer():

@@ -29,6 +29,7 @@ from fnspace.sphere import (
     PointSet,
     generate_points,
     mesh_norm,
+    pointset_from_json,
     pointset_to_json,
     separation,
 )
@@ -206,6 +207,42 @@ def test_shared_moment_matrix_matches_rebuild_per_degree(kind, n, seed, data):
     assert got.exact_degree == want.exact_degree
     assert got.residual == want.residual
     assert np.array_equal(got.weights, want.weights)
+
+
+@settings(max_examples=100, deadline=None)
+@given(SMALL_SETS, st.integers(1, 40), st.integers(0, 2**32 - 1), st.data())
+def test_rule_invariants(kind, n, seed, data):
+    """Weights >= 0 summing to 1, residual <= tol, and each harmonic moment up
+    to exact_degree within tol, evaluated block by block."""
+    d, strategy = kind
+    ps = generate_points(d, n, strategy, seed=seed, resolution=0.05)
+    rule = build_rule(ps, data.draw(st.integers(0, 2 * math.isqrt(n) + 4), label="D_target"))
+    w = rule.weights
+    assert np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-10
+    assert rule.residual <= rule.tol
+    moments = [harmonic_block(d, m, ps.points) @ w for m in range(rule.exact_degree + 1)]
+    moments[0] -= 1.0
+    assert max(float(np.max(np.abs(v))) for v in moments) <= rule.tol
+
+
+@settings(max_examples=100, deadline=None)
+@given(SMALL_SETS, st.integers(1, 40), st.integers(0, 2**32 - 1), st.integers(0, 8),
+       st.sampled_from([0.02, 0.05, 0.1]))
+def test_json_round_trips_are_exact(kind, n, seed, D_target, resolution):
+    """A point set and a rule read back from JSON equal the originals bit for bit."""
+    d, strategy = kind
+    ps = generate_points(d, n, strategy, seed=seed, resolution=resolution)
+    back = pointset_from_json(pointset_to_json(ps))
+    assert np.array_equal(back.points, ps.points)
+    assert (back.d, back.h, back.h_sep, back.h_resolution, back.strategy, back.seed) == (
+        ps.d, ps.h, ps.h_sep, ps.h_resolution, ps.strategy, ps.seed)
+    rule = build_rule(ps, D_target)
+    text = rule_to_json(rule)
+    again = rule_from_json(text)
+    assert np.array_equal(again.ps.points, ps.points) and np.array_equal(again.weights, rule.weights)
+    assert (again.ps.h, again.ps.h_sep, again.exact_degree, again.residual, again.tol) == (
+        ps.h, ps.h_sep, rule.exact_degree, rule.residual, rule.tol)
+    assert rule_to_json(again) == text
 
 
 def test_odd_target_falls_back_to_mass_rule():
