@@ -8,8 +8,8 @@ command does not read.  run_rates, run_randcmp and run_pde compute and
 return their config hash and rows and write nothing; the CLI writes every
 result file, through write_result, and every CSV through write_csv (floats
 with repr).  A sweep's hash is the hash of all its typed values, with its
-sizes (ns, ms) and pde's seeds sorted, so every spelling of one sweep names
-the same files and identical sweeps produce byte-identical output.
+sizes (ns, ms) and seeds sorted, so every spelling of one sweep names the
+same files and identical sweeps produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -133,8 +133,8 @@ def write_csv(path: Path, columns, rows) -> None:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated sweep description shared by rates / randcmp runs; ns is
-    stored sorted, so its order names no file."""
+    """Validated sweep description shared by rates / randcmp runs; ns and
+    seeds are sets, stored sorted, so their order names no file."""
 
     d: int
     k: int
@@ -155,6 +155,7 @@ class ExperimentConfig:
         if len(self.ns) == 0:
             raise ConfigurationError("ns must be nonempty")
         object.__setattr__(self, "ns", _size_set("ns", self.ns))
+        object.__setattr__(self, "seeds", _size_set("seeds", self.seeds))
 
     @property
     def hash(self) -> str:
@@ -285,8 +286,9 @@ def run_rates(cfg: ExperimentConfig) -> RateReport:
 def run_randcmp(cfg: ExperimentConfig) -> dict:
     """Deterministic vs random-direction least squares at each n.
 
-    For every n the deterministic strategy from the config is compared
-    with uniform_random draws over all config seeds; the summary records
+    For every n the deterministic strategy from the config, at the
+    smallest seed, is compared with uniform_random draws over all config
+    seeds (a set, so no draw is counted twice); the summary records
     the random-error median and quartiles plus random mesh norms.  Each
     cell is a rate-sweep cell with s = 0.  The comparison reads neither
     path nor s, so either one away from its default is a ConfigurationError.

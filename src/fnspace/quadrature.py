@@ -20,10 +20,34 @@ all ones, so a w >= 0 with max|Aw - b| <= tol has ||w||_2 <= sum w <=
 the singular-value cutoff of lstsq.  A degree whose lstsq residual exceeds
 twice that bound is skipped without an NNLS solve.
 
+Two certificates skip a degree before lstsq is called.  Each skips only
+degrees that the residual test above would also skip, so the rules and the
+record are those of lstsq at every degree (the tests check this bit for
+bit, tolerances up to 0.1 included).
+
+* Dimension bound (Delsarte, Goethals and Seidel, "Spherical codes and
+  designs", 1977).  Let J = D // 2 and dim P_J = R(J).  If R(J) > n, some
+  p in P_J with ||p||_2 = 1 vanishes at all n points.  Write p^2 =
+  sum_r c_r Y_r over the harmonics of degree <= 2J; for any weights w,
+  1 = int p^2 - sum_i w_i p(x_i)^2 = -sum_r c_r e_r, where e = Aw - b.
+  Cauchy-Schwarz and ||p^2||_2 <= ||p||_inf <= sqrt(R(J)) (the
+  reproducing kernel's diagonal is the dimension) give ||e||_2 >=
+  1 / sqrt(R(J)), and for a rule within tol, 1 <= tol sqrt(R(2J) R(J)).
+  So no rule exists once tol^2 R(2J) R(J) <= 1/4, which keeps a factor 2
+  for rounding.
+* Residual floor.  Let D0 be the smallest degree of the chain with
+  R(D0) > n.  The least-squares residual cannot fall when rows are added,
+  so rho0 = |R[-1, -1]| of the QR factor of [A | b] at D0 bounds the lstsq
+  residual from below at every D >= D0.  Such a D is skipped when rho0 >
+  2 (sqrt(R) tol + cut_F (1 + tol)) with cut_F = eps max(A.shape) ||A||_F;
+  since ||A||_F >= s_max, cut_F >= cut and the residual test would skip it
+  too.  The factorization runs at most once per call, and only when an
+  overdetermined degree that the dimension bound does not settle is tried.
+
 Each call to build_rule sends one debug record, a JSON object, to the
 "fnspace.quadrature" logger: the degrees asked for, tried and reached,
-the NNLS solves run and skipped, the solver path, the residual, the
-moment-matrix shape and the time taken.
+the lstsq and NNLS solves run, the NNLS solves skipped, the solver path,
+the residual, the moment-matrix shape and the time taken.
 """
 
 from __future__ import annotations
@@ -105,27 +129,58 @@ def build_rule(ps: PointSet, D_target: int, tol: float = 1e-8) -> QuadratureRule
     ||r||_2 > 2 (sqrt(R) tol + cut (1 + tol)): any feasible w >= 0 sums to
     at most 1 + tol (row 0 of A is all ones), so it would bound r by
     sqrt(R) tol + cut ||w||_2, and no rule exists there.
+
+    lstsq itself is skipped at a degree that one of two certificates (module
+    docstring) proves infeasible: the dimension bound, when dim P_{D//2} > n
+    and tol^2 R(2 (D//2)) R(D//2) <= 1/4, and the residual floor rho0 of one
+    QR of [A | b] at the first overdetermined chain degree, which bounds the
+    lstsq residual from below at every overdetermined degree.
     """
     if D_target < 0:
         raise ContractError("D_target must be >= 0")
     start = time.perf_counter()
     A_top, b_top = _moment_system(ps, D_target)
     row_ends = np.cumsum([harmonic_dim(ps.d, m) for m in range(D_target + 1)])
-    info = {"D_target": D_target, "D": None, "degrees_tried": [], "nnls_run": 0,
+    info = {"D_target": D_target, "D": None, "degrees_tried": [], "lstsq_run": 0, "nnls_run": 0,
             "nnls_skipped": [], "path": None, "residual": None,
             "moment_shape": list(A_top.shape)}
+    chain = sorted({0, *range(D_target, -1, -2)})
+    rho0 = None  # the least-squares residual at the first overdetermined chain degree
+
+    def skip_bound(A, s_max):
+        """2 (sqrt(R) tol + cut (1 + tol)), with the lstsq cutoff cut taken at s_max."""
+        cut = np.finfo(float).eps * max(A.shape) * s_max
+        return 2.0 * (math.sqrt(len(A)) * tol + cut * (1.0 + tol))
+
+    def infeasible(D):
+        """True when a certificate proves that no rule within tol exists at D."""
+        nonlocal rho0
+        J = D // 2
+        if row_ends[J] > ps.n and tol**2 * row_ends[2 * J] * row_ends[J] <= 0.25:
+            return True
+        if row_ends[D] <= ps.n:
+            return False
+        if rho0 is None:
+            D0 = next(m for m in chain if row_ends[m] > ps.n)
+            Ab = np.column_stack((A_top[: row_ends[D0]], b_top[: row_ends[D0]]))
+            rho0 = abs(np.linalg.qr(Ab, mode="r")[-1, -1])
+        A = A_top[: row_ends[D]]
+        return rho0 > skip_bound(A, np.linalg.norm(A))  # ||A||_F >= s_max
 
     def solve(D):
         """The rule at degree D, or None; a rule found is recorded in info."""
         info["degrees_tried"].append(D)
+        if infeasible(D):
+            info["nnls_skipped"].append(D)
+            return None
         A, b = A_top[: row_ends[D]], b_top[: row_ends[D]]
         # fast path: min-norm least squares, accepted if already nonnegative
         w, _, _, sv = np.linalg.lstsq(A, b, rcond=None)
+        info["lstsq_run"] += 1
         r = A @ w - b
         path = "lstsq"
         if np.min(w) < -1e-14 or np.max(np.abs(r)) > tol:
-            cut = np.finfo(float).eps * max(A.shape) * sv[0]
-            if np.linalg.norm(r) > 2.0 * (math.sqrt(len(A)) * tol + cut * (1.0 + tol)):
+            if np.linalg.norm(r) > skip_bound(A, sv[0]):
                 info["nnls_skipped"].append(D)
                 return None
             w, _ = nnls(A, b, maxiter=10 * max(A.shape))
@@ -141,7 +196,6 @@ def build_rule(ps: PointSet, D_target: int, tol: float = 1e-8) -> QuadratureRule
         return None
 
     # chain[lo] has a rule (lo = -1: none yet), chain[hi] has none (hi = len: untried)
-    chain = sorted({0, *range(D_target, -1, -2)})
     lo, hi, mid, rule = -1, len(chain), len(chain) - 1, None
     while hi - lo > 1:
         found = solve(chain[mid])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fnspace.ball_map import (
     CapFunction,
@@ -200,3 +202,70 @@ def test_lift_norm_comparability():
                 continue
             ratio = nf / ng
             assert 0.05 < ratio < 20.0
+
+
+# hypothesis versions of the fixed cases above: random dimensions, degrees,
+# functions and points, drawn from one seed per example
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _gaussian_mixture(rng, d):
+    centers, widths, amps = rng.uniform(-0.8, 0.8, (3, d)), rng.uniform(0.5, 3.0, 3), rng.standard_normal(3)
+    return lambda x: sum(a * np.exp(-w * np.sum((x - c) ** 2, axis=1)) for c, w, a in zip(centers, widths, amps))
+
+
+def _polynomial(rng, d, deg):
+    powers = rng.integers(0, deg + 1, (6, d))
+    coefs = rng.standard_normal(6)
+    return lambda x: np.prod(x[:, None, :] ** powers, axis=2) @ coefs
+
+
+def _sphere(rng, n, d):
+    g = rng.standard_normal((n, d + 1))
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
+
+
+def _cap(rng, n, d):
+    """Points of the cap eta_{d+1} >= 1/sqrt(2), its boundary included."""
+    eta = np.abs(_sphere(rng, 4 * n, d))
+    eta = eta[eta[:, -1] >= 1.0 / math.sqrt(2.0)][:n]
+    eta[0] = np.append(np.ones(d) / math.sqrt(2.0 * d), 1.0 / math.sqrt(2.0))
+    return eta
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.sampled_from([math.pi / 32, math.pi / 16, math.pi / 8]), SEEDS)
+def test_parity_extend_parity_property(d, k, blend, seed):
+    """g(-eta) = (-1)^(k+1) g(eta) on the whole sphere, the blend band included."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    ext = parity_extend(restrict_T_k(d, k, _gaussian_mixture(rng, d), margin=math.pi / 4 + blend / 2), blend)
+    eta = _sphere(rng, 400, d)
+    eta[:100, -1] *= 1e-2  # crowd the band around the equator
+    eta /= np.linalg.norm(eta, axis=1, keepdims=True)
+    vals = ext(eta)
+    assert np.max(np.abs(vals - (-1.0) ** (k + 1) * ext(-eta))) <= 1e-12 * (1.0 + np.max(np.abs(vals)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 3), st.integers(0, 4), SEEDS)
+def test_lift_of_restriction_is_identity_property(d, k, deg, seed):
+    """S_k T_k f = f on the closed unit ball, for polynomials f of any degree."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    f = _polynomial(rng, d, deg)
+    x = _sphere(rng, 200, d)[:, :d] * rng.uniform(0.0, 1.0, (200, 1))
+    want = f(x)
+    got = lift_S_k(restrict_T_k(d, k, f))(x)
+    assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 3), st.integers(0, 4), SEEDS)
+def test_restriction_of_lift_is_identity_property(d, k, deg, seed):
+    """T_k S_k g = g on the cap, its boundary included, for any cap function g."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    g = CapFunction(d, k, _polynomial(rng, d + 1, deg))
+    eta = _cap(rng, 200, d)
+    want = g(eta)
+    got = restrict_T_k(d, k, lift_S_k(g))(eta)
+    assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))

@@ -325,6 +325,19 @@ def test_randcmp_deterministic_row_skips_the_h1_pass(monkeypatch):
     ]
 
 
+def test_randcmp_seeds_are_a_set():
+    """Seeds 9...0 and 0...9 are one sweep: one hash and the same rows; a repeated seed is rejected."""
+    cfg = ExperimentConfig(
+        d=1, k=1, target="gaussian_bump", strategy="equispaced_circle",
+        ns=(8, 16), seeds=tuple(range(10)),
+    )
+    reversed_ = dataclasses.replace(cfg, seeds=tuple(range(9, -1, -1)))
+    assert reversed_.seeds == cfg.seeds and reversed_.hash == cfg.hash
+    assert run_randcmp(reversed_) == run_randcmp(cfg)
+    with pytest.raises(ConfigurationError, match="seeds repeats"):
+        dataclasses.replace(cfg, seeds=(0,) * 10)
+
+
 RANDCMP_HEADER = "config_hash,n,det_error,det_h,rand_q1,rand_median,rand_q3,rand_h_median"
 
 
@@ -476,6 +489,8 @@ CLI_CASES = {  # command: (a good config, then bad ones: a broken config, a non-
         "seeds = 0 1 2 3 4 5 6 7 8 9\npath = constructive\n",  # randcmp reads no path
         "d = 1\nk = 1\ntarget = gaussian_bump\nstrategy = equispaced_circle\nns = 8 16\n"
         "seeds = 0 1 2 3 4 5 6 7 8 9\ns = 0\n",  # nor s
+        "d = 1\nk = 1\ntarget = gaussian_bump\nstrategy = equispaced_circle\nns = 8 16\n"
+        "seeds = 0 0 0 0 0 0 0 0 0 0\n",  # a repeated seed
     ),
 }
 

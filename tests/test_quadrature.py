@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls
 
@@ -262,10 +262,10 @@ def test_moment_matrix_prefix_is_lower_degree_system():
         assert np.array_equal(b_top[:rows], b)
 
 
-def _diagnostics(caplog, ps, D_target):
+def _diagnostics(caplog, ps, D_target, tol=1e-8):
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="fnspace.quadrature"):
-        rule = build_rule(ps, D_target)
+        rule = build_rule(ps, D_target, tol)
     (record,) = [r for r in caplog.records if r.name == "fnspace.quadrature"]
     assert record.levelno == logging.DEBUG
     return rule, json.loads(record.getMessage())
@@ -307,3 +307,130 @@ def test_build_rule_diagnostics_record(caplog):
 def test_build_rule_quiet_by_default(caplog):
     build_rule(generate_points(1, 8, "equispaced_circle"), 7)
     assert not [r for r in caplog.records if r.name == "fnspace.quadrature"]
+
+
+def test_build_rule_records_lstsq_solves(caplog):
+    # the dimension bound settles 40 and the residual floor 28, 22 and 20; only 18 is solved
+    _, info = _diagnostics(caplog, generate_points(2, 400, "fibonacci_s2"), 40)
+    assert info["degrees_tried"] == [40, 18, 28, 22, 20]
+    assert (info["D"], info["lstsq_run"], info["nnls_run"]) == (18, 1, 0)
+    _, info = _diagnostics(caplog, generate_points(1, 8, "equispaced_circle"), 7)
+    assert info["lstsq_run"] == 1
+
+
+def _row_ends(ps, D):
+    return np.cumsum([harmonic_dim(ps.d, m) for m in range(D + 1)])
+
+
+def _lstsq_first(ps, D_target, tol=1e-8):
+    """Reference: build_rule with lstsq at every degree tried, no certificate.
+
+    Returns the rule and the debug record's fields."""
+    A_top, b_top = _moment_system(ps, D_target)
+    row_ends = _row_ends(ps, D_target)
+    info = {"degrees_tried": [], "nnls_run": 0, "nnls_skipped": [], "path": None}
+
+    def solve(D):
+        info["degrees_tried"].append(D)
+        A, b = A_top[: row_ends[D]], b_top[: row_ends[D]]
+        w, _, _, sv = np.linalg.lstsq(A, b, rcond=None)
+        r = A @ w - b
+        path = "lstsq"
+        if np.min(w) < -1e-14 or np.max(np.abs(r)) > tol:
+            cut = np.finfo(float).eps * max(A.shape) * sv[0]
+            if np.linalg.norm(r) > 2.0 * (math.sqrt(len(A)) * tol + cut * (1.0 + tol)):
+                info["nnls_skipped"].append(D)
+                return None
+            w, _ = nnls(A, b, maxiter=10 * max(A.shape))
+            info["nnls_run"] += 1
+            path = "nnls"
+        w = np.maximum(w, 0.0)
+        res = float(np.max(np.abs(A @ w - b)))
+        if res <= tol and w.sum() > 0.0:
+            w = w / w.sum()
+            res = float(np.max(np.abs(A @ w - b)))
+            info["path"] = path
+            return QuadratureRule(ps, w, D, res, tol)
+        return None
+
+    chain = sorted({0, *range(D_target, -1, -2)})
+    lo, hi, mid, rule = -1, len(chain), len(chain) - 1, None
+    while hi - lo > 1:
+        found = solve(chain[mid])
+        if found is None:
+            hi = mid
+        else:
+            lo, rule = mid, found
+        mid = (lo + hi) // 2
+    return rule, info
+
+
+def _assert_matches_lstsq_first(caplog, ps, D_target, tol):
+    want, want_info = _lstsq_first(ps, D_target, tol)
+    got, info = _diagnostics(caplog, ps, D_target, tol)
+    assert {key: info[key] for key in want_info} == want_info
+    assert (got.exact_degree, got.residual) == (want.exact_degree, want.residual)
+    assert got.weights.tobytes() == want.weights.tobytes()
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=SMALL_SETS, n=st.integers(1, 48), seed=st.integers(0, 2**32 - 1),
+       tol=st.sampled_from([1e-8, 1e-4, 1e-2, 1e-1]), data=st.data())
+def test_certificates_leave_rules_and_records_unchanged(caplog, kind, n, seed, tol, data):
+    """build_rule equals the lstsq-at-every-degree reference bit for bit, record
+    included; the looser tolerances bring both certificates near their bounds."""
+    d, strategy = kind
+    ps = generate_points(d, n, strategy, seed=seed, resolution=0.05)
+    D_target = data.draw(st.integers(0, 2 * math.isqrt(n) + 4), label="D_target")
+    _assert_matches_lstsq_first(caplog, ps, D_target, tol)
+
+
+@pytest.mark.parametrize("n, D_target, tol", [
+    (2, 4, 1e-1),  # a dimension bound at 1/4 -> 1e9 would skip an NNLS solve the reference runs
+    (22, 4, 1e-2),  # and so would a residual floor compared with 1e-3 of its bound
+])
+def test_certificates_match_lstsq_first_near_their_bounds(caplog, n, D_target, tol):
+    _assert_matches_lstsq_first(caplog, generate_points(2, n, "fibonacci_s2"), D_target, tol)
+
+
+CERTIFICATE_SETS = [
+    (2, "fibonacci_s2", 100, 20), (2, "fibonacci_s2", 400, 40), (2, "uniform_random", 200, 28),
+    (2, "petrushev_tensor", 64, 16), (1, "uniform_random", 40, 60), (1, "equispaced_circle", 32, 31),
+]
+
+
+@pytest.mark.parametrize("d, strategy, n, D_target", CERTIFICATE_SETS)
+def test_dimension_bound_skips_only_infeasible_degrees(d, strategy, n, D_target):
+    """Every degree of the chain the dimension bound settles has an NNLS
+    residual above tol and an lstsq residual that the residual test skips."""
+    ps, tol = generate_points(d, n, strategy, seed=n), 1e-8
+    row_ends = _row_ends(ps, D_target)
+    settled = [D for D in sorted({0, *range(D_target, -1, -2)})
+               if row_ends[D // 2] > n and tol**2 * row_ends[2 * (D // 2)] * row_ends[D // 2] <= 0.25]
+    assert settled or d == 1
+    for D in settled:
+        A, b = _moment_system(ps, D)
+        w, _ = nnls(A, b, maxiter=10 * max(A.shape))
+        assert np.max(np.abs(A @ w - b)) > tol
+        w, _, _, sv = np.linalg.lstsq(A, b, rcond=None)
+        cut = np.finfo(float).eps * max(A.shape) * sv[0]
+        assert np.linalg.norm(A @ w - b) > 2.0 * (math.sqrt(len(A)) * tol + cut * (1.0 + tol))
+
+
+@pytest.mark.parametrize("d, strategy, n, D_target", CERTIFICATE_SETS)
+def test_residual_floor_bounds_every_overdetermined_lstsq_residual(d, strategy, n, D_target):
+    """rho0, from one QR of [A | b] at the first overdetermined chain degree D0,
+    is at most the lstsq residual at every chain degree D >= D0, up to the
+    rounding of a residual computed from weights w: eps max(A.shape) ||A||_F ||w||_2."""
+    ps = generate_points(d, n, strategy, seed=n)
+    row_ends = _row_ends(ps, D_target)
+    chain = sorted({0, *range(D_target, -1, -2)})
+    over = [D for D in chain if row_ends[D] > n]
+    assert over
+    A, b = _moment_system(ps, over[0])
+    rho0 = abs(np.linalg.qr(np.column_stack((A, b)), mode="r")[-1, -1])
+    for D in over:
+        A, b = _moment_system(ps, D)
+        w, *_ = np.linalg.lstsq(A, b, rcond=None)
+        rounding = np.finfo(float).eps * max(A.shape) * (np.linalg.norm(A) * np.linalg.norm(w) + 1.0)
+        assert rho0 <= np.linalg.norm(A @ w - b) + rounding
