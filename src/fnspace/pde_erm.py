@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import time
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -230,37 +231,38 @@ def empirical_risk(g, grad_g, problem: EllipticProblem, samples: np.ndarray) -> 
     return problem.volume * float(np.mean(psi))
 
 
-def erm_fit(
-    problem: EllipticProblem,
-    ps: PointSet,
-    samples: np.ndarray,
-    k: int,
-    norm_cap: float = 0.0,
-    seed: int = 0,
-) -> ErmResult:
-    """Empirical risk minimizer over the fixed-direction class.
+# The last sample system _sample_system assembled, as one tuple
+# ((source, volume, k, directions, samples), (A, b, h)); a new one replaces it whole.
+_last_system: tuple | None = None
 
-    Assembles A_ij = |Omega| mean[grad(phi_i).grad(phi_j) + phi_i phi_j]
-    and b_i = |Omega| mean[h phi_i] in one m x n buffer, which holds only
-    the Gram's operands: sigma_k' of the preactivations for the gradient
-    term, then sigma_k of the same preactivations for the rest, and is
-    released before the solve.  Solves the quadratic program
-    (ridge_bisect_cap if the cap sqrt(n)||a||_2 <= norm_cap is set).  The
-    fitted model's blocked evaluation then gives the empirical risk
-    |Omega| mean Psi(g) at the samples, equal to empirical_risk(model,
-    model.gradient, problem, samples), and the energy, excess risk and H1
-    error against the manufactured solution on problem.grid_values.
-    An uncapped A that is exactly singular (neurons 0 on every sample give
-    zero rows) is solved as A + 1e-12 I instead, and that fallback sends one
-    JSON debug record (path, n, zero_rows) to the "fnspace.pde_erm" logger,
-    quiet by default.
+
+def _same(held: np.ndarray, given: np.ndarray) -> bool:
+    """Equal arrays down to the sign of each zero, so a hit is bit-identical."""
+    return np.array_equal(held, given) and np.array_equal(np.signbit(held), np.signbit(given))
+
+
+def _sample_system(
+    problem: EllipticProblem, ps: PointSet, samples: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """(A, b, h, built): erm_fit's sample system and the source values h at the samples.
+
+    A_ij = |Omega| mean[grad(phi_i).grad(phi_j) + phi_i phi_j] and
+    b_i = |Omega| mean[h phi_i] are assembled in one m x n buffer, which
+    holds only the Gram's operands: sigma_k' of the preactivations for the
+    gradient term, then sigma_k of the same preactivations for the rest,
+    and is released on return.  The last system is kept with copies of
+    what it was built from (problem.source by identity, problem.volume, k,
+    ps.points and samples by value); a call that matches all of them
+    returns the same read-only arrays with built False.
     """
-    if k < 1:
-        raise ConfigurationError("erm_fit needs k >= 1 for gradients")
-    samples = np.asarray(samples, dtype=float)
+    global _last_system
+    last = _last_system
+    if last is not None:
+        (source, volume, last_k, points, last_samples), system = last
+        if (source is problem.source and volume == problem.volume and last_k == k
+                and _same(points, ps.points) and _same(last_samples, samples)):
+            return (*system, False)
     m = len(samples)
-    if m == 0 or samples.shape[-1] != problem.d:
-        raise ContractError("samples must be a nonempty array of points in R^d")
     wdirs = ps.points[:, : problem.d]
     xt = np.column_stack([samples, np.ones(m)])
     buf = np.empty((m, ps.n))
@@ -277,17 +279,60 @@ def erm_fit(
     A *= problem.volume
     h = problem.source(samples)
     b = problem.volume * (phi.T @ h) / m
-    del buf, phi, dphi  # free the m x n buffer: nothing after the Gram reads it
+    for v in (A, b, h):
+        v.flags.writeable = False
+    key = (problem.source, problem.volume, k, ps.points.copy(), samples.copy())
+    _last_system = (key, (A, b, h))
+    return A, b, h, True
+
+
+def erm_fit(
+    problem: EllipticProblem,
+    ps: PointSet,
+    samples: np.ndarray,
+    k: int,
+    norm_cap: float = 0.0,
+    seed: int = 0,
+) -> ErmResult:
+    """Empirical risk minimizer over the fixed-direction class.
+
+    Assembles A_ij = |Omega| mean[grad(phi_i).grad(phi_j) + phi_i phi_j]
+    and b_i = |Omega| mean[h phi_i] in one m x n buffer, released before
+    the solve (_sample_system).  Each system is assembled once: a fit on
+    the same problem source, volume, k, directions and samples as the
+    previous assembly (an uncapped fit, then a capped refit) reuses its
+    read-only A, b and h, so it gives the same result bit for bit; an
+    in-place edit of either array is seen and rebuilds.  Solves the
+    quadratic program (ridge_bisect_cap if the cap sqrt(n)||a||_2 <=
+    norm_cap is set).  The fitted model's blocked evaluation then gives
+    the empirical risk |Omega| mean Psi(g) at the samples, equal to
+    empirical_risk(model, model.gradient, problem, samples), and the
+    energy, excess risk and H1 error against the manufactured solution on
+    problem.grid_values.  An uncapped A that is exactly singular (neurons
+    0 on every sample give zero rows) is solved as A + 1e-12 I instead.
+    Each call sends one JSON debug record to the "fnspace.pde_erm"
+    logger, quiet by default: n, m, k, assembly ("built" or "reused"),
+    path ("solve", "solve+1e-12I" or "cap"), zero_rows on the shifted
+    path, and the call's seconds.
+    """
+    start = time.perf_counter()
+    if k < 1:
+        raise ConfigurationError("erm_fit needs k >= 1 for gradients")
+    samples = np.asarray(samples, dtype=float)
+    m = len(samples)
+    if m == 0 or samples.shape[-1] != problem.d:
+        raise ContractError("samples must be a nonempty array of points in R^d")
+    A, b, h, built = _sample_system(problem, ps, samples, k)
     if norm_cap > 0.0:
         a, _ = ridge_bisect_cap(A, b, ps.n, norm_cap)
+        path = "cap"
     else:
         try:
             a = np.linalg.solve(A, b)
+            path = "solve"
         except np.linalg.LinAlgError:
             a = np.linalg.solve(A + 1e-12 * np.eye(ps.n), b)
-            if _log.isEnabledFor(logging.DEBUG):
-                zero_rows = int(np.count_nonzero(~A.any(axis=1)))
-                _log.debug("%s", json.dumps({"path": "solve+1e-12I", "n": ps.n, "zero_rows": zero_rows}))
+            path = "solve+1e-12I"
     model = FiniteNeuronModel(problem.d, k, ps, a, norm_cap)
     emp = problem.volume * float(np.mean(_psi(*model._evaluate(samples, grad=True), h)))
     # one grid, one evaluation: energy and H1 error from the same values
@@ -299,4 +344,10 @@ def erm_fit(
     diff = values - fv
     gdiff = grads - fg
     h1 = math.sqrt(max(float(np.dot(w, diff**2 + np.sum(gdiff**2, axis=1))), 0.0))
+    if _log.isEnabledFor(logging.DEBUG):
+        record = {"n": ps.n, "m": m, "k": k, "assembly": "built" if built else "reused", "path": path}
+        if path == "solve+1e-12I":
+            record["zero_rows"] = int(np.count_nonzero(~A.any(axis=1)))
+        record["seconds"] = time.perf_counter() - start
+        _log.debug("%s", json.dumps(record))
     return ErmResult(model, emp, pop, excess, h1, m, seed)

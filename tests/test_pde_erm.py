@@ -378,21 +378,160 @@ def test_erm_fit_bit_identical_to_two_buffer_reference(name, k, n, rows_per_neur
     assert res.empirical_risk == pytest.approx(emp, rel=1e-13)
 
 
-def test_erm_fit_holds_one_sample_buffer():
-    """A warm fit's tracemalloc peak stays below 1.5 m x n float64 buffers
-    (two buffers read 2.08)."""
+def _erm_records(caplog):
+    return [json.loads(r.getMessage()) for r in caplog.records if r.name == "fnspace.pde_erm"]
+
+
+def test_erm_fit_holds_one_sample_buffer(caplog):
+    """A warm fit that assembles its system keeps its tracemalloc peak below
+    1.5 m x n float64 buffers (two buffers read 2.08).  The traced fit draws
+    samples the warm-up did not, so it builds rather than reuses."""
     prob = interval_problem()
     ps = interval_directions(64)
     m = 32768
-    samples = prob.sample(m, 0)
-    erm_fit(prob, ps, samples, k=2)
-    tracemalloc.start()
-    try:
-        erm_fit(prob, ps, samples, k=2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    erm_fit(prob, ps, prob.sample(m, 0), k=2)
+    samples = prob.sample(m, 1)
+    with caplog.at_level(logging.DEBUG, logger="fnspace.pde_erm"):
+        tracemalloc.start()
+        try:
+            erm_fit(prob, ps, samples, k=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    (record,) = _erm_records(caplog)
+    assert record["assembly"] == "built"
     assert peak < 1.5 * 8 * m * ps.n
+
+
+def _assert_matches_reference(res, want):
+    a, _, pop, excess, h1 = want
+    assert np.array_equal(res.model.a, a)
+    assert (res.population_energy, res.excess_risk, res.h1_error) == (pop, excess, h1)
+
+
+def test_erm_capped_refit_reuses_the_system(caplog):
+    prob = disk_problem()
+    ps = generate_points(2, 32, "fibonacci_s2")
+    samples = prob.sample(4096, 3)
+    with caplog.at_level(logging.DEBUG, logger="fnspace.pde_erm"):
+        free = erm_fit(prob, ps, samples, k=2)
+        cap = 0.5 * math.sqrt(ps.n) * float(np.linalg.norm(free.model.a))
+        capped = erm_fit(prob, ps, samples, k=2, norm_cap=cap)
+        # an equal PointSet built anew is the same system by value
+        again = erm_fit(prob, generate_points(2, 32, "fibonacci_s2"), samples.copy(), k=2, norm_cap=cap)
+    _assert_matches_reference(capped, _erm_reference(prob, ps, samples, 2, cap))
+    assert capped.empirical_risk == empirical_risk(capped.model, capped.model.gradient, prob, samples)
+    assert np.array_equal(again.model.a, capped.model.a)
+    records = _erm_records(caplog)
+    assert [(r["assembly"], r["path"]) for r in records[1:]] == [("reused", "cap")] * 2
+    assert all((r["n"], r["m"], r["k"]) == (32, 4096, 2) and r["seconds"] >= 0.0 for r in records)
+
+
+def test_erm_in_place_edit_of_samples_rebuilds(caplog):
+    prob = interval_problem()
+    ps = interval_directions(8)
+    samples = prob.sample(1024, 0)
+    erm_fit(prob, ps, samples, k=2)
+    samples[:100] *= 0.5
+    want = _erm_reference(prob, ps, samples, 2)
+    with caplog.at_level(logging.DEBUG, logger="fnspace.pde_erm"):
+        res = erm_fit(prob, ps, samples, k=2)
+        samples[0] = 0.0
+        erm_fit(prob, ps, samples, k=2)
+        samples[0] = -0.0  # equal by value, not by bits
+        erm_fit(prob, ps, samples, k=2)
+    assert [r["assembly"] for r in _erm_records(caplog)] == ["built"] * 3
+    _assert_matches_reference(res, want)
+
+
+def test_erm_in_place_edit_of_directions_rebuilds(caplog):
+    prob = interval_problem()
+    ps = interval_directions(8)
+    samples = prob.sample(1024, 0)
+    erm_fit(prob, ps, samples, k=2)
+    ps.points[2:4] = ps.points[2:4, ::-1]  # still unit vectors
+    with caplog.at_level(logging.DEBUG, logger="fnspace.pde_erm"):
+        res = erm_fit(prob, ps, samples, k=2)
+    (record,) = _erm_records(caplog)
+    assert record["assembly"] == "built"
+    _assert_matches_reference(res, _erm_reference(prob, ps, samples, 2))
+
+
+def test_erm_other_k_or_source_rebuilds(caplog):
+    prob = interval_problem()
+    ps = interval_directions(8)
+    samples = prob.sample(1024, 0)
+    # the same values from another function: the source is keyed by identity
+    wrapped = dataclasses.replace(prob, source=lambda x: prob.source(x))
+    with caplog.at_level(logging.DEBUG, logger="fnspace.pde_erm"):
+        erm_fit(prob, ps, samples, k=2)
+        other_k = erm_fit(prob, ps, samples, k=3)
+        other_source = erm_fit(wrapped, ps, samples, k=3)
+    assert [r["assembly"] for r in _erm_records(caplog)] == ["built"] * 3
+    want = _erm_reference(prob, ps, samples, 3)
+    _assert_matches_reference(other_k, want)
+    _assert_matches_reference(other_source, want)
+
+
+_POOL = {}
+_POOL_DIRECTIONS = interval_directions(6)
+
+
+class _Keep(logging.Handler):
+    """Collects the JSON records of the "fnspace.pde_erm" logger."""
+
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(json.loads(record.getMessage()))
+
+
+def _pool_reference(seed, k, cap_share):
+    """(samples, cap, reference) for one entry of the cache property's pool."""
+    key = (seed, k, cap_share)
+    if key not in _POOL:
+        prob, ps = PROBLEMS["interval"], _POOL_DIRECTIONS
+        samples = prob.sample(512, seed)
+        cap = 0.0
+        if cap_share:
+            free = _erm_reference(prob, ps, samples, k)[0]
+            cap = cap_share * math.sqrt(ps.n) * float(np.linalg.norm(free))
+        _POOL[key] = (samples, cap, _erm_reference(prob, ps, samples, k, cap))
+    return _POOL[key]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    calls=st.lists(
+        st.tuples(st.integers(0, 1), st.integers(1, 2), st.sampled_from([0.0, 0.5, 2.0]), st.booleans()),
+        min_size=1, max_size=6,
+    )
+)
+def test_erm_fit_sequences_match_the_reference(calls):
+    """Any sequence of fits over a small pool of (samples, k, cap) gives each
+    fit's reference result bit for bit, whatever the previous fit left; a
+    fresh draw of the same samples is the same system."""
+    prob = PROBLEMS["interval"]
+    logger = logging.getLogger("fnspace.pde_erm")
+    handler = _Keep()
+    logger.addHandler(handler)
+    level = logger.level
+    logger.setLevel(logging.DEBUG)
+    try:
+        previous = None
+        for seed, k, cap_share, fresh in calls:
+            samples, cap, want = _pool_reference(seed, k, cap_share)
+            if fresh:
+                samples = prob.sample(len(samples), seed)
+            _assert_matches_reference(erm_fit(prob, _POOL_DIRECTIONS, samples, k, norm_cap=cap), want)
+            if previous is not None:
+                assert handler.records[-1]["assembly"] == ("reused" if previous == (seed, k) else "built")
+            previous = (seed, k)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 @pytest.mark.parametrize("make", [interval_problem, disk_problem])
