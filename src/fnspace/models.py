@@ -20,10 +20,13 @@ squares on the SVD of its QR factor.
 
 least_squares_fit on a domain drops the neurons that are 0 on the whole
 grid and fits the ones that are polynomials there through an orthonormal
-basis of their span, which leaves the solution unchanged.  A ridge without
-a cap accumulates the normal equations, and every other fit a QR factor of
-the design, over blocks of rows, so no rows x n design is held (see its
-docstring).
+basis of their span, which leaves the solution unchanged.  It builds the
+weighted design in blocks of rows, neuron-major: each block is [B | y]^T,
+the features, the polynomial rows and the weighted target, in one
+C-contiguous buffer of about BLOCK_FLOATS floats (1 MiB), so no rows x n
+design is held.  A ridge without a cap adds one dsyrk per block to
+[B | y]^T [B | y], whose last column is B^T y; every other fit folds such
+blocks into a QR factor of the design (see _solve_reduced).
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import itertools
 import json
 import logging
 import math
+import time
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -60,6 +64,8 @@ __all__ = [
 CAP_SLACK = 1e-9
 # Input rows per evaluation block; a block holds EVAL_BLOCK_ROWS x n floats.
 EVAL_BLOCK_ROWS = 256
+# Floats per least-squares design block (1 MiB), at least EVAL_BLOCK_ROWS rows.
+BLOCK_FLOATS = 1 << 17
 # A computed preactivation on the unit ball is within ~1e-15 of the exact
 # one, so classifying neurons with this margin is exact on the features.
 CLASS_MARGIN = 1e-12
@@ -79,12 +85,11 @@ def _lifted(x: np.ndarray, d: int, on_sphere: bool) -> np.ndarray:
     return np.column_stack([x, np.ones(len(x))])
 
 
-def features(ps: PointSet, k: int, x: np.ndarray, grad: bool = False, out: np.ndarray | None = None):
+def features(ps: PointSet, k: int, x: np.ndarray, grad: bool = False):
     """sigma_k(z), or (sigma_k(z), sigma_k'(z)) with grad, for z = lifted(x) theta^T;
     rows of x with d+1 components are used as they are (sphere points, or
-    rows already lifted), rows with d are lifted to (x, 1).  z is written
-    to out when given."""
-    z = np.matmul(_lifted(x, ps.d, np.shape(x)[-1] == ps.d + 1), ps.points.T, out=out)
+    rows already lifted), rows with d are lifted to (x, 1)."""
+    z = _lifted(x, ps.d, np.shape(x)[-1] == ps.d + 1) @ ps.points.T
     dz = sigma_k_prime(k, z) if grad else None
     sigma_k(k, z, out=z)
     return (z, dz) if grad else z
@@ -279,61 +284,99 @@ def _polynomial_block(ps: PointSet, k: int, poly: np.ndarray) -> tuple[np.ndarra
     return U[:, :r] * S[:r], Vt[:r].T
 
 
-def _solve_reduced(live_ps, k, T, xt, sw, yw, ridge, norm_cap, n) -> np.ndarray:
-    """Coefficients for the weighted reduced design B = sw [sigma_k(live) | Q T].
+def _block_rows(cols: int) -> int:
+    """Rows per least-squares block: as many as BLOCK_FLOATS floats hold in
+    cols + 1 rows (the reduced design and the target), at least EVAL_BLOCK_ROWS."""
+    return max(EVAL_BLOCK_ROWS, BLOCK_FLOATS // (cols + 1))
 
-    A ridge without a cap accumulates the upper triangle of G = B^T B (dsyrk)
-    and B^T y over blocks of EVAL_BLOCK_ROWS rows held in one reused buffer,
-    then solves (G + ridge I) a = B^T y.  Every other fit folds blocks of
-    max(EVAL_BLOCK_ROWS, 4 cols) rows of [B | y], stacked under the previous
-    factor in one buffer, into the triangular factor [[R, z], [0, rho]] of a
-    QR decomposition, so the singular values of B = (Q U) diag(s) V^T come
-    from R = U diag(s) V^T without squaring its condition number.  Over the s
-    above lstsq's cutoff eps max(rows, cols) s_max, a = V (U^T z / s) is the
-    minimum-norm least-squares solution; a cap instead runs the root search
-    on G = V diag(s^2) V^T and B^T y = V diag(s) U^T z, which at lam = 0
-    inverts the same s.
+
+def _fold_blocks(cols: int) -> tuple[int, int]:
+    """(step, q): the QR fold takes q blocks of step rows at a time.  It
+    re-factors R with every fold, so a fold holds at least 4 cols rows; q
+    blocks within the float budget of no more rows than that needs keep
+    each factorization cache-sized."""
+    q = -(-4 * cols // _block_rows(cols))
+    return max(EVAL_BLOCK_ROWS, -(-4 * cols // q)), q
+
+
+def _design_blocks(live_ps, k, T, xt, sw, yw, step):
+    """Successive blocks Bt = [B | y]^T of step rows of the weighted reduced
+    design, neuron-major.
+
+    Each block is a C-contiguous (cols + 1) x rows array in one reused
+    buffer: the live features sigma_k(P x^T), the polynomial rows
+    T^T Q(x)^T, both scaled by sw, and yw as the last row.  xt holds the
+    lifted inputs as columns, (d+1) x rows.  For k >= 1 both are positively
+    homogeneous of degree k in the lifted input, so scaling its columns by
+    sw^(1/k) once scales every row by sw; for k = 0 each block is scaled.
     """
-    rows, n_live = len(xt), live_ps.n
+    rows, n_live = xt.shape[1], live_ps.n
     cols = n_live + T.shape[1]
     idx, _ = _monomials(live_ps.d, k)
-    normal = ridge > 0.0 and norm_cap == 0.0
-    # the QR re-factors R with every block, so its blocks are at least 4 cols rows
-    step = EVAL_BLOCK_ROWS if normal else max(EVAL_BLOCK_ROWS, 4 * cols)
-    block = min(rows, step)
-    r = 0  # rows of R held above the block
-    if normal:
-        design = np.empty((block, cols))
-        G = np.zeros((cols, cols), order="F")
-        By = np.zeros(cols)
-    else:  # [R | z] stacked over a block of [B | y] rows
-        design = np.empty((cols + 1 + block, cols + 1))
+    xs = xt * sw ** (1.0 / k) if k else xt
+    buf = np.empty((cols + 1) * min(rows, step))
     for lo in range(0, rows, step):
         hi = min(lo + step, rows)
-        B = design[r : r + hi - lo]
-        features(live_ps, k, xt[lo:hi], out=B[:, :n_live])
-        np.matmul(np.prod(xt[lo:hi, idx], axis=2), T, out=B[:, n_live:cols])
-        B[:, :cols] *= sw[lo:hi, None]
-        if normal:
-            dsyrk(1.0, B.T, beta=1.0, c=G, overwrite_c=1)
-            By += B.T @ yw[lo:hi]
-        else:
-            B[:, cols] = yw[lo:hi]
-            R = np.linalg.qr(design[: r + hi - lo], mode="r")
-            r = len(R)
+        Bt = buf[: (cols + 1) * (hi - lo)].reshape(cols + 1, hi - lo)
+        z = np.matmul(live_ps.points, xs[:, lo:hi], out=Bt[:n_live])
+        sigma_k(k, z, out=z)
+        np.matmul(T.T, np.prod(xs[idx, lo:hi], axis=1), out=Bt[n_live:cols])
+        if not k:
+            Bt[:cols] *= sw[lo:hi]
+        Bt[cols] = yw[lo:hi]
+        yield Bt
+
+
+def _solve_reduced(live_ps, k, T, xt, sw, yw, ridge, norm_cap, n) -> tuple[np.ndarray, int]:
+    """Coefficients for the weighted reduced design B = sw [sigma_k(live) | Q T],
+    and the rows per block of [B | y] that built them.
+
+    Both solvers read the same neuron-major blocks of [B | y], at most
+    _block_rows(cols) rows each (_design_blocks).  A ridge without a cap
+    adds each block's [B | y]^T [B | y] to the upper triangle of one
+    (cols + 1)^2 matrix with one dsyrk, whose last column is B^T y, then
+    solves (G + ridge I) a = B^T y.  Every other fit copies q blocks of
+    about 4 cols / q rows (_fold_blocks), transposed, under the previous
+    triangular factor and folds them into the factor [[R, z], [0, rho]] of a QR
+    decomposition, so the singular values of B = (Q U) diag(s) V^T come
+    from R = U diag(s) V^T without squaring its condition number.  Over the
+    s above lstsq's cutoff eps max(rows, cols) s_max, a = V (U^T z / s) is
+    the minimum-norm least-squares solution; a cap instead runs the root
+    search on G = V diag(s^2) V^T and B^T y = V diag(s) U^T z, which at
+    lam = 0 inverts the same s.
+    """
+    rows = xt.shape[1]
+    cols = live_ps.n + T.shape[1]
+    if ridge > 0.0 and norm_cap == 0.0:
+        step = _block_rows(cols)
+        G = np.zeros((cols + 1, cols + 1), order="F")
+        for Bt in _design_blocks(live_ps, k, T, xt, sw, yw, step):
+            dsyrk(1.0, Bt.T, beta=1.0, c=G, trans=1, overwrite_c=1)
+        G, By = G[:cols, :cols], G[:cols, cols]
+        return np.linalg.solve(np.triu(G) + np.triu(G, 1).T + ridge * np.eye(cols), By), min(rows, step)
+    step, q = _fold_blocks(cols)
+    # [R | z] over the waiting rows, column-major so that each block row copies in contiguously
+    design = np.empty((cols + 1, cols + 1 + min(rows, q * step))).T
+    r = held = done = 0
+    for Bt in _design_blocks(live_ps, k, T, xt, sw, yw, step):
+        design[r + held : r + held + Bt.shape[1]] = Bt.T
+        held += Bt.shape[1]
+        done += Bt.shape[1]
+        if held == q * step or done == rows:
+            R = np.linalg.qr(design[: r + held], mode="r")
+            r, held = len(R), 0
             design[:r] = R
-    if normal:
-        G = np.triu(G) + np.triu(G, 1).T + ridge * np.eye(cols)
-        return np.linalg.solve(G, By)
     R, z = np.zeros((cols, cols)), np.zeros(cols)
     m = min(r, cols)
     R[:m], z[:m] = design[:m, :cols], design[:m, cols]
     U, s, Vt = np.linalg.svd(R)
     keep = (s > np.finfo(float).eps * max(rows, cols) * s[0]) | (ridge > 0.0)
     if norm_cap == 0.0:
-        return Vt.T @ np.divide(U.T @ z, s, out=np.zeros(cols), where=keep)
-    p = s * (U.T @ z)
-    return _cap_root(s * s + ridge, Vt.T, p, float(np.linalg.norm(p)), keep, n, norm_cap)[0]
+        c = Vt.T @ np.divide(U.T @ z, s, out=np.zeros(cols), where=keep)
+    else:
+        p = s * (U.T @ z)
+        c = _cap_root(s * s + ridge, Vt.T, p, float(np.linalg.norm(p)), keep, n, norm_cap)[0]
+    return c, min(rows, step)
 
 
 def least_squares_fit(
@@ -357,17 +400,21 @@ def least_squares_fit(
     Q U_r S_r with coefficients c, lifted back as a_P = V_r c.  V_r has
     orthonormal columns, so ||a|| = ||(a_live, c)|| and the ridge,
     minimum-norm and norm-cap problems keep their solutions exactly.
-    Sphere targets prune nothing.  With a ridge and no cap, G = B^T B and
-    B^T y are accumulated over blocks of EVAL_BLOCK_ROWS rows of the
-    weighted reduced design B, in one reused buffer, and (G + ridge I) a =
-    B^T y is solved.  Every other fit folds row blocks of B into a QR
-    factor, whose SVD gives the minimum-norm solution, or the cap's root
-    search, without squaring the condition number as G does (see
-    _solve_reduced).  One JSON debug record per fit (rows, n, the live,
-    polynomial and dead counts, the reduced column count and the problem
-    solved: lstsq, solve or cap) goes to the "fnspace.models" logger, quiet
-    by default.
+    Sphere targets prune nothing.  The weighted reduced design B and the
+    weighted target y are built block by block as [B | y]^T, neuron-major,
+    in one reused buffer of at most max(EVAL_BLOCK_ROWS, BLOCK_FLOATS //
+    (cols + 1)) rows of cols + 1 floats.  With a ridge and no cap, one
+    dsyrk per block accumulates [B | y]^T [B | y], which holds G = B^T B
+    and B^T y, and (G + ridge I) a = B^T y is solved.  Every other fit
+    folds the blocks into a QR factor, whose SVD gives the minimum-norm
+    solution, or the cap's root search, without squaring the condition
+    number as G does (see _solve_reduced).  One JSON debug record per fit
+    (rows, n, the live, polynomial and dead counts, the reduced column
+    count, the problem solved: lstsq, solve or cap, the rows per block and
+    the seconds taken) goes to the "fnspace.models" logger, quiet by
+    default.
     """
+    start = time.perf_counter()
     grid_points = np.asarray(grid_points, dtype=float)
     if grid_points.shape[-1] != f.d + f.on_sphere:
         raise ContractError("grid points must have d components (d+1 on the sphere)")
@@ -389,11 +436,11 @@ def least_squares_fit(
     n_live = live_ps.n
     cols = n_live + T.shape[1]
     if cols:
-        xt = _lifted(grid_points, ps.d, f.on_sphere)
+        xt = np.ascontiguousarray(_lifted(grid_points, ps.d, f.on_sphere).T)
         sw = np.sqrt(grid_weights)
-        c = _solve_reduced(live_ps, k, T, xt, sw, f(grid_points) * sw, ridge, norm_cap, n)
+        c, block_rows = _solve_reduced(live_ps, k, T, xt, sw, f(grid_points) * sw, ridge, norm_cap, n)
     else:  # every neuron is 0 on the grid
-        c = np.zeros(0)
+        c, block_rows = np.zeros(0), 0
     a = np.zeros(n)
     a[live] = c[:n_live]
     a[poly] = V @ c[n_live:]
@@ -402,6 +449,8 @@ def least_squares_fit(
             "rows": rows, "n": n, "live": n_live, "polynomial": int(np.count_nonzero(poly)),
             "dead": int(np.count_nonzero(dead)), "columns": cols,
             "path": "cap" if norm_cap > 0.0 else "solve" if ridge > 0.0 else "lstsq",
+            "block_rows": block_rows,
+            "seconds": time.perf_counter() - start,
         }))
     return FiniteNeuronModel(f.d, k, ps, a, norm_cap, on_sphere=f.on_sphere)
 

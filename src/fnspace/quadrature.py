@@ -10,10 +10,12 @@ residual tolerance cannot be met at D, the lower degrees D - 2, ..., 0 are
 bisected (a rule exact to one degree is exact below it), so a rule with the
 largest feasible exact degree is always returned.
 
-The moment matrix A is built once, at the target degree.  Its rows are
-ordered by harmonic degree m, so the system at a lower degree D is the
-row prefix A[:R(D)] with R(D) = sum_{m<=D} N(m), the same matrix bit for
-bit.  NNLS runs only at degrees where a rule can exist.  Row 0 of A is
+The moment matrix A is built once, up to the largest chain degree that
+the dimension bound below leaves open (the target degree when it settles
+none).  Its rows are ordered by harmonic degree m, so the system at a
+lower degree D is the row prefix A[:R(D)] with R(D) = sum_{m<=D} N(m),
+the same matrix bit for bit.  NNLS runs only at degrees where a rule can
+exist.  Row 0 of A is
 all ones, so a w >= 0 with max|Aw - b| <= tol has ||w||_2 <= sum w <=
 1 + tol; the truncated-SVD least-squares residual is then at most
 ||Aw - b||_2 + cut ||w||_2 <= sqrt(R) tol + cut (1 + tol), where cut is
@@ -124,8 +126,10 @@ def build_rule(ps: PointSet, D_target: int, tol: float = 1e-8) -> QuadratureRule
 
     Tries D_target, then bisects the chain D_target - 2, ..., 0 (a rule exact
     to D is exact below D); raises NumericalError only if even mass matching
-    fails.  The moment matrix is built once at D_target and each degree solves
-    its row prefix.  NNLS is skipped at a degree when the lstsq residual r obeys
+    fails.  The moment matrix is built once, up to the largest chain degree
+    the dimension bound does not settle, since the bound settles every degree
+    above it and no row past it is read; each degree solves its row prefix,
+    and the debug record's moment_shape is the shape built.  NNLS is skipped at a degree when the lstsq residual r obeys
     ||r||_2 > 2 (sqrt(R) tol + cut (1 + tol)): any feasible w >= 0 sums to
     at most 1 + tol (row 0 of A is all ones), so it would bound r by
     sqrt(R) tol + cut ||w||_2, and no rule exists there.
@@ -139,12 +143,19 @@ def build_rule(ps: PointSet, D_target: int, tol: float = 1e-8) -> QuadratureRule
     if D_target < 0:
         raise ContractError("D_target must be >= 0")
     start = time.perf_counter()
-    A_top, b_top = _moment_system(ps, D_target)
     row_ends = np.cumsum([harmonic_dim(ps.d, m) for m in range(D_target + 1)])
+    chain = sorted({0, *range(D_target, -1, -2)})
+
+    def too_many_polynomials(D):
+        """The dimension bound: dim P_{D//2} > n and tol^2 R(2 (D//2)) R(D//2) <= 1/4."""
+        J = D // 2
+        return row_ends[J] > ps.n and tol**2 * row_ends[2 * J] * row_ends[J] <= 0.25
+
+    # the bound settles every degree above the largest it leaves open, so no row past it is read
+    A_top, b_top = _moment_system(ps, max(D for D in chain if not too_many_polynomials(D)))
     info = {"D_target": D_target, "D": None, "degrees_tried": [], "lstsq_run": 0, "nnls_run": 0,
             "nnls_skipped": [], "path": None, "residual": None,
             "moment_shape": list(A_top.shape)}
-    chain = sorted({0, *range(D_target, -1, -2)})
     rho0 = None  # the least-squares residual at the first overdetermined chain degree
 
     def skip_bound(A, s_max):
@@ -155,8 +166,7 @@ def build_rule(ps: PointSet, D_target: int, tol: float = 1e-8) -> QuadratureRule
     def infeasible(D):
         """True when a certificate proves that no rule within tol exists at D."""
         nonlocal rho0
-        J = D // 2
-        if row_ends[J] > ps.n and tol**2 * row_ends[2 * J] * row_ends[J] <= 0.25:
+        if too_many_polynomials(D):
             return True
         if row_ends[D] <= ps.n:
             return False

@@ -15,9 +15,13 @@ from fnspace.errors import ConfigurationError, ContractError
 from fnspace.harmonics import harmonic_block, project, reference_grid
 from fnspace.harness import domain_grid, get_target
 from fnspace.models import (
+    BLOCK_FLOATS,
     EVAL_BLOCK_ROWS,
     FiniteNeuronModel,
     TargetFunction,
+    _block_rows,
+    _design_blocks,
+    _fold_blocks,
     _monomials,
     _polynomial_block,
     coef_stat,
@@ -540,8 +544,12 @@ def _small_grid(d, radius, rows, rng):
     """rows random points in the ball of the given radius, random weights summing to 1."""
     x = rng.standard_normal((rows, d))
     x *= (radius * rng.uniform(0.0, 1.0, rows) ** (1.0 / d) / np.linalg.norm(x, axis=1))[:, None]
+    return x, _weights(rows, rng)
+
+
+def _weights(rows, rng):
     w = rng.uniform(0.5, 1.5, rows)
-    return x, w / w.sum()
+    return w / w.sum()
 
 
 def _polynomial_null_space(ps, k, poly, rng):
@@ -598,6 +606,122 @@ def test_pruned_fit_solves_the_full_problem(d, k, n, strategy, radius, path, see
     got_obj = _ridge_objective(target, ps, x, w, k, a, ridge)
     want_obj = _ridge_objective(target, ps, x, w, k, want, ridge)
     assert got_obj <= want_obj * (1.0 + 1e-10) + 1e-13 * float(w @ target(x) ** 2)
+
+
+def _straddling_grid(d, radius, n_rows_for, on_sphere, rng):
+    """A weighted grid whose row count n_rows_for(r) may depend on its largest
+    radius r: row 0 sits at radius, the rest strictly inside (or, on the
+    sphere, random unit rows with r = 1)."""
+    if on_sphere:
+        rows = n_rows_for(1.0)
+        return _unit(rng.standard_normal((rows, d + 1))), _weights(rows, rng)
+    first = np.zeros((1, d))
+    first[0, 0] = radius
+    r = float(np.linalg.norm(first))
+    rows = n_rows_for(r)
+    x, _ = _small_grid(d, 0.999 * radius, rows - 1, rng)
+    return np.vstack([first, x]), _weights(rows, rng)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    d=st.integers(1, 2),
+    k=st.integers(0, 3),
+    n=st.integers(1, 12),
+    on_sphere=st.booleans(),
+    offset=st.sampled_from(["step-1", "step", "step+1", "2step+3"]),
+    boundary=st.sampled_from(["gram", "fold"]),
+    radius=st.floats(0.2, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocked_solvers_match_the_dense_design(d, k, n, on_sphere, offset, boundary, radius, seed):
+    """Rows straddle a block boundary of the reduced design: the Gram's block
+    size step = max(EVAL_BLOCK_ROWS, BLOCK_FLOATS // (cols + 1)), or the QR's
+    fold of q blocks (_fold_blocks).  Reference: the full rows x n design A
+    of every direction, solved densely.  Tolerances, fixed in advance: with
+    lam = 1e-6 ||A||_F^2, so cond(A^T A + lam I) <= 1e6 + 1, the ridge path
+    (dsyrk) and the QR fold (a ridge under a cap that does not bind) give
+    ||a - a_ref|| <= 1e-8 ||a_ref||; the ridge-free QR fold reaches the
+    lstsq objective within a relative 1e-10 plus 1e-13 ||y_w||^2."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    pts = _unit(rng.standard_normal((n, d + 1)))
+    if not on_sphere:  # one direction of each class: dead, polynomial and live
+        extra = np.zeros((3, d + 1))
+        extra[0, d], extra[1, d], extra[2, 0] = -1.0, 1.0, 1.0
+        pts = np.vstack([pts, extra])
+    ps = _direction_set(d, pts)
+
+    def rows_for(r):
+        b, wn = ps.points[:, d], np.linalg.norm(ps.points[:, :d], axis=1)
+        dead, poly = b + wn * r < -1e-12, b - wn * r > 1e-12
+        if on_sphere:  # nothing is pruned
+            dead = poly = np.zeros(ps.n, dtype=bool)
+        cols = int(np.count_nonzero(~(dead | poly))) + _polynomial_block(ps, k, poly)[0].shape[1]
+        step = max(EVAL_BLOCK_ROWS, BLOCK_FLOATS // (cols + 1))
+        if boundary == "fold":
+            fold_step, q = _fold_blocks(cols)
+            step = q * fold_step
+        return {"step-1": step - 1, "step": step, "step+1": step + 1, "2step+3": 2 * step + 3}[offset]
+
+    x, w = _straddling_grid(d, radius, rows_for, on_sphere, rng)
+    if on_sphere:
+        target = TargetFunction("sphere_wave", d, lambda eta: np.exp(eta[:, 0]) * np.cos(3.0 * eta[:, -1]), on_sphere=True)
+    else:
+        target = get_target("gaussian_bump", d)
+    sw = np.sqrt(w)
+    A = features(ps, k, x) * sw[:, None]
+    yw = target(x) * sw
+    lam = 1e-6 * float(np.sum(A * A))
+    if lam == 0.0:  # every direction is 0 on the grid
+        assert np.array_equal(least_squares_fit(target, ps, x, w, k=k, ridge=1.0).a, np.zeros(ps.n))
+        return
+    want = np.linalg.solve(A.T @ A + lam * np.eye(ps.n), A.T @ yw)
+    huge = 1e6 * math.sqrt(ps.n) * float(np.linalg.norm(want))
+    for path in ({"ridge": lam}, {"ridge": lam, "norm_cap": huge}):
+        got = least_squares_fit(target, ps, x, w, k=k, **path).a
+        assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+    got = least_squares_fit(target, ps, x, w, k=k).a
+    ref = np.linalg.lstsq(A, yw, rcond=None)[0]
+
+    def objective(a):
+        r = A @ a - yw
+        return float(r @ r)
+
+    assert objective(got) <= objective(ref) * (1.0 + 1e-10) + 1e-13 * float(yw @ yw)
+
+
+def test_design_blocks_share_one_buffer_within_the_budget():
+    """The blocks are neuron-major views of one C-contiguous buffer within
+    the float budget, and together they are [B | y]^T of the dense weighted
+    reduced design; the QR fold's blocks stay within the budget too."""
+    pts, w = domain_grid(2, 4096)
+    ps = generate_points(2, 96, "fibonacci_s2")
+    r = float(np.max(np.linalg.norm(pts, axis=1)))
+    b, wn = ps.points[:, 2], np.linalg.norm(ps.points[:, :2], axis=1)
+    dead, poly = b + wn * r < -1e-12, b - wn * r > 1e-12
+    live = ~(dead | poly)
+    assert np.any(dead) and np.any(poly)
+    live_ps = PointSet(2, ps.points[live], ps.h, ps.h_sep, ps.h_resolution)
+    T, _ = _polynomial_block(ps, 2, poly)
+    cols = live_ps.n + T.shape[1]
+    xt = np.column_stack([pts, np.ones(len(pts))])
+    sw, yw = np.sqrt(w), np.sqrt(w) * np.cos(pts[:, 0])
+    idx, _ = _monomials(2, 2)
+    dense = np.column_stack([features(live_ps, 2, pts), np.prod(xt[:, idx], axis=2) @ T]) * sw[:, None]
+    blocks = []
+    step = BLOCK_FLOATS // (cols + 1)
+    for Bt in _design_blocks(live_ps, 2, T, np.ascontiguousarray(xt.T), sw, yw, step):
+        assert Bt.flags.c_contiguous and Bt.shape[0] == cols + 1
+        assert Bt.size <= BLOCK_FLOATS and (not blocks or np.shares_memory(Bt, blocks[0][1]))
+        blocks.append((Bt.copy(), Bt))
+    assert [c.shape[1] for c, _ in blocks] == [step] * (len(pts) // step) + [len(pts) % step]
+    got = np.hstack([c for c, _ in blocks])
+    assert np.array_equal(got[cols], yw)
+    assert np.max(np.abs(got[:cols].T - dense)) <= 1e-14 * np.max(np.abs(dense))
+    for c in (1, 50, 200, 511, 512, 513, 2000):
+        fold_step, q = _fold_blocks(c)
+        assert fold_step <= _block_rows(c) and q * fold_step >= 4 * c
+        assert _block_rows(c) * (c + 1) <= max(BLOCK_FLOATS, EVAL_BLOCK_ROWS * (c + 1))
 
 
 def test_pruned_columns_are_exact():
@@ -685,18 +809,30 @@ def test_least_squares_fit_diagnostics_record(caplog):
     r = float(np.max(np.linalg.norm(pts, axis=1)))
     b, wn = ps.points[:, 2], np.linalg.norm(ps.points[:, :2], axis=1)
     dead, poly = int(np.sum(b + wn * r < -1e-12)), int(np.sum(b - wn * r > 1e-12))
+    cols = 96 - dead - poly + 6
+    seconds = info.pop("seconds")
     assert info == {
         "rows": len(pts), "n": 96, "live": 96 - dead - poly, "polynomial": poly,
-        "dead": dead, "columns": 96 - dead - poly + 6, "path": "solve",
+        "dead": dead, "columns": cols, "path": "solve", "block_rows": BLOCK_FLOATS // (cols + 1),
     }
     assert dead > 0 and poly > 6  # six monomials of degree 2 stand in for the polynomial block
+    assert isinstance(seconds, float) and 0.0 < seconds < 60.0
     assert _fit_records(caplog, target, ps, pts, w, k=2)[0]["path"] == "lstsq"
     capped = _fit_records(caplog, target, ps, pts, w, k=2, norm_cap=1.0)
     assert [r.get("path") for r in capped] == [None, "cap"]  # ridge_bisect_cap's record first
+    assert capped[1]["block_rows"] == 4 * cols  # the QR folds 4 cols rows at a time
+    # a grid shorter than one block is one block; a wide design keeps EVAL_BLOCK_ROWS rows
+    (short,) = _fit_records(caplog, target, ps, pts[:500], w[:500], k=2, ridge=1e-9)
+    assert short["block_rows"] == 500
+    (info,) = _fit_records(caplog, target, generate_points(2, 800, "fibonacci_s2"), pts[::20], w[::20], k=1, ridge=1e-9)
+    assert info["columns"] + 1 > BLOCK_FLOATS // EVAL_BLOCK_ROWS and info["block_rows"] == EVAL_BLOCK_ROWS
     sphere = get_target("smooth_even_circle", 1)
     grid = reference_grid(1, 256)
     (info,) = _fit_records(caplog, sphere, generate_points(1, 16, "equispaced_circle"), grid.nodes, grid.weights)
     assert (info["live"], info["polynomial"], info["dead"], info["columns"]) == (16, 0, 0, 16)
+    dead_only = _direction_set(2, _unit([[1.0, 0.0, -1.5], [0.0, 1.0, -1.2]]))
+    (info,) = _fit_records(caplog, target, dead_only, pts, w, k=2, ridge=1e-9)
+    assert (info["columns"], info["block_rows"]) == (0, 0)  # no block is built
 
 
 def test_least_squares_fit_quiet_by_default(caplog):
@@ -708,20 +844,24 @@ def test_least_squares_fit_quiet_by_default(caplog):
 @pytest.mark.parametrize(
     "path", [{}, {"ridge": 1e-9}, {"norm_cap": 1.0}], ids=["lstsq", "ridge", "cap"]
 )
-def test_ridge_fit_holds_no_full_design(path):
+def test_ridge_fit_holds_no_full_design(path, caplog):
     """A fit at n=256 on 40960 rows works over row blocks, accumulating the Gram
     (ridge) or a QR factor (ridge-free or capped): its peak allocation stays far
-    below one rows x n design (84 MB)."""
+    below one rows x n design (84 MB), and each block of [B | y] within the
+    float budget."""
     pts, w = domain_grid(2, 40960)
     ps = generate_points(2, 256, "fibonacci_s2")
     target = get_target("gaussian_bump", 2)
     tracemalloc.start()
     try:
-        least_squares_fit(target, ps, pts, w, k=1, **path)
+        with caplog.at_level(logging.DEBUG, logger="fnspace.models"):
+            least_squares_fit(target, ps, pts, w, k=1, **path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(pts) == 40960 and peak < len(pts) * ps.n * 8 / 8
+    info = json.loads(caplog.records[-1].getMessage())
+    assert info["block_rows"] * (info["columns"] + 1) <= BLOCK_FLOATS < len(pts) * (info["columns"] + 1)
 
 
 def test_error_norms_match_direct_evaluation():

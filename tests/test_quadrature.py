@@ -297,7 +297,8 @@ def test_build_rule_diagnostics_record(caplog):
     assert 0 < info["nnls_run"] <= len(info["degrees_tried"]) - len(info["nnls_skipped"])
     assert info["path"] == "nnls"
     assert info["residual"] == rule.residual
-    assert info["moment_shape"] == [sum(harmonic_dim(2, m) for m in range(29)), 200]
+    # the dimension bound settles 28 (dim P_14 = 225 > 200), so the table stops at degree 26
+    assert info["moment_shape"] == [sum(harmonic_dim(2, m) for m in range(27)), 200]
     assert info["seconds"] >= 0.0
 
     _, info = _diagnostics(caplog, generate_points(1, 8, "equispaced_circle"), 7)
@@ -314,6 +315,7 @@ def test_build_rule_records_lstsq_solves(caplog):
     _, info = _diagnostics(caplog, generate_points(2, 400, "fibonacci_s2"), 40)
     assert info["degrees_tried"] == [40, 18, 28, 22, 20]
     assert (info["D"], info["lstsq_run"], info["nnls_run"]) == (18, 1, 0)
+    assert info["moment_shape"] == [39**2, 400]  # up to 38, the largest degree the bound leaves open
     _, info = _diagnostics(caplog, generate_points(1, 8, "equispaced_circle"), 7)
     assert info["lstsq_run"] == 1
 
