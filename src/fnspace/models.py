@@ -11,10 +11,11 @@ squares on a sample grid.
 Evaluation is row-blocked: each block of EVAL_BLOCK_ROWS inputs forms the
 preactivation z = theta . (x, 1) once, in a buffer reused across blocks,
 and yields the values sigma_k(z) @ a and, when asked, the gradients
-sigma_k'(z) @ (a W) together, so temporaries stay at two blocks of
-EVAL_BLOCK_ROWS x n floats whatever the grid size.  least_squares_fit and
-pde_erm.erm_fit share one O(n)-per-step root search for a norm cap's
-ridge, _cap_root: erm_fit runs it on one
+sigma_k'(z) @ (a W) together from one r = max(z, 0), so temporaries stay
+at two blocks of EVAL_BLOCK_ROWS x n floats whatever the grid size, and
+at one for k = 2, where sigma_2' = 2r and the 2 is folded into a W.
+least_squares_fit and pde_erm.erm_fit share one O(n)-per-step root
+search for a norm cap's ridge, _cap_root: erm_fit runs it on one
 eigendecomposition of its Gram matrix (ridge_bisect_cap), capped least
 squares on the SVD of its QR factor.
 
@@ -130,7 +131,18 @@ class FiniteNeuronModel:
     def _evaluate(
         self, x: np.ndarray, grad: bool = False
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        """(values, gradients or None) at the rows of x, block by block."""
+        """(values, gradients or None) at the rows of x, block by block.
+
+        Each block of at most EVAL_BLOCK_ROWS rows forms z = lifted(x) theta^T
+        in one reused buffer.  Values alone are sigma_k(z) @ a, taken in
+        place.  With gradients, r = max(z, 0) is taken once: sigma_k'(z) is
+        written from r into a second buffer (r > 0 at k = 1, k r^(k-1)
+        above), then r is raised to the power k in place for the values.  At
+        k = 2, sigma_2'(z) = 2r, so the 2 is folded into the coefficients,
+        r @ (2 a W), and the second buffer is never allocated.  Doubling is
+        exact, so values and gradients are bit-identical to sigma_k(z) @ a
+        and sigma_k'(z) @ (a W) at every k.
+        """
         if grad and self.k < 1:
             raise ContractError("gradient undefined for k=0")
         if grad and self.on_sphere:
@@ -143,15 +155,23 @@ class FiniteNeuronModel:
         if grad:
             grads = np.empty((rows, self.d))
             aw = self.a[:, None] * self.ps.points[:, : self.d]
-            dz_buf = np.empty_like(z_buf)
+            if self.k == 2:  # sigma_2' = 2r: the 2 goes into the coefficients
+                aw *= 2.0
+            dz_buf = None if self.k == 2 else np.empty_like(z_buf)
         else:
             grads = None
         for lo in range(0, rows, EVAL_BLOCK_ROWS):
             hi = min(lo + EVAL_BLOCK_ROWS, rows)
             z = np.matmul(xt[lo:hi], pt, out=z_buf[: hi - lo])
             if grad:
-                grads[lo:hi] = sigma_k_prime(self.k, z, out=dz_buf[: hi - lo]) @ aw
-            values[lo:hi] = sigma_k(self.k, z, out=z) @ self.a
+                r = np.maximum(z, 0.0, out=z)
+                dz = r if self.k == 2 else sigma_k_prime(self.k, r, out=dz_buf[: hi - lo])
+                grads[lo:hi] = dz @ aw
+                if self.k > 1:
+                    r **= self.k
+                values[lo:hi] = r @ self.a
+            else:
+                values[lo:hi] = sigma_k(self.k, z, out=z) @ self.a
         return values, grads
 
     def __call__(self, x: np.ndarray) -> np.ndarray | float:

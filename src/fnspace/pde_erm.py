@@ -248,12 +248,17 @@ def _sample_system(
 
     A_ij = |Omega| mean[grad(phi_i).grad(phi_j) + phi_i phi_j] and
     b_i = |Omega| mean[h phi_i] are assembled in one m x n buffer, which
-    holds only the Gram's operands: sigma_k' of the preactivations for the
-    gradient term, then sigma_k of the same preactivations for the rest,
-    and is released on return.  The last system is kept with copies of
-    what it was built from (problem.source by identity, problem.volume, k,
-    ps.points and samples by value); a call that matches all of them
-    returns the same read-only arrays with built False.
+    holds only the Gram's operands and is released on return.  At k = 2 one
+    matmul and one max put r = max(z, 0), z = (x, 1) theta^T, there: the
+    gradient term reads 4 r^T r, since sigma_2'(z) = 2r, and r is then
+    squared in place for phi = sigma_2(z).  Other k write sigma_k'(z) for
+    the gradient term, then form z again in the buffer for sigma_k(z).
+    Scaling by 4 is exact, so A, b and h are the same at every k, bit for
+    bit, as from two passes of sigma_k' and sigma_k over z.  The last
+    system is kept with copies of what it was built from (problem.source
+    by identity, problem.volume, k, ps.points and samples by value); a
+    call that matches all of them returns the same read-only arrays with
+    built False.
     """
     global _last_system
     last = _last_system
@@ -267,13 +272,18 @@ def _sample_system(
     xt = np.column_stack([samples, np.ones(m)])
     buf = np.empty((m, ps.n))
 
-    def activated(act):
-        # the preactivation z = (x, 1) theta^T, the same on every call, under act
-        return act(k, np.matmul(xt, ps.points.T, out=buf), out=buf)
+    def preactivation():
+        # z = (x, 1) theta^T, the same on every call, in the one buffer
+        return np.matmul(xt, ps.points.T, out=buf)
 
-    dphi = activated(sigma_k_prime)
-    grad_term = (dphi.T @ dphi) / m * (wdirs @ wdirs.T)
-    phi = activated(sigma_k)
+    if k == 2:  # sigma_2' = 2r and sigma_2 = r^2 from one r = max(z, 0)
+        r = np.maximum(preactivation(), 0.0, out=buf)
+        grad_term = 4.0 * (r.T @ r) / m * (wdirs @ wdirs.T)
+        phi = np.multiply(r, r, out=buf)
+    else:  # sigma_k' of z, then sigma_k of z formed again
+        dphi = sigma_k_prime(k, preactivation(), out=buf)
+        grad_term = (dphi.T @ dphi) / m * (wdirs @ wdirs.T)
+        phi = sigma_k(k, preactivation(), out=buf)
     A = (phi.T @ phi) / m
     A += grad_term
     A *= problem.volume
@@ -298,7 +308,8 @@ def erm_fit(
 
     Assembles A_ij = |Omega| mean[grad(phi_i).grad(phi_j) + phi_i phi_j]
     and b_i = |Omega| mean[h phi_i] in one m x n buffer, released before
-    the solve (_sample_system).  Each system is assembled once: a fit on
+    the solve; at k = 2 one preactivation pass gives both sigma_2' and
+    sigma_2 (_sample_system).  Each system is assembled once: a fit on
     the same problem source, volume, k, directions and samples as the
     previous assembly (an uncapped fit, then a capped refit) reuses its
     read-only A, b and h, so it gives the same result bit for bit; an
@@ -313,7 +324,9 @@ def erm_fit(
     Each call sends one JSON debug record to the "fnspace.pde_erm"
     logger, quiet by default: n, m, k, assembly ("built" or "reused"),
     path ("solve", "solve+1e-12I" or "cap"), zero_rows on the shifted
-    path, and the call's seconds.
+    path, the seconds spent in each stage (assembly_s, solve_s and
+    evaluate_s, the last for the risk, energy and H1 error) and the call's
+    seconds, which bound each stage's.
     """
     start = time.perf_counter()
     if k < 1:
@@ -322,7 +335,9 @@ def erm_fit(
     m = len(samples)
     if m == 0 or samples.shape[-1] != problem.d:
         raise ContractError("samples must be a nonempty array of points in R^d")
+    assembling = time.perf_counter()
     A, b, h, built = _sample_system(problem, ps, samples, k)
+    solving = time.perf_counter()
     if norm_cap > 0.0:
         a, _ = ridge_bisect_cap(A, b, ps.n, norm_cap)
         path = "cap"
@@ -333,6 +348,7 @@ def erm_fit(
         except np.linalg.LinAlgError:
             a = np.linalg.solve(A + 1e-12 * np.eye(ps.n), b)
             path = "solve+1e-12I"
+    evaluating = time.perf_counter()
     model = FiniteNeuronModel(problem.d, k, ps, a, norm_cap)
     emp = problem.volume * float(np.mean(_psi(*model._evaluate(samples, grad=True), h)))
     # one grid, one evaluation: energy and H1 error from the same values
@@ -344,10 +360,12 @@ def erm_fit(
     diff = values - fv
     gdiff = grads - fg
     h1 = math.sqrt(max(float(np.dot(w, diff**2 + np.sum(gdiff**2, axis=1))), 0.0))
+    done = time.perf_counter()
     if _log.isEnabledFor(logging.DEBUG):
         record = {"n": ps.n, "m": m, "k": k, "assembly": "built" if built else "reused", "path": path}
         if path == "solve+1e-12I":
             record["zero_rows"] = int(np.count_nonzero(~A.any(axis=1)))
-        record["seconds"] = time.perf_counter() - start
+        record |= {"assembly_s": solving - assembling, "solve_s": evaluating - solving,
+                   "evaluate_s": done - evaluating, "seconds": time.perf_counter() - start}
         _log.debug("%s", json.dumps(record))
     return ErmResult(model, emp, pop, excess, h1, m, seed)

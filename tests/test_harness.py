@@ -325,6 +325,51 @@ def test_randcmp_deterministic_row_skips_the_h1_pass(monkeypatch):
     ]
 
 
+def _counting_target(calls):
+    """gaussian_bump whose value and gradient calls are logged as (kind, rows)."""
+    base = get_target("gaussian_bump", 2)
+
+    def f(x):
+        calls.append(("f", len(x)))
+        return base.f(x)
+
+    def grad(x):
+        calls.append(("grad", len(x)))
+        return base.grad(x)
+
+    return dataclasses.replace(base, f=f, grad=grad)
+
+
+def test_sweeps_evaluate_the_target_once_on_their_grid(monkeypatch):
+    """run_rates (s = 1) reads the target and its gradient on the grid once
+    each, run_randcmp the target once, and both give the rows of cells fed
+    the target itself."""
+    cfg = ExperimentConfig(d=2, k=1, target="gaussian_bump", strategy="fibonacci_s2",
+                           ns=(8, 16, 24, 32), seeds=tuple(range(10)), ridge=1e-9)
+    grid = harness._ls_grid(cfg)
+    calls = []
+    monkeypatch.setattr(harness, "get_target", lambda name, d: _counting_target(calls))
+    rates = run_rates(dataclasses.replace(cfg, seeds=(0,)))
+    assert calls == [("f", len(grid[0])), ("grad", len(grid[0]))]
+    calls.clear()
+    summary = run_randcmp(cfg)
+    assert calls == [("f", len(grid[0]))]
+    plain = get_target("gaussian_bump", 2)
+    assert list(rates.rows) == [harness._rate_row_ls(cfg, plain, n, cfg.strategy, 0, grid, 1) for n in cfg.ns]
+    det = [harness._rate_row_ls(cfg, plain, n, cfg.strategy, 0, grid, 0)["error_l2"] for n in cfg.ns]
+    assert [r["det_error"] for r in summary["rows"]] == det
+
+
+def test_grid_values_are_read_only_and_other_inputs_pass_through():
+    pts = domain_grid(1, 64)[0]
+    target = harness._on_grid(get_target("gaussian_bump", 1), pts)
+    values = target(pts)
+    assert target(pts) is values and target.grad(pts) is target.grad(pts)
+    assert not values.flags.writeable and not target.grad(pts).flags.writeable
+    other = pts.copy()
+    assert target(other) is not values and np.array_equal(target(other), values)
+
+
 def test_randcmp_seeds_are_a_set():
     """Seeds 9...0 and 0...9 are one sweep: one hash and the same rows; a repeated seed is rejected."""
     cfg = ExperimentConfig(

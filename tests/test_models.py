@@ -488,6 +488,80 @@ def test_blocked_evaluation_matches_one_shot(rows, k, d, n, on_sphere, seed):
         assert np.all(np.abs(model.gradient(x) - want) <= 1e-13 * gscale)
 
 
+def _evaluate_reference(model, x, grad):
+    """FiniteNeuronModel._evaluate as written with sigma_k' and sigma_k each
+    taken from z, sigma_k' in a second buffer: the bit reference."""
+    xt = x if model.on_sphere else np.column_stack([x, np.ones(len(x))])
+    rows = len(xt)
+    values = np.empty(rows)
+    grads = np.empty((rows, model.d)) if grad else None
+    aw = model.a[:, None] * model.ps.points[:, : model.d]
+    z_buf = np.empty((min(rows, B), model.n))
+    dz_buf = np.empty_like(z_buf)
+    for lo in range(0, rows, B):
+        hi = min(lo + B, rows)
+        z = np.matmul(xt[lo:hi], model.ps.points.T, out=z_buf[: hi - lo])
+        if grad:
+            grads[lo:hi] = sigma_k_prime(model.k, z, out=dz_buf[: hi - lo]) @ aw
+        values[lo:hi] = sigma_k(model.k, z, out=z) @ model.a
+    return values, grads
+
+
+def _assert_bits_equal(got, want):
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=st.sampled_from([B - 1, B, B + 1, 2 * B + 3]),
+    k=st.integers(0, 3),
+    d=st.integers(1, 2),
+    n=st.integers(1, 40),
+    on_sphere=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_evaluation_bit_identical_to_two_buffer_reference(rows, k, d, n, on_sphere, seed):
+    """Values and gradients from one r = max(z, 0) per block, with the 2 of
+    sigma_2' = 2r folded into the coefficients, equal the two-buffer loop's."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    pts = rng.standard_normal((n, d + 1))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    ps = PointSet(d, pts, math.pi, max(separation(pts), 1e-3), 0.0)
+    model = FiniteNeuronModel(d, k, ps, rng.standard_normal(n), on_sphere=on_sphere)
+    x = rng.uniform(-1.5, 1.5, (rows, d + 1 if on_sphere else d))
+    grad = k >= 1 and not on_sphere
+    values, grads = model._evaluate(x, grad=grad)
+    want_values, want_grads = _evaluate_reference(model, x, grad)
+    _assert_bits_equal(values, want_values)
+    if grad:
+        _assert_bits_equal(grads, want_grads)
+        _assert_bits_equal(model._evaluate(x)[0], want_values)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("on_sphere", [False, True])
+def test_evaluation_at_zero_preactivations_matches_the_reference(k, on_sphere):
+    """Inputs on the kinks, where z is exactly 0 (and -0 in the input), over
+    more than one block: r > 0 is False there, as z > 0 is."""
+    s = math.sqrt(0.5)
+    pts = np.array([[1.0, 0.0], [s, -s], [-s, -s], [0.0, 1.0], [-1.0, 0.0]])
+    ps = PointSet(1, pts, math.pi, separation(pts), 0.0)
+    model = FiniteNeuronModel(1, k, ps, np.array([1.5, -2.0, 0.25, 3.0, -0.5]), on_sphere=on_sphere)
+    if on_sphere:
+        base = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -1.0], [1.0, 0.0], [-1.0, -0.0], [s, s]])
+    else:
+        base = np.array([[0.0], [-0.0], [1.0], [-1.0], [0.5]])
+    x = np.tile(base, (B // len(base) + 2, 1))
+    z = (x if on_sphere else np.column_stack([x, np.ones(len(x))])) @ pts.T
+    assert np.count_nonzero(z == 0.0) >= len(x)
+    grad = k >= 1 and not on_sphere
+    values, grads = model._evaluate(x, grad=grad)
+    want_values, want_grads = _evaluate_reference(model, x, grad)
+    assert values.tobytes() == want_values.tobytes()
+    if grad:
+        assert grads.tobytes() == want_grads.tobytes()
+
+
 def _ls_reference(f, ps, pts, w, k, ridge=0.0, norm_cap=0.0):
     """least_squares_fit as written before the in-place design: the bit reference."""
     z = np.column_stack([pts, np.ones(len(pts))]) @ ps.points.T

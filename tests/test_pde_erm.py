@@ -425,6 +425,35 @@ def test_erm_capped_refit_reuses_the_system(caplog):
     records = _erm_records(caplog)
     assert [(r["assembly"], r["path"]) for r in records[1:]] == [("reused", "cap")] * 2
     assert all((r["n"], r["m"], r["k"]) == (32, 4096, 2) and r["seconds"] >= 0.0 for r in records)
+    _assert_stage_seconds(records)
+
+
+def _assert_stage_seconds(records):
+    """Each stage's seconds are nonnegative, and together at most the call's."""
+    for r in records:
+        stages = [r[key] for key in ("assembly_s", "solve_s", "evaluate_s")]
+        assert min(stages) >= 0.0 and sum(stages) <= r["seconds"]
+
+
+def test_erm_fit_at_a_workload_size_matches_the_reference(caplog):
+    """Fibonacci n = 64, m = 16384 on the disk at k = 2, uncapped and then
+    capped at half the free norm: the reference's a, energy and H1 error bit
+    for bit, the one-preactivation assembly built once and reused."""
+    prob = PROBLEMS["disk"]
+    ps = generate_points(2, 64, "fibonacci_s2")
+    samples = prob.sample(16384, 0)
+    want = _erm_reference(prob, ps, samples, 2)
+    cap = 0.5 * math.sqrt(ps.n) * float(np.linalg.norm(want[0]))
+    want_capped = _erm_reference(prob, ps, samples, 2, cap)
+    with caplog.at_level(logging.DEBUG, logger="fnspace.pde_erm"):
+        free = erm_fit(prob, ps, samples, k=2)
+        capped = erm_fit(prob, ps, samples, k=2, norm_cap=cap)
+    for res, ref in ((free, want), (capped, want_capped)):
+        _assert_matches_reference(res, ref)
+        assert res.empirical_risk == empirical_risk(res.model, res.model.gradient, prob, samples)
+    records = _erm_records(caplog)
+    assert [r["assembly"] for r in records] == ["built", "reused"] and records[1]["path"] == "cap"
+    _assert_stage_seconds(records)
 
 
 def test_erm_in_place_edit_of_samples_rebuilds(caplog):
