@@ -29,7 +29,6 @@ from .models import (
     TargetFunction,
     coef_stat,
     constructive_fit,
-    density_from_model,
     error_norms,
     least_squares_fit,
 )

@@ -154,6 +154,8 @@ class ExperimentConfig:
             raise ConfigurationError("s must be 0 or 1")
         if len(self.ns) == 0:
             raise ConfigurationError("ns must be nonempty")
+        if not self.ridge >= 0.0:  # NaN too
+            raise ConfigurationError(f"ridge must be >= 0, got {self.ridge}")
         object.__setattr__(self, "ns", _size_set("ns", self.ns))
         object.__setattr__(self, "seeds", _size_set("seeds", self.seeds))
 

@@ -43,13 +43,12 @@ from typing import Callable
 import numpy as np
 from scipy.linalg.blas import dsyrk
 from scipy.optimize import brentq
-from scipy.spatial import ConvexHull, cKDTree
 
 from .activation import ActivationSpectrum, sigma_k, sigma_k_prime
 from .errors import ConfigurationError, ContractError
 from .harmonics import ReferenceGrid, project
 from .quadrature import QuadratureRule
-from .sphere import UNIT_TOL, PointSet, _check_unit_rows
+from .sphere import PointSet
 
 __all__ = [
     "FiniteNeuronModel",
@@ -59,7 +58,6 @@ __all__ = [
     "least_squares_fit",
     "error_norms",
     "coef_stat",
-    "density_from_model",
 ]
 
 CAP_SLACK = 1e-9
@@ -413,6 +411,7 @@ def least_squares_fit(
     With norm_cap > 0, the cap sqrt(n)||a||_2 <= M is enforced by the
     smallest extra ridge parameter that meets it (ridge_bisect_cap).  A
     rank-deficient design with ridge=0 yields the minimum-norm solution.
+    A ridge or norm_cap that is negative or NaN is a ConfigurationError.
 
     Only the neurons the grid can tell apart are fitted.  On a domain of
     largest grid radius r, a dead neuron (0 on the grid) gets a_j = 0, and
@@ -435,6 +434,8 @@ def least_squares_fit(
     default.
     """
     start = time.perf_counter()
+    if not (ridge >= 0.0 and norm_cap >= 0.0):  # NaN too
+        raise ConfigurationError(f"ridge and norm_cap must be >= 0, got {ridge} and {norm_cap}")
     grid_points = np.asarray(grid_points, dtype=float)
     if grid_points.shape[-1] != f.d + f.on_sphere:
         raise ContractError("grid points must have d components (d+1 on the sphere)")
@@ -506,76 +507,3 @@ def coef_stat(model: FiniteNeuronModel) -> tuple[float, float, float]:
     """(||a||_2, sqrt(n)||a||_2, ||a||_1)."""
     l2 = float(np.linalg.norm(model.a))
     return l2, math.sqrt(model.n) * l2, float(np.abs(model.a).sum())
-
-
-def _arc_measures(angles: np.ndarray) -> np.ndarray:
-    """Normalized lengths of the Voronoi arcs of points at these angles on
-    the circle: each arc runs between the midpoints to its neighbours."""
-    ang = np.mod(angles, 2.0 * math.pi)
-    order = np.argsort(ang)
-    sa = ang[order]
-    mids = (sa[:-1] + sa[1:]) / 2.0
-    bounds = np.concatenate([[sa[0] - (2 * math.pi - sa[-1] + sa[0]) / 2], mids])
-    widths = np.diff(np.append(bounds, bounds[0] + 2.0 * math.pi))
-    measures = np.empty(len(ang))
-    measures[order] = widths / (2.0 * math.pi)
-    return measures
-
-
-def _cell_measures(pts: np.ndarray) -> np.ndarray:
-    """Normalized areas of the Voronoi cells of distinct unit rows on S^2.
-
-    Rows within n UNIT_TOL of one plane with normal v (always so for n <= 3)
-    get lunes about v, the arc measures of their azimuths: qhull cannot
-    resolve such heights and drops vertices of well-separated rows (seen up
-    to 5.3e-13 off the plane at n = 60, 5e-12 at n = 500).  For rows within
-    delta of the plane at height c, radius rho = sqrt(1 - c^2), separation
-    s, a lune misses its cell by at most 2 |c| delta / (pi rho s) to first
-    order in delta / s: the radii differ by up to 2 |c| delta / rho, which
-    turns each of the cell's two bisectors about its equator point by that
-    over s; their tilt out of the plane is second order.  Otherwise the cell
-    of p is the hull's normal cone at p, with area the angular defect 2 pi -
-    sum of face angles at p (Descartes: they sum to 4 pi), from hull edges,
-    so nearly coplanar rows with ill-conditioned Voronoi vertices are fine.
-    """
-    rel = pts - pts[0]
-    basis = np.linalg.svd(rel, full_matrices=len(pts) < 3)[2]  # rows 0, 1 span the plane; row 2 its normal
-    if np.max(np.abs(rel @ basis[2])) <= len(pts) * UNIT_TOL:
-        return _arc_measures(np.arctan2(pts @ basis[1], pts @ basis[0]))
-    hull = ConvexHull(pts)
-    if len(hull.vertices) < len(pts):
-        raise ContractError("directions too close together to resolve their Voronoi cells")
-    tri = pts[hull.simplices]
-    u, w = np.roll(tri, -1, axis=1) - tri, np.roll(tri, 1, axis=1) - tri
-    angles = np.arctan2(np.linalg.norm(np.cross(u, w), axis=2), np.sum(u * w, axis=2))
-    face_sums = np.bincount(hull.simplices.ravel(), angles.ravel(), minlength=len(pts))
-    return (2.0 * math.pi - face_sums) / (4.0 * math.pi)
-
-
-def density_from_model(model: FiniteNeuronModel) -> tuple[np.ndarray, Callable]:
-    """Piecewise-constant density a_j / |A_j| on the Voronoi cells A_j.
-
-    The cell measures (normalized surface measure) are exact Voronoi
-    measures: arc lengths on the circle, lune or hull angular-defect areas
-    on S^2 (see _cell_measures).  Returns (measures, psi) where psi
-    evaluates the density at sphere points by a nearest-direction lookup
-    in a cKDTree; for unit directions the nearest chord is the largest
-    dot product.
-    """
-    pts = model.ps.points
-    if model.ps.h_sep <= 1e-12:
-        raise ContractError("duplicate directions make Voronoi cells degenerate")
-    _check_unit_rows(pts)
-    if model.d == 1:
-        measures = _arc_measures(np.arctan2(pts[:, 1], pts[:, 0]))
-    elif model.d == 2:
-        measures = _cell_measures(pts)
-    else:
-        raise ConfigurationError("density recovery implemented for d in {1,2}")
-    vals = model.a / measures
-    tree = cKDTree(pts)
-
-    def psi(eta: np.ndarray) -> np.ndarray:
-        return vals[tree.query(np.atleast_2d(np.asarray(eta, dtype=float)))[1]]
-
-    return measures, psi

@@ -315,8 +315,9 @@ def erm_fit(
     read-only A, b and h, so it gives the same result bit for bit; an
     in-place edit of either array is seen and rebuilds.  Solves the
     quadratic program (ridge_bisect_cap if the cap sqrt(n)||a||_2 <=
-    norm_cap is set).  The fitted model's blocked evaluation then gives
-    the empirical risk |Omega| mean Psi(g) at the samples, equal to
+    norm_cap is set; a negative or NaN norm_cap is a ConfigurationError).
+    The fitted model's blocked evaluation then gives the empirical risk
+    |Omega| mean Psi(g) at the samples, equal to
     empirical_risk(model, model.gradient, problem, samples), and the
     energy, excess risk and H1 error against the manufactured solution on
     problem.grid_values.  An uncapped A that is exactly singular (neurons
@@ -331,6 +332,8 @@ def erm_fit(
     start = time.perf_counter()
     if k < 1:
         raise ConfigurationError("erm_fit needs k >= 1 for gradients")
+    if not norm_cap >= 0.0:  # NaN too
+        raise ConfigurationError(f"norm_cap must be >= 0, got {norm_cap}")
     samples = np.asarray(samples, dtype=float)
     m = len(samples)
     if m == 0 or samples.shape[-1] != problem.d:

@@ -90,6 +90,19 @@ def test_experiment_config_validation():
         _sweep({"d": "1", "k": "1", "target": "x", "strategy": "y", "ns": "8 8 16"})
 
 
+@pytest.mark.parametrize("ridge", [-1e-3, math.nan])
+def test_experiment_config_rejects_a_negative_ridge(ridge):
+    with pytest.raises(ConfigurationError, match="ridge must be >= 0"):
+        ExperimentConfig(d=1, k=1, target="gaussian_bump", strategy="equispaced_circle", ns=(8, 16), ridge=ridge)
+
+
+def test_cli_rates_rejects_a_negative_ridge(tmp_path, capsys):
+    cfg = "d = 2\nk = 1\ntarget = gaussian_bump\nstrategy = fibonacci_s2\nns = 16 32 64 128\nridge = -1e-3\n"
+    assert _cli(tmp_path, "rates", cfg, tmp_path / "out") == 2
+    assert "ridge must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_hash_reads_every_field():
     keys = {"d": "1", "k": "1", "target": "gaussian_bump", "strategy": "equispaced_circle", "ns": "16 8"}
     built = ExperimentConfig(d=1, k=1, target="gaussian_bump", strategy="equispaced_circle", ns=(8, 16))

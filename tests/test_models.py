@@ -1,4 +1,3 @@
-import itertools
 import json
 import logging
 import math
@@ -6,9 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import SphericalVoronoi
 
 from fnspace.activation import sigma_k, sigma_k_prime, spectrum
 from fnspace.errors import ConfigurationError, ContractError
@@ -26,7 +24,6 @@ from fnspace.models import (
     _polynomial_block,
     coef_stat,
     constructive_fit,
-    density_from_model,
     error_norms,
     features,
     least_squares_fit,
@@ -134,6 +131,14 @@ def test_ls_norm_cap_binds():
     assert coef_stat(capped)[1] >= M * (1.0 - 1e-3)
 
 
+@pytest.mark.parametrize("bad", [{"ridge": -1e-3}, {"norm_cap": -5.0}, {"ridge": math.nan}, {"norm_cap": math.nan}],
+                         ids=["ridge", "norm_cap", "nan_ridge", "nan_norm_cap"])
+def test_ls_rejects_a_negative_ridge_or_cap(bad):
+    target = TargetFunction("zero", 1, lambda x: np.zeros(len(np.atleast_2d(x))))
+    with pytest.raises(ConfigurationError, match="must be >= 0"):
+        least_squares_fit(target, generate_points(1, 8, "equispaced_circle"), *domain_grid_1d(), k=2, **bad)
+
+
 def test_model_cap_invariant():
     ps = generate_points(1, 4, "equispaced_circle")
     with pytest.raises(ContractError):
@@ -238,205 +243,6 @@ def test_coef_stat_values():
     assert coef_stat(model) == pytest.approx((2.0, 4.0, 4.0))
     zero = FiniteNeuronModel(1, 1, ps, np.zeros(4))
     assert coef_stat(zero) == (0.0, 0.0, 0.0)
-
-
-def test_density_circle_arcs():
-    ps = generate_points(1, 4, "equispaced_circle")
-    model = FiniteNeuronModel(1, 1, ps, np.array([1.0, 0.0, 0.0, 0.0]), on_sphere=True)
-    measures, psi = density_from_model(model)
-    np.testing.assert_allclose(measures, 0.25, atol=1e-12)
-    assert psi(ps.points[:1])[0] == pytest.approx(4.0)
-    assert psi(ps.points[1:2])[0] == 0.0
-
-
-def test_density_zero_model():
-    ps = generate_points(1, 4, "equispaced_circle")
-    model = FiniteNeuronModel(1, 1, ps, np.zeros(4), on_sphere=True)
-    _, psi = density_from_model(model)
-    eta = generate_points(1, 16, "equispaced_circle").points
-    np.testing.assert_array_equal(psi(eta), 0.0)
-
-
-def test_density_s2_measures_sum():
-    ps = generate_points(2, 100, "fibonacci_s2")
-    model = FiniteNeuronModel(2, 1, ps, np.ones(100), on_sphere=True)
-    measures, _ = density_from_model(model)
-    assert abs(measures.sum() - 1.0) <= 1e-12
-
-
-def _density_reference(model, n_mc=10**6, seed=0):
-    """density_from_model as written before exact cell measures: the arc
-    branch on the circle, Monte Carlo frequencies and an argmax lookup on S^2."""
-    pts = model.ps.points
-    if model.ps.h_sep <= 1e-12:
-        raise ContractError("duplicate directions make Voronoi cells degenerate")
-    if model.d == 1:
-        ang = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * math.pi)
-        order = np.argsort(ang)
-        sa = ang[order]
-        mids = (sa[:-1] + sa[1:]) / 2.0
-        bounds = np.concatenate([[sa[0] - (2 * math.pi - sa[-1] + sa[0]) / 2], mids])
-        widths = np.diff(np.append(bounds, bounds[0] + 2.0 * math.pi))
-        measures = np.empty(len(pts))
-        measures[order] = widths / (2.0 * math.pi)
-    elif model.d == 2:
-        rng = np.random.Generator(np.random.Philox(seed))
-        g = rng.standard_normal((n_mc, 3))
-        samples = g / np.linalg.norm(g, axis=1, keepdims=True)
-        idx = np.argmax(samples @ pts.T, axis=1)
-        measures = np.bincount(idx, minlength=len(pts)) / n_mc
-    else:
-        raise ConfigurationError("density recovery implemented for d in {1,2}")
-    with np.errstate(divide="ignore"):
-        vals = np.where(measures > 0.0, model.a / measures, 0.0)
-
-    def psi(eta: np.ndarray) -> np.ndarray:
-        eta = np.atleast_2d(np.asarray(eta, dtype=float))
-        return vals[np.argmax(eta @ pts.T, axis=1)]
-
-    return measures, psi
-
-
-def _sphere_model(pts, a=None):
-    ps = PointSet(pts.shape[1] - 1, pts, math.pi, separation(pts), 0.0)
-    return FiniteNeuronModel(ps.d, 1, ps, np.ones(ps.n) if a is None else a, on_sphere=True)
-
-
-def _platonic(n):
-    """Vertices of the Platonic solid with n vertices, on the unit sphere."""
-    phi = (1.0 + math.sqrt(5.0)) / 2.0
-
-    def cyclic(a, b):  # the cyclic permutations of (0, +-a, +-b)
-        return [np.roll([0.0, s * a, t * b], r) for s in (-1, 1) for t in (-1, 1) for r in range(3)]
-
-    cube = list(itertools.product([-1.0, 1.0], repeat=3))
-    rows = {
-        4: [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]],
-        6: np.vstack([np.eye(3), -np.eye(3)]),
-        8: cube,
-        12: cyclic(1.0, phi),
-        20: cube + cyclic(1.0 / phi, phi),
-    }[n]
-    return _unit(rows)
-
-
-@pytest.mark.parametrize("n", [4, 6, 8, 12, 20])
-def test_platonic_cells_are_equal(n):
-    measures, _ = density_from_model(_sphere_model(_platonic(n)))
-    assert len(measures) == n
-    np.testing.assert_allclose(measures, 1.0 / n, rtol=0.0, atol=1e-12)
-
-
-S2_KINDS = ["uniform", "hemisphere", "small_cap", "coplanar", "nearly_coplanar"]
-
-
-def _s2_set(kind, n, rng):
-    if kind in ("uniform", "hemisphere", "small_cap"):
-        g = rng.standard_normal((n, 3))
-        if kind == "hemisphere":
-            g[:, 2] = np.abs(g[:, 2])
-        if kind == "small_cap":  # within ~0.15 of the north pole
-            g[:, 2] = np.abs(g[:, 2]) + 20.0
-        return _unit(g)
-    c = 0.0 if rng.uniform() < 0.3 else rng.uniform(-0.9, 0.9)  # a great or a small circle
-    z = np.full(n, c)
-    if kind == "nearly_coplanar":  # spreads on both sides of the flatness bound n UNIT_TOL
-        z += 10.0 ** rng.uniform(-15.0, -5.0) * rng.standard_normal(n)
-    phi = rng.uniform(0.0, 2.0 * math.pi, n)
-    r = np.sqrt(1.0 - z**2)
-    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
-
-
-@settings(max_examples=200, deadline=None)
-@given(kind=st.sampled_from(S2_KINDS), n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
-@example(kind="nearly_coplanar", n=59, seed=312)  # 1.7e-3 apart, 4e-13 off a plane: qhull dropped a vertex
-def test_s2_cell_measures_properties(kind, n, seed):
-    """Exact cells are nonempty, tile the sphere and turn with it."""
-    rng = np.random.Generator(np.random.Philox(seed))
-    pts = _s2_set(kind, n, rng)
-    assume(separation(pts) > 1e-6)
-    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
-    measures, _ = density_from_model(_sphere_model(pts))
-    turned, _ = density_from_model(_sphere_model(pts @ (q * np.sign(np.diag(r))).T))
-    assert np.all(measures > 0.0)
-    assert abs(measures.sum() - 1.0) <= 1e-12
-    np.testing.assert_allclose(turned, measures, rtol=0.0, atol=1e-10)
-
-
-@pytest.mark.parametrize("strategy", ["equispaced_circle", "uniform_random"])
-def test_circle_measures_bit_identical_to_reference(strategy):
-    for n in (1, 2, 3, 5, 16, 37, 100, 255, 512):
-        model = _sphere_model(generate_points(1, n, strategy, seed=n).points)
-        assert np.array_equal(density_from_model(model)[0], _density_reference(model)[0])
-
-
-MC_SETS = {
-    "fibonacci_24": lambda: generate_points(2, 24, "fibonacci_s2").points,
-    "uniform_24": lambda: generate_points(2, 24, "uniform_random", seed=5).points,
-    "two": lambda: _unit([[1.0, 0.2, 0.3], [-0.4, 1.0, 0.1]]),
-    "three": lambda: _unit([[1.0, 0.2, 0.3], [-0.4, 1.0, 0.1], [0.3, -0.5, -1.0]]),
-    "great_circle": lambda: _s2_set("coplanar", 7, np.random.Generator(np.random.Philox(1))),
-    "small_circle": lambda: np.column_stack(
-        [0.8 * np.cos(np.arange(6) ** 1.5), 0.8 * np.sin(np.arange(6) ** 1.5), np.full(6, 0.6)]
-    ),
-}
-
-
-@pytest.mark.parametrize("name", sorted(MC_SETS))
-def test_cell_measures_match_monte_carlo(name):
-    model = _sphere_model(MC_SETS[name]())
-    n_mc = 10**5
-    exact, _ = density_from_model(model)
-    mc, _ = _density_reference(model, n_mc=n_mc, seed=1)
-    assert np.all(np.abs(mc - exact) <= 5.0 * np.sqrt(exact * (1.0 - exact) / n_mc))
-
-
-def test_cell_measures_match_spherical_voronoi():
-    for pts in (generate_points(2, 100, "fibonacci_s2").points, generate_points(2, 512, "uniform_random").points):
-        want = SphericalVoronoi(pts).calculate_areas() / (4.0 * math.pi)
-        np.testing.assert_allclose(density_from_model(_sphere_model(pts))[0], want, rtol=0.0, atol=1e-13)
-
-
-def test_psi_matches_argmax_reference():
-    rng = np.random.Generator(np.random.Philox(3))
-    for d, n in ((1, 37), (2, 200)):
-        pts = generate_points(d, n, "uniform_random", seed=4).points
-        model = _sphere_model(pts, rng.standard_normal(n))
-        measures, psi = density_from_model(model)
-        eta = _unit(rng.standard_normal((5000, d + 1))) * rng.uniform(0.5, 2.0, (5000, 1))
-        assert np.array_equal(psi(eta), (model.a / measures)[np.argmax(eta @ pts.T, axis=1)])
-        if d == 1:
-            assert np.array_equal(psi(eta), _density_reference(model)[1](eta))
-
-
-def test_psi_holds_no_rows_by_n_array():
-    n, rows = 256, 4096
-    _, psi = density_from_model(_sphere_model(generate_points(2, n, "fibonacci_s2").points))
-    eta = _unit(np.random.Generator(np.random.Philox(0)).standard_normal((rows, 3)))
-    tracemalloc.start()
-    psi(eta)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    assert peak < rows * n * 8 / 16
-
-
-def test_density_rejects_off_sphere_directions():
-    rng = np.random.Generator(np.random.Philox(2))
-    for d, n in ((1, 8), (2, 3), (2, 40)):
-        pts = _unit(rng.standard_normal((n, d + 1)))
-        pts[0] *= 1.0 + 1e-6
-        ps = PointSet(d, pts, math.pi, 0.1, 0.0)
-        with pytest.raises(ContractError, match="unit vectors"):
-            density_from_model(FiniteNeuronModel(d, 1, ps, np.ones(n), on_sphere=True))
-
-
-def test_density_rejects_directions_the_hull_cannot_resolve():
-    """Directions 1e-9 apart are distinct, but qhull merges them into one vertex."""
-    rng = np.random.Generator(np.random.Philox(1))
-    pts = generate_points(2, 30, "fibonacci_s2").points
-    pts = np.vstack([pts, _unit(pts[0] + 1e-9 * rng.standard_normal((5, 3)))])
-    with pytest.raises(ContractError, match="too close"):
-        density_from_model(_sphere_model(pts))
 
 
 def test_ls_no_worse_than_constructive_on_sphere():

@@ -197,6 +197,13 @@ def test_erm_needs_gradients():
         erm_fit(prob, ps, prob.sample(100, 0), k=0)
 
 
+@pytest.mark.parametrize("norm_cap", [-1.0, math.nan])
+def test_erm_rejects_a_negative_norm_cap(norm_cap):
+    prob = interval_problem()
+    with pytest.raises(ConfigurationError, match="norm_cap must be >= 0"):
+        erm_fit(prob, interval_directions(4), prob.sample(100, 0), k=2, norm_cap=norm_cap)
+
+
 def test_erm_rejects_samples_of_the_wrong_width():
     with pytest.raises(ContractError, match="samples"):
         erm_fit(interval_problem(), interval_directions(4), np.zeros((100, 2)), k=2)
