@@ -144,7 +144,7 @@ def _cmd_kernel(v: dict, out: Path) -> None:
 
 
 COMMANDS = {
-    "points": (_cmd_points, _point_keys(k=(int, 1), lam=(float, 1.0))),
+    "points": (_cmd_points, _point_keys()),
     "quad": (_cmd_quad, _point_keys(D_target=(int, None), tol=(float, 1e-8))),
     "spectrum": (_cmd_spectrum, {"d": (int, MISSING), "k": (int, MISSING), "m_max": (int, 100)}),
     "approx": (_cmd_approx, _sweep_keys()),

@@ -228,7 +228,7 @@ def _rate_row(*cells) -> dict:
 
 
 def _rate_row_constructive(cfg: ExperimentConfig, target, n: int) -> dict:
-    ps = generate_points(cfg.d, n, cfg.strategy, seed=cfg.seeds[0], resolution=cfg.resolution, k=cfg.k)
+    ps = generate_points(cfg.d, n, cfg.strategy, seed=cfg.seeds[0], resolution=cfg.resolution)
     rule = quadrature.build_rule(ps, n - 1 if cfg.d == 1 else quadrature.default_degree(ps))
     spec = spectrum(cfg.d, cfg.k, rule.J + 4)
     grid = reference_grid(cfg.d, max(2 * rule.J + 8, 1024 if cfg.d == 1 else 64))
@@ -267,7 +267,7 @@ def _on_grid(target: TargetFunction, pts: np.ndarray) -> TargetFunction:
 
 def _rate_row_ls(cfg: ExperimentConfig, target, n: int, strategy: str, seed: int, grid, s: int) -> dict:
     """One least-squares cell: the point set, its fit on the grid, and the errors up to order s."""
-    ps = generate_points(cfg.d, n, strategy, seed=seed, resolution=cfg.resolution, k=cfg.k)
+    ps = generate_points(cfg.d, n, strategy, seed=seed, resolution=cfg.resolution)
     model = least_squares_fit(target, ps, *grid, k=cfg.k, ridge=cfg.ridge)
     l2, h1 = error_norms(model, target, *grid, s=s)
     return _rate_row(n, ps.h, l2, h1, coef_stat(model)[1], "")

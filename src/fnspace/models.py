@@ -116,6 +116,8 @@ class FiniteNeuronModel:
             raise ContractError(f"model dimension d={self.d} != direction dimension {self.ps.d}")
         if a.shape != (self.ps.n,):
             raise ContractError("coefficient count must match direction count")
+        if not self.norm_cap >= 0.0:  # NaN too
+            raise ConfigurationError(f"norm_cap must be >= 0, got {self.norm_cap}")
         if self.norm_cap > 0.0:
             cap_norm = math.sqrt(self.ps.n) * float(np.linalg.norm(a))
             if cap_norm > self.norm_cap * (1.0 + CAP_SLACK) + CAP_SLACK:

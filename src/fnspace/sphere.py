@@ -262,100 +262,17 @@ def _uniform_random(d: int, n: int, seed: int) -> np.ndarray:
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
-def _petrushev_tensor(d: int, n: int, seed: int) -> np.ndarray:
-    # n1 ~ n^{(d-1)/d} directions on S^{d-1} x n2 ~ n^{1/d} bias levels,
-    # normalized onto the band of S^d by (w, b) / sqrt(1 + b^2)
-    if d == 1:
-        dirs = np.array([[1.0], [-1.0]])
-    elif d == 2:
-        n1 = max(2, round(n ** ((d - 1) / d)))
-        dirs = _equispaced_circle(n1)
-    else:
-        raise ConfigurationError("petrushev_tensor implemented for d in {1,2}")
-    n2 = max(1, round(n / len(dirs)))
-    b = -1.0 + 2.0 * (np.arange(n2) + 0.5) / n2
-    w = np.repeat(dirs, n2, axis=0)
-    bb = np.tile(b, len(dirs))
-    raw = np.column_stack([w, bb])
-    return raw / np.sqrt(1.0 + bb**2)[:, None]
-
-
-def _band_with_poly_completion(
-    d: int, n: int, k: int, lam: float, seed: int
-) -> np.ndarray:
-    n_cap = math.comb(k + d, d)
-    if n < n_cap:
-        raise ConfigurationError(
-            f"band_with_poly_completion needs n >= C(k+d,d) = {n_cap}"
-        )
-    z_band = lam / math.sqrt(1.0 + lam**2)
-    n_band = n - n_cap
-    if d == 1:
-        # cap points: small arc near the north pole (inside the upper cap)
-        half = 0.5 * (math.pi / 2.0 - math.asin(z_band))
-        base = math.pi / 2.0
-        cap_ang = base + half * (np.arange(n_cap) - (n_cap - 1) / 2.0) / max(n_cap, 1)
-        cap = np.column_stack([np.cos(cap_ang), np.sin(cap_ang)])
-        # band: two arcs |sin(angle)| <= z_band, equispaced within each
-        amax = math.asin(z_band)
-        per = max(n_band // 2, 1)
-        a1 = np.linspace(-amax, amax, per)
-        a2 = np.pi + np.linspace(-amax, amax, n_band - per) if n_band - per > 0 else []
-        ang = np.concatenate([a1, np.asarray(a2, dtype=float)])[:n_band]
-        band = np.column_stack([np.cos(ang), np.sin(ang)])
-    elif d == 2:
-        # cap: Fibonacci patch shrunk into the upper cap
-        patch = _fibonacci_sphere(max(n_cap, 4))[:n_cap]
-        shrink = 0.4 * (1.0 - z_band)
-        z = 1.0 - shrink * (1.0 - patch[:, 2])
-        r_old = np.sqrt(np.clip(1.0 - patch[:, 2] ** 2, 1e-30, None))
-        r_new = np.sqrt(np.clip(1.0 - z**2, 0.0, None))
-        cap = np.column_stack(
-            [patch[:, 0] / r_old * r_new, patch[:, 1] / r_old * r_new, z]
-        )
-        # band: Fibonacci z-profile squeezed into |z| <= z_band
-        i = np.arange(n_band)
-        z = z_band * (1.0 - (2.0 * i + 1.0) / max(n_band, 1))
-        r = np.sqrt(np.clip(1.0 - z**2, 0.0, None))
-        phi = GOLDEN_ANGLE * i
-        band = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
-    else:
-        raise ConfigurationError("band_with_poly_completion implemented for d in {1,2}")
-    points = np.vstack([cap, band])
-    _check_cap_independence(points[:n_cap], d, k, seed)
-    return points
-
-
-def _check_cap_independence(cap: np.ndarray, d: int, k: int, seed: int) -> None:
-    """Rank check: the cap monomials (theta . x~)^k must be independent."""
-    rng = np.random.Generator(np.random.Philox(seed + 0x9E37))
-    x = rng.uniform(-1.0, 1.0, size=(4 * len(cap) + 16, d))
-    xt = np.column_stack([x, np.ones(len(x))])
-    cols = (xt @ cap.T) ** k
-    norms = np.linalg.norm(cols, axis=0)
-    if np.any(norms == 0.0):
-        raise ConfigurationError("degenerate polynomial-completion direction")
-    s = np.linalg.svd(cols / norms, compute_uv=False)
-    if s[-1] <= 1e-8:
-        raise ConfigurationError(
-            "polynomial-completion directions are numerically dependent"
-        )
-
-
 def generate_points(
     d: int,
     n: int,
     strategy: str,
     seed: int = 0,
     resolution: float = 0.01,
-    k: int = 1,
-    lam: float = 1.0,
 ) -> PointSet:
     """Deterministic point-set generation; h and h_sep are computed on return.
 
     Strategies: equispaced_circle (d=1), fibonacci_s2 (d=2), uniform_random
-    (any supported d), petrushev_tensor, band_with_poly_completion
-    (needs k and the domain radius lam).
+    (any supported d).
     """
     if n < 1:
         raise ConfigurationError("n must be >= 1")
@@ -369,10 +286,6 @@ def generate_points(
         pts = _fibonacci_sphere(n)
     elif strategy == "uniform_random":
         pts = _uniform_random(d, n, seed)
-    elif strategy == "petrushev_tensor":
-        pts = _petrushev_tensor(d, n, seed)
-    elif strategy == "band_with_poly_completion":
-        pts = _band_with_poly_completion(d, n, k, lam, seed)
     else:
         raise ConfigurationError(f"unknown strategy {strategy!r}")
     return _make_pointset(pts, d, resolution, strategy, seed)

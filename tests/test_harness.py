@@ -471,21 +471,6 @@ def test_run_pde_seeds_are_a_set():
         run_pde("interval", 2, ms, (0, 0))
 
 
-@pytest.mark.parametrize("d, k, target, path", [(2, 2, "gaussian_bump", "ls"), (1, 3, "smooth_even_circle", "constructive")])
-def test_band_cell_completes_the_cap_for_the_config_k(d, k, target, path, monkeypatch):
-    """The polynomial completion of a band set depends on k; a cell gets the config's."""
-    real, made = harness.generate_points, []
-
-    def spy(*args, **kwargs):
-        made.append(real(*args, **kwargs))
-        return made[-1]
-
-    monkeypatch.setattr(harness, "generate_points", spy)
-    run_rates(ExperimentConfig(d=d, k=k, target=target, strategy="band_with_poly_completion", ns=(16,), path=path))
-    (ps,) = made
-    assert np.array_equal(ps.points, real(d, 16, "band_with_poly_completion", k=k).points)
-
-
 CLI_CASES = {  # command: (a good config, then bad ones: a broken config, a non-numeric value)
     "points": (
         "d = 1\nn = 8\nstrategy = equispaced_circle\n",

@@ -143,6 +143,11 @@ def test_model_cap_invariant():
     ps = generate_points(1, 4, "equispaced_circle")
     with pytest.raises(ContractError):
         FiniteNeuronModel(1, 1, ps, np.ones(4), norm_cap=1.0)
+    for cap in (-1.0, float("nan")):
+        with pytest.raises(ConfigurationError, match="norm_cap must be >= 0"):
+            FiniteNeuronModel(1, 1, ps, np.ones(4), norm_cap=cap)
+    assert FiniteNeuronModel(1, 1, ps, np.ones(4), norm_cap=0.0).norm_cap == 0.0
+    assert FiniteNeuronModel(1, 1, ps, np.ones(4), norm_cap=4.0).norm_cap == 4.0  # sqrt(4) * 2, on the cap
 
 
 def test_model_dimension_must_match_directions():

@@ -102,28 +102,14 @@ def test_covering_packing_consistency():
         assert ps.h_sep <= 2.0 * ps.h + 2.0 * ps.h_resolution
 
 
-def test_petrushev_tensor_structure():
-    ps = generate_points(2, 100, "petrushev_tensor")
-    np.testing.assert_allclose(np.linalg.norm(ps.points, axis=1), 1.0, atol=1e-12)
-    assert 0.5 * 100 <= ps.n <= 2 * 100
-
-
-def test_band_with_poly_completion():
-    ps = generate_points(2, 100, "band_with_poly_completion", k=2, lam=1.0)
-    assert ps.n == 100
-    cap = ps.points[: math.comb(2 + 2, 2)]
-    assert np.all(cap[:, 2] > 1.0 / math.sqrt(2.0) - 1e-9)
-    with pytest.raises(ConfigurationError):
-        generate_points(2, 3, "band_with_poly_completion", k=2, lam=1.0)
-
-
 def test_generate_points_bad_configs():
     with pytest.raises(ConfigurationError):
         generate_points(2, 10, "equispaced_circle")
     with pytest.raises(ConfigurationError):
         generate_points(1, 10, "fibonacci_s2")
-    with pytest.raises(ConfigurationError):
-        generate_points(1, 10, "no_such_strategy")
+    for strategy in ("no_such_strategy", "petrushev_tensor", "band_with_poly_completion"):
+        with pytest.raises(ConfigurationError, match="unknown strategy"):
+            generate_points(2, 64, strategy)
 
 
 def test_mesh_norm_singleton():
@@ -177,10 +163,20 @@ def _separation_reference(points):
     return float(np.arccos(np.max(g)))
 
 
+def _fibonacci_band(n, zmax):
+    """A Fibonacci z-profile squeezed into |z| <= zmax: its hull caps are
+    wide, so the mesh-norm search queries the whole grid or a single point."""
+    i = np.arange(n)
+    z = zmax * (1.0 - (2.0 * i + 1.0) / n)
+    r = np.sqrt(1.0 - z**2)
+    phi = sphere.GOLDEN_ANGLE * i
+    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+
+
 @st.composite
 def _s2_rows(draw):
     n = draw(st.integers(1, 60))
-    kind = draw(st.sampled_from(["uniform", "hemisphere", "cap", "great_circle"]))
+    kind = draw(st.sampled_from(["uniform", "hemisphere", "cap", "great_circle", "band"]))
     rng = np.random.Generator(np.random.Philox(draw(st.integers(0, 2**32 - 1))))
     g = rng.standard_normal((n, 3))
     if kind == "hemisphere":
@@ -191,6 +187,8 @@ def _s2_rows(draw):
         g[:, 2] = 1.0
     elif kind == "great_circle":
         g[:, 2] *= draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3]))
+    elif kind == "band":
+        g = _fibonacci_band(n, draw(st.sampled_from([0.1, 0.3, 0.5])))
     if draw(st.booleans()):
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         g = g @ q
@@ -222,10 +220,6 @@ STRATEGIES = [
     (1, "equispaced_circle", {}),
     (2, "fibonacci_s2", {}),
     (2, "uniform_random", {}),
-    (2, "petrushev_tensor", {}),
-    (2, "band_with_poly_completion", {"k": 1, "lam": 0.3}),
-    (2, "band_with_poly_completion", {"k": 2, "lam": 1.0}),
-    (2, "band_with_poly_completion", {"k": 3, "lam": 3.0}),
 ]
 
 
@@ -280,6 +274,14 @@ def test_mesh_norm_diagnostics_record(caplog):
 
     h, info = _mesh_norm_record(caplog, pts[pts[:, 2] >= 0.0], resolution=0.05)
     assert (info["bound"], info["queried"], info["grid"], info["h"]) == ("grid", 3600, 3600, h)
+
+    # a hull bound exists, but its caps would hold the sphere's area over again
+    band = _fibonacci_band(128, 0.1)
+    assert sphere._hull_caps(band) is not None
+    h, info = _mesh_norm_record(caplog, band)
+    assert (info["bound"], info["queried"], info["grid"], info["h"]) == ("grid", 90000, 90000, h)
+    h, info = _mesh_norm_record(caplog, _fibonacci_band(16, 0.3), resolution=0.05)
+    assert (info["bound"], info["queried"], info["h"]) == ("hull", 1, h)
 
 
 def test_mesh_norm_quiet_by_default(caplog):
