@@ -397,7 +397,9 @@ def test_certificates_match_lstsq_first_near_their_bounds(caplog, n, D_target, t
 
 CERTIFICATE_SETS = [
     (2, "fibonacci_s2", 100, 20), (2, "fibonacci_s2", 400, 40), (2, "uniform_random", 200, 28),
-    (2, "uniform_random", 64, 16), (1, "uniform_random", 40, 60), (1, "equispaced_circle", 32, 31),
+    # an id of its own: the two d = 2 uniform_random ids would otherwise share their first 100 characters
+    pytest.param(2, "uniform_random", 64, 16, id="2-small_uniform_random-64-16"),
+    (1, "uniform_random", 40, 60), (1, "equispaced_circle", 32, 31),
 ]
 
 
