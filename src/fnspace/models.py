@@ -8,12 +8,17 @@ which reproduces the harmonic coefficients of g up to the quadrature
 degree, and plain (optionally ridge-regularized and norm-capped) least
 squares on a sample grid.
 
-Evaluation is row-blocked: each block of EVAL_BLOCK_ROWS inputs forms the
-preactivation z = theta . (x, 1) once, in a buffer reused across blocks,
-and yields the values sigma_k(z) @ a and, when asked, the gradients
-sigma_k'(z) @ (a W) together from one r = max(z, 0), so temporaries stay
-at two blocks of EVAL_BLOCK_ROWS x n floats whatever the grid size, and
-at one for k = 2, where sigma_2' = 2r and the 2 is folded into a W.
+One rule sizes every blocked pass: a block is _block_rows(width) rows of
+width floats, at most BLOCK_FLOATS floats (1 MiB) in all, so no blocked
+pass holds more than two blocks of BLOCK_FLOATS floats whatever the grid
+size (besides its outputs, evaluation's (x, 1) rows of the block, and the
+triangular factor and the 4 cols rows under it that a QR fold gathers,
+see _solve_reduced).  Evaluation, of width n, writes each block's inputs
+as (x, 1) rows into one small reused buffer, forms the preactivation
+z = theta . (x, 1) once, in a block, and yields the values sigma_k(z) @ a
+and, when asked, the gradients sigma_k'(z) @ (a W) together from one
+r = max(z, 0); sigma_k'(z) takes a second block except at k = 2, where
+sigma_2' = 2r and the 2 is folded into a W.
 least_squares_fit and pde_erm.erm_fit share one O(n)-per-step root
 search for a norm cap's ridge, _cap_root: erm_fit runs it on one
 eigendecomposition of its Gram matrix (ridge_bisect_cap), capped least
@@ -24,7 +29,7 @@ grid and fits the ones that are polynomials there through an orthonormal
 basis of their span, which leaves the solution unchanged.  It builds the
 weighted design in blocks of rows, neuron-major: each block is [B | y]^T,
 the features, the polynomial rows and the weighted target, in one
-C-contiguous buffer of about BLOCK_FLOATS floats (1 MiB), so no rows x n
+C-contiguous buffer of at most BLOCK_FLOATS floats, so no rows x n
 design is held.  A ridge without a cap adds one dsyrk per block to
 [B | y]^T [B | y], whose last column is B^T y; every other fit folds such
 blocks into a QR factor of the design (see _solve_reduced).
@@ -61,9 +66,7 @@ __all__ = [
 ]
 
 CAP_SLACK = 1e-9
-# Input rows per evaluation block; a block holds EVAL_BLOCK_ROWS x n floats.
-EVAL_BLOCK_ROWS = 256
-# Floats per least-squares design block (1 MiB), at least EVAL_BLOCK_ROWS rows.
+# Floats per block of rows (1 MiB) in every blocked pass (_block_rows).
 BLOCK_FLOATS = 1 << 17
 # A computed preactivation on the unit ball is within ~1e-15 of the exact
 # one, so classifying neurons with this margin is exact on the features.
@@ -72,16 +75,21 @@ CLASS_MARGIN = 1e-12
 _log = logging.getLogger("fnspace.models")
 
 
-def _lifted(x: np.ndarray, d: int, on_sphere: bool) -> np.ndarray:
-    """Inputs as the rows the neurons see: (x, 1), or eta on the sphere."""
+def _inputs(x: np.ndarray, d: int, on_sphere: bool) -> np.ndarray:
+    """x as rows of d+1 components on the sphere, or of d on a domain."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if on_sphere:
         if x.shape[1] != d + 1:
             raise ContractError("sphere inputs must have d+1 components")
-        return x
-    if x.shape[1] != d:
+    elif x.shape[1] != d:
         raise ContractError("domain inputs must have d components")
-    return np.column_stack([x, np.ones(len(x))])
+    return x
+
+
+def _lifted(x: np.ndarray, d: int, on_sphere: bool) -> np.ndarray:
+    """Inputs as the rows the neurons see: (x, 1), or eta on the sphere."""
+    x = _inputs(x, d, on_sphere)
+    return x if on_sphere else np.column_stack([x, np.ones(len(x))])
 
 
 def features(ps: PointSet, k: int, x: np.ndarray, grad: bool = False):
@@ -133,25 +141,28 @@ class FiniteNeuronModel:
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """(values, gradients or None) at the rows of x, block by block.
 
-        Each block of at most EVAL_BLOCK_ROWS rows forms z = lifted(x) theta^T
-        in one reused buffer.  Values alone are sigma_k(z) @ a, taken in
-        place.  With gradients, r = max(z, 0) is taken once: sigma_k'(z) is
-        written from r into a second buffer (r > 0 at k = 1, k r^(k-1)
-        above), then r is raised to the power k in place for the values.  At
-        k = 2, sigma_2'(z) = 2r, so the 2 is folded into the coefficients,
-        r @ (2 a W), and the second buffer is never allocated.  Doubling is
-        exact, so values and gradients are bit-identical to sigma_k(z) @ a
-        and sigma_k'(z) @ (a W) at every k.
+        Each block of at most _block_rows(n) rows is copied into one reused
+        buffer of lifted rows, whose column of 1s (on a domain) is written
+        once, and z = lifted(x) theta^T is formed in one reused block.
+        Values alone are sigma_k(z) @ a, taken in place.  With gradients,
+        r = max(z, 0) is taken once: sigma_k'(z) is written from r into a
+        second block (r > 0 at k = 1, k r^(k-1) above), then r is raised to
+        the power k in place for the values.  At k = 2, sigma_2'(z) = 2r,
+        so the 2 is folded into the coefficients, r @ (2 a W), and the
+        second block is never allocated.  Doubling is exact, so values and
+        gradients are bit-identical to sigma_k(z) @ a and sigma_k'(z) @ (a W)
+        at every k.
         """
         if grad and self.k < 1:
             raise ContractError("gradient undefined for k=0")
         if grad and self.on_sphere:
             raise ContractError("gradient is implemented for domain models only")
-        xt = _lifted(x, self.d, self.on_sphere)
-        rows = len(xt)
+        x = _inputs(x, self.d, self.on_sphere)
+        rows, step = len(x), _block_rows(self.n)
         pt = self.ps.points.T
         values = np.empty(rows)
-        z_buf = np.empty((min(rows, EVAL_BLOCK_ROWS), self.n))
+        z_buf = np.empty((min(rows, step), self.n))
+        lifted = np.ones((len(z_buf), self.d + 1))
         if grad:
             grads = np.empty((rows, self.d))
             aw = self.a[:, None] * self.ps.points[:, : self.d]
@@ -160,18 +171,20 @@ class FiniteNeuronModel:
             dz_buf = None if self.k == 2 else np.empty_like(z_buf)
         else:
             grads = None
-        for lo in range(0, rows, EVAL_BLOCK_ROWS):
-            hi = min(lo + EVAL_BLOCK_ROWS, rows)
-            z = np.matmul(xt[lo:hi], pt, out=z_buf[: hi - lo])
+        for lo in range(0, rows, step):
+            hi = min(lo + step, rows)
+            xt = lifted[: hi - lo]
+            xt[:, : x.shape[1]] = x[lo:hi]
+            z = np.matmul(xt, pt, out=z_buf[: hi - lo])
             if grad:
                 r = np.maximum(z, 0.0, out=z)
                 dz = r if self.k == 2 else sigma_k_prime(self.k, r, out=dz_buf[: hi - lo])
-                grads[lo:hi] = dz @ aw
+                np.matmul(dz, aw, out=grads[lo:hi])
                 if self.k > 1:
                     r **= self.k
-                values[lo:hi] = r @ self.a
+                np.matmul(r, self.a, out=values[lo:hi])
             else:
-                values[lo:hi] = sigma_k(self.k, z, out=z) @ self.a
+                np.matmul(sigma_k(self.k, z, out=z), self.a, out=values[lo:hi])
         return values, grads
 
     def __call__(self, x: np.ndarray) -> np.ndarray | float:
@@ -304,19 +317,10 @@ def _polynomial_block(ps: PointSet, k: int, poly: np.ndarray) -> tuple[np.ndarra
     return U[:, :r] * S[:r], Vt[:r].T
 
 
-def _block_rows(cols: int) -> int:
-    """Rows per least-squares block: as many as BLOCK_FLOATS floats hold in
-    cols + 1 rows (the reduced design and the target), at least EVAL_BLOCK_ROWS."""
-    return max(EVAL_BLOCK_ROWS, BLOCK_FLOATS // (cols + 1))
-
-
-def _fold_blocks(cols: int) -> tuple[int, int]:
-    """(step, q): the QR fold takes q blocks of step rows at a time.  It
-    re-factors R with every fold, so a fold holds at least 4 cols rows; q
-    blocks within the float budget of no more rows than that needs keep
-    each factorization cache-sized."""
-    q = -(-4 * cols // _block_rows(cols))
-    return max(EVAL_BLOCK_ROWS, -(-4 * cols // q)), q
+def _block_rows(width: int) -> int:
+    """Rows per block of every blocked pass: as many rows of width floats as
+    BLOCK_FLOATS floats hold, at least one."""
+    return max(1, BLOCK_FLOATS // width)
 
 
 def _design_blocks(live_ps, k, T, xt, sw, yw, step):
@@ -351,13 +355,14 @@ def _solve_reduced(live_ps, k, T, xt, sw, yw, ridge, norm_cap, n) -> tuple[np.nd
     """Coefficients for the weighted reduced design B = sw [sigma_k(live) | Q T],
     and the rows per block of [B | y] that built them.
 
-    Both solvers read the same neuron-major blocks of [B | y], at most
-    _block_rows(cols) rows each (_design_blocks).  A ridge without a cap
-    adds each block's [B | y]^T [B | y] to the upper triangle of one
-    (cols + 1)^2 matrix with one dsyrk, whose last column is B^T y, then
-    solves (G + ridge I) a = B^T y.  Every other fit copies q blocks of
-    about 4 cols / q rows (_fold_blocks), transposed, under the previous
-    triangular factor and folds them into the factor [[R, z], [0, rho]] of a QR
+    Both solvers read the same neuron-major blocks of [B | y], of
+    step = _block_rows(cols + 1) rows each (_design_blocks).  A ridge
+    without a cap adds each block's [B | y]^T [B | y] to the upper triangle
+    of one (cols + 1)^2 matrix with one dsyrk, whose last column is B^T y,
+    then solves (G + ridge I) a = B^T y.  Every other fit copies
+    q = ceil(4 cols / step) whole blocks (at least 4 cols rows, since each
+    fold re-factors R), transposed, under the previous triangular factor
+    and folds them into the factor [[R, z], [0, rho]] of a QR
     decomposition, so the singular values of B = (Q U) diag(s) V^T come
     from R = U diag(s) V^T without squaring its condition number.  Over the
     s above lstsq's cutoff eps max(rows, cols) s_max, a = V (U^T z / s) is
@@ -367,14 +372,14 @@ def _solve_reduced(live_ps, k, T, xt, sw, yw, ridge, norm_cap, n) -> tuple[np.nd
     """
     rows = xt.shape[1]
     cols = live_ps.n + T.shape[1]
+    step = _block_rows(cols + 1)
     if ridge > 0.0 and norm_cap == 0.0:
-        step = _block_rows(cols)
         G = np.zeros((cols + 1, cols + 1), order="F")
         for Bt in _design_blocks(live_ps, k, T, xt, sw, yw, step):
             dsyrk(1.0, Bt.T, beta=1.0, c=G, trans=1, overwrite_c=1)
         G, By = G[:cols, :cols], G[:cols, cols]
         return np.linalg.solve(np.triu(G) + np.triu(G, 1).T + ridge * np.eye(cols), By), min(rows, step)
-    step, q = _fold_blocks(cols)
+    q = -(-4 * cols // step)
     # [R | z] over the waiting rows, column-major so that each block row copies in contiguously
     design = np.empty((cols + 1, cols + 1 + min(rows, q * step))).T
     r = held = done = 0
@@ -423,10 +428,10 @@ def least_squares_fit(
     minimum-norm and norm-cap problems keep their solutions exactly.
     Sphere targets prune nothing.  The weighted reduced design B and the
     weighted target y are built block by block as [B | y]^T, neuron-major,
-    in one reused buffer of at most max(EVAL_BLOCK_ROWS, BLOCK_FLOATS //
-    (cols + 1)) rows of cols + 1 floats.  With a ridge and no cap, one
-    dsyrk per block accumulates [B | y]^T [B | y], which holds G = B^T B
-    and B^T y, and (G + ridge I) a = B^T y is solved.  Every other fit
+    in one reused buffer of at most _block_rows(cols + 1) rows of cols + 1
+    floats.  With a ridge and no cap, one dsyrk per block accumulates
+    [B | y]^T [B | y], which holds G = B^T B and B^T y, and
+    (G + ridge I) a = B^T y is solved.  Every other fit
     folds the blocks into a QR factor, whose SVD gives the minimum-norm
     solution, or the cap's root search, without squaring the condition
     number as G does (see _solve_reduced).  One JSON debug record per fit

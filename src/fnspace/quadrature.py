@@ -44,7 +44,10 @@ bit, tolerances up to 0.1 included).
   2 (sqrt(R) tol + cut_F (1 + tol)) with cut_F = eps max(A.shape) ||A||_F;
   since ||A||_F >= s_max, cut_F >= cut and the residual test would skip it
   too.  The factorization runs at most once per call, and only when an
-  overdetermined degree that the dimension bound does not settle is tried.
+  overdetermined degree that the dimension bound does not settle is tried
+  after some degree has failed: a first degree the bound leaves open goes
+  straight to lstsq, so a call whose first degree is feasible (every
+  equispaced circle rule) factors nothing.
 
 Each call to build_rule sends one debug record, a JSON object, to the
 "fnspace.quadrature" logger: the degrees asked for, tried and reached,
@@ -136,9 +139,10 @@ def build_rule(ps: PointSet, D_target: int, tol: float = 1e-8) -> QuadratureRule
 
     lstsq itself is skipped at a degree that one of two certificates (module
     docstring) proves infeasible: the dimension bound, when dim P_{D//2} > n
-    and tol^2 R(2 (D//2)) R(D//2) <= 1/4, and the residual floor rho0 of one
-    QR of [A | b] at the first overdetermined chain degree, which bounds the
-    lstsq residual from below at every overdetermined degree.
+    and tol^2 R(2 (D//2)) R(D//2) <= 1/4, and, once a degree has failed, the
+    residual floor rho0 of one QR of [A | b] at the first overdetermined
+    chain degree, which bounds the lstsq residual from below at every
+    overdetermined degree.
     """
     if D_target < 0:
         raise ContractError("D_target must be >= 0")
@@ -163,12 +167,13 @@ def build_rule(ps: PointSet, D_target: int, tol: float = 1e-8) -> QuadratureRule
         cut = np.finfo(float).eps * max(A.shape) * s_max
         return 2.0 * (math.sqrt(len(A)) * tol + cut * (1.0 + tol))
 
-    def infeasible(D):
-        """True when a certificate proves that no rule within tol exists at D."""
+    def infeasible(D, failed):
+        """True when a certificate proves that no rule within tol exists at D;
+        the residual floor is consulted only once a degree has failed."""
         nonlocal rho0
         if too_many_polynomials(D):
             return True
-        if row_ends[D] <= ps.n:
+        if row_ends[D] <= ps.n or not failed:
             return False
         if rho0 is None:
             D0 = next(m for m in chain if row_ends[m] > ps.n)
@@ -177,10 +182,10 @@ def build_rule(ps: PointSet, D_target: int, tol: float = 1e-8) -> QuadratureRule
         A = A_top[: row_ends[D]]
         return rho0 > skip_bound(A, np.linalg.norm(A))  # ||A||_F >= s_max
 
-    def solve(D):
+    def solve(D, failed):
         """The rule at degree D, or None; a rule found is recorded in info."""
         info["degrees_tried"].append(D)
-        if infeasible(D):
+        if infeasible(D, failed):
             info["nnls_skipped"].append(D)
             return None
         A, b = A_top[: row_ends[D]], b_top[: row_ends[D]]
@@ -208,7 +213,7 @@ def build_rule(ps: PointSet, D_target: int, tol: float = 1e-8) -> QuadratureRule
     # chain[lo] has a rule (lo = -1: none yet), chain[hi] has none (hi = len: untried)
     lo, hi, mid, rule = -1, len(chain), len(chain) - 1, None
     while hi - lo > 1:
-        found = solve(chain[mid])
+        found = solve(chain[mid], hi < len(chain))
         if found is None:
             hi = mid
         else:

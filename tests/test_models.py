@@ -8,18 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fnspace import models
 from fnspace.activation import sigma_k, sigma_k_prime, spectrum
 from fnspace.errors import ConfigurationError, ContractError
 from fnspace.harmonics import harmonic_block, project, reference_grid
 from fnspace.harness import domain_grid, get_target
 from fnspace.models import (
     BLOCK_FLOATS,
-    EVAL_BLOCK_ROWS,
     FiniteNeuronModel,
     TargetFunction,
     _block_rows,
     _design_blocks,
-    _fold_blocks,
     _monomials,
     _polynomial_block,
     coef_stat,
@@ -29,7 +28,7 @@ from fnspace.models import (
     least_squares_fit,
     ridge_bisect_cap,
 )
-from fnspace.pde_erm import midpoint_grid
+from fnspace.pde_erm import disk_problem, midpoint_grid
 from fnspace.quadrature import build_rule
 from fnspace.sphere import PointSet, generate_points, mesh_norm, separation
 
@@ -265,43 +264,56 @@ def test_ls_no_worse_than_constructive_on_sphere():
     assert err_ls <= err_cons + 1e-12
 
 
-B = EVAL_BLOCK_ROWS
+# A small float budget puts block boundaries a few dozen rows apart: at
+# B = budget // n rows for an n-neuron evaluation, and for a least-squares
+# design of at most 15 columns at budget // (cols + 1) rows, where the QR
+# fold of the widest takes more than one block.
+SMALL_BLOCK_FLOATS = 1 << 9
+OFFSETS = ["B-1", "B", "B+1", "2B+3"]
+
+
+def _offset_rows(offset, B):
+    return {"1": 1, "B-1": B - 1, "B": B, "B+1": B + 1, "2B+3": 2 * B + 3}[offset]
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    rows=st.sampled_from([1, B - 1, B, B + 1, 2 * B + 3]),
+    offset=st.sampled_from(["1", *OFFSETS]),
     k=st.integers(0, 3),
     d=st.integers(1, 2),
     n=st.integers(1, 12),
     on_sphere=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_blocked_evaluation_matches_one_shot(rows, k, d, n, on_sphere, seed):
+def test_blocked_evaluation_matches_one_shot(offset, k, d, n, on_sphere, seed):
     rng = np.random.Generator(np.random.Philox(seed))
     pts = rng.standard_normal((n, d + 1))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     ps = PointSet(d, pts, math.pi, max(separation(pts), 1e-3), 0.0)
     a = rng.standard_normal(n)
     model = FiniteNeuronModel(d, k, ps, a, on_sphere=on_sphere)
+    rows = _offset_rows(offset, SMALL_BLOCK_FLOATS // n)
     x = rng.uniform(-1.5, 1.5, (rows, d + 1 if on_sphere else d))
     xt = x if on_sphere else np.column_stack([x, np.ones(rows)])
     z = xt @ pts.T
     scale = np.abs(sigma_k(k, z)) @ np.abs(a)
-    assert np.all(np.abs(model(x) - sigma_k(k, z) @ a) <= 1e-13 * scale)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(models, "BLOCK_FLOATS", SMALL_BLOCK_FLOATS)
+        assert np.all(np.abs(model(x) - sigma_k(k, z) @ a) <= 1e-13 * scale)
+        if k >= 1 and not on_sphere:
+            want = (sigma_k_prime(k, z) * a) @ pts[:, :d]
+            gscale = (np.abs(sigma_k_prime(k, z)) @ np.abs(a))[:, None]
+            assert np.all(np.abs(model.gradient(x) - want) <= 1e-13 * gscale)
     assert np.array_equal(features(ps, k, x), sigma_k(k, z))
     if k >= 1:
         phi, dphi = features(ps, k, x, grad=True)
         assert np.array_equal(phi, sigma_k(k, z)) and np.array_equal(dphi, sigma_k_prime(k, z))
-    if k >= 1 and not on_sphere:
-        want = (sigma_k_prime(k, z) * a) @ pts[:, :d]
-        gscale = (np.abs(sigma_k_prime(k, z)) @ np.abs(a))[:, None]
-        assert np.all(np.abs(model.gradient(x) - want) <= 1e-13 * gscale)
 
 
-def _evaluate_reference(model, x, grad):
+def _evaluate_reference(model, x, grad, B):
     """FiniteNeuronModel._evaluate as written with sigma_k' and sigma_k each
-    taken from z, sigma_k' in a second buffer: the bit reference."""
+    taken from z, sigma_k' in a second buffer, over blocks of B rows of the
+    whole lifted input: the bit reference."""
     xt = x if model.on_sphere else np.column_stack([x, np.ones(len(x))])
     rows = len(xt)
     values = np.empty(rows)
@@ -324,36 +336,44 @@ def _assert_bits_equal(got, want):
 
 @settings(max_examples=80, deadline=None)
 @given(
-    rows=st.sampled_from([B - 1, B, B + 1, 2 * B + 3]),
+    offset=st.sampled_from(OFFSETS),
     k=st.integers(0, 3),
     d=st.integers(1, 2),
     n=st.integers(1, 40),
     on_sphere=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_evaluation_bit_identical_to_two_buffer_reference(rows, k, d, n, on_sphere, seed):
+def test_evaluation_bit_identical_to_two_buffer_reference(offset, k, d, n, on_sphere, seed):
     """Values and gradients from one r = max(z, 0) per block, with the 2 of
-    sigma_2' = 2r folded into the coefficients, equal the two-buffer loop's."""
+    sigma_2' = 2r folded into the coefficients and each block's (x, 1) rows
+    written into a reused buffer, equal the two-buffer loop's over the lifted
+    input."""
     rng = np.random.Generator(np.random.Philox(seed))
     pts = rng.standard_normal((n, d + 1))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     ps = PointSet(d, pts, math.pi, max(separation(pts), 1e-3), 0.0)
     model = FiniteNeuronModel(d, k, ps, rng.standard_normal(n), on_sphere=on_sphere)
-    x = rng.uniform(-1.5, 1.5, (rows, d + 1 if on_sphere else d))
+    B = SMALL_BLOCK_FLOATS // n
+    x = rng.uniform(-1.5, 1.5, (_offset_rows(offset, B), d + 1 if on_sphere else d))
     grad = k >= 1 and not on_sphere
-    values, grads = model._evaluate(x, grad=grad)
-    want_values, want_grads = _evaluate_reference(model, x, grad)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(models, "BLOCK_FLOATS", SMALL_BLOCK_FLOATS)
+        values, grads = model._evaluate(x, grad=grad)
+        values_only = model._evaluate(x)[0]
+    want_values, want_grads = _evaluate_reference(model, x, grad, B)
     _assert_bits_equal(values, want_values)
+    _assert_bits_equal(values_only, want_values)
     if grad:
         _assert_bits_equal(grads, want_grads)
-        _assert_bits_equal(model._evaluate(x)[0], want_values)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 @pytest.mark.parametrize("on_sphere", [False, True])
-def test_evaluation_at_zero_preactivations_matches_the_reference(k, on_sphere):
+def test_evaluation_at_zero_preactivations_matches_the_reference(k, on_sphere, monkeypatch):
     """Inputs on the kinks, where z is exactly 0 (and -0 in the input), over
     more than one block: r > 0 is False there, as z > 0 is."""
+    monkeypatch.setattr(models, "BLOCK_FLOATS", SMALL_BLOCK_FLOATS)
+    B = SMALL_BLOCK_FLOATS // 5
     s = math.sqrt(0.5)
     pts = np.array([[1.0, 0.0], [s, -s], [-s, -s], [0.0, 1.0], [-1.0, 0.0]])
     ps = PointSet(1, pts, math.pi, separation(pts), 0.0)
@@ -367,7 +387,7 @@ def test_evaluation_at_zero_preactivations_matches_the_reference(k, on_sphere):
     assert np.count_nonzero(z == 0.0) >= len(x)
     grad = k >= 1 and not on_sphere
     values, grads = model._evaluate(x, grad=grad)
-    want_values, want_grads = _evaluate_reference(model, x, grad)
+    want_values, want_grads = _evaluate_reference(model, x, grad, B)
     assert values.tobytes() == want_values.tobytes()
     if grad:
         assert grads.tobytes() == want_grads.tobytes()
@@ -520,9 +540,9 @@ def _straddling_grid(d, radius, n_rows_for, on_sphere, rng):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_blocked_solvers_match_the_dense_design(d, k, n, on_sphere, offset, boundary, radius, seed):
-    """Rows straddle a block boundary of the reduced design: the Gram's block
-    size step = max(EVAL_BLOCK_ROWS, BLOCK_FLOATS // (cols + 1)), or the QR's
-    fold of q blocks (_fold_blocks).  Reference: the full rows x n design A
+    """Rows straddle a block boundary of the reduced design, under a small
+    float budget: the block size step = budget // (cols + 1) of both
+    solvers, or the QR's fold of q = ceil(4 cols / step) blocks.  Reference: the full rows x n design A
     of every direction, solved densely.  Tolerances, fixed in advance: with
     lam = 1e-6 ||A||_F^2, so cond(A^T A + lam I) <= 1e6 + 1, the ridge path
     (dsyrk) and the QR fold (a ridge under a cap that does not bind) give
@@ -542,10 +562,9 @@ def test_blocked_solvers_match_the_dense_design(d, k, n, on_sphere, offset, boun
         if on_sphere:  # nothing is pruned
             dead = poly = np.zeros(ps.n, dtype=bool)
         cols = int(np.count_nonzero(~(dead | poly))) + _polynomial_block(ps, k, poly)[0].shape[1]
-        step = max(EVAL_BLOCK_ROWS, BLOCK_FLOATS // (cols + 1))
+        step = SMALL_BLOCK_FLOATS // (cols + 1)
         if boundary == "fold":
-            fold_step, q = _fold_blocks(cols)
-            step = q * fold_step
+            step *= -(-4 * cols // step)
         return {"step-1": step - 1, "step": step, "step+1": step + 1, "2step+3": 2 * step + 3}[offset]
 
     x, w = _straddling_grid(d, radius, rows_for, on_sphere, rng)
@@ -562,10 +581,12 @@ def test_blocked_solvers_match_the_dense_design(d, k, n, on_sphere, offset, boun
         return
     want = np.linalg.solve(A.T @ A + lam * np.eye(ps.n), A.T @ yw)
     huge = 1e6 * math.sqrt(ps.n) * float(np.linalg.norm(want))
-    for path in ({"ridge": lam}, {"ridge": lam, "norm_cap": huge}):
-        got = least_squares_fit(target, ps, x, w, k=k, **path).a
-        assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
-    got = least_squares_fit(target, ps, x, w, k=k).a
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(models, "BLOCK_FLOATS", SMALL_BLOCK_FLOATS)
+        for path in ({"ridge": lam}, {"ridge": lam, "norm_cap": huge}):
+            got = least_squares_fit(target, ps, x, w, k=k, **path).a
+            assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+        got = least_squares_fit(target, ps, x, w, k=k).a
     ref = np.linalg.lstsq(A, yw, rcond=None)[0]
 
     def objective(a):
@@ -578,7 +599,7 @@ def test_blocked_solvers_match_the_dense_design(d, k, n, on_sphere, offset, boun
 def test_design_blocks_share_one_buffer_within_the_budget():
     """The blocks are neuron-major views of one C-contiguous buffer within
     the float budget, and together they are [B | y]^T of the dense weighted
-    reduced design; the QR fold's blocks stay within the budget too."""
+    reduced design.  _block_rows gives as many rows as the budget holds."""
     pts, w = domain_grid(2, 4096)
     ps = generate_points(2, 96, "fibonacci_s2")
     r = float(np.max(np.linalg.norm(pts, axis=1)))
@@ -603,10 +624,10 @@ def test_design_blocks_share_one_buffer_within_the_budget():
     got = np.hstack([c for c, _ in blocks])
     assert np.array_equal(got[cols], yw)
     assert np.max(np.abs(got[:cols].T - dense)) <= 1e-14 * np.max(np.abs(dense))
-    for c in (1, 50, 200, 511, 512, 513, 2000):
-        fold_step, q = _fold_blocks(c)
-        assert fold_step <= _block_rows(c) and q * fold_step >= 4 * c
-        assert _block_rows(c) * (c + 1) <= max(BLOCK_FLOATS, EVAL_BLOCK_ROWS * (c + 1))
+    for width in (1, 2, 51, 201, 512, 513, 514, 2001, BLOCK_FLOATS, BLOCK_FLOATS + 1):
+        rows = _block_rows(width)
+        assert rows >= 1 and (rows * width <= BLOCK_FLOATS or rows == 1)
+        assert (rows + 1) * width > BLOCK_FLOATS  # as many rows as the budget holds
 
 
 def test_pruned_columns_are_exact():
@@ -705,12 +726,14 @@ def test_least_squares_fit_diagnostics_record(caplog):
     assert _fit_records(caplog, target, ps, pts, w, k=2)[0]["path"] == "lstsq"
     capped = _fit_records(caplog, target, ps, pts, w, k=2, norm_cap=1.0)
     assert [r.get("path") for r in capped] == [None, "cap"]  # ridge_bisect_cap's record first
-    assert capped[1]["block_rows"] == 4 * cols  # the QR folds 4 cols rows at a time
-    # a grid shorter than one block is one block; a wide design keeps EVAL_BLOCK_ROWS rows
+    assert capped[1]["block_rows"] == BLOCK_FLOATS // (cols + 1)  # the QR fold reads the Gram's blocks
+    # a grid shorter than one block is one block; a wide design's blocks stay within the budget
     (short,) = _fit_records(caplog, target, ps, pts[:500], w[:500], k=2, ridge=1e-9)
     assert short["block_rows"] == 500
-    (info,) = _fit_records(caplog, target, generate_points(2, 800, "fibonacci_s2"), pts[::20], w[::20], k=1, ridge=1e-9)
-    assert info["columns"] + 1 > BLOCK_FLOATS // EVAL_BLOCK_ROWS and info["block_rows"] == EVAL_BLOCK_ROWS
+    for path in ({"ridge": 1e-9}, {}):
+        (info,) = _fit_records(caplog, target, generate_points(2, 800, "fibonacci_s2"), pts[::20], w[::20], k=1, **path)
+        assert info["columns"] > 512 and info["block_rows"] == BLOCK_FLOATS // (info["columns"] + 1)
+        assert info["block_rows"] * (info["columns"] + 1) <= BLOCK_FLOATS
     sphere = get_target("smooth_even_circle", 1)
     grid = reference_grid(1, 256)
     (info,) = _fit_records(caplog, sphere, generate_points(1, 16, "equispaced_circle"), grid.nodes, grid.weights)
@@ -749,8 +772,31 @@ def test_ridge_fit_holds_no_full_design(path, caplog):
     assert info["block_rows"] * (info["columns"] + 1) <= BLOCK_FLOATS < len(pts) * (info["columns"] + 1)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [16, 512])
+def test_evaluation_holds_at_most_two_blocks(n, k):
+    """A values-and-gradients call on the 131072-point disk grid peaks at its
+    outputs plus two blocks of BLOCK_FLOATS floats (one at k = 2, where
+    sigma_2' = 2r needs none of its own) and the block's (x, 1) rows, with
+    64 KiB of slack for small objects: no copy of the whole input is made."""
+    pts, _ = disk_problem().grid()
+    ps = generate_points(2, n, "fibonacci_s2")
+    model = FiniteNeuronModel(2, k, ps, np.random.default_rng(0).standard_normal(n))
+    tracemalloc.start()
+    try:
+        values, grads = model._evaluate(pts, grad=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(pts) == 131072
+    blocks = 1 if k == 2 else 2
+    lifted = 8 * _block_rows(n) * 3
+    assert peak <= values.nbytes + grads.nbytes + blocks * 8 * BLOCK_FLOATS + lifted + 64 * 1024
+
+
 def test_error_norms_match_direct_evaluation():
     ps = generate_points(2, 48, "fibonacci_s2")
+    B = BLOCK_FLOATS // 48
     pts, w = domain_grid(2, 4096)
     pts, w = pts[: 3 * B + 5], w[: 3 * B + 5]  # a partial last block
     target = get_target("gaussian_bump", 2)

@@ -320,6 +320,23 @@ def test_build_rule_records_lstsq_solves(caplog):
     assert info["lstsq_run"] == 1
 
 
+def test_residual_floor_waits_for_a_failed_degree(caplog, monkeypatch):
+    """The floor's QR runs only after a degree has failed: circle rules, feasible
+    at their first degree, factor nothing; an overdetermined first degree that
+    the dimension bound leaves open (S^1, n = 8, D = 7) goes to lstsq; after a
+    failure the floor is factored once (Fibonacci n = 400, D = 40)."""
+    shapes = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: shapes.append(a.shape) or qr(a, *args, **kw))
+    for n in (16, 64, 256):
+        assert build_rule(generate_points(1, n, "equispaced_circle"), n - 1).exact_degree == n - 1
+    _, info = _diagnostics(caplog, generate_points(1, 8, "uniform_random", seed=0), 7)
+    assert (info["degrees_tried"], info["lstsq_run"], info["nnls_skipped"]) == ([7, 1, 3], 3, [7])
+    assert shapes == []
+    _, info = _diagnostics(caplog, generate_points(2, 400, "fibonacci_s2"), 40)
+    assert info["lstsq_run"] == 1 and len(shapes) == 1
+
+
 def _row_ends(ps, D):
     return np.cumsum([harmonic_dim(ps.d, m) for m in range(D + 1)])
 
