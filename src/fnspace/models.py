@@ -9,7 +9,8 @@ degree, and plain (optionally ridge-regularized and norm-capped) least
 squares on a sample grid.
 
 One rule sizes every blocked pass: a block is _block_rows(width) rows of
-width floats, at most BLOCK_FLOATS floats (1 MiB) in all, so no blocked
+width floats (the QR fold asks for twice its width, so its blocks take
+half the budget), at most BLOCK_FLOATS floats (1 MiB) in all, so no blocked
 pass holds more than two blocks of BLOCK_FLOATS floats whatever the grid
 size (besides its outputs, evaluation's (x, 1) rows of the block, and the
 triangular factor and the 4 cols rows under it that a QR fold gathers,
@@ -31,8 +32,9 @@ weighted design in blocks of rows, neuron-major: each block is [B | y]^T,
 the features, the polynomial rows and the weighted target, in one
 C-contiguous buffer of at most BLOCK_FLOATS floats, so no rows x n
 design is held.  A ridge without a cap adds one dsyrk per block to
-[B | y]^T [B | y], whose last column is B^T y; every other fit folds such
-blocks into a QR factor of the design (see _solve_reduced).
+[B | y]^T [B | y], whose last column is B^T y; every other fit folds
+blocks of half the budget into a QR factor of the design (see
+_solve_reduced).
 """
 
 from __future__ import annotations
@@ -355,13 +357,16 @@ def _solve_reduced(live_ps, k, T, xt, sw, yw, ridge, norm_cap, n) -> tuple[np.nd
     """Coefficients for the weighted reduced design B = sw [sigma_k(live) | Q T],
     and the rows per block of [B | y] that built them.
 
-    Both solvers read the same neuron-major blocks of [B | y], of
-    step = _block_rows(cols + 1) rows each (_design_blocks).  A ridge
-    without a cap adds each block's [B | y]^T [B | y] to the upper triangle
-    of one (cols + 1)^2 matrix with one dsyrk, whose last column is B^T y,
-    then solves (G + ridge I) a = B^T y.  Every other fit copies
-    q = ceil(4 cols / step) whole blocks (at least 4 cols rows, since each
-    fold re-factors R), transposed, under the previous triangular factor
+    Both solvers read neuron-major blocks of [B | y] (_design_blocks).  A
+    ridge without a cap takes blocks of step = _block_rows(cols + 1) rows,
+    adds each block's [B | y]^T [B | y] to the upper triangle of one
+    (cols + 1)^2 matrix with one dsyrk, whose last column is B^T y, then
+    solves (G + ridge I) a = B^T y.  Every other fit takes blocks of half
+    the budget, step = _block_rows(2 (cols + 1)) rows, so that a fold's
+    matrix and LAPACK's copy of it stay small (whole-budget blocks timed
+    slower, BENCH_22.json).  It copies q = ceil(4 cols / step)
+    whole blocks (at least 4 cols rows, since each fold re-factors R),
+    transposed, under the previous triangular factor
     and folds them into the factor [[R, z], [0, rho]] of a QR
     decomposition, so the singular values of B = (Q U) diag(s) V^T come
     from R = U diag(s) V^T without squaring its condition number.  Over the
@@ -372,13 +377,14 @@ def _solve_reduced(live_ps, k, T, xt, sw, yw, ridge, norm_cap, n) -> tuple[np.nd
     """
     rows = xt.shape[1]
     cols = live_ps.n + T.shape[1]
-    step = _block_rows(cols + 1)
     if ridge > 0.0 and norm_cap == 0.0:
+        step = _block_rows(cols + 1)
         G = np.zeros((cols + 1, cols + 1), order="F")
         for Bt in _design_blocks(live_ps, k, T, xt, sw, yw, step):
             dsyrk(1.0, Bt.T, beta=1.0, c=G, trans=1, overwrite_c=1)
         G, By = G[:cols, :cols], G[:cols, cols]
         return np.linalg.solve(np.triu(G) + np.triu(G, 1).T + ridge * np.eye(cols), By), min(rows, step)
+    step = _block_rows(2 * (cols + 1))
     q = -(-4 * cols // step)
     # [R | z] over the waiting rows, column-major so that each block row copies in contiguously
     design = np.empty((cols + 1, cols + 1 + min(rows, q * step))).T

@@ -237,9 +237,9 @@ def _sample_system(source, volume: float, d: int, k: int, points: bytes, samples
     """(A, b, h): erm_fit's sample system and the source values h at the
     samples, from the directions and samples given as the bytes of their
     float rows, d + 1 and d wide.  The last system is kept: a call whose
-    source (by identity), volume, d, k and bytes all match returns the same
-    read-only arrays, so directions or samples that differ in any bit, the
-    sign of a zero included, build anew.
+    source (by hash and ==, so it must be hashable), volume, d, k and bytes
+    all match returns the same read-only arrays, so directions or samples
+    that differ in any bit, the sign of a zero included, build anew.
 
     A_ij = |Omega| mean[grad(phi_i).grad(phi_j) + phi_i phi_j] and
     b_i = |Omega| mean[h phi_i] are assembled in one m x n buffer, which
@@ -322,6 +322,8 @@ def erm_fit(
     m = len(samples)
     if m == 0 or samples.shape[-1] != problem.d:
         raise ContractError("samples must be a nonempty array of points in R^d")
+    if ps.d != problem.d:  # the cache reads the directions back as rows of problem.d + 1
+        raise ContractError(f"directions are for d = {ps.d}, the problem is in d = {problem.d}")
     assembling = time.perf_counter()
     hits = _sample_system.cache_info().hits
     A, b, h = _sample_system(problem.source, problem.volume, problem.d, k, ps.points.tobytes(), samples.tobytes())

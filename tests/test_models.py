@@ -535,14 +535,15 @@ def _straddling_grid(d, radius, n_rows_for, on_sphere, rng):
     n=st.integers(1, 12),
     on_sphere=st.booleans(),
     offset=st.sampled_from(["step-1", "step", "step+1", "2step+3"]),
-    boundary=st.sampled_from(["gram", "fold"]),
+    boundary=st.sampled_from(["gram", "qr_block", "fold"]),
     radius=st.floats(0.2, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_blocked_solvers_match_the_dense_design(d, k, n, on_sphere, offset, boundary, radius, seed):
     """Rows straddle a block boundary of the reduced design, under a small
-    float budget: the block size step = budget // (cols + 1) of both
-    solvers, or the QR's fold of q = ceil(4 cols / step) blocks.  Reference: the full rows x n design A
+    float budget: the Gram's block of budget // (cols + 1) rows, the QR's
+    block of budget // (2 (cols + 1)) rows, or the QR's fold of
+    q = ceil(4 cols / step) such blocks.  Reference: the full rows x n design A
     of every direction, solved densely.  Tolerances, fixed in advance: with
     lam = 1e-6 ||A||_F^2, so cond(A^T A + lam I) <= 1e6 + 1, the ridge path
     (dsyrk) and the QR fold (a ridge under a cap that does not bind) give
@@ -563,6 +564,8 @@ def test_blocked_solvers_match_the_dense_design(d, k, n, on_sphere, offset, boun
             dead = poly = np.zeros(ps.n, dtype=bool)
         cols = int(np.count_nonzero(~(dead | poly))) + _polynomial_block(ps, k, poly)[0].shape[1]
         step = SMALL_BLOCK_FLOATS // (cols + 1)
+        if boundary != "gram":
+            step = max(1, SMALL_BLOCK_FLOATS // (2 * (cols + 1)))
         if boundary == "fold":
             step *= -(-4 * cols // step)
         return {"step-1": step - 1, "step": step, "step+1": step + 1, "2step+3": 2 * step + 3}[offset]
@@ -726,13 +729,13 @@ def test_least_squares_fit_diagnostics_record(caplog):
     assert _fit_records(caplog, target, ps, pts, w, k=2)[0]["path"] == "lstsq"
     capped = _fit_records(caplog, target, ps, pts, w, k=2, norm_cap=1.0)
     assert [r.get("path") for r in capped] == [None, "cap"]  # ridge_bisect_cap's record first
-    assert capped[1]["block_rows"] == BLOCK_FLOATS // (cols + 1)  # the QR fold reads the Gram's blocks
+    assert capped[1]["block_rows"] == BLOCK_FLOATS // (2 * (cols + 1))  # the QR fold reads half-budget blocks
     # a grid shorter than one block is one block; a wide design's blocks stay within the budget
     (short,) = _fit_records(caplog, target, ps, pts[:500], w[:500], k=2, ridge=1e-9)
     assert short["block_rows"] == 500
-    for path in ({"ridge": 1e-9}, {}):
+    for path, share in (({"ridge": 1e-9}, 1), ({}, 2)):
         (info,) = _fit_records(caplog, target, generate_points(2, 800, "fibonacci_s2"), pts[::20], w[::20], k=1, **path)
-        assert info["columns"] > 512 and info["block_rows"] == BLOCK_FLOATS // (info["columns"] + 1)
+        assert info["columns"] > 512 and info["block_rows"] == BLOCK_FLOATS // (share * (info["columns"] + 1))
         assert info["block_rows"] * (info["columns"] + 1) <= BLOCK_FLOATS
     sphere = get_target("smooth_even_circle", 1)
     grid = reference_grid(1, 256)

@@ -209,6 +209,14 @@ def test_erm_rejects_samples_of_the_wrong_width():
         erm_fit(interval_problem(), interval_directions(4), np.zeros((100, 2)), k=2)
 
 
+def test_erm_rejects_directions_of_another_dimension():
+    # 16 directions in R^3 are 48 floats, which would read as 24 rows of
+    # (w, b) for the interval if nothing checked the dimension
+    prob = interval_problem()
+    with pytest.raises(ContractError, match="directions are for d = 2"):
+        erm_fit(prob, generate_points(2, 16, "fibonacci_s2"), prob.sample(100, 0), k=2)
+
+
 def test_disk_sampling_inside():
     prob = disk_problem()
     s = prob.sample(5000, 3)
