@@ -125,6 +125,8 @@ def _cmd_pde(v: dict, out: Path) -> None:
 
 def _cmd_kernel(v: dict, out: Path) -> None:
     d, k, n_mc, n_pairs = v["d"], v["k"], v["n_mc"], v["pairs"]
+    if n_mc < 2 or n_pairs < 1:  # one direction has no standard error
+        raise ConfigurationError(f"need n_mc >= 2 and pairs >= 1, got {n_mc} and {n_pairs}")
     spec = build_spectrum(d, k, v["m_max"])
     rng = np.random.Generator(np.random.Philox(v["seed"]))
     theta = rng.standard_normal((n_mc, d + 1))

@@ -80,21 +80,31 @@ def legendre_table(d: int, m_max: int, t: np.ndarray) -> np.ndarray:
     return q * dims.reshape((m_max + 1,) + (1,) * t.ndim)
 
 
-def _circle_angle(eta: np.ndarray) -> np.ndarray:
-    return np.arctan2(eta[..., 1], eta[..., 0])
-
-
-def _s2_rows(eta: np.ndarray, m_lo: int, D: int) -> np.ndarray:
-    """Real spherical harmonics of degrees m_lo..D at eta, rows by m, then mu = -m..m."""
-    z, phi = np.clip(eta[..., 2], -1.0, 1.0), _circle_angle(eta)
-    p = assoc_legendre_p_all(D, D, z, norm=True)[0]  # (D+1, 2D+1, npoints); order mu at index mu >= 0
+def _harmonic_rows(d: int, degrees, eta: np.ndarray) -> np.ndarray:
+    """The blocks harmonic_block(d, m, eta) for m in degrees, stacked in that
+    order; each order's trig row is formed once, and on S^2 one Legendre
+    evaluation up to max(degrees) serves every degree."""
+    if d not in (1, 2):
+        raise ConfigurationError(f"harmonic bases implemented for d in {{1,2}}, got d={d}")
+    eta = np.atleast_2d(np.asarray(eta, dtype=float))
+    # (degree, order mu) per row: on S^1 cos (mu = m) before sin (mu = -m), on S^2 mu = -m..m
+    orders = {m: range(-m, m + 1) if d == 2 else (m, -m) if m else (0,) for m in degrees}
+    degs, mus = np.array([(m, mu) for m in degrees for mu in orders[m]]).T
+    ks, at = np.unique(np.abs(mus), return_inverse=True)
+    c, c0 = (2.0, math.sqrt(2.0)) if d == 2 else (math.sqrt(2.0), 1.0)
+    angle = ks[:, None] * np.arctan2(eta[:, 1], eta[:, 0])
+    trig = np.vstack([c * np.sin(angle), c * np.cos(angle)])  # order |mu|: sin rows, then cos rows
+    if ks[0] == 0:  # mu = 0
+        trig[len(ks)] = c0
+    trig = trig[at + len(ks) * (mus >= 0)]
+    if d == 1:
+        return trig
+    z = np.clip(eta[:, 2], -1.0, 1.0)
+    p = assoc_legendre_p_all(degs.max(), degs.max(), z, norm=True)[0]  # (D+1, 2D+1, npoints); order mu at index mu >= 0
     # norm=True returns P_m(+-1) unnormalized (seen with SciPy 1.17); the orders mu != 0 vanish there
-    pole, m = np.abs(z) == 1.0, np.arange(D + 1)[:, None]
+    pole, m = np.abs(z) == 1.0, np.arange(len(p))[:, None]
     p[:, 0, pole] = np.sqrt(m + 0.5) * z[pole] ** m
-    k = np.arange(1, D + 1)[:, None] * phi
-    trig = np.vstack([2.0 * np.sin(k)[::-1], np.full((1, len(z)), math.sqrt(2.0)), 2.0 * np.cos(k)])
-    degs, mus = np.array([(deg, mu) for deg in range(m_lo, D + 1) for mu in range(-deg, deg + 1)]).T
-    return p[degs, np.abs(mus)] * trig[mus + D]
+    return p[degs, np.abs(mus)] * trig
 
 
 def harmonic_block(d: int, m: int, eta: np.ndarray) -> np.ndarray:
@@ -105,25 +115,13 @@ def harmonic_block(d: int, m: int, eta: np.ndarray) -> np.ndarray:
     harmonics sqrt2 P_m^|mu|(z) times sqrt2 sin(|mu| phi), 1, sqrt2 cos(mu phi)
     for mu <, =, > 0; both orthonormal under the normalized measure.
     """
-    eta = np.atleast_2d(np.asarray(eta, dtype=float))
-    if d == 1:
-        phi = _circle_angle(eta)
-        if m == 0:
-            return np.ones((1, len(eta)))
-        return np.vstack(
-            [math.sqrt(2.0) * np.cos(m * phi), math.sqrt(2.0) * np.sin(m * phi)]
-        )
-    if d == 2:
-        return _s2_rows(eta, m, m)
-    raise ConfigurationError(f"harmonic bases implemented for d in {{1,2}}, got d={d}")
+    return _harmonic_rows(d, [m], eta)
 
 
 def harmonic_table(d: int, D: int, eta: np.ndarray) -> np.ndarray:
     """The blocks harmonic_block(d, m, eta) for m = 0..D stacked, shape
-    (sum_{m<=D} N(m), npoints); on S^2 one Legendre evaluation for all m."""
-    if d == 2:
-        return _s2_rows(np.atleast_2d(np.asarray(eta, dtype=float)), 0, D)
-    return np.vstack([harmonic_block(d, m, eta) for m in range(D + 1)])
+    (sum_{m<=D} N(m), npoints)."""
+    return _harmonic_rows(d, range(D + 1), eta)
 
 
 @dataclass(frozen=True)
@@ -177,10 +175,5 @@ def project(grid: ReferenceGrid, samples: np.ndarray, m: int):
     samples = np.asarray(samples, dtype=float)
     if samples.shape != grid.weights.shape:
         raise ContractError("sample count must match grid size")
-    block = harmonic_block(grid.d, m, grid.nodes)
-    coeffs = block @ (grid.weights * samples)
-
-    def evaluator(eta: np.ndarray) -> np.ndarray:
-        return coeffs @ harmonic_block(grid.d, m, eta)
-
-    return coeffs, evaluator
+    coeffs = harmonic_block(grid.d, m, grid.nodes) @ (grid.weights * samples)
+    return coeffs, lambda eta: coeffs @ harmonic_block(grid.d, m, eta)

@@ -64,16 +64,20 @@ def loglog_slope(ns, errs) -> tuple[float, float]:
 
 
 def parse_config(text: str) -> dict:
-    """key=value lines; '#' starts a comment; values keep their raw form."""
+    """key=value lines; '#' starts a comment; values keep their raw form.  A
+    key set on two lines is a ConfigurationError naming both."""
     out: dict[str, str] = {}
+    seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigurationError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, val = line.split("=", 1)
-        out[key.strip()] = val.strip()
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key in seen:
+            raise ConfigurationError(f"config key {key} set twice, on lines {seen[key]} and {lineno}")
+        out[key], seen[key] = val, lineno
     return out
 
 
@@ -156,6 +160,8 @@ class ExperimentConfig:
             raise ConfigurationError("ns must be nonempty")
         if not self.ridge >= 0.0:  # NaN too
             raise ConfigurationError(f"ridge must be >= 0, got {self.ridge}")
+        if not (self.k >= 0 and self.resolution > 0.0):  # NaN too
+            raise ConfigurationError(f"need k >= 0 and resolution > 0, got {self.k} and {self.resolution}")
         object.__setattr__(self, "ns", _size_set("ns", self.ns))
         object.__setattr__(self, "seeds", _size_set("seeds", self.seeds))
 
@@ -368,6 +374,8 @@ def run_pde(problem: str, k: int, ms, seeds) -> dict:
     ms, seeds = _size_set("ms", ms), _size_set("seeds", seeds)
     if len(ms) < MIN_SLOPE_ROWS:
         raise ConfigurationError(f"need at least {MIN_SLOPE_ROWS} sample sizes for a slope, got {len(ms)}")
+    if ms[0] < 1:
+        raise ConfigurationError(f"sample sizes must be >= 1, got {ms[0]}")
     prob = PDE_PROBLEMS[problem]()
     rows, means = [], []
     for m in ms:

@@ -52,8 +52,8 @@ from scipy.linalg.blas import dsyrk
 from scipy.optimize import brentq
 
 from .activation import ActivationSpectrum, sigma_k, sigma_k_prime
-from .errors import ConfigurationError, ContractError
-from .harmonics import ReferenceGrid, project
+from .errors import ConfigurationError, ContractError, PrecisionError
+from .harmonics import PROJECT_MARGIN, ReferenceGrid, _harmonic_rows, harmonic_dim
 from .quadrature import QuadratureRule
 from .sphere import PointSet
 
@@ -227,12 +227,12 @@ def constructive_fit(
     spec: ActivationSpectrum,
     grid: ReferenceGrid,
 ) -> FiniteNeuronModel:
-    """Coefficients from the harmonic-projection recipe.
-
-    For each support degree m <= J, project g on the reference grid, then
-    a_j = tau_j * sum_m sigma_hat(m)^{-1} (Pi_m g)(theta_j).  The fitted
-    model reproduces the harmonic coefficients of g up to degree J within
-    the rule residual and grid tolerance.
+    """a_j = tau_j * sum_m sigma_hat(m)^{-1} (Pi_m g)(theta_j) over the support
+    degrees m <= J, as one analysis and one synthesis product: with Y the
+    harmonic rows of those degrees, c = Y(grid) (w g) / sigma_hat(m) and
+    a = tau (c^T Y(theta)).  A grid not exact to degree 2 max(m) +
+    PROJECT_MARGIN is a PrecisionError.  The model reproduces the harmonic
+    coefficients of g up to degree J within the rule residual and grid tolerance.
     """
     k = spec.k
     if not g.on_sphere:
@@ -245,14 +245,12 @@ def constructive_fit(
     J = rule.J
     if J < k + 1:
         raise ContractError(f"quadrature degree J={J} too coarse; need J >= k+1")
-    if grid.degree < 2 * J:
-        raise ContractError("reference grid too coarse for the projection degrees")
-    samples = g(grid.nodes)
-    acc = np.zeros(rule.ps.n)
-    for m in spec.support_degrees(hi=J):
-        _, proj = project(grid, samples, int(m))
-        acc += proj(rule.ps.points) / spec.coefficient(int(m))
-    a = rule.weights * acc
+    ms = spec.support_degrees(hi=J).tolist()
+    if grid.degree < 2 * ms[-1] + PROJECT_MARGIN:
+        raise PrecisionError(f"grid degree {grid.degree} too coarse for harmonic degree {ms[-1]}")
+    sigma_hat = np.repeat(spec.coefficients[ms], [harmonic_dim(grid.d, m) for m in ms])
+    c = _harmonic_rows(grid.d, ms, grid.nodes) @ (grid.weights * g(grid.nodes)) / sigma_hat
+    a = rule.weights * (c @ _harmonic_rows(grid.d, ms, rule.ps.points))
     return FiniteNeuronModel(spec.d, k, rule.ps, a, 0.0, on_sphere=True)
 
 

@@ -144,8 +144,8 @@ def build_rule(ps: PointSet, D_target: int, tol: float = 1e-8) -> QuadratureRule
     chain degree, which bounds the lstsq residual from below at every
     overdetermined degree.
     """
-    if D_target < 0:
-        raise ContractError("D_target must be >= 0")
+    if not (D_target >= 0 and tol >= 0.0):  # NaN too
+        raise ContractError(f"D_target and tol must be >= 0, got {D_target} and {tol}")
     start = time.perf_counter()
     row_ends = np.cumsum([harmonic_dim(ps.d, m) for m in range(D_target + 1)])
     chain = sorted({0, *range(D_target, -1, -2)})
@@ -219,15 +219,11 @@ def build_rule(ps: PointSet, D_target: int, tol: float = 1e-8) -> QuadratureRule
         else:
             lo, rule = mid, found
         mid = (lo + hi) // 2
-    _report(info, start)
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("%s", json.dumps(info | {"seconds": time.perf_counter() - start}))
     if rule is None:
         raise NumericalError("no feasible nonnegative rule at any degree >= 0")
     return rule
-
-
-def _report(info: dict, start: float) -> None:
-    if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("%s", json.dumps(info | {"seconds": time.perf_counter() - start}))
 
 
 def integrate(rule: QuadratureRule, values: np.ndarray) -> float:

@@ -152,6 +152,8 @@ def _hull_caps(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] 
 
 
 def _grid_mesh_norm(tree: cKDTree, d: int, resolution: float) -> float:
+    if not resolution > 0.0:  # NaN too
+        raise ConfigurationError(f"resolution must be > 0, got {resolution}")
     if d == 1:
         return _circle_mesh_norm(tree.data)
     grid = _search_grid(d, resolution)
@@ -225,22 +227,11 @@ def mesh_norm(points, d: int | None = None, resolution: float = 0.01) -> float:
         points = points.points
     elif d is None:
         raise ContractError("d is required for raw coordinate arrays")
-    if resolution <= 0.0:
-        raise ContractError("resolution must be positive")
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != d + 1:
         raise ContractError("points must have shape (n, d+1)")
     _check_unit_rows(points)
     return _grid_mesh_norm(cKDTree(points), d, resolution)
-
-
-def _make_pointset(
-    points: np.ndarray, d: int, resolution: float, strategy: str, seed: int
-) -> PointSet:
-    tree = cKDTree(points)
-    h = _grid_mesh_norm(tree, d, resolution)
-    res = 0.0 if d == 1 else resolution
-    return PointSet(d, points, h, _separation(tree), res, strategy, seed)
 
 
 def _fibonacci_sphere(n: int) -> np.ndarray:
@@ -288,7 +279,9 @@ def generate_points(
         pts = _uniform_random(d, n, seed)
     else:
         raise ConfigurationError(f"unknown strategy {strategy!r}")
-    return _make_pointset(pts, d, resolution, strategy, seed)
+    tree = cKDTree(pts)
+    h = _grid_mesh_norm(tree, d, resolution)
+    return PointSet(d, pts, h, _separation(tree), 0.0 if d == 1 else resolution, strategy, seed)
 
 
 def pointset_to_json(ps: PointSet) -> str:

@@ -6,6 +6,7 @@ from scipy.special import lpmv
 
 from fnspace.errors import ConfigurationError, ContractError, PrecisionError
 from fnspace.harmonics import (
+    _harmonic_rows,
     harmonic_block,
     harmonic_dim,
     harmonic_table,
@@ -171,3 +172,14 @@ def test_s2_moment_rows_match_lpmv_reference():
     np.testing.assert_allclose(A, want, rtol=0.0, atol=1e-12)
     assert np.array_equal(A, harmonic_table(2, 40, eta))
     assert np.array_equal(b, np.eye(len(A))[0])
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_harmonic_rows_are_the_stacked_blocks(d):
+    """One builder, bit for bit: the table, and rows of any listed degrees
+    (poles included on S^2), are the blocks stacked in the order listed."""
+    eta = _points_and_poles() if d == 2 else random_sphere(1, 60)
+    for degrees in ([0], [7], [2, 4, 6, 8], [1, 3, 40], [5, 2, 9], range(21)):
+        want = np.vstack([harmonic_block(d, m, eta) for m in degrees])
+        assert np.array_equal(_harmonic_rows(d, degrees, eta), want)
+    assert np.array_equal(harmonic_table(d, 30, eta), np.vstack([harmonic_block(d, m, eta) for m in range(31)]))

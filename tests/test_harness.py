@@ -64,6 +64,8 @@ def test_parse_config():
     assert cfg == {"d": "2", "k": "1", "ns": "16 32 64 128"}
     with pytest.raises(ConfigurationError):
         parse_config("just a line without equals")
+    with pytest.raises(ConfigurationError, match="config key k set twice, on lines 2 and 4"):
+        parse_config("d = 2\nk = 1\n# k again\nk = 2\n")
 
 
 def test_config_hash_stability():
@@ -94,6 +96,17 @@ def test_experiment_config_validation():
 def test_experiment_config_rejects_a_negative_ridge(ridge):
     with pytest.raises(ConfigurationError, match="ridge must be >= 0"):
         ExperimentConfig(d=1, k=1, target="gaussian_bump", strategy="equispaced_circle", ns=(8, 16), ridge=ridge)
+
+
+@pytest.mark.parametrize("field", [{"k": -1}, {"resolution": 0.0}, {"resolution": -0.01}, {"resolution": math.nan}])
+def test_experiment_config_rejects_a_negative_k_or_resolution(field):
+    with pytest.raises(ConfigurationError, match="need k >= 0 and resolution > 0"):
+        ExperimentConfig(**{"d": 2, "k": 1, "target": "gaussian_bump", "strategy": "fibonacci_s2", "ns": (8, 16)} | field)
+
+
+def test_run_pde_rejects_a_size_below_one():
+    with pytest.raises(ConfigurationError, match="sample sizes must be >= 1"):
+        run_pde("interval", 2, (-4, 64, 128, 256), (0,))
 
 
 def test_cli_rates_rejects_a_negative_ridge(tmp_path, capsys):
@@ -477,18 +490,23 @@ CLI_CASES = {  # command: (a good config, then bad ones: a broken config, a non-
         "d = 1\nn = 8\nstrategy = nonsense\n",
         "d = 1\nn = eight\nstrategy = equispaced_circle\n",
         "d = 1\nn = 8\nstrategy = equispaced_circle\nbogus = 1\n",  # unread key
+        "d = 2\nn = 16\nstrategy = fibonacci_s2\nresolution = 0\n",  # resolution must be > 0
+        "d = 2\nn = 16\nstrategy = fibonacci_s2\nresolution = nan\n",
     ),
     "quad": (
         "d = 1\nn = 8\nstrategy = equispaced_circle\n",
         "d = 1\nn = 8\n",
         "d = 1\nn = 8\nstrategy = equispaced_circle\ntol = small\n",
         "d = 1\nn = 8\nstrategy = equispaced_circle\nlam = 2\n",  # unread key
+        "d = 1\nn = 8\nstrategy = equispaced_circle\ntol = nan\n",  # tol must be >= 0
+        "d = 1\nn = 8\nstrategy = equispaced_circle\ntol = -1e-8\n",
     ),
     "spectrum": (
         "d = 2\nk = 1\nm_max = 20\n",
         "d = 2\nm_max = 20\n",
         "d = 2\nk = 1\nm_max = many\n",
         "d = 2\nk = 1\nm_max = 20\nseed = 7\n",  # unread key
+        "d = 2\nk = 1\nm_max = 20\nk = 2\n",  # a key set twice
     ),
     "pde": (
         "problem = interval\nk = 2\nms = 64 128 256 512\nseeds = 0\n",
@@ -500,12 +518,18 @@ CLI_CASES = {  # command: (a good config, then bad ones: a broken config, a non-
         "problem = interval\nk = 2\nms = 64 128 256 512\nseeds =\n",  # no seed
         "problem = interval\nk = 2\nms = 64 128 256 512\nseeds = 0 0\n",  # a repeated seed
         "problem = interval\nk = 2\nms = 64 128 256 512\nseeds = 0\nseed = 7\n",  # unread key
+        "problem = interval\nk = 2\nms = -4 64 128 256\nseeds = 0\n",  # a size below 1
     ),
     "kernel": (
         "d = 2\nk = 1\nn_mc = 2000\npairs = 2\nm_max = 40\n",
         "d = 2\nk = 1\nm_max = 1\n",
         "d = two\nk = 1\nn_mc = 2000\npairs = 2\nm_max = 40\n",
         "d = 2\nk = 1\nn_mc = 2000\npairs = 2\nm_max = 40\nseeds = 4\n",  # unread key
+        "d = 2\nk = 1\nn_mc = 0\npairs = 2\nm_max = 40\n",  # n_mc must be >= 2
+        "d = 2\nk = 1\nn_mc = 1\npairs = 2\nm_max = 40\n",
+        "d = 2\nk = 1\nn_mc = -5\npairs = 2\nm_max = 40\n",
+        "d = 2\nk = 1\nn_mc = 2000\npairs = -1\nm_max = 40\n",  # pairs must be >= 1
+        "d = 2\nk = 1\nn_mc = 2000\npairs = 0\nm_max = 40\n",
     ),
     "approx": (
         "d = 1\nk = 1\ntarget = gaussian_bump\nstrategy = equispaced_circle\nns = 8\n",
@@ -520,6 +544,11 @@ CLI_CASES = {  # command: (a good config, then bad ones: a broken config, a non-
         RATES_CFG.replace("ns = 8 16", "ns = 8 8 16"),
         "d = 1\nk = 1\ntarget = smooth_even_circle\nstrategy = equispaced_circle\nns = 16 32\n"
         "path = constructive\nridge = 0.5\ns = 0\n",  # no ridge on the constructive path
+        RATES_CFG + "resolution = 0\n",  # resolution must be > 0
+        RATES_CFG + "resolution = -0.01\n",
+        RATES_CFG + "resolution = nan\n",
+        RATES_CFG.replace("k = 1", "k = -1"),  # k must be >= 0
+        RATES_CFG + "k = 2\n",  # a key set twice
     ),
     "randcmp": (
         "d = 1\nk = 1\ntarget = gaussian_bump\nstrategy = equispaced_circle\nns = 8 16\n"

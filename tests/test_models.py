@@ -5,13 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fnspace import models
 from fnspace.activation import sigma_k, sigma_k_prime, spectrum
-from fnspace.errors import ConfigurationError, ContractError
-from fnspace.harmonics import harmonic_block, project, reference_grid
+from fnspace.errors import ConfigurationError, ContractError, PrecisionError
+from fnspace.harmonics import PROJECT_MARGIN, harmonic_block, project, reference_grid
 from fnspace.harness import domain_grid, get_target
 from fnspace.models import (
     BLOCK_FLOATS,
@@ -85,6 +85,55 @@ def test_constructive_rule_too_coarse():
     )
     with pytest.raises(ContractError):
         constructive_fit(target, rule, spec, grid)
+
+
+def _constructive_reference(g, rule, spec, grid):
+    """constructive_fit's coefficients as one project call per support degree."""
+    samples = g(grid.nodes)
+    acc = np.zeros(rule.ps.n)
+    for m in spec.support_degrees(hi=rule.J):
+        _, proj = project(grid, samples, int(m))
+        acc += proj(rule.ps.points) / spec.coefficient(int(m))
+    return rule.weights * acc
+
+
+def _s2_setup(n, strategy):
+    """The constructive_ball_s2 workload's rule, spectrum (k = 1) and grid."""
+    ps = generate_points(2, n, strategy, seed=3)
+    rule = build_rule(ps, 2 * math.isqrt(n))
+    return ps, rule, spectrum(2, 1, rule.J + 4), reference_grid(2, max(2 * rule.J + 8, 64))
+
+
+def _s2_even_target():
+    def g(eta):
+        eta = np.atleast_2d(eta)
+        return np.exp(eta[:, 0] ** 2 - eta[:, 1] * eta[:, 2])
+
+    return TargetFunction("even", 2, g, on_sphere=True, parity=1)
+
+
+@pytest.mark.parametrize("case", ["circle16", "circle256", "fibonacci_s2", "uniform_random"])
+def test_constructive_fit_matches_per_degree_projections(case):
+    if case.startswith("circle"):
+        _, rule, spec, grid = circle_setup(int(case[6:]))
+        target = get_target("smooth_even_circle", 1)
+    else:
+        _, rule, spec, grid = _s2_setup(200, case)
+        target = _s2_even_target()
+    got = constructive_fit(target, rule, spec, grid).a
+    want = _constructive_reference(target, rule, spec, grid)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_constructive_grid_exactness_check(d):
+    """The grid must be exact to degree 2 max(support) + PROJECT_MARGIN."""
+    _, rule, spec, _ = circle_setup(32) if d == 1 else _s2_setup(200, "fibonacci_s2")
+    target = get_target("smooth_even_circle", 1) if d == 1 else _s2_even_target()
+    top = 2 * int(spec.support_degrees(hi=rule.J)[-1]) + PROJECT_MARGIN
+    with pytest.raises(PrecisionError):
+        constructive_fit(target, rule, spec, reference_grid(d, top - 1))
+    constructive_fit(target, rule, spec, reference_grid(d, top))
 
 
 def domain_grid_1d(n=512):
@@ -477,11 +526,14 @@ def _polynomial_null_space(ps, k, poly, rng):
     path=st.sampled_from([{}, {"ridge": 1e-9}, {"ridge": 1e-6}, "cap"]),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(d=2, k=3, n=26, strategy="uniform_random", radius=0.451171875, path={}, seed=67550)
 def test_pruned_fit_solves_the_full_problem(d, k, n, strategy, radius, path, seed):
     """Dead, polynomial and live neurons on a shrunk grid: dead coefficients are
     exactly 0, the polynomial block carries no null-space component (the
     minimum-norm choice), and the ridge objective is no worse than the
-    full-design reference's."""
+    full-design reference's, up to the rounding of the objectives themselves:
+    each computed residual B a - y is off by about (eps / 2) ||B|| ||a||,
+    which moves ||r||^2 by up to 2 ||r|| times that."""
     rng = np.random.Generator(np.random.Philox(seed))
     if strategy == "structured":
         ps0 = generate_points(d, max(n, 2), "equispaced_circle" if d == 1 else "fibonacci_s2")
@@ -510,7 +562,9 @@ def test_pruned_fit_solves_the_full_problem(d, k, n, strategy, radius, path, see
     want = _ls_reference(target, ps, x, w, k, **path)
     got_obj = _ridge_objective(target, ps, x, w, k, a, ridge)
     want_obj = _ridge_objective(target, ps, x, w, k, want, ridge)
-    assert got_obj <= want_obj * (1.0 + 1e-10) + 1e-13 * float(w @ target(x) ** 2)
+    B = features(ps, k, x) * np.sqrt(w)[:, None]
+    rounding = np.finfo(float).eps * np.linalg.norm(B, 2) * (np.linalg.norm(a) + np.linalg.norm(want)) * math.sqrt(want_obj)
+    assert got_obj <= want_obj * (1.0 + 1e-10) + 1e-13 * float(w @ target(x) ** 2) + rounding
 
 
 def _straddling_grid(d, radius, n_rows_for, on_sphere, rng):

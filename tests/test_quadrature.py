@@ -118,6 +118,14 @@ def test_integrate_length_mismatch():
         integrate(rule, np.ones(7))
 
 
+@pytest.mark.parametrize("D_target, tol", [(-1, 1e-8), (7, math.nan), (7, -1e-8)])
+def test_build_rule_rejects_a_negative_degree_or_tolerance(D_target, tol):
+    ps = generate_points(1, 8, "equispaced_circle")
+    with pytest.raises(ContractError, match="D_target and tol must be >= 0"):
+        build_rule(ps, D_target, tol)
+    assert build_rule(ps, 7, 0.0).tol == 0.0  # zero is a tolerance
+
+
 def test_rule_invariants_enforced():
     ps = generate_points(1, 4, "equispaced_circle")
     from fnspace.quadrature import QuadratureRule

@@ -241,6 +241,15 @@ def test_separation_edge_cases():
     assert separation(pair) == pytest.approx(1e-6, rel=1e-12)
 
 
+@pytest.mark.parametrize("resolution", [0.0, -0.01, math.nan])
+@pytest.mark.parametrize("d, strategy", [(1, "equispaced_circle"), (2, "fibonacci_s2")])
+def test_resolution_must_be_positive(d, strategy, resolution):
+    with pytest.raises(ConfigurationError, match="resolution must be > 0"):
+        generate_points(d, 16, strategy, resolution=resolution)
+    with pytest.raises(ConfigurationError, match="resolution must be > 0"):
+        mesh_norm(generate_points(d, 16, strategy).points, d, resolution)
+
+
 def test_off_sphere_rows_rejected():
     pts = generate_points(2, 16, "fibonacci_s2").points.copy()
     pts[3] *= 1.0 + 1e-13
