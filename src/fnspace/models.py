@@ -273,12 +273,13 @@ def ridge_bisect_cap(G: np.ndarray, c: np.ndarray, n: int, M: float) -> tuple[np
 
 def _cap_root(s, U, p, c_norm, keep, n, M) -> tuple[np.ndarray, float]:
     """ridge_bisect_cap given G = U diag(s) U^T, p = U^T c, ||c|| and the
-    eigenvalues `keep` inverts at lam = 0."""
+    eigenvalues `keep` inverts at lam = 0.  coef(0) divides as coef(lam > 0)
+    does, so a lam below rounding leaves the kept entries bit for bit and the
+    norm cannot drop under the cap between 0 and the smallest positive lam."""
     root_n = math.sqrt(n)
-    pinv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
 
     def coef(lam: float) -> np.ndarray:
-        return p * pinv if lam == 0.0 else p / (s + lam)
+        return np.divide(p, s, out=np.zeros_like(s), where=keep) if lam == 0.0 else p / (s + lam)
 
     def gap(lam: float) -> float:
         return root_n * float(np.linalg.norm(coef(lam))) - M
