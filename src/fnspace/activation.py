@@ -2,10 +2,10 @@
 
 The spectrum coefficients c(m) = <p_m, relu_k>_{w_d} / ||p_m||^2 vanish
 exactly outside the support set {0..k} union {m >= k+1 : m-k odd}.  For
-m >= k+1 a closed form in Gamma functions is used (evaluated in log-Gamma
-space so it stays finite past m ~ 170); for m <= k the coefficients come
-from quadrature of the half-line weighted inner product, which doubles as
-the independent oracle for the closed form.
+m >= k+1 a closed form in Gamma functions is used (one log-Gamma expression,
+finite past m ~ 170, that the majorant xi shares); for m <= k the
+coefficients come from quadrature of the half-line weighted inner product,
+which doubles as the independent oracle for the closed form.
 """
 
 from __future__ import annotations
@@ -71,44 +71,53 @@ def sigma_k_prime(k: int, t, out: np.ndarray | None = None):
     return float(out) if out.ndim == 0 else out
 
 
-def in_support(k: int, m: int) -> bool:
-    """Membership of m in the spectrum support of ReLU^k."""
-    return m <= k or (m - k) % 2 == 1
+def in_support(k: int, m) -> bool | np.ndarray:
+    """Membership of m (an int or an integer array) in the spectrum support of ReLU^k."""
+    return (m <= k) | ((m - k) % 2 == 1)
 
 
-def _sigma_hat_closed(d: int, k: int, m: int) -> float:
-    # valid for m >= k+1 with m-k odd
+def _log_abs_sigma_hat(d: int, k: int, m) -> float | np.ndarray:
+    """ln |sigma_hat(m)| for real m >= k+1, by Legendre's duplication formula:
+    Gamma(m-k) 2^-m / Gamma((m-k+1)/2) = Gamma((m-k)/2) / (2^(k+1) sqrt(pi))."""
     pref = (
         math.log(sphere_area(d - 1))
         - math.log(sphere_area(d))
         + math.lgamma(k + 1)
         + math.lgamma(d / 2.0)
+        - (k + 1) * math.log(2.0)
+        - 0.5 * math.log(math.pi)
     )
-    logv = (
-        pref
-        + math.lgamma(m - k)
-        - m * math.log(2.0)
-        - math.lgamma((m - k + 1) / 2.0)
-        - math.lgamma((m + d + k + 1) / 2.0)
-    )
-    sign = -1.0 if ((m - k - 1) // 2) % 2 else 1.0
-    return sign * math.exp(logv)
+    return pref + gammaln((m - k) / 2.0) - gammaln((m + d + k + 1) / 2.0)
+
+
+def _sigma_hat_closed(d: int, k: int, m) -> float | np.ndarray:
+    # valid for m >= k+1 with m-k odd; m an int or an integer array
+    m = np.asarray(m)
+    out = np.where((m - k - 1) // 2 % 2, -1.0, 1.0) * np.exp(_log_abs_sigma_hat(d, k, m))
+    return float(out) if out.ndim == 0 else out
+
+
+def _half_line_rule(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t and weights w with sum w f(t) ~ int_0^1 f(t) (1-t^2)^{(d-2)/2} dt.
+
+    Substituting t = cos(rho) turns the integral into a smooth one over
+    [0, pi/2] (the endpoint weight is absorbed exactly), where n-point
+    Gauss-Legendre converges geometrically and avoids the cancellation
+    floor a direct rule on t exhibits.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    rho = (x + 1.0) * (math.pi / 4.0)
+    return np.cos(rho), (math.pi / 4.0) * w * np.sin(rho) ** (d - 1)
 
 
 def sigma_hat_quadrature(d: int, k: int, m: int) -> float:
     """Quadrature oracle for the Legendre coefficient of ReLU^k.
 
     Since relu_k vanishes on (-1,0), the inner product reduces to
-    int_0^1 t^k p_m(t) (1-t^2)^{(d-2)/2} dt.  Substituting t = cos(rho)
-    turns this into a smooth integral over [0, pi/2] (the endpoint weight
-    is absorbed exactly), where Gauss-Legendre converges geometrically and
-    avoids the cancellation floor a direct rule on t exhibits.
+    int_0^1 t^k p_m(t) (1-t^2)^{(d-2)/2} dt, taken with _half_line_rule.
     """
-    x, w = np.polynomial.legendre.leggauss(m + k + EXTRA_NODES)
-    rho = (x + 1.0) * (math.pi / 4.0)
-    t = np.cos(rho)
-    vals = t**k * legendre_table(d, m, t)[m] * np.sin(rho) ** (d - 1)
-    inner = (math.pi / 4.0) * float(np.dot(w, vals))
+    t, w = _half_line_rule(d, m + k + EXTRA_NODES)
+    inner = float(np.dot(w, t**k * legendre_table(d, m, t)[m]))
     norm_sq = sphere_area(d) / sphere_area(d - 1) * harmonic_dim(d, m)
     return inner / norm_sq
 
@@ -138,16 +147,13 @@ def spectrum(d: int, k: int, m_max: int) -> ActivationSpectrum:
     """Build the coefficient table for ReLU^k on S^d."""
     if m_max < k + 1:
         raise ContractError("m_max must be at least k+1")
+    ms = np.arange(m_max + 1)
+    support = in_support(k, ms)
+    closed = support & (ms > k)
     coeffs = np.zeros(m_max + 1)
-    mask = np.zeros(m_max + 1, dtype=bool)
-    for m in range(min(k, m_max) + 1):
-        coeffs[m] = sigma_hat_quadrature(d, k, m)
-        mask[m] = True
-    for m in range(k + 1, m_max + 1):
-        if (m - k) % 2 == 1:
-            coeffs[m] = _sigma_hat_closed(d, k, m)
-            mask[m] = True
-    return ActivationSpectrum(d, k, m_max, coeffs, mask)
+    coeffs[closed] = _sigma_hat_closed(d, k, ms[closed])
+    coeffs[: k + 1] = [sigma_hat_quadrature(d, k, m) for m in range(k + 1)]
+    return ActivationSpectrum(d, k, m_max, coeffs, support)
 
 
 def xi(d: int, k: int, r: float, m) -> float | np.ndarray:
@@ -160,20 +166,7 @@ def xi(d: int, k: int, r: float, m) -> float | np.ndarray:
     m = np.asarray(m, dtype=float)
     if np.any(m < k + 1):
         raise ContractError("xi is defined on [k+1, infinity)")
-    pref = 2.0 * (
-        math.log(sphere_area(d - 1))
-        - math.log(sphere_area(d))
-        + math.lgamma(k + 1)
-        + math.lgamma(d / 2.0)
-        - (k + 1) * math.log(2.0)
-        - 0.5 * math.log(math.pi)
-    )
-    logv = (
-        pref
-        + 2.0 * r * np.log(m)
-        + 2.0 * (gammaln((m - k) / 2.0) - gammaln((m + d + k + 1) / 2.0))
-    )
-    out = np.exp(logv)
+    out = np.exp(2.0 * (_log_abs_sigma_hat(d, k, m) + r * np.log(m)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -235,18 +228,11 @@ def kernel(
 def expansion_residual(d: int, k: int, spec: ActivationSpectrum) -> float:
     """Weighted-interval L2 residual of the truncated Legendre expansion of ReLU^k.
 
-    The integral is split at t=0 (the activation's kink) and each half is
-    computed with Gauss-Legendre after the t = cos(rho) substitution, which
-    makes both integrands smooth.
+    The integral is split at t=0 (the activation's kink): _half_line_rule
+    at its nodes t gives the half t >= 0 and at -t the half t <= 0, with
+    both integrands smooth.
     """
-    x, w = np.polynomial.legendre.leggauss(spec.m_max + EXTRA_NODES)
-    total = 0.0
-    for lo in (0.0, math.pi / 2.0):
-        rho = lo + (x + 1.0) * (math.pi / 4.0)
-        t = np.cos(rho)
-        table = legendre_table(d, spec.m_max, t)
-        partial = spec.coefficients @ table
-        diff = sigma_k(k, t) - partial
-        vals = diff**2 * np.sin(rho) ** (d - 1)
-        total += (math.pi / 4.0) * float(np.dot(w, vals))
-    return math.sqrt(max(total, 0.0))
+    t, w = _half_line_rule(d, spec.m_max + EXTRA_NODES)
+    t = np.concatenate([t, -t])
+    diff = sigma_k(k, t) - spec.coefficients @ legendre_table(d, spec.m_max, t)
+    return math.sqrt(float(np.dot(np.tile(w, 2), diff**2)))

@@ -38,9 +38,9 @@ __all__ = [
 
 MIN_SLOPE_ROWS = 4
 
-# failures a sweep cell may end in; anything else is a bug and propagates
-CELL_ERRORS = (ContractError, ConfigurationError, DomainError, PrecisionError, NumericalError,
-               np.linalg.LinAlgError)
+# failures a sweep cell may end in; anything else propagates: a bug, or a
+# ConfigurationError, which would be the same in every cell
+CELL_ERRORS = (ContractError, DomainError, PrecisionError, NumericalError, np.linalg.LinAlgError)
 
 
 def fit_slope(log_points) -> tuple[float, float]:
@@ -206,6 +206,16 @@ def get_target(name: str, d: int) -> TargetFunction:
     raise ConfigurationError(f"unknown target {name!r}")
 
 
+def _sweep_target(cfg: ExperimentConfig) -> TargetFunction:
+    """cfg's target, which its path must be able to fit: the constructive path
+    fits a sphere target and the least-squares path a domain target."""
+    target = get_target(cfg.target, cfg.d)
+    if target.on_sphere != (cfg.path == "constructive"):
+        kind = "sphere" if target.on_sphere else "domain"
+        raise ConfigurationError(f"the {cfg.path} path cannot fit the {kind} target {cfg.target}")
+    return target
+
+
 def domain_grid(d: int, min_points: int = 4096) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature grid on the domain: uniform on [-1,1] for d=1, Gauss
     radial x equispaced angular on the unit disk for d=2.  Weights are
@@ -285,13 +295,14 @@ def run_rates(cfg: ExperimentConfig) -> RateReport:
     An error row names the exception class in error_code and keeps its
     message under error_message, which only the JSON report carries.  The
     sweep reads one seed, and the constructive path no ridge, so more seeds
-    or a nonzero ridge there is a ConfigurationError.
+    or a nonzero ridge there is a ConfigurationError, as is a target the
+    path cannot fit.
     """
     if len(cfg.seeds) != 1:
         raise ConfigurationError(f"a rate sweep reads one seed, got {len(cfg.seeds)}")
     if cfg.path == "constructive" and cfg.ridge != 0.0:
         raise ConfigurationError("the constructive path takes no ridge")
-    target = get_target(cfg.target, cfg.d)
+    target = _sweep_target(cfg)
     grid = None if cfg.path == "constructive" else _ls_grid(cfg)
     if grid is not None:
         target = _on_grid(target, grid[0])
@@ -332,7 +343,7 @@ def run_randcmp(cfg: ExperimentConfig) -> dict:
     if len(cfg.seeds) < 10:
         raise ConfigurationError("randcmp needs at least 10 seeds")
     grid = _ls_grid(cfg)
-    target = _on_grid(get_target(cfg.target, cfg.d), grid[0])
+    target = _on_grid(_sweep_target(cfg), grid[0])
     rows = []
     for n in cfg.ns:
         det = _rate_row_ls(cfg, target, n, cfg.strategy, cfg.seeds[0], grid, 0)

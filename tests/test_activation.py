@@ -101,13 +101,26 @@ def test_decay_exponent_single_case():
 
 
 def test_xi_interpolates_squared_coefficients():
-    for d in (1, 2):
-        for k in (1, 2):
-            sp = spectrum(d, k, 60)
+    for d in (1, 2, 3):
+        for k in (0, 1, 2, 3):
+            sp = spectrum(d, k, 600)
             r = (d + 2 * k + 1) / 2.0
-            for m in sp.support_degrees(k + 1, 60):
-                want = sp.coefficient(int(m)) ** 2 * float(m) ** (2 * r)
-                assert xi(d, k, r, int(m)) == pytest.approx(want, rel=1e-10)
+            ms = sp.support_degrees(k + 1, 600)
+            want = sp.coefficients[ms] ** 2 * ms.astype(float) ** (2 * r)
+            np.testing.assert_allclose(xi(d, k, r, ms), want, rtol=1e-12, atol=0.0)
+            assert xi(d, k, r, int(ms[-1])) == pytest.approx(want[-1], rel=1e-12)
+
+
+def test_closed_form_and_support_take_arrays():
+    ms = np.arange(0, 601)
+    for k in (0, 1, 2, 3):
+        support = in_support(k, ms)
+        assert support.dtype == bool
+        assert support.tolist() == [in_support(k, int(m)) for m in ms]
+        closed = ms[support & (ms > k)]
+        for d in (1, 2, 3):
+            got = _sigma_hat_closed(d, k, closed)
+            assert got.tolist() == [_sigma_hat_closed(d, k, int(m)) for m in closed]
 
 
 def test_xi_domain_checks():

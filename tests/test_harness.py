@@ -537,6 +537,7 @@ CLI_CASES = {  # command: (a good config, then bad ones: a broken config, a non-
         "d = 1\nk = 1\ntarget = gaussian_bump\nstrategy = equispaced_circle\nns = 8 x\n",
         "d = 1\nk = 1\ntarget = gaussian_bump\nstrategy = equispaced_circle\nns = 8\nseed = 7\n",  # unread key
         "d = 1\nk = 1\ntarget = gaussian_bump\nstrategy = equispaced_circle\nns = 8\nseeds = 0 1\n",  # one seed read
+        "d = 1\nk = 1\ntarget = gaussian_bump\nstrategy = no_such\nns = 8\n",  # an unknown strategy
     ),
     "rates": (
         RATES_CFG,
@@ -549,6 +550,10 @@ CLI_CASES = {  # command: (a good config, then bad ones: a broken config, a non-
         RATES_CFG + "resolution = nan\n",
         RATES_CFG.replace("k = 1", "k = -1"),  # k must be >= 0
         RATES_CFG + "k = 2\n",  # a key set twice
+        "d = 1\nk = 1\ntarget = smooth_even_circle\nstrategy = equispaced_circle\nns = 16 32 64 128\n",  # sphere target on ls
+        RATES_CFG + "path = constructive\n",  # domain target on the constructive path
+        RATES_CFG.replace("equispaced_circle", "fibonacci_s2"),  # a strategy of another dimension
+        RATES_CFG.replace("equispaced_circle", "no_such"),  # an unknown strategy
     ),
     "randcmp": (
         "d = 1\nk = 1\ntarget = gaussian_bump\nstrategy = equispaced_circle\nns = 8 16\n"
@@ -563,6 +568,8 @@ CLI_CASES = {  # command: (a good config, then bad ones: a broken config, a non-
         "seeds = 0 1 2 3 4 5 6 7 8 9\ns = 0\n",  # nor s
         "d = 1\nk = 1\ntarget = gaussian_bump\nstrategy = equispaced_circle\nns = 8 16\n"
         "seeds = 0 0 0 0 0 0 0 0 0 0\n",  # a repeated seed
+        "d = 1\nk = 1\ntarget = smooth_even_circle\nstrategy = equispaced_circle\nns = 8 16\n"
+        "seeds = 0 1 2 3 4 5 6 7 8 9\n",  # a sphere target on the least-squares path
     ),
 }
 
