@@ -110,16 +110,21 @@ def _half_line_rule(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(rho), (math.pi / 4.0) * w * np.sin(rho) ** (d - 1)
 
 
-def sigma_hat_quadrature(d: int, k: int, m: int) -> float:
-    """Quadrature oracle for the Legendre coefficient of ReLU^k.
+def sigma_hat_quadrature(d: int, k: int, m) -> float | np.ndarray:
+    """Quadrature oracle for the Legendre coefficient of ReLU^k at degree m,
+    an int or an integer array.
 
     Since relu_k vanishes on (-1,0), the inner product reduces to
-    int_0^1 t^k p_m(t) (1-t^2)^{(d-2)/2} dt, taken with _half_line_rule.
+    int_0^1 t^k p_m(t) (1-t^2)^{(d-2)/2} dt, taken for every m with one
+    _half_line_rule of max(m) + k + EXTRA_NODES nodes.
     """
-    t, w = _half_line_rule(d, m + k + EXTRA_NODES)
-    inner = float(np.dot(w, t**k * legendre_table(d, m, t)[m]))
-    norm_sq = sphere_area(d) / sphere_area(d - 1) * harmonic_dim(d, m)
-    return inner / norm_sq
+    m = np.asarray(m)
+    top = int(np.max(m))
+    t, w = _half_line_rule(d, top + k + EXTRA_NODES)
+    inner = (t**k * legendre_table(d, top, t)[m]) @ w
+    dims = np.vectorize(harmonic_dim, otypes=[float])(d, m)
+    out = inner / (sphere_area(d) / sphere_area(d - 1) * dims)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -128,9 +133,15 @@ class ActivationSpectrum:
 
     d: int
     k: int
-    m_max: int
     coefficients: np.ndarray = field(repr=False)
-    support: np.ndarray = field(repr=False)  # boolean mask over 0..m_max
+
+    @property
+    def m_max(self) -> int:
+        return len(self.coefficients) - 1
+
+    @property
+    def support(self) -> np.ndarray:  # boolean mask over 0..m_max
+        return in_support(self.k, np.arange(self.m_max + 1))
 
     def coefficient(self, m: int) -> float:
         if m > self.m_max:
@@ -148,12 +159,11 @@ def spectrum(d: int, k: int, m_max: int) -> ActivationSpectrum:
     if m_max < k + 1:
         raise ContractError("m_max must be at least k+1")
     ms = np.arange(m_max + 1)
-    support = in_support(k, ms)
-    closed = support & (ms > k)
+    closed = in_support(k, ms) & (ms > k)
     coeffs = np.zeros(m_max + 1)
     coeffs[closed] = _sigma_hat_closed(d, k, ms[closed])
-    coeffs[: k + 1] = [sigma_hat_quadrature(d, k, m) for m in range(k + 1)]
-    return ActivationSpectrum(d, k, m_max, coeffs, support)
+    coeffs[: k + 1] = sigma_hat_quadrature(d, k, ms[: k + 1])
+    return ActivationSpectrum(d, k, coeffs)
 
 
 def xi(d: int, k: int, r: float, m) -> float | np.ndarray:

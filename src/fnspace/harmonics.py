@@ -131,10 +131,13 @@ class ReferenceGrid:
     Integrates spherical polynomials exactly up to `degree`.
     """
 
-    d: int
     degree: int
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
+
+    @property
+    def d(self) -> int:
+        return self.nodes.shape[1] - 1
 
     def integrate(self, values: np.ndarray) -> float:
         return float(np.dot(self.weights, values))
@@ -146,7 +149,7 @@ def reference_grid(d: int, degree: int) -> ReferenceGrid:
         ang = 2.0 * math.pi * np.arange(n) / n
         nodes = np.column_stack([np.cos(ang), np.sin(ang)])
         w = np.full(n, 1.0 / n)
-        return ReferenceGrid(1, degree, nodes, w)
+        return ReferenceGrid(degree, nodes, w)
     if d == 2:
         n_z = degree // 2 + 1
         z, wz = np.polynomial.legendre.leggauss(n_z)
@@ -158,7 +161,7 @@ def reference_grid(d: int, degree: int) -> ReferenceGrid:
             [(r * np.cos(pp)).ravel(), (r * np.sin(pp)).ravel(), zz.ravel()]
         )
         w = np.repeat(wz / 2.0, n_phi) / n_phi
-        return ReferenceGrid(2, degree, nodes, w)
+        return ReferenceGrid(degree, nodes, w)
     raise ConfigurationError(f"reference grids implemented for d in {{1,2}}, got d={d}")
 
 

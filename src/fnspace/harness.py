@@ -282,11 +282,12 @@ def _on_grid(target: TargetFunction, pts: np.ndarray) -> TargetFunction:
 
 
 def _rate_row_ls(cfg: ExperimentConfig, target, n: int, strategy: str, seed: int, grid, s: int) -> dict:
-    """One least-squares cell: the point set, its fit on the grid, and the errors up to order s."""
+    """One least-squares cell: the point set, its fit on the grid, and the errors
+    up to order s; at s = 0 error_h1 is NaN, since it was not computed."""
     ps = generate_points(cfg.d, n, strategy, seed=seed, resolution=cfg.resolution)
     model = least_squares_fit(target, ps, *grid, k=cfg.k, ridge=cfg.ridge)
     l2, h1 = error_norms(model, target, *grid, s=s)
-    return _rate_row(n, ps.h, l2, h1, coef_stat(model)[1], "")
+    return _rate_row(n, ps.h, l2, h1 if s else float("nan"), coef_stat(model)[1], "")
 
 
 def run_rates(cfg: ExperimentConfig) -> RateReport:

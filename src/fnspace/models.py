@@ -44,7 +44,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -113,7 +113,6 @@ class FiniteNeuronModel:
     unit vectors eta in R^{d+1} fed to the neurons directly.
     """
 
-    d: int
     k: int
     ps: PointSet
     a: np.ndarray = field(repr=False)
@@ -122,10 +121,10 @@ class FiniteNeuronModel:
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
-        if self.d != self.ps.d:
-            raise ContractError(f"model dimension d={self.d} != direction dimension {self.ps.d}")
         if a.shape != (self.ps.n,):
             raise ContractError("coefficient count must match direction count")
+        if not np.all(np.isfinite(a)):
+            raise ContractError("coefficients must be finite")
         if not self.norm_cap >= 0.0:  # NaN too
             raise ConfigurationError(f"norm_cap must be >= 0, got {self.norm_cap}")
         if self.norm_cap > 0.0:
@@ -133,6 +132,10 @@ class FiniteNeuronModel:
             if cap_norm > self.norm_cap * (1.0 + CAP_SLACK) + CAP_SLACK:
                 raise ContractError("coefficients violate the norm cap")
         object.__setattr__(self, "a", a)
+
+    @property
+    def d(self) -> int:
+        return self.ps.d
 
     @property
     def n(self) -> int:
@@ -237,6 +240,8 @@ def constructive_fit(
     k = spec.k
     if not g.on_sphere:
         raise ContractError("constructive fitting needs a sphere target")
+    if not spec.d == grid.d == rule.ps.d:
+        raise ContractError(f"spectrum, grid and rule are on S^{spec.d}, S^{grid.d} and S^{rule.ps.d}")
     if g.parity != (-1) ** (k + 1):
         raise ContractError(
             f"target parity {g.parity} incompatible with k={k}; "
@@ -251,7 +256,7 @@ def constructive_fit(
     sigma_hat = np.repeat(spec.coefficients[ms], [harmonic_dim(grid.d, m) for m in ms])
     c = _harmonic_rows(grid.d, ms, grid.nodes) @ (grid.weights * g(grid.nodes)) / sigma_hat
     a = rule.weights * (c @ _harmonic_rows(grid.d, ms, rule.ps.points))
-    return FiniteNeuronModel(spec.d, k, rule.ps, a, 0.0, on_sphere=True)
+    return FiniteNeuronModel(k, rule.ps, a, 0.0, on_sphere=True)
 
 
 def ridge_bisect_cap(G: np.ndarray, c: np.ndarray, n: int, M: float) -> tuple[np.ndarray, float]:
@@ -304,15 +309,15 @@ def _monomials(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(combos, dtype=np.intp).reshape(len(combos), k), np.array(coef)
 
 
-def _polynomial_block(ps: PointSet, k: int, poly: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(T, V) with (theta_j . (x, 1))^k over the poly directions = Q(x) T V^T.
+def _polynomial_block(P: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(T, V) with (theta_j . (x, 1))^k over the rows theta_j of P = Q(x) T V^T.
 
     Q holds the degree-k monomials of (x, 1) and M their coefficients in the
     poly neurons; M = U S V^T truncated at its numerical rank r gives
     T = U_r S_r and V = V_r, whose columns are orthonormal.
     """
-    idx, coef = _monomials(ps.d, k)
-    M = coef[:, None] * np.prod(ps.points[poly][:, idx], axis=2).T
+    idx, coef = _monomials(P.shape[1] - 1, k)
+    M = coef[:, None] * np.prod(P[:, idx], axis=2).T
     U, S, Vt = np.linalg.svd(M, full_matrices=False)
     r = int(np.count_nonzero(S > np.finfo(float).eps * max(M.shape) * S.max(initial=0.0)))
     return U[:, :r] * S[:r], Vt[:r].T
@@ -324,7 +329,7 @@ def _block_rows(width: int) -> int:
     return max(1, BLOCK_FLOATS // width)
 
 
-def _design_blocks(live_ps, k, T, xt, sw, yw, step):
+def _design_blocks(P, k, T, xt, sw, yw, step):
     """Successive blocks Bt = [B | y]^T of step rows of the weighted reduced
     design, neuron-major.
 
@@ -335,15 +340,15 @@ def _design_blocks(live_ps, k, T, xt, sw, yw, step):
     homogeneous of degree k in the lifted input, so scaling its columns by
     sw^(1/k) once scales every row by sw; for k = 0 each block is scaled.
     """
-    rows, n_live = xt.shape[1], live_ps.n
+    rows, n_live = xt.shape[1], len(P)
     cols = n_live + T.shape[1]
-    idx, _ = _monomials(live_ps.d, k)
+    idx, _ = _monomials(P.shape[1] - 1, k)
     xs = xt * sw ** (1.0 / k) if k else xt
     buf = np.empty((cols + 1) * min(rows, step))
     for lo in range(0, rows, step):
         hi = min(lo + step, rows)
         Bt = buf[: (cols + 1) * (hi - lo)].reshape(cols + 1, hi - lo)
-        z = np.matmul(live_ps.points, xs[:, lo:hi], out=Bt[:n_live])
+        z = np.matmul(P, xs[:, lo:hi], out=Bt[:n_live])
         sigma_k(k, z, out=z)
         np.matmul(T.T, np.prod(xs[idx, lo:hi], axis=1), out=Bt[n_live:cols])
         if not k:
@@ -352,8 +357,8 @@ def _design_blocks(live_ps, k, T, xt, sw, yw, step):
         yield Bt
 
 
-def _solve_reduced(live_ps, k, T, xt, sw, yw, ridge, norm_cap, n) -> tuple[np.ndarray, int]:
-    """Coefficients for the weighted reduced design B = sw [sigma_k(live) | Q T],
+def _solve_reduced(P, k, T, xt, sw, yw, ridge, norm_cap, n) -> tuple[np.ndarray, int]:
+    """Coefficients for the weighted reduced design B = sw [sigma_k(P x^T) | Q T],
     and the rows per block of [B | y] that built them.
 
     Both solvers read neuron-major blocks of [B | y] (_design_blocks).  A
@@ -375,11 +380,11 @@ def _solve_reduced(live_ps, k, T, xt, sw, yw, ridge, norm_cap, n) -> tuple[np.nd
     lam = 0 inverts the same s.
     """
     rows = xt.shape[1]
-    cols = live_ps.n + T.shape[1]
+    cols = len(P) + T.shape[1]
     if ridge > 0.0 and norm_cap == 0.0:
         step = _block_rows(cols + 1)
         G = np.zeros((cols + 1, cols + 1), order="F")
-        for Bt in _design_blocks(live_ps, k, T, xt, sw, yw, step):
+        for Bt in _design_blocks(P, k, T, xt, sw, yw, step):
             dsyrk(1.0, Bt.T, beta=1.0, c=G, trans=1, overwrite_c=1)
         G, By = G[:cols, :cols], G[:cols, cols]
         return np.linalg.solve(np.triu(G) + np.triu(G, 1).T + ridge * np.eye(cols), By), min(rows, step)
@@ -388,7 +393,7 @@ def _solve_reduced(live_ps, k, T, xt, sw, yw, ridge, norm_cap, n) -> tuple[np.nd
     # [R | z] over the waiting rows, column-major so that each block row copies in contiguously
     design = np.empty((cols + 1, cols + 1 + min(rows, q * step))).T
     r = held = done = 0
-    for Bt in _design_blocks(live_ps, k, T, xt, sw, yw, step):
+    for Bt in _design_blocks(P, k, T, xt, sw, yw, step):
         design[r + held : r + held + Bt.shape[1]] = Bt.T
         held += Bt.shape[1]
         done += Bt.shape[1]
@@ -409,6 +414,14 @@ def _solve_reduced(live_ps, k, T, xt, sw, yw, ridge, norm_cap, n) -> tuple[np.nd
     return c, min(rows, step)
 
 
+def _grid_weights(grid_weights, rows: int) -> np.ndarray:
+    """grid_weights as floats; a ContractError unless rows finite values >= 0."""
+    w = np.asarray(grid_weights, dtype=float)
+    if w.shape != (rows,) or not np.all(np.isfinite(w)) or np.any(w < 0.0):
+        raise ContractError(f"grid weights must be {rows} finite values >= 0")
+    return w
+
+
 def least_squares_fit(
     f: TargetFunction,
     ps: PointSet,
@@ -423,7 +436,9 @@ def least_squares_fit(
     With norm_cap > 0, the cap sqrt(n)||a||_2 <= M is enforced by the
     smallest extra ridge parameter that meets it (ridge_bisect_cap).  A
     rank-deficient design with ridge=0 yields the minimum-norm solution.
-    A ridge or norm_cap that is negative or NaN is a ConfigurationError.
+    A ridge or norm_cap that is negative or NaN is a ConfigurationError,
+    and grid_weights (uniform when None) other than one finite value >= 0
+    per grid point a ContractError.
 
     Only the neurons the grid can tell apart are fitted.  On a domain of
     largest grid radius r, a dead neuron (0 on the grid) gets a_j = 0, and
@@ -454,8 +469,7 @@ def least_squares_fit(
     rows, n = len(grid_points), ps.n
     if rows < n:
         raise ConfigurationError("sample grid must have at least n points")
-    if grid_weights is None:
-        grid_weights = np.full(rows, 1.0 / rows)
+    grid_weights = np.full(rows, 1.0 / rows) if grid_weights is None else _grid_weights(grid_weights, rows)
     if f.on_sphere:  # theta . eta spans [-1, 1] over unit rows
         dead = poly = np.zeros(n, dtype=bool)
     else:  # theta . (x, 1) spans [b - |w| r, b + |w| r] over |x| <= r
@@ -464,14 +478,14 @@ def least_squares_fit(
         dead = ps.points[:, ps.d] + w * r < -CLASS_MARGIN
         poly = ps.points[:, ps.d] - w * r > CLASS_MARGIN
     live = ~(dead | poly)
-    T, V = _polynomial_block(ps, k, poly)
-    live_ps = replace(ps, points=ps.points[live])  # features reads only d and the directions
-    n_live = live_ps.n
+    T, V = _polynomial_block(ps.points[poly], k)
+    P = ps.points[live]
+    n_live = len(P)
     cols = n_live + T.shape[1]
     if cols:
         xt = np.ascontiguousarray(_lifted(grid_points, ps.d, f.on_sphere).T)
         sw = np.sqrt(grid_weights)
-        c, block_rows = _solve_reduced(live_ps, k, T, xt, sw, f(grid_points) * sw, ridge, norm_cap, n)
+        c, block_rows = _solve_reduced(P, k, T, xt, sw, f(grid_points) * sw, ridge, norm_cap, n)
     else:  # every neuron is 0 on the grid
         c, block_rows = np.zeros(0), 0
     a = np.zeros(n)
@@ -485,7 +499,7 @@ def least_squares_fit(
             "block_rows": block_rows,
             "seconds": time.perf_counter() - start,
         }))
-    return FiniteNeuronModel(f.d, k, ps, a, norm_cap, on_sphere=f.on_sphere)
+    return FiniteNeuronModel(k, ps, a, norm_cap, on_sphere=f.on_sphere)
 
 
 def error_norms(
@@ -497,15 +511,16 @@ def error_norms(
 ) -> tuple[float, float]:
     """Discrete (L2 error, H1-seminorm error); the latter is 0.0 when s=0.
 
-    Values and gradients come from one blocked pass over the grid.
+    Values and gradients come from one blocked pass over the grid; grid
+    weights are checked as in least_squares_fit.
     """
     if s not in (0, 1):
         raise ContractError("s must be 0 or 1")
     if s == 1 and f.grad is None:
         raise ContractError("H1 error needs the target gradient")
     grid_points = np.asarray(grid_points, dtype=float)
-    w = np.asarray(grid_weights, dtype=float)
     values, grads = model._evaluate(grid_points, grad=s == 1)
+    w = _grid_weights(grid_weights, len(values))
     diff = values - f(grid_points)
     l2 = math.sqrt(max(float(np.dot(w, diff**2)), 0.0))
     if s == 0:

@@ -25,7 +25,7 @@ import numpy as np
 from .activation import sigma_k, sigma_k_prime
 from .errors import ConfigurationError, ContractError
 from .models import FiniteNeuronModel, TargetFunction, ridge_bisect_cap
-from .sphere import PointSet, mesh_norm, separation
+from .sphere import PointSet
 
 __all__ = [
     "EXCESS_FLOOR",
@@ -48,10 +48,9 @@ class EllipticProblem:
 
     sample(m, seed) draws uniform points on Omega; grid() returns a dense
     quadrature (points, weights) with weights summing to |Omega|, the same
-    read-only arrays on every call.
+    read-only arrays on every call.  d is the solution's.
     """
 
-    d: int
     name: str
     volume: float
     source: Callable[[np.ndarray], np.ndarray]
@@ -59,6 +58,10 @@ class EllipticProblem:
     sample: Callable[[int, int], np.ndarray]
     grid: Callable[[], tuple[np.ndarray, np.ndarray]]
     exact_energy: float
+
+    @property
+    def d(self) -> int:
+        return self.solution.d
 
     @cached_property
     def grid_values(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -121,9 +124,7 @@ def interval_problem() -> EllipticProblem:
     x = midpoint_grid(0.0, 1.0, INTERVAL_GRID_POINTS)
     grid = _fixed_grid(x[:, None], np.full(INTERVAL_GRID_POINTS, 1.0 / INTERVAL_GRID_POINTS))
     sol = TargetFunction("cos_pi_x", 1, f, fg)
-    return EllipticProblem(
-        1, "interval", 1.0, h, sol, sample, grid, -(math.pi**2 + 1.0) / 4.0
-    )
+    return EllipticProblem("interval", 1.0, h, sol, sample, grid, -(math.pi**2 + 1.0) / 4.0)
 
 
 def disk_problem() -> EllipticProblem:
@@ -164,7 +165,7 @@ def disk_problem() -> EllipticProblem:
     sol = TargetFunction("cos_pi_r2", 2, f, fg)
     gp, gw = grid()
     e_exact = float(np.dot(gw, _psi(f(gp), fg(gp), h(gp))))
-    return EllipticProblem(2, "disk", math.pi, h, sol, sample, grid, e_exact)
+    return EllipticProblem("disk", math.pi, h, sol, sample, grid, e_exact)
 
 
 def interval_directions(n: int) -> PointSet:
@@ -186,9 +187,7 @@ def interval_directions(n: int) -> PointSet:
         rows.append((s, -s * t))
     pts = np.asarray(rows, dtype=float)
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    return PointSet(
-        1, pts, mesh_norm(pts, 1), separation(pts), 0.0, "interval_knots", 0
-    )
+    return PointSet(pts, strategy="interval_knots")
 
 
 # Excess risk below this means the grid energy is off, not a better minimizer.
@@ -340,7 +339,7 @@ def erm_fit(
             a = np.linalg.solve(A + 1e-12 * np.eye(ps.n), b)
             path = "solve+1e-12I"
     evaluating = time.perf_counter()
-    model = FiniteNeuronModel(problem.d, k, ps, a, norm_cap)
+    model = FiniteNeuronModel(k, ps, a, norm_cap)
     emp = problem.volume * float(np.mean(_psi(*model._evaluate(samples, grad=True), h)))
     # one grid, one evaluation: energy and H1 error from the same values
     pts, w = problem.grid()

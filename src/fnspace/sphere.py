@@ -53,7 +53,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
@@ -86,9 +86,13 @@ def _check_unit(v: np.ndarray) -> None:
         raise ContractError("direction is not a unit vector")
 
 
-def _check_unit_rows(points: np.ndarray) -> None:
+def _unit_rows(points) -> np.ndarray:
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] < 2:
+        raise ContractError("points must have shape (n, d+1) with d >= 1")
     if len(points) and np.max(np.abs(np.linalg.norm(points, axis=1) - 1.0)) > UNIT_TOL:
         raise ContractError("points must be unit vectors")
+    return points
 
 
 def geodesic_distance(u: np.ndarray, v: np.ndarray) -> float:
@@ -111,9 +115,7 @@ def _separation(tree: cKDTree) -> float:
 
 def separation(points: np.ndarray) -> float:
     """Minimal pairwise geodesic distance of unit rows."""
-    points = np.asarray(points, dtype=float)
-    _check_unit_rows(points)
-    return _separation(cKDTree(points))
+    return _separation(cKDTree(_unit_rows(points)))
 
 
 @lru_cache(maxsize=8)
@@ -151,12 +153,12 @@ def _hull_caps(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] 
     return centers, radii, vertices
 
 
-def _grid_mesh_norm(tree: cKDTree, d: int, resolution: float) -> float:
+def _grid_mesh_norm(tree: cKDTree, resolution: float) -> float:
     if not resolution > 0.0:  # NaN too
         raise ConfigurationError(f"resolution must be > 0, got {resolution}")
-    if d == 1:
+    if tree.m == 2:
         return _circle_mesh_norm(tree.data)
-    grid = _search_grid(d, resolution)
+    grid = _search_grid(tree.m - 1, resolution)
     caps = _hull_caps(tree.data)
     if caps is None:
         queried = grid.data
@@ -189,49 +191,55 @@ def _grid_mesh_norm(tree: cKDTree, d: int, resolution: float) -> float:
 
 @dataclass(frozen=True)
 class PointSet:
-    """Directions on S^d with cached covering/packing diagnostics.
+    """Directions on S^d, unit rows d + 1 wide, with covering and packing
+    diagnostics: h_sep on construction, h on first read (only up to S^2).
 
     h over-estimates the true mesh norm by at most h_resolution
     (h_resolution == 0 means h is exact, as on the circle).
     """
 
-    d: int
     points: np.ndarray = field(repr=False)
-    h: float
-    h_sep: float
-    h_resolution: float
+    resolution: float = 0.01
     strategy: str = "custom"
     seed: int = 0
+    h_sep: float = field(init=False)
+    _tree: cKDTree = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != self.d + 1:
-            raise ContractError("points must have shape (n, d+1)")
+        if not self.resolution > 0.0:  # NaN too
+            raise ConfigurationError(f"resolution must be > 0, got {self.resolution}")
+        object.__setattr__(self, "points", _unit_rows(self.points))
+        object.__setattr__(self, "_tree", cKDTree(self.points))
+        object.__setattr__(self, "h_sep", _separation(self._tree))
         if self.h_sep <= 0.0:
             raise ContractError("point set contains duplicate points")
-        object.__setattr__(self, "points", pts)
+
+    @cached_property
+    def h(self) -> float:
+        return _grid_mesh_norm(self._tree, self.resolution)
+
+    @property
+    def d(self) -> int:
+        return self.points.shape[1] - 1
 
     @property
     def n(self) -> int:
         return len(self.points)
 
+    @property
+    def h_resolution(self) -> float:
+        return 0.0 if self.d == 1 else self.resolution
 
-def mesh_norm(points, d: int | None = None, resolution: float = 0.01) -> float:
+
+def mesh_norm(points, resolution: float = 0.01) -> float:
     """Covering radius estimate via dense grid search (exact on the circle).
 
-    Accepts either a PointSet or a raw (n, d+1) array of unit rows with d
-    given.
+    Accepts either a PointSet, whose h it returns, or a raw (n, d+1) array
+    of unit rows, which may repeat.
     """
     if isinstance(points, PointSet):
-        d = points.d
-        points = points.points
-    elif d is None:
-        raise ContractError("d is required for raw coordinate arrays")
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != d + 1:
-        raise ContractError("points must have shape (n, d+1)")
-    _check_unit_rows(points)
-    return _grid_mesh_norm(cKDTree(points), d, resolution)
+        return points.h
+    return _grid_mesh_norm(cKDTree(_unit_rows(points)), resolution)
 
 
 def _fibonacci_sphere(n: int) -> np.ndarray:
@@ -260,7 +268,7 @@ def generate_points(
     seed: int = 0,
     resolution: float = 0.01,
 ) -> PointSet:
-    """Deterministic point-set generation; h and h_sep are computed on return.
+    """Deterministic point-set generation; h_sep is computed on return, h on first read.
 
     Strategies: equispaced_circle (d=1), fibonacci_s2 (d=2), uniform_random
     (any supported d).
@@ -279,9 +287,7 @@ def generate_points(
         pts = _uniform_random(d, n, seed)
     else:
         raise ConfigurationError(f"unknown strategy {strategy!r}")
-    tree = cKDTree(pts)
-    h = _grid_mesh_norm(tree, d, resolution)
-    return PointSet(d, pts, h, _separation(tree), 0.0 if d == 1 else resolution, strategy, seed)
+    return PointSet(pts, resolution, strategy, seed)
 
 
 def pointset_to_json(ps: PointSet) -> str:
@@ -301,12 +307,7 @@ def pointset_to_json(ps: PointSet) -> str:
 def pointset_from_json(text: str) -> PointSet:
     obj = json.loads(text)
     pts = np.array([[float(x) for x in row] for row in obj["points"]])
-    return PointSet(
-        obj["d"],
-        pts,
-        obj["h"],
-        obj["h_sep"],
-        obj["resolution"],
-        obj["strategy"],
-        obj["seed"],
-    )
+    if pts.shape[-1] != obj["d"] + 1:
+        raise ContractError(f"d = {obj['d']} does not match rows of width {pts.shape[-1]}")
+    # a circle's file records h_resolution 0, as h is exact there, not a search resolution
+    return PointSet(pts, obj["resolution"] if obj["d"] > 1 else 0.01, obj["strategy"], obj["seed"])

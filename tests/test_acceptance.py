@@ -331,7 +331,7 @@ def test_criterion_12_gradient_checks(capsys):
     for d in (1, 2):
         for k in (1, 2, 3):
             ps = generate_points(d, 24, "uniform_random", seed=100 * d + k)
-            model = FiniteNeuronModel(d, k, ps, rng.standard_normal(24))
+            model = FiniteNeuronModel(k, ps, rng.standard_normal(24))
             for _ in range(50):
                 x = rng.uniform(-0.9, 0.9, d)
                 grad = model.gradient(x)

@@ -167,7 +167,7 @@ def test_s2_blocks_match_lpmv_reference():
 
 def test_s2_moment_rows_match_lpmv_reference():
     eta = _points_and_poles()[:62]  # the random rows and two distinct poles
-    A, b = _moment_system(PointSet(2, eta, math.pi, separation(eta), 0.0), 40)
+    A, b = _moment_system(PointSet(eta), 40)
     want = np.vstack([_harmonic_block_reference(m, eta) for m in range(41)])
     np.testing.assert_allclose(A, want, rtol=0.0, atol=1e-12)
     assert np.array_equal(A, harmonic_table(2, 40, eta))

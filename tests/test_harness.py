@@ -220,6 +220,18 @@ def test_run_rates_csv_reproducible(tmp_path):
     assert header.startswith("config_hash,n,h,error_l2")
 
 
+def test_rates_at_s0_write_nan_for_the_h1_error(tmp_path):
+    """error_h1 is not computed at s = 0, so it reads NaN, not an exact 0."""
+    rows = run_rates(dataclasses.replace(LS_SWEEP, s=0)).rows
+    assert all(math.isnan(r["error_h1"]) for r in rows)
+    assert [r["error_l2"] for r in rows] == [r["error_l2"] for r in run_rates(LS_SWEEP).rows]
+    assert _cli(tmp_path, "rates", RATES_CFG + "s = 0\n", tmp_path / "out") == 0
+    (path,) = (tmp_path / "out").glob("rates_*.csv")
+    header, *lines = path.read_text().splitlines()
+    column = header.split(",").index("error_h1")
+    assert lines and all(line.split(",")[column] == "nan" for line in lines)
+
+
 def test_sweeps_write_nothing(monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     run_rates(LS_SWEEP)
@@ -492,6 +504,7 @@ CLI_CASES = {  # command: (a good config, then bad ones: a broken config, a non-
         "d = 1\nn = 8\nstrategy = equispaced_circle\nbogus = 1\n",  # unread key
         "d = 2\nn = 16\nstrategy = fibonacci_s2\nresolution = 0\n",  # resolution must be > 0
         "d = 2\nn = 16\nstrategy = fibonacci_s2\nresolution = nan\n",
+        "d = 3\nn = 64\nstrategy = uniform_random\n",  # no mesh-norm search beyond S^2
     ),
     "quad": (
         "d = 1\nn = 8\nstrategy = equispaced_circle\n",

@@ -30,7 +30,7 @@ from fnspace.models import (
 )
 from fnspace.pde_erm import disk_problem, midpoint_grid
 from fnspace.quadrature import build_rule
-from fnspace.sphere import PointSet, generate_points, mesh_norm, separation
+from fnspace.sphere import PointSet, generate_points
 
 
 def circle_setup(n=64, k=1, d=1):
@@ -63,6 +63,15 @@ def test_constructive_zero_target():
     )
     model = constructive_fit(target, rule, spec, grid)
     np.testing.assert_allclose(model.a, 0.0, atol=1e-14)
+
+
+def test_constructive_fit_needs_one_sphere():
+    """A spectrum or grid of S^2 with a rule on the circle is a ContractError."""
+    ps, rule, spec, grid = circle_setup()
+    target = TargetFunction("zero", 1, lambda eta: np.zeros(len(np.atleast_2d(eta))), on_sphere=True, parity=1)
+    for args in ((spectrum(2, 1, spec.m_max), grid), (spec, reference_grid(2, grid.degree))):
+        with pytest.raises(ContractError, match="S\\^2"):
+            constructive_fit(target, rule, *args)
 
 
 def test_constructive_parity_mismatch():
@@ -190,20 +199,36 @@ def test_ls_rejects_a_negative_ridge_or_cap(bad):
 def test_model_cap_invariant():
     ps = generate_points(1, 4, "equispaced_circle")
     with pytest.raises(ContractError):
-        FiniteNeuronModel(1, 1, ps, np.ones(4), norm_cap=1.0)
+        FiniteNeuronModel(1, ps, np.ones(4), norm_cap=1.0)
     for cap in (-1.0, float("nan")):
         with pytest.raises(ConfigurationError, match="norm_cap must be >= 0"):
-            FiniteNeuronModel(1, 1, ps, np.ones(4), norm_cap=cap)
-    assert FiniteNeuronModel(1, 1, ps, np.ones(4), norm_cap=0.0).norm_cap == 0.0
-    assert FiniteNeuronModel(1, 1, ps, np.ones(4), norm_cap=4.0).norm_cap == 4.0  # sqrt(4) * 2, on the cap
+            FiniteNeuronModel(1, ps, np.ones(4), norm_cap=cap)
+    assert FiniteNeuronModel(1, ps, np.ones(4), norm_cap=0.0).norm_cap == 0.0
+    assert FiniteNeuronModel(1, ps, np.ones(4), norm_cap=4.0).norm_cap == 4.0  # sqrt(4) * 2, on the cap
 
 
-def test_model_dimension_must_match_directions():
-    ps = generate_points(2, 4, "fibonacci_s2")
-    with pytest.raises(ContractError, match="dimension"):
-        FiniteNeuronModel(1, 1, ps, np.ones(4))
-    with pytest.raises(ContractError, match="dimension"):
-        FiniteNeuronModel(3, 1, ps, np.ones(4), on_sphere=True)
+def test_model_rejects_non_finite_coefficients():
+    ps = generate_points(1, 4, "equispaced_circle")
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ContractError, match="finite"):
+            FiniteNeuronModel(1, ps, np.array([1.0, bad, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("bad", ["short", "negative", "nan", "inf", "column"])
+def test_grid_weights_are_checked(bad):
+    """Weights one short raised numpy's ValueError, and weights -w gave a
+    model of NaN coefficients; each is a ContractError now."""
+    target = get_target("gaussian_bump", 2)
+    ps = generate_points(2, 16, "fibonacci_s2")
+    pts, w = domain_grid(2, 4096)
+    weights = {"short": w[:-1], "negative": -w, "nan": np.where(np.arange(len(w)) == 7, math.nan, w),
+               "inf": np.where(np.arange(len(w)) == 7, math.inf, w), "column": w[:, None]}[bad]
+    with pytest.raises(ContractError, match="grid weights"):
+        least_squares_fit(target, ps, pts, weights, k=1, ridge=1e-9)
+    model = least_squares_fit(target, ps, pts, w, k=1, ridge=1e-9)
+    for s in (0, 1):
+        with pytest.raises(ContractError, match="grid weights"):
+            error_norms(model, target, pts, weights, s=s)
 
 
 def test_inputs_of_the_wrong_width_are_rejected():
@@ -217,8 +242,8 @@ def test_inputs_of_the_wrong_width_are_rejected():
 
 def test_single_ridge_value_and_gradient():
     pts = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    ps = PointSet(2, pts, mesh_norm(pts, 2, 0.02), separation(pts), 0.02)
-    model = FiniteNeuronModel(2, 2, ps, np.array([1.0, 0.0]))
+    ps = PointSet(pts, 0.02)
+    model = FiniteNeuronModel(2, ps, np.array([1.0, 0.0]))
     x = np.array([0.5, 0.3])
     assert model(x) == pytest.approx(0.25)
     np.testing.assert_allclose(model.gradient(x), [1.0, 0.0], atol=1e-12)
@@ -226,8 +251,8 @@ def test_single_ridge_value_and_gradient():
 
 def test_dead_zone():
     pts = np.array([[1.0, 0.0], [math.sqrt(0.5), math.sqrt(0.5)]])
-    ps = PointSet(1, pts, mesh_norm(pts, 1), separation(pts), 0.0)
-    model = FiniteNeuronModel(1, 2, ps, np.array([1.0, 1.0]))
+    ps = PointSet(pts)
+    model = FiniteNeuronModel(2, ps, np.array([1.0, 1.0]))
     x = np.array([-2.0])
     assert model(x) == 0.0
     np.testing.assert_allclose(model.gradient(x), [0.0])
@@ -238,7 +263,7 @@ def test_gradient_matches_finite_differences():
     for d in (1, 2):
         for k in (1, 2, 3):
             ps = generate_points(d, 20, "uniform_random", seed=10 * d + k)
-            model = FiniteNeuronModel(d, k, ps, rng.standard_normal(20))
+            model = FiniteNeuronModel(k, ps, rng.standard_normal(20))
             for _ in range(10):
                 x = rng.uniform(-0.9, 0.9, d)
                 grad = model.gradient(x)
@@ -253,7 +278,7 @@ def test_gradient_matches_finite_differences():
 
 def test_gradient_k0_unsupported():
     ps = generate_points(1, 4, "equispaced_circle")
-    model = FiniteNeuronModel(1, 0, ps, np.ones(4))
+    model = FiniteNeuronModel(0, ps, np.ones(4))
     with pytest.raises(ContractError):
         model.gradient(np.array([0.0]))
 
@@ -261,7 +286,7 @@ def test_gradient_k0_unsupported():
 def test_error_norms_self_and_grid_consistency():
     ps = generate_points(2, 32, "fibonacci_s2")
     rng = np.random.Generator(np.random.Philox(2))
-    model = FiniteNeuronModel(2, 1, ps, 0.1 * rng.standard_normal(32))
+    model = FiniteNeuronModel(1, ps, 0.1 * rng.standard_normal(32))
     target = TargetFunction(
         "zero", 2, lambda x: np.zeros(len(np.atleast_2d(x))),
         grad=lambda x: np.zeros((len(np.atleast_2d(x)), 2)),
@@ -283,7 +308,7 @@ def test_error_norms_self_and_grid_consistency():
 
 def test_error_norms_missing_gradient():
     ps = generate_points(1, 4, "equispaced_circle")
-    model = FiniteNeuronModel(1, 1, ps, np.ones(4))
+    model = FiniteNeuronModel(1, ps, np.ones(4))
     target = TargetFunction("nograd", 1, lambda x: np.zeros(len(np.atleast_2d(x))))
     pts, w = domain_grid_1d(32)
     with pytest.raises(ContractError):
@@ -292,9 +317,9 @@ def test_error_norms_missing_gradient():
 
 def test_coef_stat_values():
     ps = generate_points(1, 4, "equispaced_circle")
-    model = FiniteNeuronModel(1, 1, ps, np.ones(4))
+    model = FiniteNeuronModel(1, ps, np.ones(4))
     assert coef_stat(model) == pytest.approx((2.0, 4.0, 4.0))
-    zero = FiniteNeuronModel(1, 1, ps, np.zeros(4))
+    zero = FiniteNeuronModel(1, ps, np.zeros(4))
     assert coef_stat(zero) == (0.0, 0.0, 0.0)
 
 
@@ -338,9 +363,9 @@ def test_blocked_evaluation_matches_one_shot(offset, k, d, n, on_sphere, seed):
     rng = np.random.Generator(np.random.Philox(seed))
     pts = rng.standard_normal((n, d + 1))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    ps = PointSet(d, pts, math.pi, max(separation(pts), 1e-3), 0.0)
+    ps = PointSet(pts)
     a = rng.standard_normal(n)
-    model = FiniteNeuronModel(d, k, ps, a, on_sphere=on_sphere)
+    model = FiniteNeuronModel(k, ps, a, on_sphere=on_sphere)
     rows = _offset_rows(offset, SMALL_BLOCK_FLOATS // n)
     x = rng.uniform(-1.5, 1.5, (rows, d + 1 if on_sphere else d))
     xt = x if on_sphere else np.column_stack([x, np.ones(rows)])
@@ -400,8 +425,8 @@ def test_evaluation_bit_identical_to_two_buffer_reference(offset, k, d, n, on_sp
     rng = np.random.Generator(np.random.Philox(seed))
     pts = rng.standard_normal((n, d + 1))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    ps = PointSet(d, pts, math.pi, max(separation(pts), 1e-3), 0.0)
-    model = FiniteNeuronModel(d, k, ps, rng.standard_normal(n), on_sphere=on_sphere)
+    ps = PointSet(pts)
+    model = FiniteNeuronModel(k, ps, rng.standard_normal(n), on_sphere=on_sphere)
     B = SMALL_BLOCK_FLOATS // n
     x = rng.uniform(-1.5, 1.5, (_offset_rows(offset, B), d + 1 if on_sphere else d))
     grad = k >= 1 and not on_sphere
@@ -425,8 +450,8 @@ def test_evaluation_at_zero_preactivations_matches_the_reference(k, on_sphere, m
     B = SMALL_BLOCK_FLOATS // 5
     s = math.sqrt(0.5)
     pts = np.array([[1.0, 0.0], [s, -s], [-s, -s], [0.0, 1.0], [-1.0, 0.0]])
-    ps = PointSet(1, pts, math.pi, separation(pts), 0.0)
-    model = FiniteNeuronModel(1, k, ps, np.array([1.5, -2.0, 0.25, 3.0, -0.5]), on_sphere=on_sphere)
+    ps = PointSet(pts)
+    model = FiniteNeuronModel(k, ps, np.array([1.5, -2.0, 0.25, 3.0, -0.5]), on_sphere=on_sphere)
     if on_sphere:
         base = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -1.0], [1.0, 0.0], [-1.0, -0.0], [s, s]])
     else:
@@ -490,10 +515,6 @@ def _unit(rows):
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
-def _direction_set(d, pts):
-    return PointSet(d, pts, math.pi, max(separation(pts), 1e-3), 0.0)
-
-
 def _small_grid(d, radius, rows, rng):
     """rows random points in the ball of the given radius, random weights summing to 1."""
     x = rng.standard_normal((rows, d))
@@ -540,10 +561,13 @@ def test_pruned_fit_solves_the_full_problem(d, k, n, strategy, radius, path, see
         pts = ps0.points
     else:
         pts = _unit(rng.standard_normal((n, d + 1)))
-    # one direction of each class: dead (b = -1), polynomial (b = 1), live (b = 0)
+    # one direction of each class: dead (b = -1), polynomial (b = 1), live (b = 0);
+    # a structured circle holds them already, up to rounding
     extra = np.zeros((3, d + 1))
     extra[0, d], extra[1, d], extra[2, 0] = -1.0, 1.0, 1.0
-    ps = _direction_set(d, np.vstack([pts, extra]))
+    held = np.min(np.linalg.norm(pts[:, None, :] - extra, axis=2), axis=0) < 1e-12
+    ps = PointSet(np.vstack([pts, extra[~held]]))
+    at = np.argmin(np.linalg.norm(ps.points[:, None, :] - extra, axis=2), axis=0)
     x, w = _small_grid(d, radius, 3 * ps.n + 20, rng)
     target = get_target("gaussian_bump", d)
     if path == "cap":
@@ -554,7 +578,7 @@ def test_pruned_fit_solves_the_full_problem(d, k, n, strategy, radius, path, see
     r = float(np.max(np.linalg.norm(x, axis=1)))
     b, wn = ps.points[:, d], np.linalg.norm(ps.points[:, :d], axis=1)
     dead, poly = b + wn * r < -1e-12, b - wn * r > 1e-12
-    assert dead[-3] and poly[-2] and not (dead[-1] or poly[-1])
+    assert dead[at[0]] and poly[at[1]] and not (dead[at[2]] or poly[at[2]])
     assert np.all(a[dead] == 0.0)
     null = _polynomial_null_space(ps, k, poly, rng)
     assert np.linalg.norm(null @ a[poly]) <= 1e-8 * max(np.linalg.norm(a), 1e-300)
@@ -609,14 +633,14 @@ def test_blocked_solvers_match_the_dense_design(d, k, n, on_sphere, offset, boun
         extra = np.zeros((3, d + 1))
         extra[0, d], extra[1, d], extra[2, 0] = -1.0, 1.0, 1.0
         pts = np.vstack([pts, extra])
-    ps = _direction_set(d, pts)
+    ps = PointSet(pts)
 
     def rows_for(r):
         b, wn = ps.points[:, d], np.linalg.norm(ps.points[:, :d], axis=1)
         dead, poly = b + wn * r < -1e-12, b - wn * r > 1e-12
         if on_sphere:  # nothing is pruned
             dead = poly = np.zeros(ps.n, dtype=bool)
-        cols = int(np.count_nonzero(~(dead | poly))) + _polynomial_block(ps, k, poly)[0].shape[1]
+        cols = int(np.count_nonzero(~(dead | poly))) + _polynomial_block(ps.points[poly], k)[0].shape[1]
         step = SMALL_BLOCK_FLOATS // (cols + 1)
         if boundary != "gram":
             step = max(1, SMALL_BLOCK_FLOATS // (2 * (cols + 1)))
@@ -664,16 +688,16 @@ def test_design_blocks_share_one_buffer_within_the_budget():
     dead, poly = b + wn * r < -1e-12, b - wn * r > 1e-12
     live = ~(dead | poly)
     assert np.any(dead) and np.any(poly)
-    live_ps = PointSet(2, ps.points[live], ps.h, ps.h_sep, ps.h_resolution)
-    T, _ = _polynomial_block(ps, 2, poly)
-    cols = live_ps.n + T.shape[1]
+    P = ps.points[live]
+    T, _ = _polynomial_block(ps.points[poly], 2)
+    cols = len(P) + T.shape[1]
     xt = np.column_stack([pts, np.ones(len(pts))])
     sw, yw = np.sqrt(w), np.sqrt(w) * np.cos(pts[:, 0])
     idx, _ = _monomials(2, 2)
-    dense = np.column_stack([features(live_ps, 2, pts), np.prod(xt[:, idx], axis=2) @ T]) * sw[:, None]
+    dense = np.column_stack([features(PointSet(P), 2, pts), np.prod(xt[:, idx], axis=2) @ T]) * sw[:, None]
     blocks = []
     step = BLOCK_FLOATS // (cols + 1)
-    for Bt in _design_blocks(live_ps, 2, T, np.ascontiguousarray(xt.T), sw, yw, step):
+    for Bt in _design_blocks(P, 2, T, np.ascontiguousarray(xt.T), sw, yw, step):
         assert Bt.flags.c_contiguous and Bt.shape[0] == cols + 1
         assert Bt.size <= BLOCK_FLOATS and (not blocks or np.shares_memory(Bt, blocks[0][1]))
         blocks.append((Bt.copy(), Bt))
@@ -699,7 +723,7 @@ def test_pruned_columns_are_exact():
     dead, poly = b + wn * r < -1e-12, b - wn * r > 1e-12
     assert dead.sum() > 0 and poly.sum() > 0
     for k in range(4):
-        T, V = _polynomial_block(ps, k, poly)
+        T, V = _polynomial_block(ps.points[poly], k)
         phi = features(ps, k, pts)
         assert np.all(phi[:, dead] == 0.0)
         idx, _ = _monomials(2, k)
@@ -712,7 +736,7 @@ def test_pruned_columns_are_exact():
 @pytest.mark.parametrize("path", [{}, {"ridge": 1e-6}, {"norm_cap": 1e-3}], ids=["lstsq", "ridge", "cap"])
 def test_every_direction_dead_gives_zero_coefficients(path):
     pts, w = domain_grid(2, 4096)
-    ps = _direction_set(2, _unit([[1.0, 0.0, -1.5], [0.0, 1.0, -1.2], [-0.6, 0.8, -2.0]]))
+    ps = PointSet(_unit([[1.0, 0.0, -1.5], [0.0, 1.0, -1.2], [-0.6, 0.8, -2.0]]))
     model = least_squares_fit(get_target("gaussian_bump", 2), ps, pts, w, k=2, **path)
     assert np.array_equal(model.a, np.zeros(3))
 
@@ -724,9 +748,9 @@ def test_fewer_polynomial_directions_than_monomials(path):
     rng = np.random.Generator(np.random.Philox(4))
     poly_dirs = np.column_stack([0.3 * rng.standard_normal((4, 2)), np.full(4, 2.0)])
     live_dirs = np.column_stack([_unit(rng.standard_normal((12, 2))), rng.uniform(-0.3, 0.3, 12)])
-    ps = _direction_set(2, _unit(np.vstack([poly_dirs, live_dirs])))
+    ps = PointSet(_unit(np.vstack([poly_dirs, live_dirs])))
     poly = np.arange(16) < 4
-    T, V = _polynomial_block(ps, 3, poly)
+    T, V = _polynomial_block(ps.points[poly], 3)
     assert T.shape == (10, 4) and V.shape == (4, 4)
     target = get_target("gaussian_bump", 2)
     model = least_squares_fit(target, ps, pts, w, k=3, **path)
@@ -795,7 +819,7 @@ def test_least_squares_fit_diagnostics_record(caplog):
     grid = reference_grid(1, 256)
     (info,) = _fit_records(caplog, sphere, generate_points(1, 16, "equispaced_circle"), grid.nodes, grid.weights)
     assert (info["live"], info["polynomial"], info["dead"], info["columns"]) == (16, 0, 0, 16)
-    dead_only = _direction_set(2, _unit([[1.0, 0.0, -1.5], [0.0, 1.0, -1.2]]))
+    dead_only = PointSet(_unit([[1.0, 0.0, -1.5], [0.0, 1.0, -1.2]]))
     (info,) = _fit_records(caplog, target, dead_only, pts, w, k=2, ridge=1e-9)
     assert (info["columns"], info["block_rows"]) == (0, 0)  # no block is built
 
@@ -838,7 +862,7 @@ def test_evaluation_holds_at_most_two_blocks(n, k):
     64 KiB of slack for small objects: no copy of the whole input is made."""
     pts, _ = disk_problem().grid()
     ps = generate_points(2, n, "fibonacci_s2")
-    model = FiniteNeuronModel(2, k, ps, np.random.default_rng(0).standard_normal(n))
+    model = FiniteNeuronModel(k, ps, np.random.default_rng(0).standard_normal(n))
     tracemalloc.start()
     try:
         values, grads = model._evaluate(pts, grad=True)

@@ -144,7 +144,7 @@ def test_erm_zero_source():
         grad=lambda x: np.zeros((len(np.atleast_2d(x)), 1)),
     )
     prob = EllipticProblem(
-        1, "null", 1.0, lambda x: np.zeros(len(x)), zero_tf,
+        "null", 1.0, lambda x: np.zeros(len(x)), zero_tf,
         base.sample, base.grid, 0.0,
     )
     ps = interval_directions(6)
@@ -342,7 +342,7 @@ def _erm_reference(problem, ps, samples, k, norm_cap=0.0):
             a = np.linalg.solve(A, b)
         except np.linalg.LinAlgError:
             a = np.linalg.solve(A + 1e-12 * np.eye(ps.n), b)
-    model = FiniteNeuronModel(problem.d, k, ps, a, norm_cap)
+    model = FiniteNeuronModel(k, ps, a, norm_cap)
     emp = problem.volume * float(np.mean(_psi(phi @ a, dphi @ (a[:, None] * wdirs), h)))
     pts, w = problem.grid()
     values, grads = model._evaluate(pts, grad=True)

@@ -51,7 +51,7 @@ def test_equispaced_rule_is_uniform():
 
 def test_single_point_rule():
     pts = np.array([[0.0, 0.0, 1.0]])
-    ps = PointSet(2, pts, mesh_norm(pts, 2, 0.02), separation(pts), 0.02)
+    ps = PointSet(pts, 0.02)
     rule = build_rule(ps, 0)
     assert rule.exact_degree == 0
     assert rule.weights[0] == pytest.approx(1.0)

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from fnspace import sphere
+from fnspace import pde_erm, sphere
 from fnspace.errors import ConfigurationError, ContractError
 from fnspace.sphere import (
     PointSet,
@@ -20,6 +20,7 @@ from fnspace.sphere import (
     pointset_to_json,
     separation,
 )
+from fnspace.quadrature import build_rule
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -114,19 +115,45 @@ def test_generate_points_bad_configs():
 
 def test_mesh_norm_singleton():
     pt = np.array([[0.0, 0.0, 1.0]])
-    h = mesh_norm(pt, 2, resolution=0.02)
+    h = mesh_norm(pt, resolution=0.02)
     assert h == pytest.approx(math.pi, abs=0.05)
 
 
 def test_mesh_norm_accepts_pointset():
     ps = generate_points(1, 8, "equispaced_circle")
     assert mesh_norm(ps) == pytest.approx(math.pi / 8.0, abs=1e-12)
+    ps = generate_points(2, 100, "fibonacci_s2", resolution=0.005)
+    assert mesh_norm(ps) == ps.h  # searched at the set's resolution, not the default
+
+
+def test_h_is_searched_on_first_read_only(caplog):
+    """A set that only fits and integrates never searches for h; the first
+    read of h searches once, and later reads reuse it."""
+    prob = pde_erm.disk_problem()
+    with caplog.at_level(logging.DEBUG, logger="fnspace.sphere"):
+        ps = generate_points(2, 16, "fibonacci_s2")
+        pde_erm.erm_fit(prob, ps, prob.sample(256, 0), k=2)
+        build_rule(generate_points(2, 64, "uniform_random", seed=3), 6)
+        assert not [r for r in caplog.records if r.name == "fnspace.sphere"]
+        h = ps.h
+        (record,) = [r for r in caplog.records if r.name == "fnspace.sphere"]
+        assert json.loads(record.getMessage())["h"] == h
+        assert ps.h == h
+        assert len([r for r in caplog.records if r.name == "fnspace.sphere"]) == 1
+
+
+def test_sets_beyond_s2_construct_without_a_mesh_norm():
+    ps = generate_points(3, 64, "uniform_random")
+    assert ps.d == 3 and ps.points.shape == (64, 4)
+    assert ps.h_sep > 0.0
+    with pytest.raises(ConfigurationError, match="d=2"):
+        ps.h
 
 
 def test_duplicate_points_rejected():
     pts = np.array([[1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ContractError):
-        PointSet(1, pts, 1.0, separation(pts), 0.0)
+        PointSet(pts)
 
 
 def test_json_roundtrip():
@@ -135,6 +162,14 @@ def test_json_roundtrip():
     np.testing.assert_array_equal(back.points, ps.points)
     assert back.h == ps.h and back.h_sep == ps.h_sep and back.d == ps.d
     assert back.strategy == ps.strategy
+
+
+@pytest.mark.parametrize("d, strategy", [(1, "equispaced_circle"), (2, "fibonacci_s2")])
+def test_json_d_must_match_the_rows(d, strategy):
+    payload = json.loads(pointset_to_json(generate_points(d, 12, strategy)))
+    payload["d"] = 3 - d
+    with pytest.raises(ContractError, match="does not match rows"):
+        pointset_from_json(json.dumps(payload))
 
 
 @lru_cache(maxsize=4)
@@ -198,7 +233,7 @@ def _s2_rows(draw):
 
 @given(_s2_rows(), st.sampled_from([0.02, 0.03, 0.05, 0.07, 0.1]))
 def test_hull_mesh_norm_equals_full_grid_search(rows, resolution):
-    assert mesh_norm(rows, 2, resolution) == _grid_mesh_norm_reference(rows, 2, resolution)
+    assert mesh_norm(rows, resolution) == _grid_mesh_norm_reference(rows, 2, resolution)
 
 
 @settings(deadline=None)  # one example takes up to ~0.2 s, near the default deadline
@@ -247,29 +282,29 @@ def test_resolution_must_be_positive(d, strategy, resolution):
     with pytest.raises(ConfigurationError, match="resolution must be > 0"):
         generate_points(d, 16, strategy, resolution=resolution)
     with pytest.raises(ConfigurationError, match="resolution must be > 0"):
-        mesh_norm(generate_points(d, 16, strategy).points, d, resolution)
+        mesh_norm(generate_points(d, 16, strategy).points, resolution)
 
 
 def test_off_sphere_rows_rejected():
     pts = generate_points(2, 16, "fibonacci_s2").points.copy()
     pts[3] *= 1.0 + 1e-13
-    mesh_norm(pts, 2, resolution=0.05)
+    mesh_norm(pts, resolution=0.05)
     separation(pts)
     pts[3] *= 1.0 + 1e-11
     with pytest.raises(ContractError):
-        mesh_norm(pts, 2, resolution=0.05)
+        mesh_norm(pts, resolution=0.05)
     with pytest.raises(ContractError):
         separation(pts)
     with pytest.raises(ContractError):
-        mesh_norm(np.array([[0.5, 0.0, 0.0]]), 2)
+        mesh_norm(np.array([[0.5, 0.0, 0.0]]))
     with pytest.raises(ContractError):
-        mesh_norm(pts[:, :2], 2)
+        mesh_norm(pts[:, :2])
 
 
 def _mesh_norm_record(caplog, points, resolution=0.01):
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="fnspace.sphere"):
-        h = mesh_norm(points, 2, resolution)
+        h = mesh_norm(points, resolution)
     (record,) = [r for r in caplog.records if r.name == "fnspace.sphere"]
     assert record.levelno == logging.DEBUG
     return h, json.loads(record.getMessage())
