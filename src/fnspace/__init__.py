@@ -2,7 +2,8 @@
 
 Library layout:
 
-- sphere: point sets on S^d, mesh norm and separation diagnostics
+- sphere: point sets on S^d, mesh norm (searched on S^2 at a fixed 0.01)
+  and separation diagnostics
 - harmonics: Legendre polynomials, spherical harmonics, reference grids
 - activation: ReLU^k spectrum, decay majorant, dot-product kernel
 - quadrature: positive rules on scattered points, exact to a degree
@@ -34,6 +35,6 @@ from .models import (
 )
 from .pde_erm import EllipticProblem, ErmResult, disk_problem, erm_fit, interval_problem
 from .quadrature import QuadratureRule, build_rule, integrate
-from .sphere import PointSet, generate_points, geodesic_distance, mesh_norm
+from .sphere import PointSet, generate_points, geodesic_distance
 
 __version__ = "0.1.0"

@@ -41,14 +41,13 @@ NUMERIC_ERRORS = (PrecisionError, NumericalError, np.linalg.LinAlgError)
 
 def _point_keys(**extra) -> dict:
     """The keys of generate_points' point set, then extra."""
-    return {"d": (int, MISSING), "n": (int, MISSING), "strategy": (str, MISSING),
-            "seed": (int, 0), "resolution": (float, 0.01)} | extra
+    return {"d": (int, MISSING), "n": (int, MISSING), "strategy": (str, MISSING), "seed": (int, 0)} | extra
 
 
 def _sweep_keys(*unread) -> dict:
     """ExperimentConfig's fields but the unread ones, each with the field's default."""
     kinds = {"d": int, "k": int, "target": str, "strategy": str, "ns": harness._parse_int_list, "path": str,
-             "seeds": harness._parse_int_list, "ridge": float, "resolution": float, "s": int}
+             "seeds": harness._parse_int_list, "ridge": float, "s": int}
     return {f.name: (kinds[f.name], f.default) for f in fields(ExperimentConfig) if f.name not in unread}
 
 

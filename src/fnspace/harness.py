@@ -9,7 +9,9 @@ return their config hash and rows and write nothing; the CLI writes every
 result file, through write_result, and every CSV through write_csv (floats
 with repr).  A sweep's hash is the hash of all its typed values, with its
 sizes (ns, ms) and seeds sorted, so every spelling of one sweep names the
-same files and identical sweeps produce byte-identical output.
+same files and identical sweeps produce byte-identical output.  The CSV's h
+is the point set's own, searched on S^2 at sphere's one fixed resolution,
+which no config key sets.
 """
 
 from __future__ import annotations
@@ -148,7 +150,6 @@ class ExperimentConfig:
     path: str = "ls"  # "ls" or "constructive"
     seeds: tuple[int, ...] = (0,)
     ridge: float = 0.0
-    resolution: float = 0.01
     s: int = 1
 
     def __post_init__(self):
@@ -160,8 +161,8 @@ class ExperimentConfig:
             raise ConfigurationError("ns must be nonempty")
         if not self.ridge >= 0.0:  # NaN too
             raise ConfigurationError(f"ridge must be >= 0, got {self.ridge}")
-        if not (self.k >= 0 and self.resolution > 0.0):  # NaN too
-            raise ConfigurationError(f"need k >= 0 and resolution > 0, got {self.k} and {self.resolution}")
+        if self.k < 0:
+            raise ConfigurationError(f"k must be >= 0, got {self.k}")
         object.__setattr__(self, "ns", _size_set("ns", self.ns))
         object.__setattr__(self, "seeds", _size_set("seeds", self.seeds))
 
@@ -244,7 +245,7 @@ def _rate_row(*cells) -> dict:
 
 
 def _rate_row_constructive(cfg: ExperimentConfig, target, n: int) -> dict:
-    ps = generate_points(cfg.d, n, cfg.strategy, seed=cfg.seeds[0], resolution=cfg.resolution)
+    ps = generate_points(cfg.d, n, cfg.strategy, seed=cfg.seeds[0])
     rule = quadrature.build_rule(ps, n - 1 if cfg.d == 1 else quadrature.default_degree(ps))
     spec = spectrum(cfg.d, cfg.k, rule.J + 4)
     grid = reference_grid(cfg.d, max(2 * rule.J + 8, 1024 if cfg.d == 1 else 64))
@@ -284,7 +285,7 @@ def _on_grid(target: TargetFunction, pts: np.ndarray) -> TargetFunction:
 def _rate_row_ls(cfg: ExperimentConfig, target, n: int, strategy: str, seed: int, grid, s: int) -> dict:
     """One least-squares cell: the point set, its fit on the grid, and the errors
     up to order s; at s = 0 error_h1 is NaN, since it was not computed."""
-    ps = generate_points(cfg.d, n, strategy, seed=seed, resolution=cfg.resolution)
+    ps = generate_points(cfg.d, n, strategy, seed=seed)
     model = least_squares_fit(target, ps, *grid, k=cfg.k, ridge=cfg.ridge)
     l2, h1 = error_norms(model, target, *grid, s=s)
     return _rate_row(n, ps.h, l2, h1 if s else float("nan"), coef_stat(model)[1], "")

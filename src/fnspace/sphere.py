@@ -3,10 +3,12 @@
 Mesh norm (covering radius) and separation are the two diagnostics that
 drive every approximation-rate experiment.  On the circle the mesh norm
 is exact, from sorted angles.  On S^2 it is searched on a Fibonacci grid
-with covering radius below the requested resolution: the reported h is
-the largest geodesic distance from a grid point to its nearest direction,
-plus the resolution, so it over-estimates the true mesh norm by at most
-that resolution.
+with covering radius below the fixed MESH_RESOLUTION = 0.01: the reported
+h is the largest geodesic distance from a grid point to its nearest
+direction, plus that resolution, so it over-estimates the true mesh norm
+by at most 0.01.  Every PointSet searches at that one resolution;
+_search_grid and _grid_mesh_norm take it as an argument, so a search at
+another resolution is a call to them.
 
 Only the grid points that can hold that maximum are queried.  For unit
 directions the facets of their convex hull are the spherical Delaunay
@@ -40,8 +42,10 @@ the "fnspace.sphere" logger, quiet by default: n, the grid size, the grid
 points queried, the bound used and h.
 
 Separation is 2 arcsin(chord/2) of the nearest-neighbour chord from the
-same cKDTree, which is also accurate at small angles.  Both diagnostics
-hold for unit rows only, so off-sphere rows raise ContractError.
+same cKDTree, which is also accurate at small angles.  A PointSet refuses
+directions nearer than SEP_FLOOR = 1e-12, the unit-row tolerance, as
+duplicates.  Both diagnostics hold for unit rows only, so off-sphere rows
+raise ContractError.
 
 Random strategies use numpy's Philox counter-based generator, so a seed
 identifies the point set portably.
@@ -52,7 +56,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -65,7 +69,6 @@ __all__ = [
     "geodesic_distance",
     "PointSet",
     "generate_points",
-    "mesh_norm",
     "separation",
     "pointset_to_json",
     "pointset_from_json",
@@ -73,6 +76,10 @@ __all__ = [
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 UNIT_TOL = 1e-12
+# rows are unit only to UNIT_TOL, so directions nearer than that are one direction
+SEP_FLOOR = UNIT_TOL
+# the S^2 search resolution: h over-estimates the mesh norm by at most this
+MESH_RESOLUTION = 0.01
 # chord slack on the hull bound, so the queried set always holds the maximum
 HULL_SLACK = 1e-9
 # searched caps covering this many spheres' area, with overlap, query the whole grid
@@ -199,24 +206,22 @@ class PointSet:
     """
 
     points: np.ndarray = field(repr=False)
-    resolution: float = 0.01
+    _: KW_ONLY
     strategy: str = "custom"
     seed: int = 0
     h_sep: float = field(init=False)
     _tree: cKDTree = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.resolution > 0.0:  # NaN too
-            raise ConfigurationError(f"resolution must be > 0, got {self.resolution}")
         object.__setattr__(self, "points", _unit_rows(self.points))
         object.__setattr__(self, "_tree", cKDTree(self.points))
         object.__setattr__(self, "h_sep", _separation(self._tree))
-        if self.h_sep <= 0.0:
-            raise ContractError("point set contains duplicate points")
+        if self.h_sep < SEP_FLOOR:
+            raise ContractError(f"point set holds directions nearer than {SEP_FLOOR}: h_sep = {self.h_sep}")
 
     @cached_property
     def h(self) -> float:
-        return _grid_mesh_norm(self._tree, self.resolution)
+        return _grid_mesh_norm(self._tree, MESH_RESOLUTION)
 
     @property
     def d(self) -> int:
@@ -228,18 +233,7 @@ class PointSet:
 
     @property
     def h_resolution(self) -> float:
-        return 0.0 if self.d == 1 else self.resolution
-
-
-def mesh_norm(points, resolution: float = 0.01) -> float:
-    """Covering radius estimate via dense grid search (exact on the circle).
-
-    Accepts either a PointSet, whose h it returns, or a raw (n, d+1) array
-    of unit rows, which may repeat.
-    """
-    if isinstance(points, PointSet):
-        return points.h
-    return _grid_mesh_norm(cKDTree(_unit_rows(points)), resolution)
+        return 0.0 if self.d == 1 else MESH_RESOLUTION
 
 
 def _fibonacci_sphere(n: int) -> np.ndarray:
@@ -261,13 +255,7 @@ def _uniform_random(d: int, n: int, seed: int) -> np.ndarray:
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
-def generate_points(
-    d: int,
-    n: int,
-    strategy: str,
-    seed: int = 0,
-    resolution: float = 0.01,
-) -> PointSet:
+def generate_points(d: int, n: int, strategy: str, seed: int = 0) -> PointSet:
     """Deterministic point-set generation; h_sep is computed on return, h on first read.
 
     Strategies: equispaced_circle (d=1), fibonacci_s2 (d=2), uniform_random
@@ -287,7 +275,7 @@ def generate_points(
         pts = _uniform_random(d, n, seed)
     else:
         raise ConfigurationError(f"unknown strategy {strategy!r}")
-    return PointSet(pts, resolution, strategy, seed)
+    return PointSet(pts, strategy=strategy, seed=seed)
 
 
 def pointset_to_json(ps: PointSet) -> str:
@@ -309,5 +297,7 @@ def pointset_from_json(text: str) -> PointSet:
     pts = np.array([[float(x) for x in row] for row in obj["points"]])
     if pts.shape[-1] != obj["d"] + 1:
         raise ContractError(f"d = {obj['d']} does not match rows of width {pts.shape[-1]}")
-    # a circle's file records h_resolution 0, as h is exact there, not a search resolution
-    return PointSet(pts, obj["resolution"] if obj["d"] > 1 else 0.01, obj["strategy"], obj["seed"])
+    ps = PointSet(pts, strategy=obj["strategy"], seed=obj["seed"])
+    if obj["resolution"] != ps.h_resolution:
+        raise ContractError(f"resolution = {obj['resolution']} is not the set's h_resolution {ps.h_resolution}")
+    return ps

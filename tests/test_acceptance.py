@@ -103,7 +103,7 @@ def test_criterion_04_quadrature_exactness(capsys):
     ok = True
     detail = []
     for n in (100, 200, 400):
-        ps = generate_points(2, n, "fibonacci_s2", resolution=0.005)
+        ps = generate_points(2, n, "fibonacci_s2")
         rule = build_rule(ps, default_degree(ps))
         degrees[n] = rule.exact_degree
         ok &= bool(np.all(rule.weights >= 0.0))

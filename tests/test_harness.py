@@ -98,15 +98,32 @@ def test_experiment_config_rejects_a_negative_ridge(ridge):
         ExperimentConfig(d=1, k=1, target="gaussian_bump", strategy="equispaced_circle", ns=(8, 16), ridge=ridge)
 
 
-@pytest.mark.parametrize("field", [{"k": -1}, {"resolution": 0.0}, {"resolution": -0.01}, {"resolution": math.nan}])
-def test_experiment_config_rejects_a_negative_k_or_resolution(field):
-    with pytest.raises(ConfigurationError, match="need k >= 0 and resolution > 0"):
-        ExperimentConfig(**{"d": 2, "k": 1, "target": "gaussian_bump", "strategy": "fibonacci_s2", "ns": (8, 16)} | field)
+def test_experiment_config_rejects_a_negative_k():
+    with pytest.raises(ConfigurationError, match="k must be >= 0"):
+        ExperimentConfig(d=2, k=-1, target="gaussian_bump", strategy="fibonacci_s2", ns=(8, 16))
 
 
 def test_run_pde_rejects_a_size_below_one():
     with pytest.raises(ConfigurationError, match="sample sizes must be >= 1"):
         run_pde("interval", 2, (-4, 64, 128, 256), (0,))
+
+
+FIB_SWEEP = "d = 2\nk = 1\ntarget = gaussian_bump\nstrategy = fibonacci_s2\nns = 16 32\n"
+RESOLUTION_CASES = {  # command: a config it runs, which then sets resolution
+    "points": "d = 2\nn = 16\nstrategy = fibonacci_s2\n",
+    "quad": "d = 2\nn = 16\nstrategy = fibonacci_s2\n",
+    "approx": FIB_SWEEP,
+    "rates": FIB_SWEEP,
+    "randcmp": FIB_SWEEP + "seeds = 0 1 2 3 4 5 6 7 8 9\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(RESOLUTION_CASES))
+def test_cli_resolution_is_an_unknown_key(command, tmp_path, capsys):
+    """The S^2 search resolution is fixed, so a config that sets it, even to its value, exits 2."""
+    assert _cli(tmp_path, command, RESOLUTION_CASES[command] + "resolution = 0.01\n", tmp_path / "out") == 2
+    assert "unknown config key: resolution" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_rates_rejects_a_negative_ridge(tmp_path, capsys):
@@ -122,7 +139,7 @@ def test_config_hash_reads_every_field():
     assert _sweep(keys).ns == built.ns == (8, 16)
     assert _sweep(keys).hash == built.hash == config_hash(dataclasses.asdict(built))
     other = {"d": 2, "k": 2, "target": "smooth_even_circle", "strategy": "uniform_random", "ns": (8, 32),
-             "path": "constructive", "seeds": (1,), "ridge": 1e-9, "resolution": 0.02, "s": 0}
+             "path": "constructive", "seeds": (1,), "ridge": 1e-9, "s": 0}
     for field in dataclasses.fields(ExperimentConfig):
         assert dataclasses.replace(built, **{field.name: other[field.name]}).hash != built.hash
 
@@ -306,7 +323,6 @@ DEFAULT_SPELLINGS = {  # a sweep key's default, spelled as a config line could w
     "path": ["ls"],
     "seeds": ["0"],
     "ridge": ["0", "0.0", "0e0"],
-    "resolution": ["0.01", "1e-2"],
     "s": ["1"],
 }
 
@@ -502,8 +518,6 @@ CLI_CASES = {  # command: (a good config, then bad ones: a broken config, a non-
         "d = 1\nn = 8\nstrategy = nonsense\n",
         "d = 1\nn = eight\nstrategy = equispaced_circle\n",
         "d = 1\nn = 8\nstrategy = equispaced_circle\nbogus = 1\n",  # unread key
-        "d = 2\nn = 16\nstrategy = fibonacci_s2\nresolution = 0\n",  # resolution must be > 0
-        "d = 2\nn = 16\nstrategy = fibonacci_s2\nresolution = nan\n",
         "d = 3\nn = 64\nstrategy = uniform_random\n",  # no mesh-norm search beyond S^2
     ),
     "quad": (
@@ -558,9 +572,6 @@ CLI_CASES = {  # command: (a good config, then bad ones: a broken config, a non-
         RATES_CFG.replace("ns = 8 16", "ns = 8 8 16"),
         "d = 1\nk = 1\ntarget = smooth_even_circle\nstrategy = equispaced_circle\nns = 16 32\n"
         "path = constructive\nridge = 0.5\ns = 0\n",  # no ridge on the constructive path
-        RATES_CFG + "resolution = 0\n",  # resolution must be > 0
-        RATES_CFG + "resolution = -0.01\n",
-        RATES_CFG + "resolution = nan\n",
         RATES_CFG.replace("k = 1", "k = -1"),  # k must be >= 0
         RATES_CFG + "k = 2\n",  # a key set twice
         "d = 1\nk = 1\ntarget = smooth_even_circle\nstrategy = equispaced_circle\nns = 16 32 64 128\n",  # sphere target on ls

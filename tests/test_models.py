@@ -242,7 +242,7 @@ def test_inputs_of_the_wrong_width_are_rejected():
 
 def test_single_ridge_value_and_gradient():
     pts = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    ps = PointSet(pts, 0.02)
+    ps = PointSet(pts)
     model = FiniteNeuronModel(2, ps, np.array([1.0, 0.0]))
     x = np.array([0.5, 0.3])
     assert model(x) == pytest.approx(0.25)

@@ -28,13 +28,12 @@ import fnspace
 from fnspace.sphere import (
     PointSet,
     generate_points,
-    mesh_norm,
     pointset_from_json,
     pointset_to_json,
     separation,
 )
 
-# frozen regression values for fibonacci_s2 n=200 at resolution 0.005:
+# frozen regression values for fibonacci_s2 n=200:
 # achieved degree with the default target 2*floor(0.5/h), and the
 # weight-bound constant max tau_j / h^2
 FIB200_D = 4
@@ -51,14 +50,14 @@ def test_equispaced_rule_is_uniform():
 
 def test_single_point_rule():
     pts = np.array([[0.0, 0.0, 1.0]])
-    ps = PointSet(pts, 0.02)
+    ps = PointSet(pts)
     rule = build_rule(ps, 0)
     assert rule.exact_degree == 0
     assert rule.weights[0] == pytest.approx(1.0)
 
 
 def test_fibonacci_rule_regression():
-    ps = generate_points(2, 200, "fibonacci_s2", resolution=0.005)
+    ps = generate_points(2, 200, "fibonacci_s2")
     rule = build_rule(ps, default_degree(ps))
     assert rule.exact_degree == FIB200_D
     assert rule.residual <= 1e-8
@@ -69,13 +68,13 @@ def test_fibonacci_rule_regression():
 def test_weight_bound_stable_across_n():
     cs = []
     for n in (100, 200, 400):
-        ps = generate_points(2, n, "fibonacci_s2", resolution=0.005)
+        ps = generate_points(2, n, "fibonacci_s2")
         cs.append(build_rule(ps, default_degree(ps)).c_tau)
     assert max(cs) / min(cs) <= 3.0
 
 
 def test_integrate_exactness():
-    ps = generate_points(2, 200, "fibonacci_s2", resolution=0.005)
+    ps = generate_points(2, 200, "fibonacci_s2")
     rule = build_rule(ps, 4)
     assert integrate(rule, np.ones(ps.n)) == pytest.approx(1.0, abs=1e-10)
     for m in (1, 2):
@@ -86,7 +85,7 @@ def test_integrate_exactness():
 
 
 def test_product_exactness_random_polys():
-    ps = generate_points(2, 200, "fibonacci_s2", resolution=0.005)
+    ps = generate_points(2, 200, "fibonacci_s2")
     rule = build_rule(ps, 4)
     grid = reference_grid(2, 20)
     rng = np.random.Generator(np.random.Philox(8))
@@ -137,7 +136,7 @@ def test_rule_invariants_enforced():
 
 
 def test_json_roundtrip():
-    ps = generate_points(2, 100, "fibonacci_s2", resolution=0.01)
+    ps = generate_points(2, 100, "fibonacci_s2")
     rule = build_rule(ps, default_degree(ps))
     back = rule_from_json(rule_to_json(rule))
     np.testing.assert_array_equal(back.weights, rule.weights)
@@ -206,7 +205,7 @@ SMALL_SETS = st.sampled_from(
 @given(SMALL_SETS, st.integers(1, 40), st.integers(0, 2**32 - 1), st.data())
 def test_shared_moment_matrix_matches_rebuild_per_degree(kind, n, seed, data):
     d, strategy = kind
-    ps = generate_points(d, n, strategy, seed=seed, resolution=0.05)
+    ps = generate_points(d, n, strategy, seed=seed)
     D_target = data.draw(st.integers(0, 2 * math.isqrt(n) + 4), label="D_target")
     got, want = _outcome(build_rule, ps, D_target), _outcome(_rebuild_per_degree, ps, D_target)
     if isinstance(want, Exception):  # an odd chain failed: build_rule ends at the mass rule
@@ -223,7 +222,7 @@ def test_rule_invariants(kind, n, seed, data):
     """Weights >= 0 summing to 1, residual <= tol, and each harmonic moment up
     to exact_degree within tol, evaluated block by block."""
     d, strategy = kind
-    ps = generate_points(d, n, strategy, seed=seed, resolution=0.05)
+    ps = generate_points(d, n, strategy, seed=seed)
     rule = build_rule(ps, data.draw(st.integers(0, 2 * math.isqrt(n) + 4), label="D_target"))
     w = rule.weights
     assert np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-10
@@ -234,12 +233,11 @@ def test_rule_invariants(kind, n, seed, data):
 
 
 @settings(max_examples=100, deadline=None)
-@given(SMALL_SETS, st.integers(1, 40), st.integers(0, 2**32 - 1), st.integers(0, 8),
-       st.sampled_from([0.02, 0.05, 0.1]))
-def test_json_round_trips_are_exact(kind, n, seed, D_target, resolution):
+@given(SMALL_SETS, st.integers(1, 40), st.integers(0, 2**32 - 1), st.integers(0, 8))
+def test_json_round_trips_are_exact(kind, n, seed, D_target):
     """A point set and a rule read back from JSON equal the originals bit for bit."""
     d, strategy = kind
-    ps = generate_points(d, n, strategy, seed=seed, resolution=resolution)
+    ps = generate_points(d, n, strategy, seed=seed)
     back = pointset_from_json(pointset_to_json(ps))
     assert np.array_equal(back.points, ps.points)
     assert (back.d, back.h, back.h_sep, back.h_resolution, back.strategy, back.seed) == (
@@ -261,7 +259,7 @@ def test_odd_target_falls_back_to_mass_rule():
 
 
 def test_moment_matrix_prefix_is_lower_degree_system():
-    ps = generate_points(2, 60, "fibonacci_s2", resolution=0.05)
+    ps = generate_points(2, 60, "fibonacci_s2")
     A_top, b_top = _moment_system(ps, 12)
     for D in range(13):
         rows = sum(harmonic_dim(2, m) for m in range(D + 1))
@@ -282,7 +280,7 @@ def _diagnostics(caplog, ps, D_target, tol=1e-8):
 def test_skipped_degrees_have_no_nnls_rule(caplog):
     skipped = 0
     for strategy, n in (("fibonacci_s2", 100), ("uniform_random", 200), ("fibonacci_s2", 6)):
-        ps = generate_points(2, n, strategy, seed=n, resolution=0.05)
+        ps = generate_points(2, n, strategy, seed=n)
         rule, info = _diagnostics(caplog, ps, 2 * math.isqrt(n))
         for D in info["nnls_skipped"]:
             assert D > rule.exact_degree
@@ -294,7 +292,7 @@ def test_skipped_degrees_have_no_nnls_rule(caplog):
 
 
 def test_build_rule_diagnostics_record(caplog):
-    ps = generate_points(2, 200, "uniform_random", seed=200, resolution=0.05)
+    ps = generate_points(2, 200, "uniform_random", seed=200)
     rule, info = _diagnostics(caplog, ps, 28)
     assert info["D_target"] == 28
     assert info["D"] == rule.exact_degree < 28
@@ -407,7 +405,7 @@ def test_certificates_leave_rules_and_records_unchanged(caplog, kind, n, seed, t
     """build_rule equals the lstsq-at-every-degree reference bit for bit, record
     included; the looser tolerances bring both certificates near their bounds."""
     d, strategy = kind
-    ps = generate_points(d, n, strategy, seed=seed, resolution=0.05)
+    ps = generate_points(d, n, strategy, seed=seed)
     D_target = data.draw(st.integers(0, 2 * math.isqrt(n) + 4), label="D_target")
     _assert_matches_lstsq_first(caplog, ps, D_target, tol)
 

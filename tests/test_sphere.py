@@ -15,7 +15,6 @@ from fnspace.sphere import (
     PointSet,
     generate_points,
     geodesic_distance,
-    mesh_norm,
     pointset_from_json,
     pointset_to_json,
     separation,
@@ -27,6 +26,11 @@ E2 = np.array([0.0, 1.0, 0.0])
 
 # frozen regression value: dense-grid mesh-norm search at resolution 0.005
 FIB400_H = 0.14128961182426011
+
+
+def _searched_h(points, resolution):
+    """The S^2 mesh-norm search of unit rows, which may repeat, at a given resolution."""
+    return sphere._grid_mesh_norm(cKDTree(points), resolution)
 
 
 def test_geodesic_trivial_cases():
@@ -62,16 +66,16 @@ def test_equispaced_circle_exact_diagnostics():
 
 
 def test_fibonacci_regression_and_scaling():
-    ps = generate_points(2, 400, "fibonacci_s2", resolution=0.005)
-    assert ps.h == pytest.approx(FIB400_H, abs=1e-9)
-    assert ps.h * math.sqrt(400) < 3.0
-    h100 = generate_points(2, 100, "fibonacci_s2", resolution=0.005).h
-    assert ps.h / h100 == pytest.approx(0.5, rel=0.2)
+    h400 = _searched_h(generate_points(2, 400, "fibonacci_s2").points, 0.005)
+    assert h400 == pytest.approx(FIB400_H, abs=1e-9)
+    assert h400 * math.sqrt(400) < 3.0
+    h100 = _searched_h(generate_points(2, 100, "fibonacci_s2").points, 0.005)
+    assert h400 / h100 == pytest.approx(0.5, rel=0.2)
 
 
 def test_fibonacci_mesh_norm_exponent():
     ns = (64, 128, 256, 512, 1024)
-    hs = [generate_points(2, n, "fibonacci_s2", resolution=0.005).h for n in ns]
+    hs = [generate_points(2, n, "fibonacci_s2").h for n in ns]
     slope = np.polyfit(np.log(ns), np.log(hs), 1)[0]
     assert -0.6 <= slope <= -0.4
 
@@ -114,16 +118,22 @@ def test_generate_points_bad_configs():
 
 
 def test_mesh_norm_singleton():
-    pt = np.array([[0.0, 0.0, 1.0]])
-    h = mesh_norm(pt, resolution=0.02)
-    assert h == pytest.approx(math.pi, abs=0.05)
+    ps = PointSet(np.array([[0.0, 0.0, 1.0]]))
+    assert ps.h == pytest.approx(math.pi, abs=0.05)
 
 
-def test_mesh_norm_accepts_pointset():
-    ps = generate_points(1, 8, "equispaced_circle")
-    assert mesh_norm(ps) == pytest.approx(math.pi / 8.0, abs=1e-12)
-    ps = generate_points(2, 100, "fibonacci_s2", resolution=0.005)
-    assert mesh_norm(ps) == ps.h  # searched at the set's resolution, not the default
+def test_every_set_searches_at_the_one_resolution():
+    """Beyond the circle, h_resolution is the fixed search resolution (the
+    generated sets' h equals the full-grid search at it, tested below)."""
+    for d, n, strategy in ((2, 100, "fibonacci_s2"), (2, 64, "uniform_random"), (3, 64, "uniform_random")):
+        assert generate_points(d, n, strategy).h_resolution == sphere.MESH_RESOLUTION == 0.01
+
+
+def test_point_set_options_are_keyword_only():
+    pts = generate_points(2, 16, "fibonacci_s2").points
+    with pytest.raises(TypeError):
+        PointSet(pts, 0.02)
+    assert PointSet(pts, strategy="mine", seed=3).strategy == "mine"
 
 
 def test_h_is_searched_on_first_read_only(caplog):
@@ -156,8 +166,17 @@ def test_duplicate_points_rejected():
         PointSet(pts)
 
 
+def test_directions_nearer_than_the_floor_rejected():
+    """The circle of 8 holds (cos pi/2, sin pi/2) = (6.1e-17, 1), which (0, 1) repeats up to rounding."""
+    pts = generate_points(1, 8, "equispaced_circle").points
+    with pytest.raises(ContractError, match="nearer than"):
+        PointSet(np.vstack([pts, [0.0, 1.0]]))
+    ang = np.array([0.0, 10.0 * sphere.SEP_FLOOR])
+    assert PointSet(np.column_stack([np.cos(ang), np.sin(ang)])).h_sep >= sphere.SEP_FLOOR
+
+
 def test_json_roundtrip():
-    ps = generate_points(2, 50, "fibonacci_s2", resolution=0.02)
+    ps = generate_points(2, 50, "fibonacci_s2")
     back = pointset_from_json(pointset_to_json(ps))
     np.testing.assert_array_equal(back.points, ps.points)
     assert back.h == ps.h and back.h_sep == ps.h_sep and back.d == ps.d
@@ -169,6 +188,15 @@ def test_json_d_must_match_the_rows(d, strategy):
     payload = json.loads(pointset_to_json(generate_points(d, 12, strategy)))
     payload["d"] = 3 - d
     with pytest.raises(ContractError, match="does not match rows"):
+        pointset_from_json(json.dumps(payload))
+
+
+@pytest.mark.parametrize("d, strategy, resolution", [(1, "equispaced_circle", 0.01), (2, "fibonacci_s2", 0.005)])
+def test_json_resolution_must_be_the_sets(d, strategy, resolution):
+    payload = json.loads(pointset_to_json(generate_points(d, 12, strategy)))
+    assert payload["resolution"] == (0.0 if d == 1 else 0.01)
+    payload["resolution"] = resolution
+    with pytest.raises(ContractError, match="h_resolution"):
         pointset_from_json(json.dumps(payload))
 
 
@@ -233,7 +261,7 @@ def _s2_rows(draw):
 
 @given(_s2_rows(), st.sampled_from([0.02, 0.03, 0.05, 0.07, 0.1]))
 def test_hull_mesh_norm_equals_full_grid_search(rows, resolution):
-    assert mesh_norm(rows, resolution) == _grid_mesh_norm_reference(rows, 2, resolution)
+    assert _searched_h(rows, resolution) == _grid_mesh_norm_reference(rows, 2, resolution)
 
 
 @settings(deadline=None)  # one example takes up to ~0.2 s, near the default deadline
@@ -280,31 +308,29 @@ def test_separation_edge_cases():
 @pytest.mark.parametrize("d, strategy", [(1, "equispaced_circle"), (2, "fibonacci_s2")])
 def test_resolution_must_be_positive(d, strategy, resolution):
     with pytest.raises(ConfigurationError, match="resolution must be > 0"):
-        generate_points(d, 16, strategy, resolution=resolution)
-    with pytest.raises(ConfigurationError, match="resolution must be > 0"):
-        mesh_norm(generate_points(d, 16, strategy).points, resolution)
+        _searched_h(generate_points(d, 16, strategy).points, resolution)
 
 
 def test_off_sphere_rows_rejected():
     pts = generate_points(2, 16, "fibonacci_s2").points.copy()
     pts[3] *= 1.0 + 1e-13
-    mesh_norm(pts, resolution=0.05)
+    PointSet(pts)
     separation(pts)
     pts[3] *= 1.0 + 1e-11
     with pytest.raises(ContractError):
-        mesh_norm(pts, resolution=0.05)
+        PointSet(pts)
     with pytest.raises(ContractError):
         separation(pts)
     with pytest.raises(ContractError):
-        mesh_norm(np.array([[0.5, 0.0, 0.0]]))
+        PointSet(np.array([[0.5, 0.0, 0.0]]))
     with pytest.raises(ContractError):
-        mesh_norm(pts[:, :2])
+        PointSet(pts[:, :2])
 
 
 def _mesh_norm_record(caplog, points, resolution=0.01):
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="fnspace.sphere"):
-        h = mesh_norm(points, resolution)
+        h = _searched_h(points, resolution)
     (record,) = [r for r in caplog.records if r.name == "fnspace.sphere"]
     assert record.levelno == logging.DEBUG
     return h, json.loads(record.getMessage())
@@ -329,5 +355,5 @@ def test_mesh_norm_diagnostics_record(caplog):
 
 
 def test_mesh_norm_quiet_by_default(caplog):
-    generate_points(2, 32, "fibonacci_s2", resolution=0.05)
+    generate_points(2, 32, "fibonacci_s2").h
     assert not [r for r in caplog.records if r.name == "fnspace.sphere"]
