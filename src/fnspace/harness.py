@@ -284,11 +284,18 @@ def _on_grid(target: TargetFunction, pts: np.ndarray) -> TargetFunction:
 
 def _rate_row_ls(cfg: ExperimentConfig, target, n: int, strategy: str, seed: int, grid, s: int) -> dict:
     """One least-squares cell: the point set, its fit on the grid, and the errors
-    up to order s; at s = 0 error_h1 is NaN, since it was not computed."""
+    up to order s.  The fit measures on the grid it solved on, so error_l2 is
+    the fit's own residual at every s; error_norms runs only for error_h1 at
+    s = 1, or for error_l2 when the residual is NaN.  At s = 0 error_h1 is
+    NaN, since it was not computed."""
     ps = generate_points(cfg.d, n, strategy, seed=seed)
     model = least_squares_fit(target, ps, *grid, k=cfg.k, ridge=cfg.ridge)
-    l2, h1 = error_norms(model, target, *grid, s=s)
-    return _rate_row(n, ps.h, l2, h1 if s else float("nan"), coef_stat(model)[1], "")
+    l2, h1 = model.residual, float("nan")
+    if s or math.isnan(l2):
+        l2_eval, h1_eval = error_norms(model, target, *grid, s=s)
+        l2 = l2_eval if math.isnan(l2) else l2
+        h1 = h1_eval if s else h1
+    return _rate_row(n, ps.h, l2, h1, coef_stat(model)[1], "")
 
 
 def run_rates(cfg: ExperimentConfig) -> RateReport:

@@ -32,9 +32,13 @@ weighted design in blocks of rows, neuron-major: each block is [B | y]^T,
 the features, the polynomial rows and the weighted target, in one
 C-contiguous buffer of at most BLOCK_FLOATS floats, so no rows x n
 design is held.  A ridge without a cap adds one dsyrk per block to
-[B | y]^T [B | y], whose last column is B^T y; every other fit folds
-blocks of half the budget into a QR factor of the design (see
-_solve_reduced).
+[B | y]^T [B | y], whose last column is B^T y, and solves by Cholesky on
+that triangle, falling back to the QR fold when a pivot is not positive;
+every other fit folds blocks of half the budget into a QR factor of the
+design (see _solve_reduced).  Both end in the triangular factor
+[[R, z], [0, rho]] of [B | y], which holds the fit's weighted residual
+on its grid: the model returned carries it as residual, so a caller
+measuring the L2 error on that same grid need not evaluate the model.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import dpotrf, dtrtrs
 from scipy.optimize import brentq
 
 from .activation import ActivationSpectrum, sigma_k, sigma_k_prime
@@ -68,6 +73,8 @@ __all__ = [
 ]
 
 CAP_SLACK = 1e-9
+# A ridge fit's residual^2 below this share of its rounding scale is left NaN (_ridge_residual).
+RESIDUAL_FLOOR = 1e-8
 # Floats per block of rows (1 MiB) in every blocked pass (_block_rows).
 BLOCK_FLOATS = 1 << 17
 # A computed preactivation on the unit ball is within ~1e-15 of the exact
@@ -110,7 +117,10 @@ class FiniteNeuronModel:
 
     on_sphere selects the argument convention: False means inputs are
     x in R^d and each neuron sees theta . (x, 1); True means inputs are
-    unit vectors eta in R^{d+1} fed to the neurons directly.
+    unit vectors eta in R^{d+1} fed to the neurons directly.  residual is
+    the weighted L2 error on the grid a least-squares fit solved on, read
+    from the fit's own triangular factor (least_squares_fit); NaN for every
+    other model, and for a ridge fit whose residual lost its digits.
     """
 
     k: int
@@ -118,6 +128,7 @@ class FiniteNeuronModel:
     a: np.ndarray = field(repr=False)
     norm_cap: float = 0.0
     on_sphere: bool = False
+    residual: float = field(default=math.nan, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
@@ -357,37 +368,71 @@ def _design_blocks(P, k, T, xt, sw, yw, step):
         yield Bt
 
 
-def _solve_reduced(P, k, T, xt, sw, yw, ridge, norm_cap, n) -> tuple[np.ndarray, int]:
-    """Coefficients for the weighted reduced design B = sw [sigma_k(P x^T) | Q T],
-    and the rows per block of [B | y] that built them.
+def _ridge_residual(yy: float, z: np.ndarray, c: np.ndarray, ridge: float, size: float) -> float:
+    """||B c - y|| for the ridge solution c = R^-1 z, R^T R = B^T B + ridge I,
+    z = R^-T B^T y: the square root of y^T y - ||z||^2 - ridge ||c||^2.
 
-    Both solvers read neuron-major blocks of [B | y] (_design_blocks).  A
-    ridge without a cap takes blocks of step = _block_rows(cols + 1) rows,
-    adds each block's [B | y]^T [B | y] to the upper triangle of one
-    (cols + 1)^2 matrix with one dsyrk, whose last column is B^T y, then
-    solves (G + ridge I) a = B^T y.  Every other fit takes blocks of half
-    the budget, step = _block_rows(2 (cols + 1)) rows, so that a fold's
-    matrix and LAPACK's copy of it stay small (whole-budget blocks timed
-    slower, BENCH_22.json).  It copies q = ceil(4 cols / step)
-    whole blocks (at least 4 cols rows, since each fold re-factors R),
-    transposed, under the previous triangular factor
+    The Gram's rounding moves that difference by a few eps (y^T y + size),
+    size = (sum_j |c_j| ||b_j||)^2: against the evaluated error it moved by
+    at most 3.3 eps size over d = 1, 2, k = 1, 2, 3 and n <= 512, but by up
+    to 5700 eps y^T y on ill-conditioned designs, so y^T y alone is no
+    scale.  Below RESIDUAL_FLOOR (y^T y + size) too few digits are left, so
+    the residual is NaN, as it is for a negative or NaN difference: it is
+    never clamped.
+    """
+    res2 = yy - float(z @ z) - ridge * float(c @ c)
+    return math.sqrt(res2) if res2 >= RESIDUAL_FLOOR * (yy + size) else math.nan
+
+
+def _solve_reduced(P, k, T, xt, sw, yw, ridge, norm_cap, n) -> tuple[np.ndarray, float, str, int]:
+    """(c, residual, solver, block_rows): coefficients for the weighted reduced
+    design B = sw [sigma_k(P x^T) | Q T], the grid residual ||B c - y||, the
+    solver taken (cholesky, qr or cholesky->qr) and the rows per block of
+    [B | y] that built them.
+
+    Both solvers read neuron-major blocks of [B | y] (_design_blocks) and
+    end in a triangular factor [[R, z], [0, rho]] of [B | y].  A ridge
+    without a cap takes blocks of step = _block_rows(cols + 1) rows, adds
+    each block's [B | y]^T [B | y] to the upper triangle of one
+    (cols + 1)^2 matrix with one dsyrk, whose last column is B^T y and
+    corner y^T y, adds the ridge to its diagonal, and factors
+    R^T R = B^T B + ridge I with dpotrf on that triangle; two dtrtrs give
+    z = R^-T B^T y and c = R^-1 z, and the residual comes from
+    _ridge_residual.  A pivot that is not positive (a ridge below rounding
+    on a rank-deficient design) falls back to the QR fold.  Every other
+    fit takes blocks of half the budget, step = _block_rows(2 (cols + 1))
+    rows, so that a fold's matrix and LAPACK's copy of it stay small
+    (whole-budget blocks timed slower, BENCH_22.json).  It copies
+    q = ceil(4 cols / step) whole blocks (at least 4 cols rows, since each
+    fold re-factors R), transposed, under the previous triangular factor
     and folds them into the factor [[R, z], [0, rho]] of a QR
     decomposition, so the singular values of B = (Q U) diag(s) V^T come
     from R = U diag(s) V^T without squaring its condition number.  Over the
-    s above lstsq's cutoff eps max(rows, cols) s_max, a = V (U^T z / s) is
-    the minimum-norm least-squares solution; a cap instead runs the root
-    search on G = V diag(s^2) V^T and B^T y = V diag(s) U^T z, which at
-    lam = 0 inverts the same s.
+    s above lstsq's cutoff eps max(rows, cols) s_max, c = V (U^T z / s) is
+    the minimum-norm least-squares solution, and with a ridge
+    c = V (s U^T z / (s^2 + ridge)); a cap instead runs the root search on
+    G = V diag(s^2) V^T and B^T y = V diag(s) U^T z, which at lam = 0
+    inverts the same s.  The fold's residual is sqrt(rho^2 + ||R c - z||^2),
+    which involves no cancellation.
     """
     rows = xt.shape[1]
     cols = len(P) + T.shape[1]
+    solver = "qr"
     if ridge > 0.0 and norm_cap == 0.0:
         step = _block_rows(cols + 1)
         G = np.zeros((cols + 1, cols + 1), order="F")
         for Bt in _design_blocks(P, k, T, xt, sw, yw, step):
             dsyrk(1.0, Bt.T, beta=1.0, c=G, trans=1, overwrite_c=1)
-        G, By = G[:cols, :cols], G[:cols, cols]
-        return np.linalg.solve(np.triu(G) + np.triu(G, 1).T + ridge * np.eye(cols), By), min(rows, step)
+        diag = np.arange(cols)
+        col_norms = np.sqrt(G[diag, diag])
+        G[diag, diag] += ridge
+        R, info = dpotrf(G[:cols, :cols], lower=0)
+        if info == 0:
+            z = dtrtrs(R, G[:cols, cols], lower=0, trans=1)[0]
+            c = dtrtrs(R, z, lower=0)[0]
+            size = float(np.abs(c) @ col_norms) ** 2
+            return c, _ridge_residual(G[cols, cols], z, c, ridge, size), "cholesky", min(rows, step)
+        solver = "cholesky->qr"
     step = _block_rows(2 * (cols + 1))
     q = -(-4 * cols // step)
     # [R | z] over the waiting rows, column-major so that each block row copies in contiguously
@@ -404,14 +449,18 @@ def _solve_reduced(P, k, T, xt, sw, yw, ridge, norm_cap, n) -> tuple[np.ndarray,
     R, z = np.zeros((cols, cols)), np.zeros(cols)
     m = min(r, cols)
     R[:m], z[:m] = design[:m, :cols], design[:m, cols]
+    rho = float(design[cols, cols]) if r > cols else 0.0
     U, s, Vt = np.linalg.svd(R)
+    Uz = U.T @ z
     keep = (s > np.finfo(float).eps * max(rows, cols) * s[0]) | (ridge > 0.0)
-    if norm_cap == 0.0:
-        c = Vt.T @ np.divide(U.T @ z, s, out=np.zeros(cols), where=keep)
-    else:
-        p = s * (U.T @ z)
+    if norm_cap > 0.0:
+        p = s * Uz
         c = _cap_root(s * s + ridge, Vt.T, p, float(np.linalg.norm(p)), keep, n, norm_cap)[0]
-    return c, min(rows, step)
+    elif ridge > 0.0:
+        c = Vt.T @ (s * Uz / (s * s + ridge))
+    else:
+        c = Vt.T @ np.divide(Uz, s, out=np.zeros(cols), where=keep)
+    return c, math.hypot(rho, float(np.linalg.norm(R @ c - z))), solver, min(rows, step)
 
 
 def _grid_weights(grid_weights, rows: int) -> np.ndarray:
@@ -451,13 +500,25 @@ def least_squares_fit(
     in one reused buffer of at most _block_rows(cols + 1) rows of cols + 1
     floats.  With a ridge and no cap, one dsyrk per block accumulates
     [B | y]^T [B | y], which holds G = B^T B and B^T y, and
-    (G + ridge I) a = B^T y is solved.  Every other fit
-    folds the blocks into a QR factor, whose SVD gives the minimum-norm
+    (G + ridge I) a = B^T y is solved by Cholesky (dpotrf, then two
+    dtrtrs); a pivot that is not positive, as a ridge below rounding on a
+    rank-deficient design gives, falls back to the QR fold.  Every other
+    fit folds the blocks into a QR factor, whose SVD gives the minimum-norm
     solution, or the cap's root search, without squaring the condition
-    number as G does (see _solve_reduced).  One JSON debug record per fit
-    (rows, n, the live, polynomial and dead counts, the reduced column
-    count, the problem solved: lstsq, solve or cap, the rows per block and
-    the seconds taken) goes to the "fnspace.models" logger, quiet by
+    number as G does (see _solve_reduced).
+
+    The model returned carries the fit's grid residual
+    sqrt(sum_i w_i (f_n(x_i) - f(x_i))^2) as model.residual, read from the
+    triangular factor both solvers end in: sqrt(rho^2 + ||R c - z||^2)
+    from the QR fold, and sqrt(y^T y - ||z||^2 - ridge ||c||^2) from the
+    Cholesky factor.  The latter cancels; below RESIDUAL_FLOOR times its
+    rounding scale it is NaN rather than clamped (_ridge_residual), and
+    the caller evaluates the model with error_norms instead.  Every model
+    no least-squares fit produced has residual NaN.  One JSON debug record
+    per fit (rows, n, the live, polynomial and dead counts, the reduced
+    column count, the problem solved: lstsq, solve or cap, the solver
+    taken: cholesky, qr or cholesky->qr, the residual, the rows per block
+    and the seconds taken) goes to the "fnspace.models" logger, quiet by
     default.
     """
     start = time.perf_counter()
@@ -482,12 +543,13 @@ def least_squares_fit(
     P = ps.points[live]
     n_live = len(P)
     cols = n_live + T.shape[1]
+    sw = np.sqrt(grid_weights)
+    yw = f(grid_points) * sw
     if cols:
         xt = np.ascontiguousarray(_lifted(grid_points, ps.d, f.on_sphere).T)
-        sw = np.sqrt(grid_weights)
-        c, block_rows = _solve_reduced(P, k, T, xt, sw, f(grid_points) * sw, ridge, norm_cap, n)
+        c, residual, solver, block_rows = _solve_reduced(P, k, T, xt, sw, yw, ridge, norm_cap, n)
     else:  # every neuron is 0 on the grid
-        c, block_rows = np.zeros(0), 0
+        c, residual, solver, block_rows = np.zeros(0), float(np.linalg.norm(yw)), None, 0
     a = np.zeros(n)
     a[live] = c[:n_live]
     a[poly] = V @ c[n_live:]
@@ -496,10 +558,12 @@ def least_squares_fit(
             "rows": rows, "n": n, "live": n_live, "polynomial": int(np.count_nonzero(poly)),
             "dead": int(np.count_nonzero(dead)), "columns": cols,
             "path": "cap" if norm_cap > 0.0 else "solve" if ridge > 0.0 else "lstsq",
-            "block_rows": block_rows,
+            "solver": solver, "residual": residual, "block_rows": block_rows,
             "seconds": time.perf_counter() - start,
         }))
-    return FiniteNeuronModel(k, ps, a, norm_cap, on_sphere=f.on_sphere)
+    model = FiniteNeuronModel(k, ps, a, norm_cap, on_sphere=f.on_sphere)
+    object.__setattr__(model, "residual", residual)
+    return model
 
 
 def error_norms(

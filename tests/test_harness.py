@@ -28,6 +28,8 @@ from fnspace.harness import (
     run_rates,
     theoretical_slope,
 )
+from fnspace.models import TargetFunction, error_norms, least_squares_fit
+from fnspace.sphere import generate_points
 
 
 def test_fit_slope_exact_power_law():
@@ -358,25 +360,40 @@ def test_cli_rates_rejects_a_key_it_does_not_read(line, tmp_path, capsys):
 
 
 def test_randcmp_deterministic_row_skips_the_h1_pass(monkeypatch):
+    """randcmp reads error_l2 from each fit's own residual, so it makes no
+    evaluation pass at all, and its deterministic row is the rates row bit for bit."""
     cfg = ExperimentConfig(
         d=1, k=1, target="gaussian_bump", strategy="equispaced_circle",
         ns=(8, 16), seeds=tuple(range(10)),
     )
-    real = harness.error_norms
-    orders = []
 
-    def spy(*args, s=0):
-        orders.append(s)
-        return real(*args, s=s)
+    def spy(*args, **kwargs):
+        raise AssertionError("randcmp evaluated a model")
 
     monkeypatch.setattr(harness, "error_norms", spy)
     summary = run_randcmp(cfg)
-    assert set(orders) == {0}
     monkeypatch.undo()
     rates = run_rates(dataclasses.replace(cfg, seeds=cfg.seeds[:1]))
     assert [(r["det_error"], r["det_h"]) for r in summary["rows"]] == [
         (r["error_l2"], r["h"]) for r in rates.rows
     ]
+
+
+def test_rates_write_the_evaluated_error_where_the_residual_is_nan(monkeypatch):
+    """1 + x is in the span at n = 8 and 16 (the constant neuron and
+    relu(x) - relu(-x)), so each ridge fit's residual^2 is rounding, below
+    the floor, and the model records NaN; run_rates at s = 0 then evaluates
+    that cell and writes error_norms' value, bit for bit."""
+    cfg = ExperimentConfig(d=1, k=1, target="gaussian_bump", strategy="equispaced_circle",
+                           ns=(8, 16), ridge=1e-9, s=0)
+    line = TargetFunction("line", 1, lambda x: 1.0 + x[..., 0])
+    grid = harness._ls_grid(cfg)
+    fits = [least_squares_fit(line, generate_points(1, n, cfg.strategy), *grid, k=1, ridge=cfg.ridge) for n in cfg.ns]
+    assert all(math.isnan(model.residual) for model in fits)
+    monkeypatch.setattr(harness, "get_target", lambda name, d: line)
+    rows = run_rates(cfg).rows
+    assert [r["error_l2"] for r in rows] == [error_norms(model, line, *grid)[0] for model in fits]
+    assert all(r["error_code"] == "" and 0.0 <= r["error_l2"] < 1e-6 for r in rows)
 
 
 def _counting_target(calls):

@@ -626,7 +626,8 @@ def test_blocked_solvers_match_the_dense_design(d, k, n, on_sphere, offset, boun
     lam = 1e-6 ||A||_F^2, so cond(A^T A + lam I) <= 1e6 + 1, the ridge path
     (dsyrk) and the QR fold (a ridge under a cap that does not bind) give
     ||a - a_ref|| <= 1e-8 ||a_ref||; the ridge-free QR fold reaches the
-    lstsq objective within a relative 1e-10 plus 1e-13 ||y_w||^2."""
+    lstsq objective within a relative 1e-10 plus 1e-13 ||y_w||^2.  Each
+    fit's residual is ||A a - y_w|| within _assert_residual's tolerances."""
     rng = np.random.Generator(np.random.Philox(seed))
     pts = _unit(rng.standard_normal((n, d + 1)))
     if not on_sphere:  # one direction of each class: dead, polynomial and live
@@ -664,10 +665,12 @@ def test_blocked_solvers_match_the_dense_design(d, k, n, on_sphere, offset, boun
     huge = 1e6 * math.sqrt(ps.n) * float(np.linalg.norm(want))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(models, "BLOCK_FLOATS", SMALL_BLOCK_FLOATS)
-        for path in ({"ridge": lam}, {"ridge": lam, "norm_cap": huge}):
-            got = least_squares_fit(target, ps, x, w, k=k, **path).a
-            assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
-        got = least_squares_fit(target, ps, x, w, k=k).a
+        for path in ({"ridge": lam}, {"ridge": lam, "norm_cap": huge}, {}):
+            model = least_squares_fit(target, ps, x, w, k=k, **path)
+            _assert_residual(model, float(np.linalg.norm(A @ model.a - yw)), A, yw, cholesky=path == {"ridge": lam})
+            if path:
+                assert np.linalg.norm(model.a - want) <= 1e-8 * np.linalg.norm(want)
+        got = model.a
     ref = np.linalg.lstsq(A, yw, rcond=None)[0]
 
     def objective(a):
@@ -737,8 +740,10 @@ def test_pruned_columns_are_exact():
 def test_every_direction_dead_gives_zero_coefficients(path):
     pts, w = domain_grid(2, 4096)
     ps = PointSet(_unit([[1.0, 0.0, -1.5], [0.0, 1.0, -1.2], [-0.6, 0.8, -2.0]]))
-    model = least_squares_fit(get_target("gaussian_bump", 2), ps, pts, w, k=2, **path)
+    target = get_target("gaussian_bump", 2)
+    model = least_squares_fit(target, ps, pts, w, k=2, **path)
     assert np.array_equal(model.a, np.zeros(3))
+    assert model.residual == pytest.approx(error_norms(model, target, pts, w)[0], rel=1e-12)
 
 
 @pytest.mark.parametrize("path", [{}, {"ridge": 1e-9}, {"norm_cap": 0.05}], ids=["lstsq", "ridge", "cap"])
@@ -798,15 +803,20 @@ def test_least_squares_fit_diagnostics_record(caplog):
     dead, poly = int(np.sum(b + wn * r < -1e-12)), int(np.sum(b - wn * r > 1e-12))
     cols = 96 - dead - poly + 6
     seconds = info.pop("seconds")
+    residual = info.pop("residual")
     assert info == {
         "rows": len(pts), "n": 96, "live": 96 - dead - poly, "polynomial": poly,
-        "dead": dead, "columns": cols, "path": "solve", "block_rows": BLOCK_FLOATS // (cols + 1),
+        "dead": dead, "columns": cols, "path": "solve", "solver": "cholesky",
+        "block_rows": BLOCK_FLOATS // (cols + 1),
     }
     assert dead > 0 and poly > 6  # six monomials of degree 2 stand in for the polynomial block
     assert isinstance(seconds, float) and 0.0 < seconds < 60.0
-    assert _fit_records(caplog, target, ps, pts, w, k=2)[0]["path"] == "lstsq"
+    assert residual == least_squares_fit(target, ps, pts, w, k=2, ridge=1e-9).residual > 0.0
+    (lstsq,) = _fit_records(caplog, target, ps, pts, w, k=2)
+    assert (lstsq["path"], lstsq["solver"]) == ("lstsq", "qr")
     capped = _fit_records(caplog, target, ps, pts, w, k=2, norm_cap=1.0)
     assert [r.get("path") for r in capped] == [None, "cap"]  # ridge_bisect_cap's record first
+    assert capped[1]["solver"] == "qr"
     assert capped[1]["block_rows"] == BLOCK_FLOATS // (2 * (cols + 1))  # the QR fold reads half-budget blocks
     # a grid shorter than one block is one block; a wide design's blocks stay within the budget
     (short,) = _fit_records(caplog, target, ps, pts[:500], w[:500], k=2, ridge=1e-9)
@@ -821,13 +831,140 @@ def test_least_squares_fit_diagnostics_record(caplog):
     assert (info["live"], info["polynomial"], info["dead"], info["columns"]) == (16, 0, 0, 16)
     dead_only = PointSet(_unit([[1.0, 0.0, -1.5], [0.0, 1.0, -1.2]]))
     (info,) = _fit_records(caplog, target, dead_only, pts, w, k=2, ridge=1e-9)
-    assert (info["columns"], info["block_rows"]) == (0, 0)  # no block is built
+    assert (info["columns"], info["block_rows"], info["solver"]) == (0, 0, None)  # no block is built
 
 
 def test_least_squares_fit_quiet_by_default(caplog):
     pts, w = domain_grid(2, 4096)
     least_squares_fit(get_target("gaussian_bump", 2), generate_points(2, 16, "fibonacci_s2"), pts, w)
     assert not [r for r in caplog.records if r.name == "fnspace.models"]
+
+
+def _weighted_design(ps, k, x, w, target):
+    """(A, y): the full weighted design and target on the grid."""
+    sw = np.sqrt(w)
+    return features(ps, k, x) * sw[:, None], target(x) * sw
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 2),
+    k=st.integers(1, 2),
+    n=st.integers(2, 48),
+    strategy=st.sampled_from(["uniform_random", "structured"]),
+    radius=st.floats(0.3, 1.0),
+    path=st.sampled_from(["lstsq", "solve", "cap"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_residual_matches_the_evaluated_error(d, k, n, strategy, radius, path, seed):
+    """model.residual is error_norms(model, f, grid, s=0)[0] on the grid the fit
+    solved on, within 1e-9 relative whenever err^2 >= 1e-8 y^T y, plus the
+    rounding both carry at the scale S = (sum_j |a_j| ||b_j||)^2 of the
+    terms they sum.  Evaluation and the QR fold's rho are off by a few
+    eps sqrt(y^T y + S): an ill-conditioned minimum-norm fit (||a|| ~ 1e7)
+    read 1.9e-7 relative apart, with the long-double residual between them.
+    The Cholesky path (solve) subtracts, y^T y - ||z||^2 - ridge ||c||^2, and
+    that moves it by a few eps (y^T y + S) / err more; it may read NaN only
+    below RESIDUAL_FLOOR (y^T y + S), with a factor 100 for the reduced
+    design's own S."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    if strategy == "structured":
+        ps = generate_points(d, n, "equispaced_circle" if d == 1 else "fibonacci_s2")
+    else:
+        ps = PointSet(_unit(rng.standard_normal((n, d + 1))))
+    x, w = _small_grid(d, radius, 4 * ps.n + 40, rng)
+    target = get_target("gaussian_bump", d)
+    kwargs = {"solve": {"ridge": 1e-9}, "lstsq": {}, "cap": {}}[path]
+    if path == "cap":
+        kwargs = {"norm_cap": 0.5 * coef_stat(least_squares_fit(target, ps, x, w, k=k))[1]}
+    model = least_squares_fit(target, ps, x, w, k=k, **kwargs)
+    _assert_residual(model, error_norms(model, target, x, w, s=0)[0], *_weighted_design(ps, k, x, w, target),
+                     cholesky=path == "solve")
+
+
+def _assert_residual(model, err, A, y, cholesky):
+    """model.residual against err, the error of model.a on the weighted
+    design A and target y, with the tolerances of
+    test_residual_matches_the_evaluated_error."""
+    yy = float(y @ y)
+    scale = yy + float(np.abs(model.a) @ np.linalg.norm(A, axis=0)) ** 2
+    eps = np.finfo(float).eps
+    if cholesky and math.isnan(model.residual):
+        assert err * err < 100 * models.RESIDUAL_FLOOR * scale
+    elif err * err >= 1e-8 * yy:
+        cancellation = 4 * eps * scale / err if cholesky else 0.0
+        assert abs(model.residual - err) <= 1e-9 * err + 4 * eps * math.sqrt(scale) + cancellation
+
+
+def test_ridge_below_rounding_falls_back_to_the_qr_fold(caplog):
+    """Ten distinct grid points, each repeated eight times, under 40 live
+    neurons: B^T B has rank 10, and a ridge of 1e-20 is below its rounding, so
+    dpotrf meets a pivot that is not positive.  The fit then takes the QR
+    fold, c = V (s U^T z / (s^2 + ridge)), which matches the full design's
+    ridge solution from its SVD, and the fold's residual."""
+    ps = generate_points(2, 64, "fibonacci_s2")
+    rng = np.random.Generator(np.random.Philox(0))
+    x = np.tile(rng.uniform(-0.6, 0.6, (10, 2)), (8, 1))
+    w = np.full(len(x), 1.0 / len(x))
+    target = get_target("gaussian_bump", 2)
+    (info,) = _fit_records(caplog, target, ps, x, w, k=1, ridge=1e-20)
+    assert (info["path"], info["solver"], info["live"]) == ("solve", "cholesky->qr", 40)
+    model = least_squares_fit(target, ps, x, w, k=1, ridge=1e-20)
+    A, y = _weighted_design(ps, 1, x, w, target)
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    want = Vt.T @ (s * (U.T @ y) / (s * s + 1e-20))
+    assert np.linalg.norm(model.a - want) <= 1e-8 * np.linalg.norm(want)
+    assert info["residual"] == model.residual
+    assert model.residual <= 1e-12 * np.linalg.norm(y)  # ten points, forty neurons: it interpolates
+    assert abs(model.residual - error_norms(model, target, x, w)[0]) <= 1e-12 * np.linalg.norm(y)
+
+
+def test_ridge_fit_of_an_in_span_target_records_nan():
+    """A target the fit reproduces leaves a ridge residual^2 of rounding size,
+    below the floor, so the model records NaN instead of a clamped value; the
+    QR fold's residual of the same target is exact enough to keep."""
+    ps = generate_points(2, 32, "fibonacci_s2")
+    x, w = domain_grid(2, 4096)
+    theta = ps.points[:5]
+
+    def f(x):
+        return np.maximum(np.column_stack([x, np.ones(len(x))]) @ theta.T, 0.0) @ np.arange(1.0, 6.0)
+
+    target = TargetFunction("in_span", 2, f)
+    ridge = least_squares_fit(target, ps, x, w, k=1, ridge=1e-9)
+    assert math.isnan(ridge.residual)
+    assert error_norms(ridge, target, x, w)[0] <= 1e-6
+    free = least_squares_fit(target, ps, x, w, k=1)
+    assert 0.0 <= free.residual <= 1e-10 * math.sqrt(float(w @ f(x) ** 2))
+
+
+def test_ridge_residual_below_the_floor_is_nan():
+    """With y^T y = 1 and ridge ||c||^2 = 0, residual^2 = 1 - z^2: negative,
+    zero, under RESIDUAL_FLOOR (y^T y + size) or NaN gives NaN, never a
+    clamped 0; 4e-8 is kept at size 0 and dropped once size lifts the floor
+    to 1e-6; a zero target (y^T y = 0) fits exactly."""
+    c = np.zeros(1)
+    for z in (1.0 + 1e-12, 1.0, math.sqrt(1.0 - 0.5e-8), math.nan):
+        assert math.isnan(models._ridge_residual(1.0, np.array([z]), c, 1e-9, 0.0))
+    z = np.array([math.sqrt(1.0 - 4e-8)])
+    assert models._ridge_residual(1.0, z, c, 1e-9, 0.0) == pytest.approx(2e-4, rel=1e-6)
+    assert math.isnan(models._ridge_residual(1.0, z, c, 1e-9, 99.0))
+    assert models._ridge_residual(0.0, np.zeros(1), c, 1e-9, 0.0) == 0.0
+
+
+def test_only_least_squares_fits_carry_a_residual():
+    """residual is set by least_squares_fit alone, takes no part in equality or
+    repr, and is NaN on every other model."""
+    ps = generate_points(1, 8, "equispaced_circle")
+    model = FiniteNeuronModel(1, ps, np.ones(8))
+    assert math.isnan(model.residual) and "residual" not in repr(model)
+    target = get_target("gaussian_bump", 1)
+    fit = least_squares_fit(target, ps, *domain_grid_1d(), k=1)
+    assert fit.residual > 0.0 and fit == FiniteNeuronModel(1, ps, fit.a)
+    with pytest.raises(TypeError):
+        FiniteNeuronModel(1, ps, np.ones(8), residual=0.0)
+    ps, rule, spec, grid = circle_setup(n=16)
+    assert math.isnan(constructive_fit(get_target("smooth_even_circle", 1), rule, spec, grid).residual)
 
 
 @pytest.mark.parametrize(
