@@ -9,17 +9,18 @@ degree, and plain (optionally ridge-regularized and norm-capped) least
 squares on a sample grid.
 
 One rule sizes every blocked pass: a block is _block_rows(width) rows of
-width floats (the QR fold asks for twice its width, so its blocks take
-half the budget), at most BLOCK_FLOATS floats (1 MiB) in all, so no blocked
+width floats, at most BLOCK_FLOATS floats (1 MiB) in all, so no blocked
 pass holds more than two blocks of BLOCK_FLOATS floats whatever the grid
-size (besides its outputs, evaluation's (x, 1) rows of the block, and the
-triangular factor and the 4 cols rows under it that a QR fold gathers,
-see _solve_reduced).  Evaluation, of width n, writes each block's inputs
-as (x, 1) rows into one small reused buffer, forms the preactivation
-z = theta . (x, 1) once, in a block, and yields the values sigma_k(z) @ a
-and, when asked, the gradients sigma_k'(z) @ (a W) together from one
-r = max(z, 0); sigma_k'(z) takes a second block except at k = 2, where
-sigma_2' = 2r and the 2 is folded into a W.
+size, besides its outputs, evaluation's (x, 1) rows of the block, and a
+least-squares solve's (cols + 1)-wide arrays (the Gram, or the triangular
+factor with the rows waiting under it and the block of virtual rows, see
+_solve_reduced) and the grid's lifted rows in tile order (_tiling).
+Evaluation, of width n, writes each block's inputs as (x, 1) rows into
+one small reused buffer, forms the preactivation z = theta . (x, 1) once,
+in a block, and yields the values sigma_k(z) @ a and, when asked, the
+gradients sigma_k'(z) @ (a W) together from one r = max(z, 0);
+sigma_k'(z) takes a second block except at k = 2, where sigma_2' = 2r and
+the 2 is folded into a W.
 least_squares_fit and pde_erm.erm_fit share one O(n)-per-step root
 search for a norm cap's ridge, _cap_root: erm_fit runs it on one
 eigendecomposition of its Gram matrix (ridge_bisect_cap), capped least
@@ -27,15 +28,17 @@ squares on the SVD of its QR factor.
 
 least_squares_fit on a domain drops the neurons that are 0 on the whole
 grid and fits the ones that are polynomials there through an orthonormal
-basis of their span, which leaves the solution unchanged.  It builds the
-weighted design in blocks of rows, neuron-major: each block is [B | y]^T,
-the features, the polynomial rows and the weighted target, in one
-C-contiguous buffer of at most BLOCK_FLOATS floats, so no rows x n
-design is held.  A ridge without a cap adds one dsyrk per block to
-[B | y]^T [B | y], whose last column is B^T y, and solves by Cholesky on
-that triangle, falling back to the QR fold when a pivot is not positive;
-every other fit folds blocks of half the budget into a QR factor of the
-design (see _solve_reduced).  Both end in the triangular factor
+basis of their span, which leaves the solution unchanged.  It never holds
+the weighted design's rows: the grid is cut into tiles by median
+bisection, once per grid (_tiling), and on a tile most neurons are again
+0 or a polynomial, (theta . (x, 1))^k.  Each tile gives one block of
+virtual rows, the triangular factor of its monomials, its crossing
+neurons and its target lifted to every column (_design_blocks), with the
+Gram of the tile's rows of [B | y].  A ridge without a cap adds one
+dsyrk per block to [B | y]^T [B | y], whose last column is B^T y, and
+solves by Cholesky on that triangle, falling back to the QR fold when a
+pivot is not positive; every other fit folds the blocks into a QR factor
+of the design (see _solve_reduced).  Both end in the triangular factor
 [[R, z], [0, rho]] of [B | y], which holds the fit's weighted residual
 on its grid: the model returned carries it as residual, so a caller
 measuring the L2 error on that same grid need not evaluate the model.
@@ -43,6 +46,7 @@ measuring the L2 error on that same grid need not evaluate the model.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import logging
@@ -53,7 +57,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg.blas import dsyrk
-from scipy.linalg.lapack import dpotrf, dtrtrs
+from scipy.linalg.lapack import dgeqrf, dpotrf, dtrtrs
 from scipy.optimize import brentq
 
 from .activation import ActivationSpectrum, sigma_k, sigma_k_prime
@@ -340,31 +344,126 @@ def _block_rows(width: int) -> int:
     return max(1, BLOCK_FLOATS // width)
 
 
-def _design_blocks(P, k, T, xt, sw, yw, step):
-    """Successive blocks Bt = [B | y]^T of step rows of the weighted reduced
-    design, neuron-major.
+class _Tiles:
+    """Median bisections of a grid's lifted rows into tiles.
 
-    Each block is a C-contiguous (cols + 1) x rows array in one reused
-    buffer: the live features sigma_k(P x^T), the polynomial rows
-    T^T Q(x)^T, both scaled by sw, and yw as the last row.  xt holds the
-    lifted inputs as columns, (d+1) x rows.  For k >= 1 both are positively
-    homogeneous of degree k in the lifted input, so scaling its columns by
-    sw^(1/k) once scales every row by sw; for k = 0 each block is scaled.
+    order permutes the grid rows so that each tile of each level is a run of
+    them: level 0 is one tile of every row, and level L + 1 cuts each tile
+    of level L that holds two rows or more at the median of its rows along
+    the widest side of its bounding box, down to tiles of one row.  xt holds
+    the lifted rows (x, 1), or eta on the sphere, as columns, (d + 1) x
+    rows, given in grid order and kept in tile order, and bounds[L] the
+    ends of level L's runs.
     """
-    rows, n_live = xt.shape[1], len(P)
+
+    def __init__(self, xt: np.ndarray):
+        rows = xt.shape[1]
+        # rank[j, i]: row i's place along coordinate j, so that a tile's rows sort by
+        # their tile, then by their rank on its widest side, under one integer key
+        rank = np.empty(xt.shape, dtype=np.intp)
+        for j, coordinate in enumerate(xt):
+            rank[j, np.argsort(coordinate, kind="stable")] = np.arange(rows)
+        order = np.arange(rows)
+        self.bounds = [np.array([0, rows])]
+        self._boxes = {}
+        while len(self.bounds[-1]) <= rows:  # a tile of two rows or more
+            bounds = self.bounds[-1]
+            sizes = np.diff(bounds)
+            tile = np.repeat(np.arange(len(sizes)), sizes)
+            sort = np.argsort(tile * rows + rank[self._widest(xt, bounds)[tile], order])
+            order, xt = order[sort], np.take(xt, sort, axis=1)
+            self.bounds.append(np.sort(np.concatenate([bounds, (bounds[:-1] + sizes // 2)[sizes > 1]])))
+        self.order, self.xt = order, xt
+        for array in (order, xt, *self.bounds):  # shared by every fit on this grid
+            array.flags.writeable = False
+
+    @staticmethod
+    def _extent(xt, bounds):
+        """Each run's smallest and largest coordinates, tiles x (d + 1)."""
+        return (np.minimum.reduceat(xt, bounds[:-1], axis=1).T,
+                np.maximum.reduceat(xt, bounds[:-1], axis=1).T)
+
+    @classmethod
+    def _widest(cls, xt, bounds):
+        """Each run's coordinate of largest extent; the extents, as large as
+        the grid at the deepest levels, are freed on return."""
+        lo, hi = cls._extent(xt, bounds)
+        return np.argmax(np.subtract(hi, lo, out=hi), axis=1)
+
+    def level(self, max_rows: int):
+        """(bounds, centres, half-widths) of the coarsest level whose tiles
+        hold at most max_rows >= 1 rows: tile t is the rows
+        order[bounds[t]:bounds[t + 1]], all within centres[t] +- half-widths[t]."""
+        L = next(L for L, b in enumerate(self.bounds) if np.max(np.diff(b)) <= max_rows)
+        if L not in self._boxes:
+            lo, hi = self._extent(self.xt, self.bounds[L])
+            self._boxes[L] = (self.bounds[L], 0.5 * (lo + hi), 0.5 * (hi - lo))
+            for array in self._boxes[L][1:]:
+                array.flags.writeable = False
+        return self._boxes[L]
+
+
+@functools.lru_cache(maxsize=1)
+def _tiling(points: bytes, width: int, on_sphere: bool) -> _Tiles:
+    """The _Tiles of a grid given as the bytes of its float rows, width wide,
+    lifted as the neurons see them.  The last grid's tiling is kept, so the
+    fits of one sweep bisect their grid once; a grid that differs in any
+    bit, as after an in-place edit, is tiled anew, and weights take no
+    part."""
+    x = np.frombuffer(points).reshape(-1, width)
+    return _Tiles(np.ascontiguousarray(_lifted(x, width - on_sphere, on_sphere).T))
+
+
+def _design_blocks(P, k, T, xt, tiles, sw, yw):
+    """Successive blocks Bt = [B | y]^T of virtual rows of the weighted
+    reduced design, one block per tile, neuron-major: each Bt^T Bt is the
+    [B | y]^T [B | y] of its tile's grid rows.
+
+    xt holds the lifted grid rows as columns in tile order, sw and yw their
+    weights' square roots and weighted targets in that order, and tiles is
+    a level of their _Tiles.  Each live neuron is classified on each tile
+    box as on the whole grid, with the bound theta . c +- sum_j |theta_j| h_j
+    and CLASS_MARGIN: dead (0 on the tile), polynomial ((theta . x)^k
+    there) or crossing.  The tile's E = [Q | sigma_k(C x^T)^T | y], with Q
+    its degree-k monomials of the lifted rows and C its crossing neurons,
+    scaled by sw, has the triangular factor R of one Householder QR
+    (dgeqrf, in place in one reused buffer), at most C(k + d, d) + |C| + 1
+    rows of it.  [B | y] is E times a lift: a polynomial neuron, and each
+    column of T, is its monomial coefficients on Q, a dead neuron 0, and a
+    crossing neuron and y their own columns of E.  So R times that lift,
+    the block, has [B | y]'s Gram on the tile.  For k >= 1 sigma_k and the
+    monomials are positively homogeneous of degree k in the lifted input,
+    so scaling its columns by sw^(1/k) once scales every row by sw; for
+    k = 0 each E is scaled.
+    """
+    bounds, centres, half = tiles
+    idx, coef = _monomials(P.shape[1] - 1, k)
+    n_live, n_mono = len(P), len(idx)
     cols = n_live + T.shape[1]
-    idx, _ = _monomials(P.shape[1] - 1, k)
+    # monomial coefficients of each live neuron's (theta . x)^k and of each column of T
+    lift = np.hstack([coef[:, None] * np.prod(P[:, idx], axis=2).T, T]).T
+    mid, spread = centres @ P.T, half @ np.abs(P).T
+    dead, poly = mid + spread < -CLASS_MARGIN, mid - spread > CLASS_MARGIN
     xs = xt * sw ** (1.0 / k) if k else xt
-    buf = np.empty((cols + 1) * min(rows, step))
-    for lo in range(0, rows, step):
-        hi = min(lo + step, rows)
-        Bt = buf[: (cols + 1) * (hi - lo)].reshape(cols + 1, hi - lo)
-        z = np.matmul(P, xs[:, lo:hi], out=Bt[:n_live])
-        sigma_k(k, z, out=z)
-        np.matmul(T.T, np.prod(xs[idx, lo:hi], axis=1), out=Bt[n_live:cols])
+    bounds = bounds.tolist()
+    e_width = int(np.max(np.count_nonzero(~(dead | poly), axis=1))) + n_mono + 1
+    e_buf = np.empty(e_width * max(hi - lo for lo, hi in zip(bounds, bounds[1:])))
+    b_buf = np.empty((cols + 1) * e_width)
+    for t, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        cross = np.flatnonzero(~(dead[t] | poly[t]))
+        E = e_buf[: (n_mono + len(cross) + 1) * (hi - lo)].reshape(-1, hi - lo)
+        np.prod(xs[idx, lo:hi], axis=1, out=E[:n_mono])
+        sigma_k(k, np.matmul(P[cross], xs[:, lo:hi], out=E[n_mono:-1]), out=E[n_mono:-1])
         if not k:
-            Bt[:cols] *= sw[lo:hi]
-        Bt[cols] = yw[lo:hi]
+            E[:-1] *= sw[lo:hi]
+        E[-1] = yw[lo:hi]
+        # a workspace of 32 floats per column of E^T lets LAPACK run its blocked code (block size 32)
+        R = np.triu(dgeqrf(E.T, lwork=32 * len(E), overwrite_a=1)[0][: min(len(E), hi - lo)])
+        Bt = b_buf[: (cols + 1) * len(R)].reshape(cols + 1, len(R))
+        np.matmul(lift, R[:, :n_mono].T, out=Bt[:cols])
+        Bt[np.flatnonzero(dead[t])] = 0.0
+        Bt[cross] = R[:, n_mono:-1].T
+        Bt[cols] = R[:, -1]
         yield Bt
 
 
@@ -384,45 +483,42 @@ def _ridge_residual(yy: float, z: np.ndarray, c: np.ndarray, ridge: float, size:
     return math.sqrt(res2) if res2 >= RESIDUAL_FLOOR * (yy + size) else math.nan
 
 
-def _solve_reduced(P, k, T, xt, sw, yw, ridge, norm_cap, n) -> tuple[np.ndarray, float, str, int]:
-    """(c, residual, solver, block_rows): coefficients for the weighted reduced
-    design B = sw [sigma_k(P x^T) | Q T], the grid residual ||B c - y||, the
-    solver taken (cholesky, qr or cholesky->qr) and the rows per block of
-    [B | y] that built them.
+def _solve_reduced(P, k, T, xt, tiles, sw, yw, ridge, norm_cap, n) -> tuple[np.ndarray, float, str, int]:
+    """(c, residual, solver, solver_rows): coefficients for the weighted
+    reduced design B = sw [sigma_k(P x^T) | Q T], the grid residual
+    ||B c - y||, the solver taken (cholesky, qr or cholesky->qr) and the
+    virtual rows it read.
 
-    Both solvers read neuron-major blocks of [B | y] (_design_blocks) and
-    end in a triangular factor [[R, z], [0, rho]] of [B | y].  A ridge
-    without a cap takes blocks of step = _block_rows(cols + 1) rows, adds
-    each block's [B | y]^T [B | y] to the upper triangle of one
-    (cols + 1)^2 matrix with one dsyrk, whose last column is B^T y and
-    corner y^T y, adds the ridge to its diagonal, and factors
-    R^T R = B^T B + ridge I with dpotrf on that triangle; two dtrtrs give
-    z = R^-T B^T y and c = R^-1 z, and the residual comes from
-    _ridge_residual.  A pivot that is not positive (a ridge below rounding
-    on a rank-deficient design) falls back to the QR fold.  Every other
-    fit takes blocks of half the budget, step = _block_rows(2 (cols + 1))
-    rows, so that a fold's matrix and LAPACK's copy of it stay small
-    (whole-budget blocks timed slower, BENCH_22.json).  It copies
-    q = ceil(4 cols / step) whole blocks (at least 4 cols rows, since each
-    fold re-factors R), transposed, under the previous triangular factor
-    and folds them into the factor [[R, z], [0, rho]] of a QR
-    decomposition, so the singular values of B = (Q U) diag(s) V^T come
-    from R = U diag(s) V^T without squaring its condition number.  Over the
-    s above lstsq's cutoff eps max(rows, cols) s_max, c = V (U^T z / s) is
-    the minimum-norm least-squares solution, and with a ridge
-    c = V (s U^T z / (s^2 + ridge)); a cap instead runs the root search on
-    G = V diag(s^2) V^T and B^T y = V diag(s) U^T z, which at lam = 0
-    inverts the same s.  The fold's residual is sqrt(rho^2 + ||R c - z||^2),
-    which involves no cancellation.
+    Both solvers read the tiles' blocks of virtual rows of [B | y]
+    (_design_blocks), whose Grams sum to [B | y]^T [B | y], and end in a
+    triangular factor [[R, z], [0, rho]] of [B | y].  A ridge without a cap
+    adds each block's Gram to the upper triangle of one (cols + 1)^2 matrix
+    with one dsyrk, whose last column is B^T y and corner y^T y, adds the
+    ridge to its diagonal, and factors R^T R = B^T B + ridge I with dpotrf
+    on that triangle; two dtrtrs give z = R^-T B^T y and c = R^-1 z, and the
+    residual comes from _ridge_residual.  A pivot that is not positive (a
+    ridge below rounding on a rank-deficient design) falls back to the QR
+    fold, which reads the blocks again.  Every other fit copies blocks,
+    transposed, under the previous triangular factor until at least 4 cols
+    rows wait (each fold re-factors R) and folds them into the factor
+    [[R, z], [0, rho]] of a QR decomposition, once more after the last
+    block, so the singular values of B = (Q U) diag(s) V^T come from
+    R = U diag(s) V^T without squaring its condition number.  Over the s
+    above lstsq's cutoff eps max(rows, cols) s_max, rows the grid's,
+    c = V (U^T z / s) is the minimum-norm least-squares solution, and with
+    a ridge c = V (s U^T z / (s^2 + ridge)); a cap instead runs the root
+    search on G = V diag(s^2) V^T and B^T y = V diag(s) U^T z, which at
+    lam = 0 inverts the same s.  The fold's residual is
+    sqrt(rho^2 + ||R c - z||^2), which involves no cancellation.
     """
     rows = xt.shape[1]
     cols = len(P) + T.shape[1]
-    solver = "qr"
+    solver, solver_rows = "qr", 0
     if ridge > 0.0 and norm_cap == 0.0:
-        step = _block_rows(cols + 1)
         G = np.zeros((cols + 1, cols + 1), order="F")
-        for Bt in _design_blocks(P, k, T, xt, sw, yw, step):
+        for Bt in _design_blocks(P, k, T, xt, tiles, sw, yw):
             dsyrk(1.0, Bt.T, beta=1.0, c=G, trans=1, overwrite_c=1)
+            solver_rows += Bt.shape[1]
         diag = np.arange(cols)
         col_norms = np.sqrt(G[diag, diag])
         G[diag, diag] += ridge
@@ -431,21 +527,21 @@ def _solve_reduced(P, k, T, xt, sw, yw, ridge, norm_cap, n) -> tuple[np.ndarray,
             z = dtrtrs(R, G[:cols, cols], lower=0, trans=1)[0]
             c = dtrtrs(R, z, lower=0)[0]
             size = float(np.abs(c) @ col_norms) ** 2
-            return c, _ridge_residual(G[cols, cols], z, c, ridge, size), "cholesky", min(rows, step)
+            return c, _ridge_residual(G[cols, cols], z, c, ridge, size), "cholesky", solver_rows
         solver = "cholesky->qr"
-    step = _block_rows(2 * (cols + 1))
-    q = -(-4 * cols // step)
-    # [R | z] over the waiting rows, column-major so that each block row copies in contiguously
-    design = np.empty((cols + 1, cols + 1 + min(rows, q * step))).T
-    r = held = done = 0
-    for Bt in _design_blocks(P, k, T, xt, sw, yw, step):
+    # [R | z] over the waiting rows, column-major so that each block row copies in contiguously;
+    # fewer than 4 cols rows wait before a block of at most len(P) + C(k + d, d) + 1 rows
+    width = len(P) + math.comb(k + P.shape[1] - 1, k) + 1
+    design = np.empty((cols + 1, cols + 1 + min(rows, 4 * cols + width))).T
+    r = held = 0
+    for Bt in _design_blocks(P, k, T, xt, tiles, sw, yw):
         design[r + held : r + held + Bt.shape[1]] = Bt.T
         held += Bt.shape[1]
-        done += Bt.shape[1]
-        if held == q * step or done == rows:
-            R = np.linalg.qr(design[: r + held], mode="r")
-            r, held = len(R), 0
-            design[:r] = R
+        solver_rows += Bt.shape[1]
+        if held >= 4 * cols:
+            r, held = _fold(design, r + held), 0
+    if held:
+        r = _fold(design, r + held)
     R, z = np.zeros((cols, cols)), np.zeros(cols)
     m = min(r, cols)
     R[:m], z[:m] = design[:m, :cols], design[:m, cols]
@@ -460,7 +556,14 @@ def _solve_reduced(P, k, T, xt, sw, yw, ridge, norm_cap, n) -> tuple[np.ndarray,
         c = Vt.T @ (s * Uz / (s * s + ridge))
     else:
         c = Vt.T @ np.divide(Uz, s, out=np.zeros(cols), where=keep)
-    return c, math.hypot(rho, float(np.linalg.norm(R @ c - z))), solver, min(rows, step)
+    return c, math.hypot(rho, float(np.linalg.norm(R @ c - z))), solver, solver_rows
+
+
+def _fold(design: np.ndarray, rows: int) -> int:
+    """Replace the first rows of design by their QR factor R; len(R)."""
+    R = np.linalg.qr(design[:rows], mode="r")
+    design[: len(R)] = R
+    return len(R)
 
 
 def _grid_weights(grid_weights, rows: int) -> np.ndarray:
@@ -496,16 +599,20 @@ def least_squares_fit(
     orthonormal columns, so ||a|| = ||(a_live, c)|| and the ridge,
     minimum-norm and norm-cap problems keep their solutions exactly.
     Sphere targets prune nothing.  The weighted reduced design B and the
-    weighted target y are built block by block as [B | y]^T, neuron-major,
-    in one reused buffer of at most _block_rows(cols + 1) rows of cols + 1
-    floats.  With a ridge and no cap, one dsyrk per block accumulates
-    [B | y]^T [B | y], which holds G = B^T B and B^T y, and
-    (G + ridge I) a = B^T y is solved by Cholesky (dpotrf, then two
-    dtrtrs); a pivot that is not positive, as a ridge below rounding on a
-    rank-deficient design gives, falls back to the QR fold.  Every other
-    fit folds the blocks into a QR factor, whose SVD gives the minimum-norm
-    solution, or the cap's root search, without squaring the condition
-    number as G does (see _solve_reduced).
+    weighted target y are never built as rows: the grid is cut into the
+    tiles of its median bisection (kept for the next fit on the same grid
+    points, whatever their weights) that hold at most
+    _block_rows(live + C(k + d, d) + 1) rows, and each tile gives the
+    triangular factor of its own small design, in which a neuron that does
+    not cross the tile's box is 0 or its monomial sum, lifted to the
+    columns of [B | y] (_design_blocks).  With a ridge and no cap, one
+    dsyrk per tile accumulates [B | y]^T [B | y], which holds G = B^T B and
+    B^T y, and (G + ridge I) a = B^T y is solved by Cholesky (dpotrf, then
+    two dtrtrs); a pivot that is not positive, as a ridge below rounding on
+    a rank-deficient design gives, falls back to the QR fold.  Every other
+    fit folds the tiles' factors into a QR factor, whose SVD gives the
+    minimum-norm solution, or the cap's root search, without squaring the
+    condition number as G does (see _solve_reduced).
 
     The model returned carries the fit's grid residual
     sqrt(sum_i w_i (f_n(x_i) - f(x_i))^2) as model.residual, read from the
@@ -517,9 +624,10 @@ def least_squares_fit(
     no least-squares fit produced has residual NaN.  One JSON debug record
     per fit (rows, n, the live, polynomial and dead counts, the reduced
     column count, the problem solved: lstsq, solve or cap, the solver
-    taken: cholesky, qr or cholesky->qr, the residual, the rows per block
-    and the seconds taken) goes to the "fnspace.models" logger, quiet by
-    default.
+    taken: cholesky, qr or cholesky->qr, the residual, the tiles read, the
+    rows of the largest as block_rows, the virtual rows the solver read as
+    solver_rows, and the seconds taken) goes to the "fnspace.models"
+    logger, quiet by default.
     """
     start = time.perf_counter()
     if not (ridge >= 0.0 and norm_cap >= 0.0):  # NaN too
@@ -546,10 +654,15 @@ def least_squares_fit(
     sw = np.sqrt(grid_weights)
     yw = f(grid_points) * sw
     if cols:
-        xt = np.ascontiguousarray(_lifted(grid_points, ps.d, f.on_sphere).T)
-        c, residual, solver, block_rows = _solve_reduced(P, k, T, xt, sw, yw, ridge, norm_cap, n)
+        tiling = _tiling(grid_points.tobytes(), grid_points.shape[1], f.on_sphere)
+        tiles = tiling.level(_block_rows(n_live + math.comb(k + ps.d, k) + 1))
+        order = tiling.order  # tiling.xt holds the grid rows in this order
+        c, residual, solver, solver_rows = _solve_reduced(
+            P, k, T, tiling.xt, tiles, sw[order], yw[order], ridge, norm_cap, n)
+        sizes = np.diff(tiles[0])
     else:  # every neuron is 0 on the grid
-        c, residual, solver, block_rows = np.zeros(0), float(np.linalg.norm(yw)), None, 0
+        c, residual, solver, solver_rows = np.zeros(0), float(np.linalg.norm(yw)), None, 0
+        sizes = np.zeros(0, dtype=int)
     a = np.zeros(n)
     a[live] = c[:n_live]
     a[poly] = V @ c[n_live:]
@@ -558,7 +671,8 @@ def least_squares_fit(
             "rows": rows, "n": n, "live": n_live, "polynomial": int(np.count_nonzero(poly)),
             "dead": int(np.count_nonzero(dead)), "columns": cols,
             "path": "cap" if norm_cap > 0.0 else "solve" if ridge > 0.0 else "lstsq",
-            "solver": solver, "residual": residual, "block_rows": block_rows,
+            "solver": solver, "residual": residual, "tiles": len(sizes),
+            "block_rows": int(np.max(sizes, initial=0)), "solver_rows": solver_rows,
             "seconds": time.perf_counter() - start,
         }))
     model = FiniteNeuronModel(k, ps, a, norm_cap, on_sphere=f.on_sphere)

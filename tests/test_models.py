@@ -1,3 +1,4 @@
+import contextlib
 import json
 import logging
 import math
@@ -12,7 +13,7 @@ from fnspace import models
 from fnspace.activation import sigma_k, sigma_k_prime, spectrum
 from fnspace.errors import ConfigurationError, ContractError, PrecisionError
 from fnspace.harmonics import PROJECT_MARGIN, harmonic_block, project, reference_grid
-from fnspace.harness import domain_grid, get_target
+from fnspace.harness import ExperimentConfig, domain_grid, get_target, run_rates
 from fnspace.models import (
     BLOCK_FLOATS,
     FiniteNeuronModel,
@@ -612,22 +613,23 @@ def _straddling_grid(d, radius, n_rows_for, on_sphere, rng):
     k=st.integers(0, 3),
     n=st.integers(1, 12),
     on_sphere=st.booleans(),
-    offset=st.sampled_from(["step-1", "step", "step+1", "2step+3"]),
-    boundary=st.sampled_from(["gram", "qr_block", "fold"]),
+    offset=st.sampled_from(["step-1", "step", "step+1", "2step", "2step+1", "8step+3"]),
     radius=st.floats(0.2, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_blocked_solvers_match_the_dense_design(d, k, n, on_sphere, offset, boundary, radius, seed):
-    """Rows straddle a block boundary of the reduced design, under a small
-    float budget: the Gram's block of budget // (cols + 1) rows, the QR's
-    block of budget // (2 (cols + 1)) rows, or the QR's fold of
-    q = ceil(4 cols / step) such blocks.  Reference: the full rows x n design A
-    of every direction, solved densely.  Tolerances, fixed in advance: with
+def test_blocked_solvers_match_the_dense_design(d, k, n, on_sphere, offset, radius, seed):
+    """Rows straddle a tile boundary under a small float budget: a fit's
+    tiles hold at most step = budget // (live + C(k + d, d) + 1) rows, so
+    step rows are one tile, step + 1 and 2 step two, 2 step + 1 four, and
+    8 step + 3 sixteen, whose virtual rows the QR fold takes in more than
+    one fold.  Reference: the full rows x n design A of every direction,
+    solved densely.  Tolerances, fixed in advance: with
     lam = 1e-6 ||A||_F^2, so cond(A^T A + lam I) <= 1e6 + 1, the ridge path
     (dsyrk) and the QR fold (a ridge under a cap that does not bind) give
     ||a - a_ref|| <= 1e-8 ||a_ref||; the ridge-free QR fold reaches the
     lstsq objective within a relative 1e-10 plus 1e-13 ||y_w||^2.  Each
-    fit's residual is ||A a - y_w|| within _assert_residual's tolerances."""
+    fit's residual is ||A a - y_w|| within _assert_residual's tolerances,
+    and its record reads the tiles the rule gives."""
     rng = np.random.Generator(np.random.Philox(seed))
     pts = _unit(rng.standard_normal((n, d + 1)))
     if not on_sphere:  # one direction of each class: dead, polynomial and live
@@ -635,19 +637,16 @@ def test_blocked_solvers_match_the_dense_design(d, k, n, on_sphere, offset, boun
         extra[0, d], extra[1, d], extra[2, 0] = -1.0, 1.0, 1.0
         pts = np.vstack([pts, extra])
     ps = PointSet(pts)
+    step = None
 
     def rows_for(r):
+        nonlocal step
         b, wn = ps.points[:, d], np.linalg.norm(ps.points[:, :d], axis=1)
-        dead, poly = b + wn * r < -1e-12, b - wn * r > 1e-12
-        if on_sphere:  # nothing is pruned
-            dead = poly = np.zeros(ps.n, dtype=bool)
-        cols = int(np.count_nonzero(~(dead | poly))) + _polynomial_block(ps.points[poly], k)[0].shape[1]
-        step = SMALL_BLOCK_FLOATS // (cols + 1)
-        if boundary != "gram":
-            step = max(1, SMALL_BLOCK_FLOATS // (2 * (cols + 1)))
-        if boundary == "fold":
-            step *= -(-4 * cols // step)
-        return {"step-1": step - 1, "step": step, "step+1": step + 1, "2step+3": 2 * step + 3}[offset]
+        live = ~((b + wn * r < -1e-12) | (b - wn * r > 1e-12)) | on_sphere  # nothing is pruned on the sphere
+        step = max(1, SMALL_BLOCK_FLOATS // (int(np.count_nonzero(live)) + math.comb(k + d, d) + 1))
+        factor, extra = {"step-1": (1, -1), "step": (1, 0), "step+1": (1, 1), "2step": (2, 0),
+                         "2step+1": (2, 1), "8step+3": (8, 3)}[offset]
+        return max(1, factor * step + extra)
 
     x, w = _straddling_grid(d, radius, rows_for, on_sphere, rng)
     if on_sphere:
@@ -663,10 +662,14 @@ def test_blocked_solvers_match_the_dense_design(d, k, n, on_sphere, offset, boun
         return
     want = np.linalg.solve(A.T @ A + lam * np.eye(ps.n), A.T @ yw)
     huge = 1e6 * math.sqrt(ps.n) * float(np.linalg.norm(want))
-    with pytest.MonkeyPatch.context() as mp:
+    rows = len(x)
+    tiles = 1 << max(0, math.ceil(math.log2(rows / step)))  # median cuts halve every tile
+    with pytest.MonkeyPatch.context() as mp, _model_records() as records:
         mp.setattr(models, "BLOCK_FLOATS", SMALL_BLOCK_FLOATS)
         for path in ({"ridge": lam}, {"ridge": lam, "norm_cap": huge}, {}):
             model = least_squares_fit(target, ps, x, w, k=k, **path)
+            info = records[-1]
+            assert (info["tiles"], info["block_rows"]) == (min(tiles, rows), -(-rows // tiles))
             _assert_residual(model, float(np.linalg.norm(A @ model.a - yw)), A, yw, cholesky=path == {"ridge": lam})
             if path:
                 assert np.linalg.norm(model.a - want) <= 1e-8 * np.linalg.norm(want)
@@ -680,38 +683,142 @@ def test_blocked_solvers_match_the_dense_design(d, k, n, on_sphere, offset, boun
     assert objective(got) <= objective(ref) * (1.0 + 1e-10) + 1e-13 * float(yw @ yw)
 
 
+def _reduced(ps, k, x, on_sphere):
+    """(P, T, lift): the live directions, the polynomial block and, per column of
+    [P | T], its coefficients on the degree-k monomials, by least_squares_fit's
+    global rule on the grid x."""
+    d = ps.d
+    if on_sphere:
+        dead = poly = np.zeros(ps.n, dtype=bool)
+    else:
+        r = float(np.max(np.linalg.norm(x, axis=1)))
+        b, wn = ps.points[:, d], np.linalg.norm(ps.points[:, :d], axis=1)
+        dead, poly = b + wn * r < -1e-12, b - wn * r > 1e-12
+    P = ps.points[~(dead | poly)]
+    T, _ = _polynomial_block(ps.points[poly], k)
+    idx, coef = _monomials(d, k)
+    return P, T, np.hstack([coef[:, None] * np.prod(P[:, idx], axis=2).T, T])
+
+
+def _dense_rows(P, T, k, x, on_sphere, sw, yw):
+    """(E, Q): the dense weighted [B | y] of the reduced design on the grid x,
+    and its weighted degree-k monomials."""
+    xt = x if on_sphere else np.column_stack([x, np.ones(len(x))])
+    idx, _ = _monomials(P.shape[1] - 1, k)
+    Q = np.prod(xt[:, idx], axis=2) * sw[:, None]
+    return np.column_stack([sigma_k(k, xt @ P.T) * sw[:, None], Q @ T, yw]), Q
+
+
+def _blocks(P, k, T, x, on_sphere, sw, yw):
+    """(level, blocks): the tile level a fit of P takes on the grid x, and copies
+    of the blocks _design_blocks yields there (it reuses one buffer)."""
+    tiling = models._tiling(x.tobytes(), x.shape[1], on_sphere)
+    level = tiling.level(_block_rows(len(P) + math.comb(k + P.shape[1] - 1, k) + 1))
+    blocks = _design_blocks(P, k, T, tiling.xt, level, sw[tiling.order], yw[tiling.order])
+    return level, [Bt.copy() for Bt in blocks]
+
+
 def test_design_blocks_share_one_buffer_within_the_budget():
-    """The blocks are neuron-major views of one C-contiguous buffer within
-    the float budget, and together they are [B | y]^T of the dense weighted
-    reduced design.  _block_rows gives as many rows as the budget holds."""
+    """The tiles of the 40960-row disk grid cover it: the coarsest level whose
+    tiles hold at most _block_rows(live + 7) rows, each row inside its tile's
+    box up to the rounding of its centre and half-widths, which CLASS_MARGIN
+    covers.  The blocks are neuron-major views of one C-contiguous buffer, one
+    per tile, with at most (crossing neurons + 7) rows, fewer than the
+    tile's; each has the Gram of its tile's rows of the dense weighted
+    reduced design [B | y], within 1e-13 of its largest entry.
+    _block_rows gives as many rows as the budget holds."""
     pts, w = domain_grid(2, 4096)
     ps = generate_points(2, 96, "fibonacci_s2")
-    r = float(np.max(np.linalg.norm(pts, axis=1)))
-    b, wn = ps.points[:, 2], np.linalg.norm(ps.points[:, :2], axis=1)
-    dead, poly = b + wn * r < -1e-12, b - wn * r > 1e-12
-    live = ~(dead | poly)
-    assert np.any(dead) and np.any(poly)
-    P = ps.points[live]
-    T, _ = _polynomial_block(ps.points[poly], 2)
-    cols = len(P) + T.shape[1]
-    xt = np.column_stack([pts, np.ones(len(pts))])
-    sw, yw = np.sqrt(w), np.sqrt(w) * np.cos(pts[:, 0])
-    idx, _ = _monomials(2, 2)
-    dense = np.column_stack([features(PointSet(P), 2, pts), np.prod(xt[:, idx], axis=2) @ T]) * sw[:, None]
+    P, T, _ = _reduced(ps, 2, pts, False)
+    assert len(P) < 96 - 6 and T.shape == (6, 6)  # dead and polynomial directions were pruned
+    cols = len(P) + 6
+    sw = np.sqrt(w)
+    yw = sw * np.cos(pts[:, 0])
+    dense, _ = _dense_rows(P, T, 2, pts, False, sw, yw)
+    tiling = models._tiling(pts.tobytes(), 2, False)
+    assert np.array_equal(np.sort(tiling.order), np.arange(len(pts)))
+    assert np.array_equal(tiling.xt, np.column_stack([pts, np.ones(len(pts))])[tiling.order].T)
+    max_rows = BLOCK_FLOATS // (cols + 1)
+    bounds, centres, half = level = tiling.level(max_rows)
+    sizes = np.diff(bounds)
+    tiles = 1 << math.ceil(math.log2(len(pts) / max_rows))  # median cuts halve every tile
+    assert len(sizes) == tiles > 1 and np.all(sizes == len(pts) // tiles)
+    for t, (lo, hi) in enumerate(zip(bounds, bounds[1:])):  # within the box, to the rounding of c and h
+        assert np.all(np.abs(tiling.xt[:, lo:hi].T - centres[t]) <= half[t] + 2 * np.finfo(float).eps)
     blocks = []
-    step = BLOCK_FLOATS // (cols + 1)
-    for Bt in _design_blocks(P, 2, T, np.ascontiguousarray(xt.T), sw, yw, step):
-        assert Bt.flags.c_contiguous and Bt.shape[0] == cols + 1
-        assert Bt.size <= BLOCK_FLOATS and (not blocks or np.shares_memory(Bt, blocks[0][1]))
+    for t, Bt in enumerate(_design_blocks(P, 2, T, tiling.xt, level, sw[tiling.order], yw[tiling.order])):
+        assert Bt.flags.c_contiguous and Bt.shape[0] == cols + 1 and Bt.shape[1] < sizes[t]
+        assert Bt.size <= BLOCK_FLOATS
+        assert not blocks or np.shares_memory(Bt, blocks[0][1])
+        rows = dense[tiling.order[bounds[t] : bounds[t + 1]]]
+        want = rows.T @ rows
+        assert np.max(np.abs(Bt @ Bt.T - want)) <= 1e-13 * np.max(np.abs(want))
         blocks.append((Bt.copy(), Bt))
-    assert [c.shape[1] for c, _ in blocks] == [step] * (len(pts) // step) + [len(pts) % step]
-    got = np.hstack([c for c, _ in blocks])
-    assert np.array_equal(got[cols], yw)
-    assert np.max(np.abs(got[:cols].T - dense)) <= 1e-14 * np.max(np.abs(dense))
+    assert len(blocks) == tiles and sum(c.shape[1] for c, _ in blocks) < len(pts) // 10
     for width in (1, 2, 51, 201, 512, 513, 514, 2001, BLOCK_FLOATS, BLOCK_FLOATS + 1):
         rows = _block_rows(width)
         assert rows >= 1 and (rows * width <= BLOCK_FLOATS or rows == 1)
         assert (rows + 1) * width > BLOCK_FLOATS  # as many rows as the budget holds
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    d=st.integers(1, 2),
+    k=st.integers(0, 3),
+    n=st.integers(1, 12),
+    on_sphere=st.booleans(),
+    rows=st.integers(1, 160),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_virtual_rows_have_the_gram_of_the_grid_rows(d, k, n, on_sphere, rows, seed):
+    """The stacked blocks' Gram is the dense [B | y]^T [B | y] under a small
+    float budget.  On a domain grid two more directions put their kink within
+    CLASS_MARGIN of a tile's box, at its largest and smallest row along one
+    axis, so a k = 0 neuron there is 1 on one row and 0 on the others, or 0
+    on one row and 1 on the others: dead or polynomial by a wrong margin, it
+    would lose or gain that row.  Tolerance, fixed before the first run:
+    entry (i, j) within 1e-11 u_i u_j, where u_j = sum_a |L_aj| ||Q_a|| for
+    a neuron or column of T with monomial coefficients L_aj on the weighted
+    monomial columns Q_a, which bounds the norm of its column and of the
+    monomial sum the block takes it from, and u = ||y|| for y."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    if on_sphere:
+        x = _unit(rng.standard_normal((rows, d + 1)))
+    else:
+        x, _ = _small_grid(d, 0.9, rows, rng)
+    w = _weights(rows, rng)
+    sw = np.sqrt(w)
+    yw = sw * rng.standard_normal(rows)
+    dirs = _unit(rng.standard_normal((n, d + 1)))
+    if not on_sphere:  # one direction of each class, then two at the edges of a tile's box
+        extra = np.zeros((3, d + 1))
+        extra[0, d], extra[1, d], extra[2, 0] = -1.0, 1.0, 1.0
+        dirs = np.vstack([dirs, extra])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(models, "BLOCK_FLOATS", SMALL_BLOCK_FLOATS)
+        if not on_sphere:  # both edge directions are live on the grid, so the fit takes this level
+            n_live = len(_reduced(PointSet(dirs), k, x, False)[0]) + 2
+            tiling = models._tiling(x.tobytes(), d, False)
+            bounds, _, _ = tiling.level(_block_rows(n_live + math.comb(k + d, d) + 1))
+            t, axis = int(rng.integers(len(bounds) - 1)), int(rng.integers(d))
+            side = tiling.xt[axis, bounds[t] : bounds[t + 1]]
+            for end, shift in ((side.max(), 0.5e-12), (side.min(), -0.5e-12)):
+                edge = np.zeros(d + 1)
+                edge[axis], edge[d] = 1.0, shift - end
+                if np.min(np.linalg.norm(_unit([edge]) - dirs, axis=1)) > 1e-9:
+                    dirs = np.vstack([dirs, _unit([edge])])
+        ps = PointSet(dirs)
+        P, T, lift = _reduced(ps, k, x, on_sphere)
+        if not len(P) + T.shape[1]:  # least_squares_fit builds no block
+            return
+        level, blocks = _blocks(P, k, T, x, on_sphere, sw, yw)
+    if not on_sphere and len(P) == n_live:  # a tile of equal coordinates has one edge direction
+        assert np.array_equal(level[0], bounds)
+    dense, Q = _dense_rows(P, T, k, x, on_sphere, sw, yw)
+    want = dense.T @ dense
+    got = sum(Bt @ Bt.T for Bt in blocks)
+    u = np.append(np.abs(lift).T @ np.linalg.norm(Q, axis=0), np.linalg.norm(yw))
+    assert np.all(np.abs(got - want) <= 1e-11 * np.outer(u, u))
 
 
 def test_pruned_columns_are_exact():
@@ -786,6 +893,24 @@ def test_capped_fit_on_a_rank_deficient_design_matches_the_design_svd(caplog):
     assert np.linalg.norm(model.a - want) <= 1e-8 * np.linalg.norm(want)
 
 
+@contextlib.contextmanager
+def _model_records():
+    """The JSON records the fnspace.models logger sends within the block, in a
+    list (caplog is function-scoped, which hypothesis tests cannot take)."""
+    records = []
+    handler = logging.Handler(logging.DEBUG)
+    handler.emit = lambda record: records.append(json.loads(record.getMessage()))
+    logger = logging.getLogger("fnspace.models")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        yield records
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
 def _fit_records(caplog, *args, **kwargs):
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="fnspace.models"):
@@ -794,6 +919,11 @@ def _fit_records(caplog, *args, **kwargs):
 
 
 def test_least_squares_fit_diagnostics_record(caplog):
+    """One record per fit.  tiles counts the grid tiles the fit read,
+    block_rows is the largest of them and solver_rows the virtual rows the
+    solver read: min(tile rows, crossing neurons + 7) per tile at k = 2 on
+    the disk, counted here from the tile boxes.  The Cholesky, QR and capped
+    paths read the same tiles; a fit with every neuron dead reads none."""
     pts, w = domain_grid(2, 4096)
     ps = generate_points(2, 96, "fibonacci_s2")
     target = get_target("gaussian_bump", 2)
@@ -801,37 +931,50 @@ def test_least_squares_fit_diagnostics_record(caplog):
     r = float(np.max(np.linalg.norm(pts, axis=1)))
     b, wn = ps.points[:, 2], np.linalg.norm(ps.points[:, :2], axis=1)
     dead, poly = int(np.sum(b + wn * r < -1e-12)), int(np.sum(b - wn * r > 1e-12))
-    cols = 96 - dead - poly + 6
+    live = 96 - dead - poly
+    cols = live + 6
+    bounds, centres, half = models._tiling(pts.tobytes(), 2, False).level(BLOCK_FLOATS // (live + 7))
+    P, _, _ = _reduced(ps, 2, pts, False)
+    mid, spread = centres @ P.T, half @ np.abs(P).T
+    crossing = np.count_nonzero(np.abs(mid) <= spread + 1e-12, axis=1)
+    sizes = np.diff(bounds)
     seconds = info.pop("seconds")
     residual = info.pop("residual")
     assert info == {
-        "rows": len(pts), "n": 96, "live": 96 - dead - poly, "polynomial": poly,
+        "rows": len(pts), "n": 96, "live": live, "polynomial": poly,
         "dead": dead, "columns": cols, "path": "solve", "solver": "cholesky",
-        "block_rows": BLOCK_FLOATS // (cols + 1),
+        "tiles": len(sizes), "block_rows": int(np.max(sizes)),
+        "solver_rows": int(np.sum(np.minimum(sizes, crossing + 7))),
     }
     assert dead > 0 and poly > 6  # six monomials of degree 2 stand in for the polynomial block
+    assert np.max(sizes) <= BLOCK_FLOATS // (live + 7) < 2 * np.max(sizes)  # the coarsest level within the budget
+    assert len(sizes) > 1 and info["solver_rows"] < len(pts) // 10
     assert isinstance(seconds, float) and 0.0 < seconds < 60.0
     assert residual == least_squares_fit(target, ps, pts, w, k=2, ridge=1e-9).residual > 0.0
+    tiled = {key: info[key] for key in ("tiles", "block_rows", "solver_rows")}
     (lstsq,) = _fit_records(caplog, target, ps, pts, w, k=2)
     assert (lstsq["path"], lstsq["solver"]) == ("lstsq", "qr")
     capped = _fit_records(caplog, target, ps, pts, w, k=2, norm_cap=1.0)
     assert [r.get("path") for r in capped] == [None, "cap"]  # ridge_bisect_cap's record first
     assert capped[1]["solver"] == "qr"
-    assert capped[1]["block_rows"] == BLOCK_FLOATS // (2 * (cols + 1))  # the QR fold reads half-budget blocks
-    # a grid shorter than one block is one block; a wide design's blocks stay within the budget
+    for record in (lstsq, capped[1]):  # both solvers read the same virtual rows
+        assert {key: record[key] for key in tiled} == tiled
+    # a grid shorter than one tile is one tile; a wide design's tiles stay within the budget
     (short,) = _fit_records(caplog, target, ps, pts[:500], w[:500], k=2, ridge=1e-9)
-    assert short["block_rows"] == 500
-    for path, share in (({"ridge": 1e-9}, 1), ({}, 2)):
+    assert (short["tiles"], short["block_rows"]) == (1, 500)
+    for path in ({"ridge": 1e-9}, {}):
         (info,) = _fit_records(caplog, target, generate_points(2, 800, "fibonacci_s2"), pts[::20], w[::20], k=1, **path)
-        assert info["columns"] > 512 and info["block_rows"] == BLOCK_FLOATS // (share * (info["columns"] + 1))
-        assert info["block_rows"] * (info["columns"] + 1) <= BLOCK_FLOATS
+        max_rows = BLOCK_FLOATS // (info["live"] + 4)
+        assert info["columns"] > 512 and info["block_rows"] <= max_rows < 2 * info["block_rows"]
+        assert info["block_rows"] * (info["columns"] + 1) <= BLOCK_FLOATS and info["tiles"] > 1
     sphere = get_target("smooth_even_circle", 1)
     grid = reference_grid(1, 256)
     (info,) = _fit_records(caplog, sphere, generate_points(1, 16, "equispaced_circle"), grid.nodes, grid.weights)
     assert (info["live"], info["polynomial"], info["dead"], info["columns"]) == (16, 0, 0, 16)
     dead_only = PointSet(_unit([[1.0, 0.0, -1.5], [0.0, 1.0, -1.2]]))
     (info,) = _fit_records(caplog, target, dead_only, pts, w, k=2, ridge=1e-9)
-    assert (info["columns"], info["block_rows"], info["solver"]) == (0, 0, None)  # no block is built
+    # no tile is read
+    assert (info["columns"], info["solver"], info["tiles"], info["block_rows"], info["solver_rows"]) == (0, None, 0, 0, 0)
 
 
 def test_least_squares_fit_quiet_by_default(caplog):
@@ -909,6 +1052,8 @@ def test_ridge_below_rounding_falls_back_to_the_qr_fold(caplog):
     target = get_target("gaussian_bump", 2)
     (info,) = _fit_records(caplog, target, ps, x, w, k=1, ridge=1e-20)
     assert (info["path"], info["solver"], info["live"]) == ("solve", "cholesky->qr", 40)
+    (free,) = _fit_records(caplog, target, ps, x, w, k=1)
+    assert info["solver_rows"] == 2 * free["solver_rows"]  # the fallback reads the tiles again
     model = least_squares_fit(target, ps, x, w, k=1, ridge=1e-20)
     A, y = _weighted_design(ps, 1, x, w, target)
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
@@ -965,6 +1110,33 @@ def test_only_least_squares_fits_carry_a_residual():
         FiniteNeuronModel(1, ps, np.ones(8), residual=0.0)
     ps, rule, spec, grid = circle_setup(n=16)
     assert math.isnan(constructive_fit(get_target("smooth_even_circle", 1), rule, spec, grid).residual)
+
+
+def test_one_tiling_per_grid():
+    """Fits on one grid bisect it once, whatever their weights, directions, k
+    or path, and a criterion-06-style sweep bisects its grid once; an
+    in-place edit of the grid tiles it anew, so the fit matches a fit on a
+    fresh copy bit for bit."""
+    pts, w = domain_grid(2, 4096)
+    pts = pts.copy()
+    target = get_target("gaussian_bump", 2)
+    ps = generate_points(2, 32, "fibonacci_s2")
+    models._tiling.cache_clear()
+    least_squares_fit(target, ps, pts, w, k=1, ridge=1e-9)
+    least_squares_fit(target, ps, pts, np.full(len(pts), 1.0 / len(pts)), k=1, ridge=1e-9)
+    least_squares_fit(target, generate_points(2, 64, "fibonacci_s2"), pts, w, k=2)
+    info = models._tiling.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    pts[:100] *= 0.5
+    edited = least_squares_fit(target, ps, pts, w, k=1, ridge=1e-9)
+    assert models._tiling.cache_info().misses == 2
+    models._tiling.cache_clear()
+    fresh = least_squares_fit(target, ps, pts.copy(), w, k=1, ridge=1e-9)
+    assert np.array_equal(edited.a, fresh.a) and edited.residual == fresh.residual
+    cfg = ExperimentConfig(d=2, k=1, target="gaussian_bump", strategy="fibonacci_s2", ns=(8, 16, 32), ridge=1e-9)
+    misses = models._tiling.cache_info().misses
+    assert all(row["error_code"] == "" for row in run_rates(cfg).rows)
+    assert models._tiling.cache_info().misses == misses + 1
 
 
 @pytest.mark.parametrize(
