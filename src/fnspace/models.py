@@ -29,8 +29,8 @@ squares on the SVD of its QR factor.
 least_squares_fit on a domain drops the neurons that are 0 on the whole
 grid and fits the ones that are polynomials there through an orthonormal
 basis of their span, which leaves the solution unchanged.  It never holds
-the weighted design's rows: the grid is cut into tiles by median
-bisection, once per grid (_tiling), and on a tile most neurons are again
+the weighted design's rows: the grid is cut into tiles by a balanced
+kd-tree, once per grid (_tiling), and on a tile most neurons are again
 0 or a polynomial, (theta . (x, 1))^k.  Each tile gives one block of
 virtual rows, the triangular factor of its monomials, its crossing
 neurons and its target lifted to every column (_design_blocks), with the
@@ -59,6 +59,7 @@ import numpy as np
 from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dgeqrf, dpotrf, dtrtrs
 from scipy.optimize import brentq
+from scipy.spatial import cKDTree
 
 from .activation import ActivationSpectrum, sigma_k, sigma_k_prime
 from .errors import ConfigurationError, ContractError, PrecisionError
@@ -345,60 +346,41 @@ def _block_rows(width: int) -> int:
 
 
 class _Tiles:
-    """Median bisections of a grid's lifted rows into tiles.
+    """A grid's lifted rows cut into tiles by a balanced kd-tree.
 
-    order permutes the grid rows so that each tile of each level is a run of
-    them: level 0 is one tile of every row, and level L + 1 cuts each tile
-    of level L that holds two rows or more at the median of its rows along
-    the widest side of its bounding box, down to tiles of one row.  xt holds
-    the lifted rows (x, 1), or eta on the sphere, as columns, (d + 1) x
-    rows, given in grid order and kept in tile order, and bounds[L] the
-    ends of level L's runs.
+    order permutes the grid rows as scipy's balanced cKDTree leaves them
+    (Bentley, CACM 18(9), 1975): each node is a run of rows, split at its
+    median along the widest side of its bounding box, so level 0 is one
+    tile of every row and level L + 1 cuts each tile of level L that holds
+    two rows or more at its middle row.  Where the tree splits elsewhere
+    (inside one of its leaves of 16 rows, or on rows that are all equal) a
+    tile is still a run of rows, only its box is looser.  xt holds the
+    lifted rows (x, 1), or eta on the sphere, as columns, (d + 1) x rows,
+    in tile order.
     """
 
-    def __init__(self, xt: np.ndarray):
-        rows = xt.shape[1]
-        # rank[j, i]: row i's place along coordinate j, so that a tile's rows sort by
-        # their tile, then by their rank on its widest side, under one integer key
-        rank = np.empty(xt.shape, dtype=np.intp)
-        for j, coordinate in enumerate(xt):
-            rank[j, np.argsort(coordinate, kind="stable")] = np.arange(rows)
-        order = np.arange(rows)
-        self.bounds = [np.array([0, rows])]
+    def __init__(self, lifted: np.ndarray):
+        self.order = cKDTree(lifted, balanced_tree=True).indices
+        self.xt = np.take(lifted.T, self.order, axis=1)
         self._boxes = {}
-        while len(self.bounds[-1]) <= rows:  # a tile of two rows or more
-            bounds = self.bounds[-1]
-            sizes = np.diff(bounds)
-            tile = np.repeat(np.arange(len(sizes)), sizes)
-            sort = np.argsort(tile * rows + rank[self._widest(xt, bounds)[tile], order])
-            order, xt = order[sort], np.take(xt, sort, axis=1)
-            self.bounds.append(np.sort(np.concatenate([bounds, (bounds[:-1] + sizes // 2)[sizes > 1]])))
-        self.order, self.xt = order, xt
-        for array in (order, xt, *self.bounds):  # shared by every fit on this grid
+        for array in (self.order, self.xt):  # shared by every fit on this grid
             array.flags.writeable = False
-
-    @staticmethod
-    def _extent(xt, bounds):
-        """Each run's smallest and largest coordinates, tiles x (d + 1)."""
-        return (np.minimum.reduceat(xt, bounds[:-1], axis=1).T,
-                np.maximum.reduceat(xt, bounds[:-1], axis=1).T)
-
-    @classmethod
-    def _widest(cls, xt, bounds):
-        """Each run's coordinate of largest extent; the extents, as large as
-        the grid at the deepest levels, are freed on return."""
-        lo, hi = cls._extent(xt, bounds)
-        return np.argmax(np.subtract(hi, lo, out=hi), axis=1)
 
     def level(self, max_rows: int):
         """(bounds, centres, half-widths) of the coarsest level whose tiles
         hold at most max_rows >= 1 rows: tile t is the rows
         order[bounds[t]:bounds[t + 1]], all within centres[t] +- half-widths[t]."""
-        L = next(L for L, b in enumerate(self.bounds) if np.max(np.diff(b)) <= max_rows)
+        rows, L = self.xt.shape[1], 0
+        while -(-rows >> L) > max_rows:  # ceil(rows / 2^L) rows in level L's largest tile
+            L += 1
         if L not in self._boxes:
-            lo, hi = self._extent(self.xt, self.bounds[L])
-            self._boxes[L] = (self.bounds[L], 0.5 * (lo + hi), 0.5 * (hi - lo))
-            for array in self._boxes[L][1:]:
+            bounds = np.array([0, rows])
+            for _ in range(L):
+                bounds = np.union1d(bounds, bounds[:-1] + np.diff(bounds) // 2)
+            lo = np.minimum.reduceat(self.xt, bounds[:-1], axis=1).T
+            hi = np.maximum.reduceat(self.xt, bounds[:-1], axis=1).T
+            self._boxes[L] = (bounds, 0.5 * (lo + hi), 0.5 * (hi - lo))
+            for array in self._boxes[L]:
                 array.flags.writeable = False
         return self._boxes[L]
 
@@ -407,11 +389,11 @@ class _Tiles:
 def _tiling(points: bytes, width: int, on_sphere: bool) -> _Tiles:
     """The _Tiles of a grid given as the bytes of its float rows, width wide,
     lifted as the neurons see them.  The last grid's tiling is kept, so the
-    fits of one sweep bisect their grid once; a grid that differs in any
+    fits of one sweep build its kd-tree once; a grid that differs in any
     bit, as after an in-place edit, is tiled anew, and weights take no
     part."""
     x = np.frombuffer(points).reshape(-1, width)
-    return _Tiles(np.ascontiguousarray(_lifted(x, width - on_sphere, on_sphere).T))
+    return _Tiles(_lifted(x, width - on_sphere, on_sphere))
 
 
 def _design_blocks(P, k, T, xt, tiles, sw, yw):
@@ -589,8 +571,9 @@ def least_squares_fit(
     smallest extra ridge parameter that meets it (ridge_bisect_cap).  A
     rank-deficient design with ridge=0 yields the minimum-norm solution.
     A ridge or norm_cap that is negative or NaN is a ConfigurationError,
-    and grid_weights (uniform when None) other than one finite value >= 0
-    per grid point a ContractError.
+    and grid points that are not finite, or grid_weights (uniform when
+    None) other than one finite value >= 0 per grid point, a
+    ContractError.
 
     Only the neurons the grid can tell apart are fitted.  On a domain of
     largest grid radius r, a dead neuron (0 on the grid) gets a_j = 0, and
@@ -600,7 +583,7 @@ def least_squares_fit(
     minimum-norm and norm-cap problems keep their solutions exactly.
     Sphere targets prune nothing.  The weighted reduced design B and the
     weighted target y are never built as rows: the grid is cut into the
-    tiles of its median bisection (kept for the next fit on the same grid
+    tiles of its balanced kd-tree (kept for the next fit on the same grid
     points, whatever their weights) that hold at most
     _block_rows(live + C(k + d, d) + 1) rows, and each tile gives the
     triangular factor of its own small design, in which a neuron that does
@@ -635,6 +618,8 @@ def least_squares_fit(
     grid_points = np.asarray(grid_points, dtype=float)
     if grid_points.shape[-1] != f.d + f.on_sphere:
         raise ContractError("grid points must have d components (d+1 on the sphere)")
+    if not np.all(np.isfinite(grid_points)):
+        raise ContractError("grid points must be finite")
     rows, n = len(grid_points), ps.n
     if rows < n:
         raise ConfigurationError("sample grid must have at least n points")

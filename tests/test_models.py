@@ -232,6 +232,23 @@ def test_grid_weights_are_checked(bad):
             error_norms(model, target, pts, weights, s=s)
 
 
+@pytest.mark.parametrize("ridge", [0.0, 1e-9], ids=["lstsq", "ridge"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_grid_points_are_rejected(bad, ridge):
+    """A grid row with a NaN or infinite coordinate is a ContractError that
+    names the grid, raised before the grid is tiled: it gave "SVD did not
+    converge" without a ridge and "coefficients must be finite" with one."""
+    target = get_target("gaussian_bump", 2)
+    ps = generate_points(2, 16, "fibonacci_s2")
+    pts, w = domain_grid(2, 4096)
+    pts = pts.copy()
+    pts[7, 1] = bad
+    misses = models._tiling.cache_info().misses
+    with pytest.raises(ContractError, match="grid points must be finite"):
+        least_squares_fit(target, ps, pts, w, k=1, ridge=ridge)
+    assert models._tiling.cache_info().misses == misses
+
+
 def test_inputs_of_the_wrong_width_are_rejected():
     ps = generate_points(2, 4, "fibonacci_s2")
     with pytest.raises(ContractError):
@@ -1137,6 +1154,60 @@ def test_one_tiling_per_grid():
     misses = models._tiling.cache_info().misses
     assert all(row["error_code"] == "" for row in run_rates(cfg).rows)
     assert models._tiling.cache_info().misses == misses + 1
+
+
+@pytest.mark.parametrize("ridge", [0.0, 1e-9], ids=["lstsq", "ridge"])
+def test_a_fit_does_not_depend_on_the_fits_before_it(ridge):
+    """An n = 32 fit on the criterion-06 disk grid reads a coarser tile
+    level than an n = 512 fit before it on the same grid, and equals a
+    fit on a freshly tiled grid bit for bit."""
+    pts, w = domain_grid(2, 64 * 512)
+    target = get_target("gaussian_bump", 2)
+    small = generate_points(2, 32, "fibonacci_s2")
+    models._tiling.cache_clear()
+    fresh = least_squares_fit(target, small, pts, w, k=1, ridge=ridge)
+    models._tiling.cache_clear()
+    least_squares_fit(target, generate_points(2, 512, "fibonacci_s2"), pts, w, k=1, ridge=ridge)
+    after = least_squares_fit(target, small, pts, w, k=1, ridge=ridge)
+    assert models._tiling.cache_info().hits == 1
+    assert len(models._tiling(pts.tobytes(), 2, False)._boxes) == 2  # the two fits read two levels
+    assert np.array_equal(after.a, fresh.a) and after.residual == fresh.residual
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.integers(1, 2),
+    on_sphere=st.booleans(),
+    rows=st.integers(1, 80),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tile_levels_partition_the_grid(d, on_sphere, rows, data, seed):
+    """A level's tiles are runs of one permutation of the grid rows that
+    partition it, each of at most max_rows rows.  It is the coarsest such
+    level: L halvings at each tile's middle row, L the fewest that bring the
+    largest tile, ceil(rows / 2^L) rows, down to max_rows.  Every lifted row
+    lies in its tile's box up to 2 eps, on grids with fewer and more rows
+    than a kd-tree leaf holds and on grids whose rows repeat, down to one
+    row repeated throughout."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    distinct = data.draw(st.integers(1, rows), label="distinct")
+    max_rows = data.draw(st.integers(1, rows), label="max_rows")
+    base = _unit(rng.standard_normal((distinct, d + 1))) if on_sphere else _small_grid(d, 1.0, distinct, rng)[0]
+    x = base[rng.integers(distinct, size=rows)]
+    lifted = x if on_sphere else np.column_stack([x, np.ones(rows)])
+    tiling = models._tiling(x.tobytes(), x.shape[1], on_sphere)
+    assert np.array_equal(np.sort(tiling.order), np.arange(rows))
+    assert np.array_equal(tiling.xt, lifted[tiling.order].T)
+    bounds, centres, half = tiling.level(max_rows)
+    sizes = np.diff(bounds)
+    assert bounds[0] == 0 and bounds[-1] == rows and np.all(sizes >= 1) and np.max(sizes) <= max_rows
+    L = 0
+    while -(-rows // 2**L) > max_rows:
+        L += 1
+    assert len(sizes) == min(rows, 2**L) and set(sizes) <= {rows // 2**L, -(-rows // 2**L)}
+    for t, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        assert np.all(np.abs(tiling.xt[:, lo:hi].T - centres[t]) <= half[t] + 2 * np.finfo(float).eps)
 
 
 @pytest.mark.parametrize(
