@@ -15,12 +15,19 @@ size, besides its outputs, evaluation's (x, 1) rows of the block, and a
 least-squares solve's (cols + 1)-wide arrays (the Gram, or the triangular
 factor with the rows waiting under it and the block of virtual rows, see
 _solve_reduced) and the grid's lifted rows in tile order (_tiling).
-Evaluation, of width n, writes each block's inputs as (x, 1) rows into
-one small reused buffer, forms the preactivation z = theta . (x, 1) once,
-in a block, and yields the values sigma_k(z) @ a and, when asked, the
-gradients sigma_k'(z) @ (a W) together from one r = max(z, 0);
-sigma_k'(z) takes a second block except at k = 2, where sigma_2' = 2r and
-the 2 is folded into a W.
+Evaluation at arbitrary points (FiniteNeuronModel._evaluate), of width
+n, writes each block's inputs as (x, 1) rows into one small reused buffer,
+forms the preactivation z = theta . (x, 1) once, in a block, and yields
+the values sigma_k(z) @ a and, when asked, the gradients sigma_k'(z) @ (a W)
+together from one r = max(z, 0); sigma_k'(z) takes a second block except
+at k = 2, where sigma_2' = 2r and the 2 is folded into a W.  Evaluation on
+a tiled grid (_tile_values), which error_norms and pde_erm's energy and H1
+error reduce tile by tile, walks the level of the grid's tiles that hold
+at most _block_rows(n) rows and classifies each neuron on each tile box
+as the fits do (_classify): dead neurons are skipped, polynomial ones are
+folded into the tile's monomial coefficients, and sigma_k is formed only
+for the few neurons whose kink crosses the tile, so it never holds an
+array as long as the grid.
 least_squares_fit and pde_erm.erm_fit share one O(n)-per-step root
 search for a norm cap's ridge, _cap_root: erm_fit runs it on one
 eigendecomposition of its Gram matrix (ridge_bisect_cap), capped least
@@ -53,6 +60,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -75,6 +83,7 @@ __all__ = [
     "least_squares_fit",
     "error_norms",
     "coef_stat",
+    "Grid",
 ]
 
 CAP_SLACK = 1e-9
@@ -325,6 +334,23 @@ def _monomials(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(combos, dtype=np.intp).reshape(len(combos), k), np.array(coef)
 
 
+def _monomial_lift(P: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(idx, M): the degree-k monomials of d+1 variables as _monomials gives
+    their indices, and the coefficients M (monomials x rows of P) of each
+    (theta . x)^k, theta a row of P, on them."""
+    idx, coef = _monomials(P.shape[1] - 1, k)
+    return idx, coef[:, None] * np.prod(P[:, idx], axis=2).T
+
+
+def _classify(centres: np.ndarray, half: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(dead, poly): whether each neuron, a row theta of P, is 0 or
+    (theta . x)^k on each box centres +- half (rows of either, or one box),
+    from the bound theta . c +- sum_j |theta_j| h_j and CLASS_MARGIN, so a
+    neuron in neither set crosses the box."""
+    mid, spread = centres @ P.T, half @ np.abs(P).T
+    return mid + spread < -CLASS_MARGIN, mid - spread > CLASS_MARGIN
+
+
 def _polynomial_block(P: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(T, V) with (theta_j . (x, 1))^k over the rows theta_j of P = Q(x) T V^T.
 
@@ -332,8 +358,7 @@ def _polynomial_block(P: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     poly neurons; M = U S V^T truncated at its numerical rank r gives
     T = U_r S_r and V = V_r, whose columns are orthonormal.
     """
-    idx, coef = _monomials(P.shape[1] - 1, k)
-    M = coef[:, None] * np.prod(P[:, idx], axis=2).T
+    M = _monomial_lift(P, k)[1]
     U, S, Vt = np.linalg.svd(M, full_matrices=False)
     r = int(np.count_nonzero(S > np.finfo(float).eps * max(M.shape) * S.max(initial=0.0)))
     return U[:, :r] * S[:r], Vt[:r].T
@@ -396,6 +421,43 @@ def _tiling(points: bytes, width: int, on_sphere: bool) -> _Tiles:
     return _Tiles(_lifted(x, width - on_sphere, on_sphere))
 
 
+class Grid(tuple):
+    """A domain grid's (points, weights), copied once and read-only, that
+    tiles itself on first use.
+
+    tiles is the _Tiles of its points, built on the first read and kept.
+    tabulate(*fns) gives the weights and each fn's values at the points as
+    the rows of one read-only array in tile order, kept for the last fns
+    asked.  In every other respect it is the tuple (points, weights), so an
+    object that holds it, and every copy of that object, shares its caches.
+    """
+
+    def __new__(cls, points, weights):
+        points = np.array(points, dtype=float, ndmin=2)
+        if not np.all(np.isfinite(points)):
+            raise ContractError("grid points must be finite")
+        weights = _grid_weights(weights, len(points)).copy()
+        points.flags.writeable = weights.flags.writeable = False
+        return super().__new__(cls, (points, weights))
+
+    @cached_property
+    def tiles(self) -> _Tiles:
+        points = self[0]
+        return _Tiles(_lifted(points, points.shape[1], False))
+
+    def tabulate(self, *fns) -> np.ndarray:
+        """The weights, then fn(points) for each fn (one row per component
+        of a vector value), as the rows of one array in tile order."""
+        held = self.__dict__.get("_table")
+        if held is None or len(held[0]) != len(fns) or any(f is not g for f, g in zip(held[0], fns)):
+            points, weights = self
+            columns = np.column_stack([weights] + [fn(points) for fn in fns])
+            table = columns[self.tiles.order].T.copy()
+            table.flags.writeable = False
+            held = self.__dict__["_table"] = (fns, table)
+        return held[1]
+
+
 def _design_blocks(P, k, T, xt, tiles, sw, yw):
     """Successive blocks Bt = [B | y]^T of virtual rows of the weighted
     reduced design, one block per tile, neuron-major: each Bt^T Bt is the
@@ -419,13 +481,12 @@ def _design_blocks(P, k, T, xt, tiles, sw, yw):
     k = 0 each E is scaled.
     """
     bounds, centres, half = tiles
-    idx, coef = _monomials(P.shape[1] - 1, k)
+    idx, M = _monomial_lift(P, k)
     n_live, n_mono = len(P), len(idx)
     cols = n_live + T.shape[1]
     # monomial coefficients of each live neuron's (theta . x)^k and of each column of T
-    lift = np.hstack([coef[:, None] * np.prod(P[:, idx], axis=2).T, T]).T
-    mid, spread = centres @ P.T, half @ np.abs(P).T
-    dead, poly = mid + spread < -CLASS_MARGIN, mid - spread > CLASS_MARGIN
+    lift = np.hstack([M, T]).T
+    dead, poly = _classify(centres, half, P)
     xs = xt * sw ** (1.0 / k) if k else xt
     bounds = bounds.tolist()
     e_width = int(np.max(np.count_nonzero(~(dead | poly), axis=1))) + n_mono + 1
@@ -447,6 +508,66 @@ def _design_blocks(P, k, T, xt, tiles, sw, yw):
         Bt[cross] = R[:, n_mono:-1].T
         Bt[cols] = R[:, -1]
         yield Bt
+
+
+def _tile_values(model: FiniteNeuronModel, tiling: _Tiles, grad: bool = False):
+    """Yield (lo, hi, V), tile by tile, over the level of tiling whose tiles
+    hold at most _block_rows(n) rows: V[-1] holds the model's values at the
+    tile's lifted rows tiling.xt[:, lo:hi] and, with grad, V[:d] its
+    gradients, one row per component.
+
+    Each neuron is classified on each tile box as _design_blocks does
+    (_classify).  A dead neuron is skipped, a polynomial one is folded into
+    the tile's coefficients on the monomials of the lifted rows
+    (_monomial_lift), and the crossing ones are formed in one reused buffer
+    under those monomials, so one product of [folded | crossing]
+    coefficients with that buffer gives the tile's sum.  For k >= 1 that
+    sum is u = sum_j a_j theta_j sigma_k'(z_j), on the monomials of degree
+    k - 1: u's first d components are the gradient, and since sigma_k(z) =
+    z sigma_k'(z) / k, the value is x . u / k, with x the lifted row, so
+    values and gradients come from one pass and values alone are the same
+    bits.  For k = 0 the sum is the values, sum_j a_j sigma_0(z_j).  The
+    moves against _evaluate are rounding, a few eps
+    sum_j |a_j| (sum_i |theta_ji x_i|)^k per row at most.
+    """
+    k, d, P = model.k, model.d, model.ps.points
+    if grad and k < 1:
+        raise ContractError("gradient undefined for k=0")
+    if grad and model.on_sphere:
+        raise ContractError("gradient is implemented for domain models only")
+    bounds, centres, half = tiling.level(_block_rows(model.n))
+    # u = sum_j k a_j theta_j s(z_j) with s = sigma_k' / k, that is max(z, 0)^(k - 1)
+    # (z > 0 at k = 1, as sigma_1' reads), or the values sum_j a_j sigma_0(z_j) at k = 0
+    coef = k * model.a[:, None] * P if k else model.a[:, None]
+    act = functools.partial(sigma_k_prime, 1) if k == 1 else functools.partial(sigma_k, max(k - 1, 0))
+    idx, M = _monomial_lift(P, max(k - 1, 0))
+    n_mono, width = len(idx), coef.shape[1]
+    # a polynomial neuron's term on the monomials, one row of width x n_mono per neuron
+    fold = (coef[:, :, None] * M.T[:, None, :]).reshape(model.n, width * n_mono)
+    # [folded | crossing] coefficients, and the monomials over the crossing neurons' sigma
+    c_buf, e_buf = np.empty((width, n_mono + model.n)), np.empty(0)
+    for t, (lo, hi) in enumerate(zip(bounds.tolist(), bounds[1:].tolist())):
+        dead, poly = _classify(centres[t], half[t], P)
+        cross = np.flatnonzero(dead == poly)  # neither: a neuron cannot be both
+        x = tiling.xt[:, lo:hi]
+        cols = n_mono + len(cross)
+        if cols * (hi - lo) > len(e_buf):
+            e_buf = np.empty(cols * (hi - lo))
+        E = e_buf[: cols * (hi - lo)].reshape(cols, hi - lo)
+        if n_mono == len(x):  # degree 1: the monomials are the lifted rows
+            E[:n_mono] = x
+        else:
+            np.prod(x[idx], axis=1, out=E[:n_mono])
+        act(np.matmul(P[cross], x, out=E[n_mono:]), out=E[n_mono:])
+        C = c_buf[:, :cols]
+        C[:, :n_mono] = (poly @ fold).reshape(width, n_mono)
+        C[:, n_mono:] = coef[cross].T
+        u = C @ E
+        if k:  # u[:d] is the gradient; its last row, which no output needs, takes the values
+            value = np.einsum("ij,ij->j", x, u)
+            u = u if grad else u[d:]
+            np.divide(value, k, out=u[-1])
+        yield lo, hi, u
 
 
 def _ridge_residual(yy: float, z: np.ndarray, c: np.ndarray, ridge: float, size: float) -> float:
@@ -674,23 +795,37 @@ def error_norms(
 ) -> tuple[float, float]:
     """Discrete (L2 error, H1-seminorm error); the latter is 0.0 when s=0.
 
-    Values and gradients come from one blocked pass over the grid; grid
-    weights are checked as in least_squares_fit.
+    Grid points that are not finite, or weights other than one finite value
+    >= 0 per point, are a ContractError, raised before anything is
+    evaluated.  The model is evaluated tile by tile on the grid's tiling,
+    which least_squares_fit keeps (_tiling), so a fit's own grid is not
+    tiled again, and no values or gradients array as long as the grid is
+    formed (_tile_values); the target's values and gradients are permuted
+    into tile order once and reduced with the weights tile by tile.
     """
     if s not in (0, 1):
         raise ContractError("s must be 0 or 1")
     if s == 1 and f.grad is None:
         raise ContractError("H1 error needs the target gradient")
     grid_points = np.asarray(grid_points, dtype=float)
-    values, grads = model._evaluate(grid_points, grad=s == 1)
-    w = _grid_weights(grid_weights, len(values))
-    diff = values - f(grid_points)
-    l2 = math.sqrt(max(float(np.dot(w, diff**2)), 0.0))
-    if s == 0:
-        return l2, 0.0
-    gdiff = grads - f.grad(grid_points)
-    h1 = math.sqrt(max(float(np.dot(w, np.sum(gdiff**2, axis=1))), 0.0))
-    return l2, h1
+    x = _inputs(grid_points, model.d, model.on_sphere)
+    if not np.all(np.isfinite(x)):
+        raise ContractError("grid points must be finite")
+    w = _grid_weights(grid_weights, len(x))
+    tiling = _tiling(x.tobytes(), x.shape[1], model.on_sphere)
+    order = tiling.order
+    target = np.take(np.reshape(f(grid_points), len(x)), order)[None]
+    if s == 1:  # rows as _tile_values gives them: the gradient, then the values
+        target = np.vstack([np.take(f.grad(grid_points), order, axis=0).T, target])
+    w = w[order]
+    l2 = h1 = 0.0  # the value row is reduced alone, so l2 is the same at either s
+    for lo, hi, V in _tile_values(model, tiling, grad=s == 1):
+        diff = np.subtract(V, target[:, lo:hi], out=V)
+        diff *= diff
+        l2 += float(diff[-1] @ w[lo:hi])
+        if s == 1:
+            h1 += float(np.sum(diff[:-1] @ w[lo:hi]))
+    return math.sqrt(max(l2, 0.0)), math.sqrt(max(h1, 0.0))
 
 
 def coef_stat(model: FiniteNeuronModel) -> tuple[float, float, float]:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .activation import sigma_k, sigma_k_prime
 from .errors import ConfigurationError, ContractError
-from .models import FiniteNeuronModel, TargetFunction, ridge_bisect_cap
+from .models import FiniteNeuronModel, Grid, TargetFunction, _tile_values, ridge_bisect_cap
 from .sphere import PointSet
 
 __all__ = [
@@ -48,7 +48,9 @@ class EllipticProblem:
 
     sample(m, seed) draws uniform points on Omega; grid() returns a dense
     quadrature (points, weights) with weights summing to |Omega|, the same
-    read-only arrays on every call.  d is the solution's.
+    models.Grid on every call, so its tiling and its tabulated h, f and
+    grad f are built once and outlive any dataclasses.replace of the
+    problem.  d is the solution's.
     """
 
     name: str
@@ -65,13 +67,15 @@ class EllipticProblem:
 
     @cached_property
     def grid_values(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(h, f, grad f) on grid()'s points: evaluated once per problem and
-        read-only, since every fit on the problem reads the same values."""
-        pts, _ = self.grid()
-        values = (self.source(pts), self.solution(pts), self.solution.grad(pts))
-        for v in values:
-            v.flags.writeable = False
-        return values
+        """(h, f, grad f) on grid()'s points, read-only: the grid's table of
+        them (_grid_table), which every fit on the problem reads, put back
+        in grid order."""
+        grid = _as_grid(self.grid())
+        table = _grid_table(self, grid)[1:]
+        values = np.empty_like(table)
+        values[:, grid.tiles.order] = table
+        values.flags.writeable = False
+        return values[0], values[-1], values[1:-1].T
 
 
 INTERVAL_GRID_POINTS = 4096
@@ -96,10 +100,22 @@ def disk_grid(n_r: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, np.repeat(wr * r, DISK_GRID_ANGLES) / DISK_GRID_ANGLES
 
 
-def _fixed_grid(pts: np.ndarray, w: np.ndarray) -> Callable[[], tuple[np.ndarray, np.ndarray]]:
-    """A grid() that returns pts and w, built once and made read-only."""
-    pts.flags.writeable = w.flags.writeable = False
-    return lambda: (pts, w)
+def _fixed_grid(pts: np.ndarray, w: np.ndarray) -> Callable[[], Grid]:
+    """A grid() that returns one Grid of pts and w: read-only, and tiled and
+    tabulated only when a fit first asks."""
+    grid = Grid(pts, w)
+    return lambda: grid
+
+
+def _as_grid(grid) -> Grid:
+    """grid() as a Grid: itself, or a Grid of the (points, weights) given."""
+    return grid if isinstance(grid, Grid) else Grid(*grid)
+
+
+def _grid_table(problem: "EllipticProblem", grid: Grid) -> np.ndarray:
+    """grid's rows w, h, grad f (d rows) and f in tile order, kept on the
+    grid for problem's source and solution."""
+    return grid.tabulate(problem.source, problem.solution.grad, problem.solution)
 
 
 def interval_problem() -> EllipticProblem:
@@ -231,6 +247,29 @@ def empirical_risk(g, grad_g, problem: EllipticProblem, samples: np.ndarray) -> 
     return problem.volume * float(np.mean(psi))
 
 
+def _grid_energy(model: FiniteNeuronModel, problem: EllipticProblem) -> tuple[float, float]:
+    """(population energy, H1 error) of model on problem's grid, from one
+    pass of the tiled evaluator (models._tile_values) over the grid's
+    table of w, h, grad f and f (_grid_table): per tile, sum w Psi(g) and
+    sum w ((g - f)^2 + |grad g - grad f|^2), with no array as long as the
+    grid."""
+    grid = _as_grid(problem.grid())
+    table = _grid_table(problem, grid)
+    # per tile, each weighted by w: g_c^2 for each gradient component and the value, h g, and (g - f)_c^2
+    c = problem.d + 1
+    sums, y_buf = np.zeros(2 * c + 1), np.empty(0)
+    for lo, hi, V in _tile_values(model, grid.tiles, grad=True):
+        if len(sums) * (hi - lo) > len(y_buf):
+            y_buf = np.empty(len(sums) * (hi - lo))
+        Y = y_buf[: len(sums) * (hi - lo)].reshape(len(sums), hi - lo)
+        np.multiply(V, V, out=Y[:c])
+        np.multiply(table[1, lo:hi], V[-1], out=Y[c])
+        diff = np.subtract(V, table[2:, lo:hi], out=Y[c + 1 :])
+        diff *= diff
+        sums += Y @ table[0, lo:hi]
+    return float(0.5 * np.sum(sums[:c]) - sums[c]), math.sqrt(max(float(np.sum(sums[c + 1 :])), 0.0))
+
+
 @functools.lru_cache(maxsize=1)
 def _sample_system(source, volume: float, d: int, k: int, points: bytes, samples: bytes):
     """(A, b, h): erm_fit's sample system and the source values h at the
@@ -301,9 +340,13 @@ def erm_fit(
     norm_cap is set; a negative or NaN norm_cap is a ConfigurationError).
     The fitted model's blocked evaluation then gives the empirical risk
     |Omega| mean Psi(g) at the samples, equal to
-    empirical_risk(model, model.gradient, problem, samples), and the
-    energy, excess risk and H1 error against the manufactured solution on
-    problem.grid_values.  An uncapped A that is exactly singular (neurons
+    empirical_risk(model, model.gradient, problem, samples).  The energy,
+    excess risk and H1 error against the manufactured solution come from
+    one tiled pass over problem.grid() (_grid_energy), within rounding of
+    a dense evaluation: the grid's tiling and its tabulated h, f and grad f
+    are built by the first fit and kept on the grid, or built on every call
+    when grid() returns a plain (points, weights) tuple rather than a
+    models.Grid.  An uncapped A that is exactly singular (neurons
     0 on every sample give zero rows) is solved as A + 1e-12 I instead.
     Each call sends one JSON debug record to the "fnspace.pde_erm"
     logger, quiet by default: n, m, k, assembly ("built" or "reused"),
@@ -341,15 +384,8 @@ def erm_fit(
     evaluating = time.perf_counter()
     model = FiniteNeuronModel(k, ps, a, norm_cap)
     emp = problem.volume * float(np.mean(_psi(*model._evaluate(samples, grad=True), h)))
-    # one grid, one evaluation: energy and H1 error from the same values
-    pts, w = problem.grid()
-    hv, fv, fg = problem.grid_values
-    values, grads = model._evaluate(pts, grad=True)
-    pop = float(np.dot(w, _psi(values, grads, hv)))
+    pop, h1 = _grid_energy(model, problem)
     excess = pop - problem.exact_energy
-    diff = values - fv
-    gdiff = grads - fg
-    h1 = math.sqrt(max(float(np.dot(w, diff**2 + np.sum(gdiff**2, axis=1))), 0.0))
     done = time.perf_counter()
     if _log.isEnabledFor(logging.DEBUG):
         record = {"n": ps.n, "m": m, "k": k, "assembly": "built" if built else "reused", "path": path}

@@ -1363,3 +1363,112 @@ def test_ridge_bisect_cap_diagnostics_record(caplog):
 def test_ridge_bisect_cap_quiet_by_default(caplog):
     ridge_bisect_cap(np.eye(3), np.ones(3), 3, 0.5)
     assert not [r for r in caplog.records if r.name == "fnspace.models"]
+
+
+@pytest.mark.parametrize("s", [0, 1])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_error_norms_rejects_non_finite_grid_points(bad, s):
+    """A grid row with a NaN or infinite coordinate is a ContractError that
+    names the grid, raised before the target is evaluated or the grid tiled:
+    it returned (nan, nan) without a word, and the kd-tree's ValueError is
+    not a cell error, so a sweep would have stopped on it."""
+    target = get_target("gaussian_bump", 2)
+    pts, w = domain_grid(2, 4096)
+    model = least_squares_fit(target, generate_points(2, 16, "fibonacci_s2"), pts, w, k=1, ridge=1e-9)
+    pts = pts.copy()
+    pts[7, 1] = bad
+    calls = []
+    spy = TargetFunction("spy", 2, lambda x: calls.append(len(x)) or target.f(x), target.grad)
+    misses = models._tiling.cache_info().misses
+    with pytest.raises(ContractError, match="grid points must be finite"):
+        error_norms(model, spy, pts, w, s=s)
+    assert models._tiling.cache_info().misses == misses and not calls
+
+
+def test_error_norms_check_the_weights_before_they_evaluate():
+    target = get_target("gaussian_bump", 2)
+    pts, w = domain_grid(2, 4096)
+    model = least_squares_fit(target, generate_points(2, 16, "fibonacci_s2"), pts, w, k=1, ridge=1e-9)
+    calls = []
+    spy = TargetFunction("spy", 2, lambda x: calls.append(len(x)) or target.f(x), target.grad)
+    for s in (0, 1):
+        with pytest.raises(ContractError, match="grid weights"):
+            error_norms(model, spy, pts, -w, s=s)
+    assert not calls
+
+
+# c of the per-row bound c eps sum_j |a_j| (sum_i |theta_ji x_i|)^k, fixed before
+# the first run: twice the worst case n + k (d + 1) + C(k + d, d) + 2 of either
+# path's rounding count at n <= 40, d <= 2, k <= 3.
+TILE_C = 128
+
+
+def _kinked_grid(d, n, kinked, on_sphere, distinct, rng):
+    """(directions, rows): n directions, the first kinked (at most 4 on the
+    circle) of which have one of the rows exactly on their kink, and
+    distinct rows, the rest random.  On a domain a kink row is x0 e_a, x0 =
+    m 2^-p with m < 2^8, and its neuron (t, -t_a x0) with t on a grid of
+    2^-44, so theta . (x, 1) is 0 in every summation order; on the sphere
+    the row is +-e_a and the neuron's a-th component is 0."""
+    if on_sphere and d == 1:
+        theta = np.array([[0.0, 1.0], [0.0, -1.0], [1.0, 0.0], [-1.0, 0.0]])[rng.permutation(4)[:kinked]]
+        kinked = len(theta)
+        kinks = theta[:, ::-1] * rng.choice([-1.0, 1.0], (kinked, 1))
+    elif on_sphere:
+        axes = rng.integers(3, size=kinked)
+        r = rng.standard_normal((kinked, 3))
+        r[np.arange(kinked), axes] = 0.0
+        theta = _unit(r)
+        kinks = np.eye(3)[axes] * rng.choice([-1.0, 1.0], (kinked, 1))
+    else:
+        axes = rng.integers(d, size=kinked)
+        pool = np.arange(1, 256, 2)[:, None] * 2.0 ** -np.arange(7, 11)
+        x0 = rng.choice(pool.ravel(), kinked, replace=False) * rng.choice([-1.0, 1.0], kinked)
+        t = rng.standard_normal((kinked, d))
+        t /= np.sqrt(np.sum(t**2, axis=1) + (t[np.arange(kinked), axes] * x0) ** 2)[:, None]
+        t = np.round(t * 2.0**44) / 2.0**44
+        theta = np.column_stack([t, -t[np.arange(kinked), axes] * x0])
+        kinks = np.eye(d)[axes] * x0[:, None]
+    spread = _unit(rng.standard_normal((distinct, d + 1))) if on_sphere else rng.uniform(-1.5, 1.5, (distinct, d))
+    others = _unit(rng.standard_normal((n - kinked, d + 1)))
+    return PointSet(np.vstack([theta, others])), np.vstack([kinks, spread])[: max(distinct, kinked)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.integers(1, 2),
+    k=st.integers(0, 3),
+    on_sphere=st.booleans(),
+    n=st.integers(1, 40),
+    kink_share=st.sampled_from([0.0, 0.5, 1.0]),
+    distinct=st.integers(1, 400),
+    blocks=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+# tile boxes that end on kink rows, whose bound rounds to the wrong side of 0 without CLASS_MARGIN
+@example(d=1, k=0, on_sphere=False, n=26, kink_share=1.0, distinct=256, blocks=3, seed=28)
+def test_tiled_evaluation_matches_evaluate(d, k, on_sphere, n, kink_share, distinct, blocks, seed):
+    """The tiled evaluator gives _evaluate's values, and for k >= 1 on a
+    domain its gradients, at every grid row within TILE_C eps times the
+    row's sum_j |a_j| (sum_i |theta_ji x_i|)^k (its k-fold counterpart for a
+    gradient component), on grids of repeated rows, of rows exactly on
+    kinks, which tile boxes end on and where sigma_0 and sigma_1' jump, and
+    of more rows than one tile holds."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    ps, base = _kinked_grid(d, n, round(kink_share * n), on_sphere, distinct, rng)
+    model = FiniteNeuronModel(k, ps, rng.standard_normal(n) * 10.0 ** rng.uniform(-2, 2, n), on_sphere=on_sphere)
+    x = base[rng.integers(len(base), size=min(blocks * _block_rows(n), 12000))]
+    grad = k >= 1 and not on_sphere
+    values, grads = model._evaluate(x, grad=grad)
+    tiling = models._tiling(x.tobytes(), x.shape[1], on_sphere)
+    got = np.full((1 + d * grad, len(x)), np.nan)
+    for lo, hi, V in models._tile_values(model, tiling, grad=grad):
+        got[:, lo:hi] = V
+    order = tiling.order
+    reach = np.abs(models._lifted(x, d, on_sphere)[order]) @ np.abs(ps.points.T)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(got[-1] - values[order]) <= TILE_C * eps * (reach**k @ np.abs(model.a)))
+    if grad:
+        for i in range(d):
+            bound = TILE_C * eps * k * reach ** (k - 1) @ np.abs(model.a * ps.points[:, i])
+            assert np.all(np.abs(got[i] - grads[order, i]) <= bound)

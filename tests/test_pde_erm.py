@@ -1,18 +1,22 @@
 import dataclasses
+import gc
 import json
 import logging
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fnspace import models
 from fnspace.errors import ConfigurationError, ContractError
 from fnspace.pde_erm import (
     EXCESS_FLOOR,
     EllipticProblem,
+    _grid_energy,
     _psi,
     disk_problem,
     empirical_risk,
@@ -257,14 +261,15 @@ def test_erm_single_evaluation_matches_public_functions():
     samples = prob.sample(3000, 1)
     res = erm_fit(prob, ps, samples, k=2)
     model = res.model
-    assert res.population_energy == energy(model, model.gradient, prob)
+    want = _erm_reference(prob, ps, samples, 2)
+    assert abs(res.population_energy - energy(model, model.gradient, prob)) <= want[5]
     assert res.empirical_risk == empirical_risk(model, model.gradient, prob, samples)
     assert res.excess_risk == res.population_energy - prob.exact_energy
     pts, w = prob.grid()
     diff = model(pts) - prob.solution(pts)
     gdiff = model.gradient(pts) - prob.solution.grad(pts)
     h1 = math.sqrt(float(np.dot(w, diff**2 + np.sum(gdiff**2, axis=1))))
-    assert res.h1_error == pytest.approx(h1, rel=1e-13)
+    assert abs(res.h1_error - h1) <= want[6]
 
 
 def _disk_grid_reference(n_r, n_t):
@@ -323,9 +328,19 @@ def test_erm_fallback_keeps_its_reason(caplog):
     assert np.array_equal(logged.model.a, quiet.model.a)
 
 
+# The grid stage evaluates the model tile by tile (models._tile_values), so
+# pop, excess and h1 are the dense reference's up to rounding: within
+# ERM_TOL eps times the first-order reach of the per-row bound
+# S = sum_j |a_j| (sum_i |theta_ji x_i|)^k on the values, and its k-fold
+# counterpart on the gradients, plus the sums' own rounding.
+ERM_TOL = 64
+
+
 def _erm_reference(problem, ps, samples, k, norm_cap=0.0):
-    """erm_fit as written with two m x n buffers, the risk read off them: the
-    bit reference for a, pop, excess and h1.  (a, emp, pop, excess, h1)."""
+    """erm_fit as written with two m x n buffers, the risk read off them, and a
+    dense grid evaluation: the bit reference for a and the risk, the
+    reference for pop, excess and h1 within (pop_tol, h1_tol).
+    (a, emp, pop, excess, h1, pop_tol, h1_tol)."""
     m = len(samples)
     phi, dphi = features(ps, k, samples, grad=True)
     wdirs = ps.points[:, : problem.d]
@@ -346,11 +361,21 @@ def _erm_reference(problem, ps, samples, k, norm_cap=0.0):
     emp = problem.volume * float(np.mean(_psi(phi @ a, dphi @ (a[:, None] * wdirs), h)))
     pts, w = problem.grid()
     values, grads = model._evaluate(pts, grad=True)
-    pop = float(np.dot(w, _psi(values, grads, problem.source(pts))))
+    hv = problem.source(pts)
+    pop = float(np.dot(w, _psi(values, grads, hv)))
     diff = values - problem.solution(pts)
     gdiff = grads - problem.solution.grad(pts)
     h1 = math.sqrt(max(float(np.dot(w, diff**2 + np.sum(gdiff**2, axis=1))), 0.0))
-    return a, emp, pop, pop - problem.exact_energy, h1
+    reach = np.abs(np.column_stack([pts, np.ones(len(pts))])) @ np.abs(ps.points.T)
+    S = reach**k @ np.abs(a)
+    S1 = k * reach ** (k - 1) @ (np.abs(a) * np.abs(wdirs).sum(axis=1))
+    grad_abs = np.abs(grads).sum(axis=1)
+    eps = np.finfo(float).eps
+    terms = 0.5 * (values**2 + np.sum(grads**2, axis=1)) + np.abs(hv * values)
+    pop_tol = ERM_TOL * eps * float(np.dot(w, S * (np.abs(values) + np.abs(hv)) + S1 * grad_abs + terms))
+    h1_reach = float(np.dot(w, S * np.abs(diff) + S1 * np.abs(gdiff).sum(axis=1)))
+    h1_tol = ERM_TOL * eps * (h1_reach / h1 + h1 if h1 > 0.0 else math.sqrt(h1_reach))
+    return a, emp, pop, pop - problem.exact_energy, h1, pop_tol, h1_tol
 
 
 PROBLEMS = {"interval": interval_problem(), "disk": disk_problem()}
@@ -367,9 +392,11 @@ PROBLEMS = {"interval": interval_problem(), "disk": disk_problem()}
     cap_share=st.sampled_from([0.0, 0.5, 0.9, 2.0]),
 )
 def test_erm_fit_bit_identical_to_two_buffer_reference(name, k, n, rows_per_neuron, fibonacci, seed, cap_share):
-    """One reused buffer gives the same a, energy and H1 error, bit for bit;
+    """One reused buffer gives the same a, bit for bit, and the tiled grid
+    stage the dense energy and H1 error within the reference's tolerance;
     the empirical risk is the fitted model's, bit for bit, and within
-    rounding of the two-buffer risk."""
+    rounding of the two-buffer risk.  A reference excess within tolerance
+    of EXCESS_FLOOR allows either outcome."""
     prob = PROBLEMS[name]
     if fibonacci:
         ps = interval_directions(n) if prob.d == 1 else generate_points(2, n, "fibonacci_s2")
@@ -381,16 +408,20 @@ def test_erm_fit_bit_identical_to_two_buffer_reference(name, k, n, rows_per_neur
         free = _erm_reference(prob, ps, samples, k)[0]
         cap = cap_share * math.sqrt(n) * float(np.linalg.norm(free))
         assume(cap > 0.0)
-    a, emp, pop, excess, h1 = _erm_reference(prob, ps, samples, k, cap)
-    if excess < EXCESS_FLOOR:  # a kink pair no sample or grid point resolves
+    want = _erm_reference(prob, ps, samples, k, cap)
+    excess, pop_tol = want[3], want[5]
+    if excess < EXCESS_FLOOR - pop_tol:  # a kink pair no sample or grid point resolves
         with pytest.raises(ContractError, match="excess risk"):
             erm_fit(prob, ps, samples, k, norm_cap=cap)
         return
-    res = erm_fit(prob, ps, samples, k, norm_cap=cap)
-    assert np.array_equal(res.model.a, a)
-    assert (res.population_energy, res.excess_risk, res.h1_error) == (pop, excess, h1)
+    try:
+        res = erm_fit(prob, ps, samples, k, norm_cap=cap)
+    except ContractError as exc:  # only where the floor lies within tolerance of the reference
+        assert "excess risk" in str(exc) and excess <= EXCESS_FLOOR + pop_tol
+        return
+    _assert_matches_reference(res, want)
     assert res.empirical_risk == empirical_risk(res.model, res.model.gradient, prob, samples)
-    assert res.empirical_risk == pytest.approx(emp, rel=1e-13)
+    assert res.empirical_risk == pytest.approx(want[1], rel=1e-13)
 
 
 def _erm_records(caplog):
@@ -419,9 +450,12 @@ def test_erm_fit_holds_one_sample_buffer(caplog):
 
 
 def _assert_matches_reference(res, want):
-    a, _, pop, excess, h1 = want
+    """a bit for bit; pop, excess and h1 within the reference's tolerance."""
+    a, _, pop, excess, h1, pop_tol, h1_tol = want
     assert np.array_equal(res.model.a, a)
-    assert (res.population_energy, res.excess_risk, res.h1_error) == (pop, excess, h1)
+    assert abs(res.population_energy - pop) <= pop_tol
+    assert abs(res.excess_risk - excess) <= pop_tol
+    assert abs(res.h1_error - h1) <= h1_tol
 
 
 def test_erm_capped_refit_reuses_the_system(caplog):
@@ -437,10 +471,16 @@ def test_erm_capped_refit_reuses_the_system(caplog):
     _assert_matches_reference(capped, _erm_reference(prob, ps, samples, 2, cap))
     assert capped.empirical_risk == empirical_risk(capped.model, capped.model.gradient, prob, samples)
     assert np.array_equal(again.model.a, capped.model.a)
+    assert _outcome(again) == _outcome(capped)
     records = _erm_records(caplog)
     assert [(r["assembly"], r["path"]) for r in records[1:]] == [("reused", "cap")] * 2
     assert all((r["n"], r["m"], r["k"]) == (32, 4096, 2) and r["seconds"] >= 0.0 for r in records)
     _assert_stage_seconds(records)
+
+
+def _outcome(res):
+    """Everything a fit reports, for exact comparison between fits."""
+    return (res.model.a.tobytes(), res.empirical_risk, res.population_energy, res.excess_risk, res.h1_error)
 
 
 def _assert_stage_seconds(records):
@@ -555,8 +595,10 @@ def _pool_reference(seed, k, cap_share):
 )
 def test_erm_fit_sequences_match_the_reference(calls):
     """Any sequence of fits over a small pool of (samples, k, cap) gives each
-    fit's reference result bit for bit, whatever the previous fit left; a
-    fresh draw of the same samples is the same system."""
+    fit's reference result (a bit for bit, the grid stage within tolerance),
+    whatever the previous fit left, and every fit of one pool entry, reused
+    or rebuilt, the same result bit for bit; a fresh draw of the same
+    samples is the same system."""
     prob = PROBLEMS["interval"]
     logger = logging.getLogger("fnspace.pde_erm")
     handler = _Keep()
@@ -564,12 +606,14 @@ def test_erm_fit_sequences_match_the_reference(calls):
     level = logger.level
     logger.setLevel(logging.DEBUG)
     try:
-        previous = None
+        previous, seen = None, {}
         for seed, k, cap_share, fresh in calls:
             samples, cap, want = _pool_reference(seed, k, cap_share)
             if fresh:
                 samples = prob.sample(len(samples), seed)
-            _assert_matches_reference(erm_fit(prob, _POOL_DIRECTIONS, samples, k, norm_cap=cap), want)
+            res = erm_fit(prob, _POOL_DIRECTIONS, samples, k, norm_cap=cap)
+            _assert_matches_reference(res, want)
+            assert seen.setdefault((seed, k, cap_share), _outcome(res)) == _outcome(res)
             if previous is not None:
                 assert handler.records[-1]["assembly"] == ("reused" if previous == (seed, k) else "built")
             previous = (seed, k)
@@ -598,3 +642,52 @@ def test_grid_values_are_evaluated_once_and_read_only(make):
     assert np.array_equal(hv, base.source(pts)) and np.array_equal(fv, base.solution(pts))
     assert np.array_equal(fg, base.solution.grad(pts))
     assert not any(v.flags.writeable for v in (hv, fv, fg))
+
+
+def test_the_erm_grid_is_tiled_and_tabulated_once(monkeypatch):
+    """disk_problem() builds neither its grid's tiling nor its table of w, h,
+    f and grad f.  Fits through dataclasses.replace(problem, grid=<wrapper>),
+    as the erm_disk benchmark runs them, alternating with fits on fresh
+    interval problems, build the disk tiling once and its table once, and
+    an interval problem is freed with its grid once it goes."""
+    built = []
+
+    class Counting(models._Tiles):
+        def __init__(self, lifted):
+            built.append(len(lifted))
+            super().__init__(lifted)
+
+    monkeypatch.setattr(models, "_Tiles", Counting)
+    prob = disk_problem()
+    grid = prob.grid()
+    assert built == [] and not {"tiles", "_table"} & set(vars(grid))
+    tables, freed = set(), []
+    for n in (8, 16, 24):
+        wrapped = dataclasses.replace(prob, grid=lambda: prob.grid())
+        erm_fit(wrapped, generate_points(2, n, "fibonacci_s2"), prob.sample(64 * n, n), k=2)
+        tables.add(id(vars(grid)["_table"][1]))
+        interval = interval_problem()
+        erm_fit(interval, interval_directions(n), interval.sample(64 * n, n), k=2)
+        freed += [weakref.ref(interval), weakref.ref(interval.grid().tiles)]
+        del interval
+    gc.collect()
+    assert built.count(len(grid[0])) == 1 and len(tables) == 1
+    assert all(ref() is None for ref in freed)
+
+
+def test_warm_grid_stage_allocates_no_grid_length_array():
+    """The energy and H1 error of an n = 512 model on the 131072-point disk
+    grid, once the grid is tiled and tabulated, peak below one float array
+    as long as the grid: no values or gradients array of the grid is formed."""
+    prob = PROBLEMS["disk"]
+    ps = generate_points(2, 512, "fibonacci_s2")
+    model = FiniteNeuronModel(2, ps, np.random.default_rng(0).standard_normal(512))
+    want = _grid_energy(model, prob)
+    tracemalloc.start()
+    try:
+        got = _grid_energy(model, prob)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 8 * len(prob.grid()[0])
