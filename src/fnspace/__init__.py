@@ -27,6 +27,7 @@ from .harmonics import ReferenceGrid, harmonic_dim, reference_grid, sphere_area
 from .harness import ExperimentConfig, RateReport, fit_slope, run_pde, run_randcmp, run_rates
 from .models import (
     FiniteNeuronModel,
+    Grid,
     TargetFunction,
     coef_stat,
     constructive_fit,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,7 @@ from . import quadrature
 from .activation import spectrum
 from .errors import ConfigurationError, ContractError, DomainError, NumericalError, PrecisionError
 from .harmonics import reference_grid
-from .models import TargetFunction, coef_stat, constructive_fit, error_norms, least_squares_fit
+from .models import Grid, TargetFunction, coef_stat, constructive_fit, error_norms, least_squares_fit
 from .pde_erm import DISK_GRID_ANGLES, disk_grid, disk_problem, erm_fit, interval_directions, interval_problem
 from .pde_erm import midpoint_grid
 from .sphere import generate_points
@@ -250,36 +250,15 @@ def _rate_row_constructive(cfg: ExperimentConfig, target, n: int) -> dict:
     spec = spectrum(cfg.d, cfg.k, rule.J + 4)
     grid = reference_grid(cfg.d, max(2 * rule.J + 8, 1024 if cfg.d == 1 else 64))
     model = constructive_fit(target, rule, spec, grid)
-    l2, _ = error_norms(model, target, grid.nodes, grid.weights, s=0)
+    l2, _ = error_norms(model, target, Grid(grid.nodes, grid.weights), s=0)
     return _rate_row(n, ps.h, l2, float("nan"), coef_stat(model)[1], "")
 
 
-def _ls_grid(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The least-squares sweeps' grid: it depends only on d and max(ns)."""
-    return domain_grid(cfg.d, 4096 if cfg.d == 1 else 64 * max(cfg.ns))
-
-
-def _on_grid(target: TargetFunction, pts: np.ndarray) -> TargetFunction:
-    """target, with its values and gradients at the sweep grid's points pts
-    evaluated at most once each: every call on pts itself returns the
-    read-only array the first one computed, and any other input is
-    evaluated as before.  Every cell of a sweep fits and measures on the
-    same grid array, so the target is evaluated there once per sweep."""
-
-    def once(fn):
-        held = []
-
-        def on_grid(x):
-            if x is not pts:
-                return fn(x)
-            if not held:
-                held.append(fn(pts))
-                held[0].flags.writeable = False
-            return held[0]
-
-        return on_grid
-
-    return replace(target, f=once(target.f), grad=None if target.grad is None else once(target.grad))
+def _ls_grid(cfg: ExperimentConfig) -> Grid:
+    """The least-squares sweeps' grid, one Grid per sweep, so every cell's
+    fit and error norms share its tiling, weighted rows and target tables:
+    it depends only on d and max(ns)."""
+    return Grid(*domain_grid(cfg.d, 4096 if cfg.d == 1 else 64 * max(cfg.ns)))
 
 
 def _rate_row_ls(cfg: ExperimentConfig, target, n: int, strategy: str, seed: int, grid, s: int) -> dict:
@@ -289,10 +268,10 @@ def _rate_row_ls(cfg: ExperimentConfig, target, n: int, strategy: str, seed: int
     s = 1, or for error_l2 when the residual is NaN.  At s = 0 error_h1 is
     NaN, since it was not computed."""
     ps = generate_points(cfg.d, n, strategy, seed=seed)
-    model = least_squares_fit(target, ps, *grid, k=cfg.k, ridge=cfg.ridge)
+    model = least_squares_fit(target, ps, grid, k=cfg.k, ridge=cfg.ridge)
     l2, h1 = model.residual, float("nan")
     if s or math.isnan(l2):
-        l2_eval, h1_eval = error_norms(model, target, *grid, s=s)
+        l2_eval, h1_eval = error_norms(model, target, grid, s=s)
         l2 = l2_eval if math.isnan(l2) else l2
         h1 = h1_eval if s else h1
     return _rate_row(n, ps.h, l2, h1, coef_stat(model)[1], "")
@@ -313,8 +292,6 @@ def run_rates(cfg: ExperimentConfig) -> RateReport:
         raise ConfigurationError("the constructive path takes no ridge")
     target = _sweep_target(cfg)
     grid = None if cfg.path == "constructive" else _ls_grid(cfg)
-    if grid is not None:
-        target = _on_grid(target, grid[0])
     rows = []
     for n in cfg.ns:
         try:
@@ -352,7 +329,7 @@ def run_randcmp(cfg: ExperimentConfig) -> dict:
     if len(cfg.seeds) < 10:
         raise ConfigurationError("randcmp needs at least 10 seeds")
     grid = _ls_grid(cfg)
-    target = _on_grid(_sweep_target(cfg), grid[0])
+    target = _sweep_target(cfg)
     rows = []
     for n in cfg.ns:
         det = _rate_row_ls(cfg, target, n, cfg.strategy, cfg.seeds[0], grid, 0)

@@ -11,41 +11,50 @@ squares on a sample grid.
 One rule sizes every blocked pass: a block is _block_rows(width) rows of
 width floats, at most BLOCK_FLOATS floats (1 MiB) in all, so no blocked
 pass holds more than two blocks of BLOCK_FLOATS floats whatever the grid
-size, besides its outputs, evaluation's (x, 1) rows of the block, and a
+size, besides its outputs, evaluation's (x, 1) rows of the block, a
 least-squares solve's (cols + 1)-wide arrays (the Gram, or the triangular
 factor with the rows waiting under it and the block of virtual rows, see
-_solve_reduced) and the grid's lifted rows in tile order (_tiling).
+_solve_reduced) and what a Grid keeps: its lifted rows in tile order,
+those rows weighted for the last k fitted, and its weights and target
+values in tile order.
 Evaluation at arbitrary points (FiniteNeuronModel._evaluate), of width
 n, writes each block's inputs as (x, 1) rows into one small reused buffer,
 forms the preactivation z = theta . (x, 1) once, in a block, and yields
 the values sigma_k(z) @ a and, when asked, the gradients sigma_k'(z) @ (a W)
 together from one r = max(z, 0); sigma_k'(z) takes a second block except
 at k = 2, where sigma_2' = 2r and the 2 is folded into a W.  Evaluation on
-a tiled grid (_tile_values), which error_norms and pde_erm's energy and H1
+a Grid (_tile_values), which error_norms and pde_erm's energy and H1
 error reduce tile by tile, walks the level of the grid's tiles that hold
-at most _block_rows(n) rows and classifies each neuron on each tile box
-as the fits do (_classify): dead neurons are skipped, polynomial ones are
-folded into the tile's monomial coefficients, and sigma_k is formed only
-for the few neurons whose kink crosses the tile, so it never holds an
-array as long as the grid.
+at most _block_rows(n) rows and classifies each neuron on each tile box,
+a group of tiles per call, as the fits do (_classify): dead neurons are
+skipped, polynomial ones are folded into the tile's monomial coefficients,
+and sigma_k is formed only for the few neurons whose kink crosses the
+tile, so it never holds an array as long as the grid.
 least_squares_fit and pde_erm.erm_fit share one O(n)-per-step root
 search for a norm cap's ridge, _cap_root: erm_fit runs it on one
 eigendecomposition of its Gram matrix (ridge_bisect_cap), capped least
 squares on the SVD of its QR factor.
 
+Fits and error norms take their grid as a Grid: read-only (points,
+weights) that keeps what every fit on it shares, each built on its first
+use: its largest radius, its tiling by a balanced kd-tree, and in tile
+order its weights, their square roots, its lifted rows weighted for the
+last k asked and one table of values per target function asked.
 least_squares_fit on a domain drops the neurons that are 0 on the whole
 grid and fits the ones that are polynomials there through an orthonormal
 basis of their span, which leaves the solution unchanged.  It never holds
-the weighted design's rows: the grid is cut into tiles by a balanced
-kd-tree, once per grid (_tiling), and on a tile most neurons are again
-0 or a polynomial, (theta . (x, 1))^k.  Each tile gives one block of
-virtual rows, the triangular factor of its monomials, its crossing
-neurons and its target lifted to every column (_design_blocks), with the
-Gram of the tile's rows of [B | y].  A ridge without a cap adds one
-dsyrk per block to [B | y]^T [B | y], whose last column is B^T y, and
-solves by Cholesky on that triangle, falling back to the QR fold when a
-pivot is not positive; every other fit folds the blocks into a QR factor
-of the design (see _solve_reduced).  Both end in the triangular factor
+the weighted design's rows: on a tile most neurons are again 0 or a
+polynomial, (theta . (x, 1))^k.  Each tile gives one block of virtual
+rows, a factor F of its small design E = [monomials | crossing neurons |
+y] with F^T F = E^T E, lifted to every column (_design_blocks), with the
+Gram of the tile's rows of [B | y].  A ridge without a cap factors each
+tile's Gram E^T E, scaled to unit diagonal, by pivoted Cholesky
+(dpstrf), adds one dsyrk per block to
+[B | y]^T [B | y], whose last column is B^T y, and solves by Cholesky on
+that triangle, falling back to the QR fold when a pivot is not positive;
+every other fit factors each tile by Householder QR and folds the blocks
+into a QR factor of the design, so its condition number is never squared
+(see _solve_reduced).  Both end in the triangular factor
 [[R, z], [0, rho]] of [B | y], which holds the fit's weighted residual
 on its grid: the model returned carries it as residual, so a caller
 measuring the L2 error on that same grid need not evaluate the model.
@@ -65,7 +74,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg.blas import dsyrk
-from scipy.linalg.lapack import dgeqrf, dpotrf, dtrtrs
+from scipy.linalg.lapack import dgeqrf, dpotrf, dpstrf, dtrtrs
 from scipy.optimize import brentq
 from scipy.spatial import cKDTree
 
@@ -380,8 +389,8 @@ class _Tiles:
     two rows or more at its middle row.  Where the tree splits elsewhere
     (inside one of its leaves of 16 rows, or on rows that are all equal) a
     tile is still a run of rows, only its box is looser.  xt holds the
-    lifted rows (x, 1), or eta on the sphere, as columns, (d + 1) x rows,
-    in tile order.
+    rows given (a Grid's lifted rows (x, 1)) as columns, one per grid
+    row, in tile order.
     """
 
     def __init__(self, lifted: np.ndarray):
@@ -410,26 +419,21 @@ class _Tiles:
         return self._boxes[L]
 
 
-@functools.lru_cache(maxsize=1)
-def _tiling(points: bytes, width: int, on_sphere: bool) -> _Tiles:
-    """The _Tiles of a grid given as the bytes of its float rows, width wide,
-    lifted as the neurons see them.  The last grid's tiling is kept, so the
-    fits of one sweep build its kd-tree once; a grid that differs in any
-    bit, as after an in-place edit, is tiled anew, and weights take no
-    part."""
-    x = np.frombuffer(points).reshape(-1, width)
-    return _Tiles(_lifted(x, width - on_sphere, on_sphere))
-
-
 class Grid(tuple):
-    """A domain grid's (points, weights), copied once and read-only, that
-    tiles itself on first use.
+    """A grid's (points, weights), copied once and read-only, that keeps
+    what every fit and error norm on it shares, each built on first use.
 
-    tiles is the _Tiles of its points, built on the first read and kept.
-    tabulate(*fns) gives the weights and each fn's values at the points as
-    the rows of one read-only array in tile order, kept for the last fns
-    asked.  In every other respect it is the tuple (points, weights), so an
-    object that holds it, and every copy of that object, shares its caches.
+    radius is the largest |x| over its points, which classifies the
+    neurons of a fit on a domain.  tiles is the _Tiles of its points lifted
+    to (x, 1); a sphere model reads the first d + 1 of those rows, eta,
+    and the first d + 1 columns of each tile box, which bound the same
+    rows (the kd-tree never splits on the constant column, so the tiles
+    are those of the eta rows).  In tile order, w holds the weights, sw
+    their square roots, scaled(k) the lifted rows weighted by sw^(1/k),
+    kept for the last k asked, and tabulate(fn) fn's values, kept for
+    every fn asked.  In every other respect it is the tuple (points,
+    weights), so an object that holds it, and every copy of that object,
+    shares its caches.
     """
 
     def __new__(cls, points, weights):
@@ -441,70 +445,118 @@ class Grid(tuple):
         return super().__new__(cls, (points, weights))
 
     @cached_property
+    def radius(self) -> float:
+        return float(np.max(np.linalg.norm(self[0], axis=1)))
+
+    @cached_property
     def tiles(self) -> _Tiles:
         points = self[0]
         return _Tiles(_lifted(points, points.shape[1], False))
 
-    def tabulate(self, *fns) -> np.ndarray:
-        """The weights, then fn(points) for each fn (one row per component
-        of a vector value), as the rows of one array in tile order."""
-        held = self.__dict__.get("_table")
-        if held is None or len(held[0]) != len(fns) or any(f is not g for f, g in zip(held[0], fns)):
-            points, weights = self
-            columns = np.column_stack([weights] + [fn(points) for fn in fns])
-            table = columns[self.tiles.order].T.copy()
-            table.flags.writeable = False
-            held = self.__dict__["_table"] = (fns, table)
+    @cached_property
+    def w(self) -> np.ndarray:
+        return _read_only(self[1][self.tiles.order])
+
+    @cached_property
+    def sw(self) -> np.ndarray:
+        return _read_only(np.sqrt(self.w))
+
+    def scaled(self, k: int) -> np.ndarray:
+        """tiles.xt with each column scaled by its sw^(1/k), or tiles.xt at k = 0."""
+        held = self.__dict__.get("_scaled")
+        if held is None or held[0] != k:
+            xt = self.tiles.xt
+            held = self.__dict__["_scaled"] = (k, _read_only(xt * self.sw ** (1.0 / k)) if k else xt)
         return held[1]
 
+    def tabulate(self, fn) -> np.ndarray:
+        """fn(points) in tile order: one row, or one row per component of a
+        vector value."""
+        tables = self.__dict__.setdefault("_tables", {})
+        if fn not in tables:
+            values = np.take(fn(self[0]), self.tiles.order, axis=0)
+            tables[fn] = _read_only(np.ascontiguousarray(values.T))
+        return tables[fn]
 
-def _design_blocks(P, k, T, xt, tiles, sw, yw):
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _design_blocks(P, k, T, grid, tiles, yw, gram=False):
     """Successive blocks Bt = [B | y]^T of virtual rows of the weighted
     reduced design, one block per tile, neuron-major: each Bt^T Bt is the
     [B | y]^T [B | y] of its tile's grid rows.
 
-    xt holds the lifted grid rows as columns in tile order, sw and yw their
-    weights' square roots and weighted targets in that order, and tiles is
-    a level of their _Tiles.  Each live neuron is classified on each tile
-    box as on the whole grid, with the bound theta . c +- sum_j |theta_j| h_j
-    and CLASS_MARGIN: dead (0 on the tile), polynomial ((theta . x)^k
-    there) or crossing.  The tile's E = [Q | sigma_k(C x^T)^T | y], with Q
-    its degree-k monomials of the lifted rows and C its crossing neurons,
-    scaled by sw, has the triangular factor R of one Householder QR
-    (dgeqrf, in place in one reused buffer), at most C(k + d, d) + |C| + 1
-    rows of it.  [B | y] is E times a lift: a polynomial neuron, and each
-    column of T, is its monomial coefficients on Q, a dead neuron 0, and a
-    crossing neuron and y their own columns of E.  So R times that lift,
-    the block, has [B | y]'s Gram on the tile.  For k >= 1 sigma_k and the
-    monomials are positively homogeneous of degree k in the lifted input,
-    so scaling its columns by sw^(1/k) once scales every row by sw; for
+    tiles is a level of grid.tiles and yw the weighted targets in tile
+    order; the neurons read the first P.shape[1] lifted rows (all of
+    (x, 1), or eta on the sphere).  Each live neuron is classified on each
+    tile box as on the whole grid, with the bound
+    theta . c +- sum_j |theta_j| h_j and CLASS_MARGIN: dead (0 on the
+    tile), polynomial ((theta . x)^k there) or crossing.  The tile's
+    E = [Q | sigma_k(C x^T)^T | y], with Q its degree-k monomials of the
+    lifted rows and C its crossing neurons, scaled by sw, is reduced to a
+    factor F with F^T F = E^T E, of at most C(k + d, d) + |C| + 1 rows.
+    By default F is the triangular factor R of one Householder QR (dgeqrf,
+    in place in one reused buffer), of at most the tile's rows.  With gram,
+    for a solver that forms the Gram anyway, F comes from the tile's Gram
+    E^T E (dsyrk), scaled to unit diagonal by the column norms N, and its
+    pivoted Cholesky factor (dpstrf; Hammarling, Higham and Lucas, PARA
+    2006), which takes rank-deficient tiles as well: P^T N^-1 E^T E N^-1 P
+    = U^T U gives F = U P^T N, its rows cut where a pivot is not positive
+    (tol = 0).  The scaling keeps each entry's error within rounding of the
+    product of its two columns' norms: unscaled, the pivots left when y lies
+    in the span of the tile's other columns are rounding of theirs, which
+    may exceed y's own norm^2.  [B | y] is E times a lift: a polynomial
+    neuron, and each column of T, is its monomial coefficients on Q, a dead
+    neuron 0, and a crossing neuron and y their own columns of E.  So F times that lift, the block, has
+    [B | y]'s Gram on the tile.  For k >= 1 sigma_k and the monomials are
+    positively homogeneous of degree k in the lifted input, so the grid's
+    rows scaled by sw^(1/k) (grid.scaled) scale every row of E by sw; for
     k = 0 each E is scaled.
     """
+    width = P.shape[1]
     bounds, centres, half = tiles
     idx, M = _monomial_lift(P, k)
     n_live, n_mono = len(P), len(idx)
     cols = n_live + T.shape[1]
     # monomial coefficients of each live neuron's (theta . x)^k and of each column of T
     lift = np.hstack([M, T]).T
-    dead, poly = _classify(centres, half, P)
-    xs = xt * sw ** (1.0 / k) if k else xt
+    dead, poly = _classify(centres[:, :width], half[:, :width], P)
+    crossing = ~(dead | poly)
+    xs, sw = grid.scaled(k)[:width], grid.sw
     bounds = bounds.tolist()
-    e_width = int(np.max(np.count_nonzero(~(dead | poly), axis=1))) + n_mono + 1
+    e_width = int(np.max(np.count_nonzero(crossing, axis=1))) + n_mono + 1
     e_buf = np.empty(e_width * max(hi - lo for lo, hi in zip(bounds, bounds[1:])))
     b_buf = np.empty((cols + 1) * e_width)
     for t, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        cross = np.flatnonzero(~(dead[t] | poly[t]))
+        cross = crossing[t].nonzero()[0]
         E = e_buf[: (n_mono + len(cross) + 1) * (hi - lo)].reshape(-1, hi - lo)
-        np.prod(xs[idx, lo:hi], axis=1, out=E[:n_mono])
+        if n_mono == width:  # degree 1: the monomials are the lifted rows
+            E[:n_mono] = xs[:, lo:hi]
+        else:
+            np.prod(xs[idx, lo:hi], axis=1, out=E[:n_mono])
         sigma_k(k, np.matmul(P[cross], xs[:, lo:hi], out=E[n_mono:-1]), out=E[n_mono:-1])
         if not k:
             E[:-1] *= sw[lo:hi]
         E[-1] = yw[lo:hi]
-        # a workspace of 32 floats per column of E^T lets LAPACK run its blocked code (block size 32)
-        R = np.triu(dgeqrf(E.T, lwork=32 * len(E), overwrite_a=1)[0][: min(len(E), hi - lo)])
+        if gram:
+            # the strictly lower triangle stays 0: neither dsyrk nor dpstrf reference it
+            G = dsyrk(1.0, E.T, c=np.zeros((len(E), len(E)), order="F"), trans=1, overwrite_c=1)
+            # a zero column has a zero row and column in G, which any positive scale leaves so
+            norms = np.sqrt(np.maximum(np.diagonal(G), np.finfo(float).tiny))
+            G /= norms
+            G /= norms[:, None]
+            U, piv, rank, _ = dpstrf(G, lower=0, tol=0.0, overwrite_a=1)
+            R = np.empty((rank, len(E)))
+            R[:, piv - 1] = U[:rank] * norms[piv - 1]
+        else:
+            # a workspace of 32 floats per column of E^T lets LAPACK run its blocked code (block size 32)
+            R = np.triu(dgeqrf(E.T, lwork=32 * len(E), overwrite_a=1)[0][: min(len(E), hi - lo)])
         Bt = b_buf[: (cols + 1) * len(R)].reshape(cols + 1, len(R))
         np.matmul(lift, R[:, :n_mono].T, out=Bt[:cols])
-        Bt[np.flatnonzero(dead[t])] = 0.0
+        Bt[:n_live][dead[t]] = 0.0
         Bt[cross] = R[:, n_mono:-1].T
         Bt[cols] = R[:, -1]
         yield Bt
@@ -513,14 +565,19 @@ def _design_blocks(P, k, T, xt, tiles, sw, yw):
 def _tile_values(model: FiniteNeuronModel, tiling: _Tiles, grad: bool = False):
     """Yield (lo, hi, V), tile by tile, over the level of tiling whose tiles
     hold at most _block_rows(n) rows: V[-1] holds the model's values at the
-    tile's lifted rows tiling.xt[:, lo:hi] and, with grad, V[:d] its
-    gradients, one row per component.
+    tile's lifted rows tiling.xt[:, lo:hi] (their first d + 1 rows, eta, for
+    a sphere model) and, with grad, V[:d] its gradients, one row per
+    component.
 
     Each neuron is classified on each tile box as _design_blocks does
-    (_classify).  A dead neuron is skipped, a polynomial one is folded into
-    the tile's coefficients on the monomials of the lifted rows
-    (_monomial_lift), and the crossing ones are formed in one reused buffer
-    under those monomials, so one product of [folded | crossing]
+    (_classify), one call for a group of tiles: the most tiles whose
+    group x n mask rows fit in an eighth of a block (_block_rows(8 n)), so
+    the call's float arrays stay small beside the tile's own, and every
+    tile of a level at n <= 128 on 131072 rows is one call.  A dead neuron
+    is skipped, a
+    polynomial one is folded into the tile's coefficients on the monomials
+    of the lifted rows (_monomial_lift), and the crossing ones are formed in
+    one reused buffer under those monomials, so one product of [folded | crossing]
     coefficients with that buffer gives the tile's sum.  For k >= 1 that
     sum is u = sum_j a_j theta_j sigma_k'(z_j), on the monomials of degree
     k - 1: u's first d components are the gradient, and since sigma_k(z) =
@@ -535,7 +592,12 @@ def _tile_values(model: FiniteNeuronModel, tiling: _Tiles, grad: bool = False):
         raise ContractError("gradient undefined for k=0")
     if grad and model.on_sphere:
         raise ContractError("gradient is implemented for domain models only")
+    x_rows = P.shape[1]  # the lifted rows the neurons read
     bounds, centres, half = tiling.level(_block_rows(model.n))
+    group = _block_rows(8 * model.n)
+    classes = itertools.chain.from_iterable(
+        zip(*_classify(centres[g : g + group, :x_rows], half[g : g + group, :x_rows], P))
+        for g in range(0, len(centres), group))
     # u = sum_j k a_j theta_j s(z_j) with s = sigma_k' / k, that is max(z, 0)^(k - 1)
     # (z > 0 at k = 1, as sigma_1' reads), or the values sum_j a_j sigma_0(z_j) at k = 0
     coef = k * model.a[:, None] * P if k else model.a[:, None]
@@ -546,10 +608,9 @@ def _tile_values(model: FiniteNeuronModel, tiling: _Tiles, grad: bool = False):
     fold = (coef[:, :, None] * M.T[:, None, :]).reshape(model.n, width * n_mono)
     # [folded | crossing] coefficients, and the monomials over the crossing neurons' sigma
     c_buf, e_buf = np.empty((width, n_mono + model.n)), np.empty(0)
-    for t, (lo, hi) in enumerate(zip(bounds.tolist(), bounds[1:].tolist())):
-        dead, poly = _classify(centres[t], half[t], P)
+    for lo, hi, (dead, poly) in zip(bounds.tolist(), bounds[1:].tolist(), classes):
         cross = np.flatnonzero(dead == poly)  # neither: a neuron cannot be both
-        x = tiling.xt[:, lo:hi]
+        x = tiling.xt[:x_rows, lo:hi]
         cols = n_mono + len(cross)
         if cols * (hi - lo) > len(e_buf):
             e_buf = np.empty(cols * (hi - lo))
@@ -586,40 +647,43 @@ def _ridge_residual(yy: float, z: np.ndarray, c: np.ndarray, ridge: float, size:
     return math.sqrt(res2) if res2 >= RESIDUAL_FLOOR * (yy + size) else math.nan
 
 
-def _solve_reduced(P, k, T, xt, tiles, sw, yw, ridge, norm_cap, n) -> tuple[np.ndarray, float, str, int]:
+def _solve_reduced(P, k, T, grid, tiles, yw, ridge, norm_cap, n) -> tuple[np.ndarray, float, str, int]:
     """(c, residual, solver, solver_rows): coefficients for the weighted
-    reduced design B = sw [sigma_k(P x^T) | Q T], the grid residual
-    ||B c - y||, the solver taken (cholesky, qr or cholesky->qr) and the
-    virtual rows it read.
+    reduced design B = sw [sigma_k(P x^T) | Q T] on the Grid grid, the grid
+    residual ||B c - y||, the solver taken (cholesky, qr or cholesky->qr)
+    and the virtual rows it read.
 
-    Both solvers read the tiles' blocks of virtual rows of [B | y]
-    (_design_blocks), whose Grams sum to [B | y]^T [B | y], and end in a
-    triangular factor [[R, z], [0, rho]] of [B | y].  A ridge without a cap
-    adds each block's Gram to the upper triangle of one (cols + 1)^2 matrix
-    with one dsyrk, whose last column is B^T y and corner y^T y, adds the
-    ridge to its diagonal, and factors R^T R = B^T B + ridge I with dpotrf
-    on that triangle; two dtrtrs give z = R^-T B^T y and c = R^-1 z, and the
-    residual comes from _ridge_residual.  A pivot that is not positive (a
-    ridge below rounding on a rank-deficient design) falls back to the QR
-    fold, which reads the blocks again.  Every other fit copies blocks,
-    transposed, under the previous triangular factor until at least 4 cols
-    rows wait (each fold re-factors R) and folds them into the factor
-    [[R, z], [0, rho]] of a QR decomposition, once more after the last
-    block, so the singular values of B = (Q U) diag(s) V^T come from
-    R = U diag(s) V^T without squaring its condition number.  Over the s
-    above lstsq's cutoff eps max(rows, cols) s_max, rows the grid's,
-    c = V (U^T z / s) is the minimum-norm least-squares solution, and with
-    a ridge c = V (s U^T z / (s^2 + ridge)); a cap instead runs the root
-    search on G = V diag(s^2) V^T and B^T y = V diag(s) U^T z, which at
-    lam = 0 inverts the same s.  The fold's residual is
+    Both solvers read the blocks of virtual rows of [B | y] that the tiles
+    of the level tiles give (_design_blocks), whose Grams sum to
+    [B | y]^T [B | y], and end in a triangular factor [[R, z], [0, rho]]
+    of [B | y].  A ridge without a cap, which squares the condition number
+    anyway, takes each tile's block from the pivoted Cholesky factor of
+    the tile's Gram, adds each block's Gram to the upper triangle of one
+    (cols + 1)^2 matrix with one dsyrk, whose last column is B^T y and
+    corner y^T y, adds the ridge to its diagonal, and factors
+    R^T R = B^T B + ridge I with dpotrf on that triangle; two dtrtrs give
+    z = R^-T B^T y and c = R^-1 z, and the residual comes from
+    _ridge_residual.  A pivot that is not positive (a ridge below rounding
+    on a rank-deficient design) falls back to the QR fold, which reads the
+    blocks again.  The QR fold takes each tile's block from its Householder
+    QR, copies blocks, transposed, under the previous triangular factor
+    until at least 4 cols rows wait (each fold re-factors R) and folds them
+    into the factor [[R, z], [0, rho]] of a QR decomposition, once more
+    after the last block, so the singular values of B = (Q U) diag(s) V^T
+    come from R = U diag(s) V^T without squaring its condition number.
+    Over the s above lstsq's cutoff eps max(rows, cols) s_max, rows the
+    grid's, c = V (U^T z / s) is the minimum-norm least-squares solution,
+    and with a ridge c = V (s U^T z / (s^2 + ridge)); a cap instead runs
+    the root search on G = V diag(s^2) V^T and B^T y = V diag(s) U^T z,
+    which at lam = 0 inverts the same s.  The fold's residual is
     sqrt(rho^2 + ||R c - z||^2), which involves no cancellation.
     """
-    rows = xt.shape[1]
+    rows = len(grid[0])
     cols = len(P) + T.shape[1]
     solver, solver_rows = "qr", 0
     if ridge > 0.0 and norm_cap == 0.0:
         G = np.zeros((cols + 1, cols + 1), order="F")
-        for Bt in _design_blocks(P, k, T, xt, tiles, sw, yw):
+        for Bt in _design_blocks(P, k, T, grid, tiles, yw, gram=True):
             dsyrk(1.0, Bt.T, beta=1.0, c=G, trans=1, overwrite_c=1)
             solver_rows += Bt.shape[1]
         diag = np.arange(cols)
@@ -637,7 +701,7 @@ def _solve_reduced(P, k, T, xt, tiles, sw, yw, ridge, norm_cap, n) -> tuple[np.n
     width = len(P) + math.comb(k + P.shape[1] - 1, k) + 1
     design = np.empty((cols + 1, cols + 1 + min(rows, 4 * cols + width))).T
     r = held = 0
-    for Bt in _design_blocks(P, k, T, xt, tiles, sw, yw):
+    for Bt in _design_blocks(P, k, T, grid, tiles, yw):
         design[r + held : r + held + Bt.shape[1]] = Bt.T
         held += Bt.shape[1]
         solver_rows += Bt.shape[1]
@@ -680,43 +744,44 @@ def _grid_weights(grid_weights, rows: int) -> np.ndarray:
 def least_squares_fit(
     f: TargetFunction,
     ps: PointSet,
-    grid_points: np.ndarray,
-    grid_weights: np.ndarray | None = None,
+    grid_points: Grid,
     k: int = 1,
     ridge: float = 0.0,
     norm_cap: float = 0.0,
 ) -> FiniteNeuronModel:
-    """Weighted least squares over a sample grid on the domain (or sphere).
+    """Weighted least squares over grid_points, a Grid of (points, weights)
+    on the domain (or the sphere).
 
     With norm_cap > 0, the cap sqrt(n)||a||_2 <= M is enforced by the
     smallest extra ridge parameter that meets it (ridge_bisect_cap).  A
     rank-deficient design with ridge=0 yields the minimum-norm solution.
     A ridge or norm_cap that is negative or NaN is a ConfigurationError,
-    and grid points that are not finite, or grid_weights (uniform when
-    None) other than one finite value >= 0 per grid point, a
-    ContractError.
+    and grid points of the wrong width a ContractError (a Grid refuses
+    points that are not finite and weights other than one finite value
+    >= 0 per point).
 
     Only the neurons the grid can tell apart are fitted.  On a domain of
-    largest grid radius r, a dead neuron (0 on the grid) gets a_j = 0, and
-    the polynomial block Q U_r S_r V_r^T is fitted through its r columns
-    Q U_r S_r with coefficients c, lifted back as a_P = V_r c.  V_r has
-    orthonormal columns, so ||a|| = ||(a_live, c)|| and the ridge,
-    minimum-norm and norm-cap problems keep their solutions exactly.
-    Sphere targets prune nothing.  The weighted reduced design B and the
-    weighted target y are never built as rows: the grid is cut into the
-    tiles of its balanced kd-tree (kept for the next fit on the same grid
-    points, whatever their weights) that hold at most
-    _block_rows(live + C(k + d, d) + 1) rows, and each tile gives the
-    triangular factor of its own small design, in which a neuron that does
-    not cross the tile's box is 0 or its monomial sum, lifted to the
-    columns of [B | y] (_design_blocks).  With a ridge and no cap, one
-    dsyrk per tile accumulates [B | y]^T [B | y], which holds G = B^T B and
-    B^T y, and (G + ridge I) a = B^T y is solved by Cholesky (dpotrf, then
-    two dtrtrs); a pivot that is not positive, as a ridge below rounding on
-    a rank-deficient design gives, falls back to the QR fold.  Every other
-    fit folds the tiles' factors into a QR factor, whose SVD gives the
-    minimum-norm solution, or the cap's root search, without squaring the
-    condition number as G does (see _solve_reduced).
+    largest grid radius r (grid_points.radius), a dead neuron (0 on the
+    grid) gets a_j = 0, and the polynomial block Q U_r S_r V_r^T is fitted
+    through its r columns Q U_r S_r with coefficients c, lifted back as
+    a_P = V_r c.  V_r has orthonormal columns, so ||a|| = ||(a_live, c)||
+    and the ridge, minimum-norm and norm-cap problems keep their solutions
+    exactly.  Sphere targets prune nothing.  The weighted reduced design B
+    and the weighted target y are never built as rows: the grid's tiles
+    (grid_points.tiles) that hold at most _block_rows(live + C(k + d, d) +
+    1) rows each give a factor of their own small design, in which a
+    neuron that does not cross the tile's box is 0 or its monomial sum,
+    lifted to the columns of [B | y] (_design_blocks), from the grid's
+    weighted rows and its table of f in tile order, both kept for the next
+    fit on the grid.  With a ridge and no cap, each tile's factor comes
+    from the pivoted Cholesky factor of its Gram, one dsyrk per tile
+    accumulates [B | y]^T [B | y], which holds G = B^T B and B^T y, and
+    (G + ridge I) a = B^T y is solved by Cholesky (dpotrf, then two
+    dtrtrs); a pivot that is not positive, as a ridge below rounding on a
+    rank-deficient design gives, falls back to the QR fold.  Every other
+    fit folds the tiles' Householder QR factors into a QR factor, whose SVD
+    gives the minimum-norm solution, or the cap's root search, without
+    squaring the condition number as G does (see _solve_reduced).
 
     The model returned carries the fit's grid residual
     sqrt(sum_i w_i (f_n(x_i) - f(x_i))^2) as model.residual, read from the
@@ -736,19 +801,15 @@ def least_squares_fit(
     start = time.perf_counter()
     if not (ridge >= 0.0 and norm_cap >= 0.0):  # NaN too
         raise ConfigurationError(f"ridge and norm_cap must be >= 0, got {ridge} and {norm_cap}")
-    grid_points = np.asarray(grid_points, dtype=float)
-    if grid_points.shape[-1] != f.d + f.on_sphere:
+    if grid_points[0].shape[1] != f.d + f.on_sphere:
         raise ContractError("grid points must have d components (d+1 on the sphere)")
-    if not np.all(np.isfinite(grid_points)):
-        raise ContractError("grid points must be finite")
-    rows, n = len(grid_points), ps.n
+    rows, n = len(grid_points[0]), ps.n
     if rows < n:
         raise ConfigurationError("sample grid must have at least n points")
-    grid_weights = np.full(rows, 1.0 / rows) if grid_weights is None else _grid_weights(grid_weights, rows)
     if f.on_sphere:  # theta . eta spans [-1, 1] over unit rows
         dead = poly = np.zeros(n, dtype=bool)
     else:  # theta . (x, 1) spans [b - |w| r, b + |w| r] over |x| <= r
-        r = float(np.max(np.linalg.norm(grid_points, axis=1)))
+        r = grid_points.radius
         w = np.linalg.norm(ps.points[:, : ps.d], axis=1)
         dead = ps.points[:, ps.d] + w * r < -CLASS_MARGIN
         poly = ps.points[:, ps.d] - w * r > CLASS_MARGIN
@@ -757,14 +818,10 @@ def least_squares_fit(
     P = ps.points[live]
     n_live = len(P)
     cols = n_live + T.shape[1]
-    sw = np.sqrt(grid_weights)
-    yw = f(grid_points) * sw
+    yw = grid_points.tabulate(f) * grid_points.sw  # in tile order
     if cols:
-        tiling = _tiling(grid_points.tobytes(), grid_points.shape[1], f.on_sphere)
-        tiles = tiling.level(_block_rows(n_live + math.comb(k + ps.d, k) + 1))
-        order = tiling.order  # tiling.xt holds the grid rows in this order
-        c, residual, solver, solver_rows = _solve_reduced(
-            P, k, T, tiling.xt, tiles, sw[order], yw[order], ridge, norm_cap, n)
+        tiles = grid_points.tiles.level(_block_rows(n_live + math.comb(k + ps.d, k) + 1))
+        c, residual, solver, solver_rows = _solve_reduced(P, k, T, grid_points, tiles, yw, ridge, norm_cap, n)
         sizes = np.diff(tiles[0])
     else:  # every neuron is 0 on the grid
         c, residual, solver, solver_rows = np.zeros(0), float(np.linalg.norm(yw)), None, 0
@@ -789,42 +846,36 @@ def least_squares_fit(
 def error_norms(
     model: FiniteNeuronModel,
     f: TargetFunction,
-    grid_points: np.ndarray,
-    grid_weights: np.ndarray,
+    grid_points: Grid,
     s: int = 0,
 ) -> tuple[float, float]:
-    """Discrete (L2 error, H1-seminorm error); the latter is 0.0 when s=0.
+    """Discrete (L2 error, H1-seminorm error) on grid_points, a Grid of
+    (points, weights); the latter is 0.0 when s=0.
 
-    Grid points that are not finite, or weights other than one finite value
-    >= 0 per point, are a ContractError, raised before anything is
-    evaluated.  The model is evaluated tile by tile on the grid's tiling,
-    which least_squares_fit keeps (_tiling), so a fit's own grid is not
-    tiled again, and no values or gradients array as long as the grid is
-    formed (_tile_values); the target's values and gradients are permuted
-    into tile order once and reduced with the weights tile by tile.
+    Grid points of the wrong width for the model are a ContractError.  The
+    model is evaluated tile by tile on the grid's tiling, which a fit on
+    the same Grid has built already, and no values or gradients array as
+    long as the grid is formed (_tile_values); the target's values and
+    gradients come from the grid's table of them in tile order, kept for
+    the next call, and are reduced with the weights tile by tile.
     """
     if s not in (0, 1):
         raise ContractError("s must be 0 or 1")
     if s == 1 and f.grad is None:
         raise ContractError("H1 error needs the target gradient")
-    grid_points = np.asarray(grid_points, dtype=float)
-    x = _inputs(grid_points, model.d, model.on_sphere)
-    if not np.all(np.isfinite(x)):
-        raise ContractError("grid points must be finite")
-    w = _grid_weights(grid_weights, len(x))
-    tiling = _tiling(x.tobytes(), x.shape[1], model.on_sphere)
-    order = tiling.order
-    target = np.take(np.reshape(f(grid_points), len(x)), order)[None]
-    if s == 1:  # rows as _tile_values gives them: the gradient, then the values
-        target = np.vstack([np.take(f.grad(grid_points), order, axis=0).T, target])
-    w = w[order]
+    if grid_points[0].shape[1] != model.d + model.on_sphere:
+        raise ContractError("grid points must have d components (d+1 on the sphere)")
+    w, values = grid_points.w, grid_points.tabulate(f)
+    grads = grid_points.tabulate(f.grad) if s == 1 else None
     l2 = h1 = 0.0  # the value row is reduced alone, so l2 is the same at either s
-    for lo, hi, V in _tile_values(model, tiling, grad=s == 1):
-        diff = np.subtract(V, target[:, lo:hi], out=V)
-        diff *= diff
-        l2 += float(diff[-1] @ w[lo:hi])
+    for lo, hi, V in _tile_values(model, grid_points.tiles, grad=s == 1):
+        V[-1] -= values[lo:hi]  # V holds the gradient's rows, then the values
         if s == 1:
-            h1 += float(np.sum(diff[:-1] @ w[lo:hi]))
+            V[:-1] -= grads[:, lo:hi]
+        V *= V
+        l2 += float(V[-1] @ w[lo:hi])
+        if s == 1:
+            h1 += float(np.sum(V[:-1] @ w[lo:hi]))
     return math.sqrt(max(l2, 0.0)), math.sqrt(max(h1, 0.0))
 
 

@@ -48,7 +48,7 @@ class EllipticProblem:
 
     sample(m, seed) draws uniform points on Omega; grid() returns a dense
     quadrature (points, weights) with weights summing to |Omega|, the same
-    models.Grid on every call, so its tiling and its tabulated h, f and
+    models.Grid on every call, so its tiling and its tables of h, f and
     grad f are built once and outlive any dataclasses.replace of the
     problem.  d is the solution's.
     """
@@ -67,15 +67,18 @@ class EllipticProblem:
 
     @cached_property
     def grid_values(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(h, f, grad f) on grid()'s points, read-only: the grid's table of
-        them (_grid_table), which every fit on the problem reads, put back
-        in grid order."""
+        """(h, f, grad f) on grid()'s points, read-only: the grid's tables
+        of them (Grid.tabulate), which every fit on the problem reads, put
+        back in grid order."""
         grid = _as_grid(self.grid())
-        table = _grid_table(self, grid)[1:]
-        values = np.empty_like(table)
-        values[:, grid.tiles.order] = table
-        values.flags.writeable = False
-        return values[0], values[-1], values[1:-1].T
+        out = []
+        for fn in (self.source, self.solution, self.solution.grad):
+            table = grid.tabulate(fn)
+            values = np.empty_like(table)
+            values[..., grid.tiles.order] = table
+            values.flags.writeable = False
+            out.append(values)
+        return out[0], out[1], out[2].T
 
 
 INTERVAL_GRID_POINTS = 4096
@@ -110,12 +113,6 @@ def _fixed_grid(pts: np.ndarray, w: np.ndarray) -> Callable[[], Grid]:
 def _as_grid(grid) -> Grid:
     """grid() as a Grid: itself, or a Grid of the (points, weights) given."""
     return grid if isinstance(grid, Grid) else Grid(*grid)
-
-
-def _grid_table(problem: "EllipticProblem", grid: Grid) -> np.ndarray:
-    """grid's rows w, h, grad f (d rows) and f in tile order, kept on the
-    grid for problem's source and solution."""
-    return grid.tabulate(problem.source, problem.solution.grad, problem.solution)
 
 
 def interval_problem() -> EllipticProblem:
@@ -250,11 +247,12 @@ def empirical_risk(g, grad_g, problem: EllipticProblem, samples: np.ndarray) -> 
 def _grid_energy(model: FiniteNeuronModel, problem: EllipticProblem) -> tuple[float, float]:
     """(population energy, H1 error) of model on problem's grid, from one
     pass of the tiled evaluator (models._tile_values) over the grid's
-    table of w, h, grad f and f (_grid_table): per tile, sum w Psi(g) and
-    sum w ((g - f)^2 + |grad g - grad f|^2), with no array as long as the
-    grid."""
+    tables of w, h, grad f and f (Grid.tabulate): per tile, sum w Psi(g)
+    and sum w ((g - f)^2 + |grad g - grad f|^2), with no array as long as
+    the grid."""
     grid = _as_grid(problem.grid())
-    table = _grid_table(problem, grid)
+    w, h = grid.w, grid.tabulate(problem.source)
+    fg, f = grid.tabulate(problem.solution.grad), grid.tabulate(problem.solution)
     # per tile, each weighted by w: g_c^2 for each gradient component and the value, h g, and (g - f)_c^2
     c = problem.d + 1
     sums, y_buf = np.zeros(2 * c + 1), np.empty(0)
@@ -263,10 +261,11 @@ def _grid_energy(model: FiniteNeuronModel, problem: EllipticProblem) -> tuple[fl
             y_buf = np.empty(len(sums) * (hi - lo))
         Y = y_buf[: len(sums) * (hi - lo)].reshape(len(sums), hi - lo)
         np.multiply(V, V, out=Y[:c])
-        np.multiply(table[1, lo:hi], V[-1], out=Y[c])
-        diff = np.subtract(V, table[2:, lo:hi], out=Y[c + 1 :])
-        diff *= diff
-        sums += Y @ table[0, lo:hi]
+        np.multiply(h[lo:hi], V[-1], out=Y[c])
+        np.subtract(V[:-1], fg[:, lo:hi], out=Y[c + 1 : -1])
+        np.subtract(V[-1], f[lo:hi], out=Y[-1])
+        Y[c + 1 :] *= Y[c + 1 :]
+        sums += Y @ w[lo:hi]
     return float(0.5 * np.sum(sums[:c]) - sums[c]), math.sqrt(max(float(np.sum(sums[c + 1 :])), 0.0))
 
 
@@ -343,7 +342,7 @@ def erm_fit(
     empirical_risk(model, model.gradient, problem, samples).  The energy,
     excess risk and H1 error against the manufactured solution come from
     one tiled pass over problem.grid() (_grid_energy), within rounding of
-    a dense evaluation: the grid's tiling and its tabulated h, f and grad f
+    a dense evaluation: the grid's tiling and its tables of h, f and grad f
     are built by the first fit and kept on the grid, or built on every call
     when grid() returns a plain (points, weights) tuple rather than a
     models.Grid.  An uncapped A that is exactly singular (neurons

@@ -28,7 +28,7 @@ from fnspace.harness import (
     run_rates,
     theoretical_slope,
 )
-from fnspace.models import TargetFunction, error_norms, least_squares_fit
+from fnspace.models import Grid, TargetFunction, error_norms, least_squares_fit
 from fnspace.sphere import generate_points
 
 
@@ -388,11 +388,11 @@ def test_rates_write_the_evaluated_error_where_the_residual_is_nan(monkeypatch):
                            ns=(8, 16), ridge=1e-9, s=0)
     line = TargetFunction("line", 1, lambda x: 1.0 + x[..., 0])
     grid = harness._ls_grid(cfg)
-    fits = [least_squares_fit(line, generate_points(1, n, cfg.strategy), *grid, k=1, ridge=cfg.ridge) for n in cfg.ns]
+    fits = [least_squares_fit(line, generate_points(1, n, cfg.strategy), grid, k=1, ridge=cfg.ridge) for n in cfg.ns]
     assert all(math.isnan(model.residual) for model in fits)
     monkeypatch.setattr(harness, "get_target", lambda name, d: line)
     rows = run_rates(cfg).rows
-    assert [r["error_l2"] for r in rows] == [error_norms(model, line, *grid)[0] for model in fits]
+    assert [r["error_l2"] for r in rows] == [error_norms(model, line, grid)[0] for model in fits]
     assert all(r["error_code"] == "" and 0.0 <= r["error_l2"] < 1e-6 for r in rows)
 
 
@@ -431,14 +431,20 @@ def test_sweeps_evaluate_the_target_once_on_their_grid(monkeypatch):
     assert [r["det_error"] for r in summary["rows"]] == det
 
 
-def test_grid_values_are_read_only_and_other_inputs_pass_through():
-    pts = domain_grid(1, 64)[0]
-    target = harness._on_grid(get_target("gaussian_bump", 1), pts)
-    values = target(pts)
-    assert target(pts) is values and target.grad(pts) is target.grad(pts)
-    assert not values.flags.writeable and not target.grad(pts).flags.writeable
-    other = pts.copy()
-    assert target(other) is not values and np.array_equal(target(other), values)
+def test_sweep_grid_tables_are_read_only_and_kept_per_function():
+    """The sweep grid's tables of a target and of its gradient are read-only,
+    in tile order, computed once each and kept side by side; another Grid
+    of the same points computes its own."""
+    cfg = ExperimentConfig(d=2, k=1, target="gaussian_bump", strategy="fibonacci_s2", ns=(8, 16), ridge=1e-9)
+    grid = harness._ls_grid(cfg)
+    target = get_target("gaussian_bump", 2)
+    values, grads = grid.tabulate(target), grid.tabulate(target.grad)
+    assert grid.tabulate(target) is values and grid.tabulate(target.grad) is grads
+    assert not values.flags.writeable and not grads.flags.writeable
+    order = grid.tiles.order
+    assert np.array_equal(values, target(grid[0])[order]) and np.array_equal(grads, target.grad(grid[0])[order].T)
+    other = Grid(*grid)
+    assert other.tabulate(target) is not values and np.array_equal(other.tabulate(target), values)
 
 
 def test_randcmp_seeds_are_a_set():

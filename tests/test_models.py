@@ -1,7 +1,9 @@
 import contextlib
+import functools
 import json
 import logging
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -13,10 +15,11 @@ from fnspace import models
 from fnspace.activation import sigma_k, sigma_k_prime, spectrum
 from fnspace.errors import ConfigurationError, ContractError, PrecisionError
 from fnspace.harmonics import PROJECT_MARGIN, harmonic_block, project, reference_grid
-from fnspace.harness import ExperimentConfig, domain_grid, get_target, run_rates
+from fnspace.harness import ExperimentConfig, domain_grid, get_target, run_randcmp
 from fnspace.models import (
     BLOCK_FLOATS,
     FiniteNeuronModel,
+    Grid,
     TargetFunction,
     _block_rows,
     _design_blocks,
@@ -160,8 +163,8 @@ def test_ls_representable_target():
 
     target = TargetFunction("in_span", 1, f)
     pts, w = domain_grid_1d()
-    model = least_squares_fit(target, ps, pts, w, k=2)
-    l2, _ = error_norms(model, target, pts, w, s=0)
+    model = least_squares_fit(target, ps, Grid(pts, w), k=2)
+    l2, _ = error_norms(model, target, Grid(pts, w), s=0)
     assert l2 <= 1e-8
 
 
@@ -169,7 +172,7 @@ def test_ls_zero_target():
     ps = generate_points(1, 8, "equispaced_circle")
     target = TargetFunction("zero", 1, lambda x: np.zeros(len(np.atleast_2d(x))))
     pts, w = domain_grid_1d()
-    model = least_squares_fit(target, ps, pts, w, k=2)
+    model = least_squares_fit(target, ps, Grid(pts, w), k=2)
     np.testing.assert_allclose(model.a, 0.0, atol=1e-12)
 
 
@@ -181,10 +184,10 @@ def test_ls_norm_cap_binds():
 
     target = TargetFunction("cos", 1, f)
     pts, w = domain_grid_1d()
-    free = least_squares_fit(target, ps, pts, w, k=2)
+    free = least_squares_fit(target, ps, Grid(pts, w), k=2)
     free_norm = coef_stat(free)[1]
     M = free_norm / 10.0
-    capped = least_squares_fit(target, ps, pts, w, k=2, norm_cap=M)
+    capped = least_squares_fit(target, ps, Grid(pts, w), k=2, norm_cap=M)
     assert coef_stat(capped)[1] <= M * (1.0 + 1e-6)
     assert coef_stat(capped)[1] >= M * (1.0 - 1e-3)
 
@@ -194,7 +197,7 @@ def test_ls_norm_cap_binds():
 def test_ls_rejects_a_negative_ridge_or_cap(bad):
     target = TargetFunction("zero", 1, lambda x: np.zeros(len(np.atleast_2d(x))))
     with pytest.raises(ConfigurationError, match="must be >= 0"):
-        least_squares_fit(target, generate_points(1, 8, "equispaced_circle"), *domain_grid_1d(), k=2, **bad)
+        least_squares_fit(target, generate_points(1, 8, "equispaced_circle"), Grid(*domain_grid_1d()), k=2, **bad)
 
 
 def test_model_cap_invariant():
@@ -225,28 +228,41 @@ def test_grid_weights_are_checked(bad):
     weights = {"short": w[:-1], "negative": -w, "nan": np.where(np.arange(len(w)) == 7, math.nan, w),
                "inf": np.where(np.arange(len(w)) == 7, math.inf, w), "column": w[:, None]}[bad]
     with pytest.raises(ContractError, match="grid weights"):
-        least_squares_fit(target, ps, pts, weights, k=1, ridge=1e-9)
-    model = least_squares_fit(target, ps, pts, w, k=1, ridge=1e-9)
+        least_squares_fit(target, ps, Grid(pts, weights), k=1, ridge=1e-9)
+    model = least_squares_fit(target, ps, Grid(pts, w), k=1, ridge=1e-9)
     for s in (0, 1):
         with pytest.raises(ContractError, match="grid weights"):
-            error_norms(model, target, pts, weights, s=s)
+            error_norms(model, target, Grid(pts, weights), s=s)
 
 
 @pytest.mark.parametrize("ridge", [0.0, 1e-9], ids=["lstsq", "ridge"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-def test_non_finite_grid_points_are_rejected(bad, ridge):
+def test_non_finite_grid_points_are_rejected(bad, ridge, monkeypatch):
     """A grid row with a NaN or infinite coordinate is a ContractError that
-    names the grid, raised before the grid is tiled: it gave "SVD did not
-    converge" without a ridge and "coefficients must be finite" with one."""
+    names the grid, raised when the Grid is made, before anything is tiled:
+    it gave "SVD did not converge" without a ridge and "coefficients must
+    be finite" with one."""
     target = get_target("gaussian_bump", 2)
     ps = generate_points(2, 16, "fibonacci_s2")
     pts, w = domain_grid(2, 4096)
     pts = pts.copy()
     pts[7, 1] = bad
-    misses = models._tiling.cache_info().misses
+    trees = _count_trees(monkeypatch)
     with pytest.raises(ContractError, match="grid points must be finite"):
-        least_squares_fit(target, ps, pts, w, k=1, ridge=ridge)
-    assert models._tiling.cache_info().misses == misses
+        least_squares_fit(target, ps, Grid(pts, w), k=1, ridge=ridge)
+    assert not trees
+
+
+def _count_trees(monkeypatch):
+    """A list that gains an entry for each kd-tree models builds from here on."""
+    trees, tree = [], models.cKDTree
+
+    def counting(*args, **kwargs):
+        trees.append(len(args[0]))
+        return tree(*args, **kwargs)
+
+    monkeypatch.setattr(models, "cKDTree", counting)
+    return trees
 
 
 def test_inputs_of_the_wrong_width_are_rejected():
@@ -255,7 +271,7 @@ def test_inputs_of_the_wrong_width_are_rejected():
         features(ps, 1, np.zeros((5, 4)))
     sphere_pts = generate_points(2, 16, "fibonacci_s2").points
     with pytest.raises(ContractError, match="components"):
-        least_squares_fit(get_target("gaussian_bump", 2), ps, sphere_pts)
+        least_squares_fit(get_target("gaussian_bump", 2), ps, Grid(sphere_pts, np.full(16, 1.0 / 16)))
 
 
 def test_single_ridge_value_and_gradient():
@@ -318,8 +334,8 @@ def test_error_norms_self_and_grid_consistency():
         pts = np.column_stack([(R * np.cos(T)).ravel(), (R * np.sin(T)).ravel()])
         w = np.repeat(wr / 2.0 * r, 256) / 256
         grids.append((pts, w / w.sum()))
-    l2a, h1a = error_norms(model, target, *grids[0], s=1)
-    l2b, h1b = error_norms(model, target, *grids[1], s=1)
+    l2a, h1a = error_norms(model, target, Grid(*grids[0]), s=1)
+    l2b, h1b = error_norms(model, target, Grid(*grids[1]), s=1)
     assert abs(l2a - l2b) / l2b < 0.01
     assert h1a >= 0.0 and h1b >= 0.0
 
@@ -330,7 +346,7 @@ def test_error_norms_missing_gradient():
     target = TargetFunction("nograd", 1, lambda x: np.zeros(len(np.atleast_2d(x))))
     pts, w = domain_grid_1d(32)
     with pytest.raises(ContractError):
-        error_norms(model, target, pts, w, s=1)
+        error_norms(model, target, Grid(pts, w), s=1)
 
 
 def test_coef_stat_values():
@@ -350,7 +366,7 @@ def test_ls_no_worse_than_constructive_on_sphere():
 
     target = TargetFunction("smooth", 1, g, on_sphere=True, parity=1)
     cons = constructive_fit(target, rule, spec, grid)
-    ls = least_squares_fit(target, ps, grid.nodes, grid.weights, k=1)
+    ls = least_squares_fit(target, ps, Grid(grid.nodes, grid.weights), k=1)
     err_cons = math.sqrt(float(grid.weights @ (cons(grid.nodes) - g(grid.nodes)) ** 2))
     err_ls = math.sqrt(float(grid.weights @ (ls(grid.nodes) - g(grid.nodes)) ** 2))
     assert err_ls <= err_cons + 1e-12
@@ -517,14 +533,14 @@ def test_ls_coefficients_bit_identical_to_reference(k, path):
     ps = generate_points(2, 40, "fibonacci_s2")
     pts, w = domain_grid(2, 4096)
     target = get_target("gaussian_bump", 2)
-    model = least_squares_fit(target, ps, pts, w, k=k, **path)
+    model = least_squares_fit(target, ps, Grid(pts, w), k=k, **path)
     want = _ls_reference(target, ps, pts, w, k, **path)
     ridge = path.get("ridge", 0.0)
     got_obj = _ridge_objective(target, ps, pts, w, k, model.a, ridge)
     assert got_obj <= _ridge_objective(target, ps, pts, w, k, want, ridge) * (1.0 + 1e-10)
     assert np.linalg.norm(model.a - want) <= 1e-8 * np.linalg.norm(want)
     if "norm_cap" in path:  # the cap path is exercised only if the cap binds
-        free = least_squares_fit(target, ps, pts, w, k=k)
+        free = least_squares_fit(target, ps, Grid(pts, w), k=k)
         assert coef_stat(free)[1] > path["norm_cap"]
 
 
@@ -589,9 +605,9 @@ def test_pruned_fit_solves_the_full_problem(d, k, n, strategy, radius, path, see
     x, w = _small_grid(d, radius, 3 * ps.n + 20, rng)
     target = get_target("gaussian_bump", d)
     if path == "cap":
-        free = coef_stat(least_squares_fit(target, ps, x, w, k=k))[1]
+        free = coef_stat(least_squares_fit(target, ps, Grid(x, w), k=k))[1]
         path = {"norm_cap": 0.5 * free}
-    model = least_squares_fit(target, ps, x, w, k=k, **path)
+    model = least_squares_fit(target, ps, Grid(x, w), k=k, **path)
     a = model.a
     r = float(np.max(np.linalg.norm(x, axis=1)))
     b, wn = ps.points[:, d], np.linalg.norm(ps.points[:, :d], axis=1)
@@ -675,7 +691,7 @@ def test_blocked_solvers_match_the_dense_design(d, k, n, on_sphere, offset, radi
     yw = target(x) * sw
     lam = 1e-6 * float(np.sum(A * A))
     if lam == 0.0:  # every direction is 0 on the grid
-        assert np.array_equal(least_squares_fit(target, ps, x, w, k=k, ridge=1.0).a, np.zeros(ps.n))
+        assert np.array_equal(least_squares_fit(target, ps, Grid(x, w), k=k, ridge=1.0).a, np.zeros(ps.n))
         return
     want = np.linalg.solve(A.T @ A + lam * np.eye(ps.n), A.T @ yw)
     huge = 1e6 * math.sqrt(ps.n) * float(np.linalg.norm(want))
@@ -684,7 +700,7 @@ def test_blocked_solvers_match_the_dense_design(d, k, n, on_sphere, offset, radi
     with pytest.MonkeyPatch.context() as mp, _model_records() as records:
         mp.setattr(models, "BLOCK_FLOATS", SMALL_BLOCK_FLOATS)
         for path in ({"ridge": lam}, {"ridge": lam, "norm_cap": huge}, {}):
-            model = least_squares_fit(target, ps, x, w, k=k, **path)
+            model = least_squares_fit(target, ps, Grid(x, w), k=k, **path)
             info = records[-1]
             assert (info["tiles"], info["block_rows"]) == (min(tiles, rows), -(-rows // tiles))
             _assert_residual(model, float(np.linalg.norm(A @ model.a - yw)), A, yw, cholesky=path == {"ridge": lam})
@@ -713,8 +729,13 @@ def _reduced(ps, k, x, on_sphere):
         dead, poly = b + wn * r < -1e-12, b - wn * r > 1e-12
     P = ps.points[~(dead | poly)]
     T, _ = _polynomial_block(ps.points[poly], k)
-    idx, coef = _monomials(d, k)
-    return P, T, np.hstack([coef[:, None] * np.prod(P[:, idx], axis=2).T, T])
+    return P, T, _lift(P, T, k)
+
+
+def _lift(P, T, k):
+    """Each column of [P | T]'s coefficients on the degree-k monomials."""
+    idx, coef = _monomials(P.shape[1] - 1, k)
+    return np.hstack([coef[:, None] * np.prod(P[:, idx], axis=2).T, T])
 
 
 def _dense_rows(P, T, k, x, on_sphere, sw, yw):
@@ -726,12 +747,12 @@ def _dense_rows(P, T, k, x, on_sphere, sw, yw):
     return np.column_stack([sigma_k(k, xt @ P.T) * sw[:, None], Q @ T, yw]), Q
 
 
-def _blocks(P, k, T, x, on_sphere, sw, yw):
-    """(level, blocks): the tile level a fit of P takes on the grid x, and copies
-    of the blocks _design_blocks yields there (it reuses one buffer)."""
-    tiling = models._tiling(x.tobytes(), x.shape[1], on_sphere)
-    level = tiling.level(_block_rows(len(P) + math.comb(k + P.shape[1] - 1, k) + 1))
-    blocks = _design_blocks(P, k, T, tiling.xt, level, sw[tiling.order], yw[tiling.order])
+def _blocks(P, k, T, grid, yw, gram):
+    """(level, blocks): the tile level a fit of P takes on the Grid grid, and
+    copies of the blocks _design_blocks yields there (it reuses one
+    buffer), from Householder or, with gram, pivoted Cholesky tile factors."""
+    level = grid.tiles.level(_block_rows(len(P) + math.comb(k + P.shape[1] - 1, k) + 1))
+    blocks = _design_blocks(P, k, T, grid, level, yw[grid.tiles.order], gram)
     return level, [Bt.copy() for Bt in blocks]
 
 
@@ -752,7 +773,8 @@ def test_design_blocks_share_one_buffer_within_the_budget():
     sw = np.sqrt(w)
     yw = sw * np.cos(pts[:, 0])
     dense, _ = _dense_rows(P, T, 2, pts, False, sw, yw)
-    tiling = models._tiling(pts.tobytes(), 2, False)
+    grid = Grid(pts, w)
+    tiling = grid.tiles
     assert np.array_equal(np.sort(tiling.order), np.arange(len(pts)))
     assert np.array_equal(tiling.xt, np.column_stack([pts, np.ones(len(pts))])[tiling.order].T)
     max_rows = BLOCK_FLOATS // (cols + 1)
@@ -763,7 +785,7 @@ def test_design_blocks_share_one_buffer_within_the_budget():
     for t, (lo, hi) in enumerate(zip(bounds, bounds[1:])):  # within the box, to the rounding of c and h
         assert np.all(np.abs(tiling.xt[:, lo:hi].T - centres[t]) <= half[t] + 2 * np.finfo(float).eps)
     blocks = []
-    for t, Bt in enumerate(_design_blocks(P, 2, T, tiling.xt, level, sw[tiling.order], yw[tiling.order])):
+    for t, Bt in enumerate(_design_blocks(P, 2, T, grid, level, yw[tiling.order])):
         assert Bt.flags.c_contiguous and Bt.shape[0] == cols + 1 and Bt.shape[1] < sizes[t]
         assert Bt.size <= BLOCK_FLOATS
         assert not blocks or np.shares_memory(Bt, blocks[0][1])
@@ -778,34 +800,52 @@ def test_design_blocks_share_one_buffer_within_the_budget():
         assert (rows + 1) * width > BLOCK_FLOATS  # as many rows as the budget holds
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
     d=st.integers(1, 2),
     k=st.integers(0, 3),
     n=st.integers(1, 12),
     on_sphere=st.booleans(),
     rows=st.integers(1, 160),
+    gram=st.booleans(),
+    deficient=st.sampled_from(["", "repeated direction", "few rows", "zero weights"]),
+    y_scale=st.sampled_from([1.0, 1e-9]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_virtual_rows_have_the_gram_of_the_grid_rows(d, k, n, on_sphere, rows, seed):
+# y in the span of an 11-row tile's other columns, whose Gram has condition 1e8: the unscaled
+# pivoted Cholesky dropped y's last pivot, -5e-29 of rounding, 7.5e-11 u_y^2
+@example(d=1, k=2, n=8, on_sphere=True, rows=11, gram=True, deficient="", y_scale=1e-9, seed=0)
+def test_virtual_rows_have_the_gram_of_the_grid_rows(d, k, n, on_sphere, rows, gram, deficient, y_scale, seed):
     """The stacked blocks' Gram is the dense [B | y]^T [B | y] under a small
-    float budget.  On a domain grid two more directions put their kink within
+    float budget, from each tile's Householder factor and, with gram, from
+    the pivoted Cholesky factor of its Gram, as the ridge path takes them.
+    On a domain grid two more directions put their kink within
     CLASS_MARGIN of a tile's box, at its largest and smallest row along one
     axis, so a k = 0 neuron there is 1 on one row and 0 on the others, or 0
     on one row and 1 on the others: dead or polynomial by a wrong margin, it
-    would lose or gain that row.  Tolerance, fixed before the first run:
-    entry (i, j) within 1e-11 u_i u_j, where u_j = sum_a |L_aj| ||Q_a|| for
-    a neuron or column of T with monomial coefficients L_aj on the weighted
-    monomial columns Q_a, which bounds the norm of its column and of the
-    monomial sum the block takes it from, and u = ||y|| for y."""
+    would lose or gain that row.  Tiles are rank-deficient with a repeated
+    live direction, with at most 4 rows (fewer than the columns of most
+    tile designs) or with about half the weights 0, and a target scaled by
+    1e-9 leaves y a column of small norm, which a pivoted Cholesky of the
+    unscaled Gram at LAPACK's default tolerance drops.  Tolerance, fixed
+    before the first run: entry (i, j) within 1e-11 u_i u_j, where
+    u_j = sum_a |L_aj| ||Q_a|| for a neuron or column of T with monomial
+    coefficients L_aj on the weighted monomial columns Q_a, which bounds the
+    norm of its column and of the monomial sum the block takes it from, and
+    u = ||y|| for y."""
     rng = np.random.Generator(np.random.Philox(seed))
+    if deficient == "few rows":
+        rows = min(rows, 4)
     if on_sphere:
         x = _unit(rng.standard_normal((rows, d + 1)))
     else:
         x, _ = _small_grid(d, 0.9, rows, rng)
     w = _weights(rows, rng)
+    if deficient == "zero weights":
+        w[rng.random(rows) < 0.5] = 0.0
+    grid = Grid(x, w)
     sw = np.sqrt(w)
-    yw = sw * rng.standard_normal(rows)
+    yw = y_scale * sw * rng.standard_normal(rows)
     dirs = _unit(rng.standard_normal((n, d + 1)))
     if not on_sphere:  # one direction of each class, then two at the edges of a tile's box
         extra = np.zeros((3, d + 1))
@@ -815,8 +855,8 @@ def test_virtual_rows_have_the_gram_of_the_grid_rows(d, k, n, on_sphere, rows, s
         mp.setattr(models, "BLOCK_FLOATS", SMALL_BLOCK_FLOATS)
         if not on_sphere:  # both edge directions are live on the grid, so the fit takes this level
             n_live = len(_reduced(PointSet(dirs), k, x, False)[0]) + 2
-            tiling = models._tiling(x.tobytes(), d, False)
-            bounds, _, _ = tiling.level(_block_rows(n_live + math.comb(k + d, d) + 1))
+            tiling = grid.tiles
+            bounds, _, _ = tiling.level(_block_rows(n_live + math.comb(k + d, k) + 1))
             t, axis = int(rng.integers(len(bounds) - 1)), int(rng.integers(d))
             side = tiling.xt[axis, bounds[t] : bounds[t + 1]]
             for end, shift in ((side.max(), 0.5e-12), (side.min(), -0.5e-12)):
@@ -825,16 +865,18 @@ def test_virtual_rows_have_the_gram_of_the_grid_rows(d, k, n, on_sphere, rows, s
                 if np.min(np.linalg.norm(_unit([edge]) - dirs, axis=1)) > 1e-9:
                     dirs = np.vstack([dirs, _unit([edge])])
         ps = PointSet(dirs)
-        P, T, lift = _reduced(ps, k, x, on_sphere)
+        P, T, _ = _reduced(ps, k, x, on_sphere)
+        if deficient == "repeated direction":  # no PointSet holds one, but the blocks take any rows
+            P = np.vstack([P, P[-1:]])
         if not len(P) + T.shape[1]:  # least_squares_fit builds no block
             return
-        level, blocks = _blocks(P, k, T, x, on_sphere, sw, yw)
+        level, blocks = _blocks(P, k, T, grid, yw, gram)
     if not on_sphere and len(P) == n_live:  # a tile of equal coordinates has one edge direction
         assert np.array_equal(level[0], bounds)
     dense, Q = _dense_rows(P, T, k, x, on_sphere, sw, yw)
     want = dense.T @ dense
     got = sum(Bt @ Bt.T for Bt in blocks)
-    u = np.append(np.abs(lift).T @ np.linalg.norm(Q, axis=0), np.linalg.norm(yw))
+    u = np.append(np.abs(_lift(P, T, k)).T @ np.linalg.norm(Q, axis=0), np.linalg.norm(yw))
     assert np.all(np.abs(got - want) <= 1e-11 * np.outer(u, u))
 
 
@@ -857,7 +899,7 @@ def test_pruned_columns_are_exact():
         rebuilt = np.prod(xt[:, idx], axis=2) @ T @ V.T
         assert np.max(np.abs(rebuilt - phi[:, poly])) <= 1e-13 * np.max(np.abs(phi[:, poly]))
         for path in ({}, {"ridge": 1e-9}):
-            assert np.all(least_squares_fit(target, ps, pts, w, k=k, **path).a[dead] == 0.0)
+            assert np.all(least_squares_fit(target, ps, Grid(pts, w), k=k, **path).a[dead] == 0.0)
 
 
 @pytest.mark.parametrize("path", [{}, {"ridge": 1e-6}, {"norm_cap": 1e-3}], ids=["lstsq", "ridge", "cap"])
@@ -865,9 +907,9 @@ def test_every_direction_dead_gives_zero_coefficients(path):
     pts, w = domain_grid(2, 4096)
     ps = PointSet(_unit([[1.0, 0.0, -1.5], [0.0, 1.0, -1.2], [-0.6, 0.8, -2.0]]))
     target = get_target("gaussian_bump", 2)
-    model = least_squares_fit(target, ps, pts, w, k=2, **path)
+    model = least_squares_fit(target, ps, Grid(pts, w), k=2, **path)
     assert np.array_equal(model.a, np.zeros(3))
-    assert model.residual == pytest.approx(error_norms(model, target, pts, w)[0], rel=1e-12)
+    assert model.residual == pytest.approx(error_norms(model, target, Grid(pts, w))[0], rel=1e-12)
 
 
 @pytest.mark.parametrize("path", [{}, {"ridge": 1e-9}, {"norm_cap": 0.05}], ids=["lstsq", "ridge", "cap"])
@@ -882,7 +924,7 @@ def test_fewer_polynomial_directions_than_monomials(path):
     T, V = _polynomial_block(ps.points[poly], 3)
     assert T.shape == (10, 4) and V.shape == (4, 4)
     target = get_target("gaussian_bump", 2)
-    model = least_squares_fit(target, ps, pts, w, k=3, **path)
+    model = least_squares_fit(target, ps, Grid(pts, w), k=3, **path)
     want = _ls_reference(target, ps, pts, w, 3, **path)
     ridge = path.get("ridge", 0.0)
     got_obj = _ridge_objective(target, ps, pts, w, 3, model.a, ridge)
@@ -898,9 +940,9 @@ def test_capped_fit_on_a_rank_deficient_design_matches_the_design_svd(caplog):
     pts, w = domain_grid(2, 4096)
     ps = generate_points(2, 96, "fibonacci_s2")
     target = get_target("gaussian_bump", 2)
-    cap = 0.5 * coef_stat(least_squares_fit(target, ps, pts, w, k=2))[1]
+    cap = 0.5 * coef_stat(least_squares_fit(target, ps, Grid(pts, w), k=2))[1]
     with caplog.at_level(logging.DEBUG, logger="fnspace.models"):
-        model = least_squares_fit(target, ps, pts, w, k=2, norm_cap=cap)
+        model = least_squares_fit(target, ps, Grid(pts, w), k=2, norm_cap=cap)
     lam = [json.loads(r.getMessage()) for r in caplog.records if "lam" in r.getMessage()][0]["lam"]
     assert 1e-12 < lam < 1e-10  # the cap binds near the Gram's rounding level
     sw = np.sqrt(w)
@@ -938,19 +980,21 @@ def _fit_records(caplog, *args, **kwargs):
 def test_least_squares_fit_diagnostics_record(caplog):
     """One record per fit.  tiles counts the grid tiles the fit read,
     block_rows is the largest of them and solver_rows the virtual rows the
-    solver read: min(tile rows, crossing neurons + 7) per tile at k = 2 on
-    the disk, counted here from the tile boxes.  The Cholesky, QR and capped
-    paths read the same tiles; a fit with every neuron dead reads none."""
+    solver read: on the QR and capped paths min(tile rows, crossing neurons
+    + 7) per tile at k = 2 on the disk, counted here from the tile boxes,
+    and on the Cholesky path the rank its pivoted Cholesky factor reached,
+    at most as many.  The three paths read the same tiles; a fit with every
+    neuron dead reads none."""
     pts, w = domain_grid(2, 4096)
     ps = generate_points(2, 96, "fibonacci_s2")
     target = get_target("gaussian_bump", 2)
-    (info,) = _fit_records(caplog, target, ps, pts, w, k=2, ridge=1e-9)
+    (info,) = _fit_records(caplog, target, ps, Grid(pts, w), k=2, ridge=1e-9)
     r = float(np.max(np.linalg.norm(pts, axis=1)))
     b, wn = ps.points[:, 2], np.linalg.norm(ps.points[:, :2], axis=1)
     dead, poly = int(np.sum(b + wn * r < -1e-12)), int(np.sum(b - wn * r > 1e-12))
     live = 96 - dead - poly
     cols = live + 6
-    bounds, centres, half = models._tiling(pts.tobytes(), 2, False).level(BLOCK_FLOATS // (live + 7))
+    bounds, centres, half = Grid(pts, w).tiles.level(BLOCK_FLOATS // (live + 7))
     P, _, _ = _reduced(ps, 2, pts, False)
     mid, spread = centres @ P.T, half @ np.abs(P).T
     crossing = np.count_nonzero(np.abs(mid) <= spread + 1e-12, axis=1)
@@ -960,43 +1004,44 @@ def test_least_squares_fit_diagnostics_record(caplog):
     assert info == {
         "rows": len(pts), "n": 96, "live": live, "polynomial": poly,
         "dead": dead, "columns": cols, "path": "solve", "solver": "cholesky",
-        "tiles": len(sizes), "block_rows": int(np.max(sizes)),
-        "solver_rows": int(np.sum(np.minimum(sizes, crossing + 7))),
+        "tiles": len(sizes), "block_rows": int(np.max(sizes)), "solver_rows": info["solver_rows"],
     }
+    tiled = {"tiles": len(sizes), "block_rows": int(np.max(sizes)),
+             "solver_rows": int(np.sum(np.minimum(sizes, crossing + 7)))}
+    assert 0 < info["solver_rows"] <= tiled["solver_rows"]
     assert dead > 0 and poly > 6  # six monomials of degree 2 stand in for the polynomial block
     assert np.max(sizes) <= BLOCK_FLOATS // (live + 7) < 2 * np.max(sizes)  # the coarsest level within the budget
     assert len(sizes) > 1 and info["solver_rows"] < len(pts) // 10
     assert isinstance(seconds, float) and 0.0 < seconds < 60.0
-    assert residual == least_squares_fit(target, ps, pts, w, k=2, ridge=1e-9).residual > 0.0
-    tiled = {key: info[key] for key in ("tiles", "block_rows", "solver_rows")}
-    (lstsq,) = _fit_records(caplog, target, ps, pts, w, k=2)
+    assert residual == least_squares_fit(target, ps, Grid(pts, w), k=2, ridge=1e-9).residual > 0.0
+    (lstsq,) = _fit_records(caplog, target, ps, Grid(pts, w), k=2)
     assert (lstsq["path"], lstsq["solver"]) == ("lstsq", "qr")
-    capped = _fit_records(caplog, target, ps, pts, w, k=2, norm_cap=1.0)
+    capped = _fit_records(caplog, target, ps, Grid(pts, w), k=2, norm_cap=1.0)
     assert [r.get("path") for r in capped] == [None, "cap"]  # ridge_bisect_cap's record first
     assert capped[1]["solver"] == "qr"
     for record in (lstsq, capped[1]):  # both solvers read the same virtual rows
         assert {key: record[key] for key in tiled} == tiled
     # a grid shorter than one tile is one tile; a wide design's tiles stay within the budget
-    (short,) = _fit_records(caplog, target, ps, pts[:500], w[:500], k=2, ridge=1e-9)
+    (short,) = _fit_records(caplog, target, ps, Grid(pts[:500], w[:500]), k=2, ridge=1e-9)
     assert (short["tiles"], short["block_rows"]) == (1, 500)
     for path in ({"ridge": 1e-9}, {}):
-        (info,) = _fit_records(caplog, target, generate_points(2, 800, "fibonacci_s2"), pts[::20], w[::20], k=1, **path)
+        (info,) = _fit_records(caplog, target, generate_points(2, 800, "fibonacci_s2"), Grid(pts[::20], w[::20]), k=1, **path)
         max_rows = BLOCK_FLOATS // (info["live"] + 4)
         assert info["columns"] > 512 and info["block_rows"] <= max_rows < 2 * info["block_rows"]
         assert info["block_rows"] * (info["columns"] + 1) <= BLOCK_FLOATS and info["tiles"] > 1
     sphere = get_target("smooth_even_circle", 1)
     grid = reference_grid(1, 256)
-    (info,) = _fit_records(caplog, sphere, generate_points(1, 16, "equispaced_circle"), grid.nodes, grid.weights)
+    (info,) = _fit_records(caplog, sphere, generate_points(1, 16, "equispaced_circle"), Grid(grid.nodes, grid.weights))
     assert (info["live"], info["polynomial"], info["dead"], info["columns"]) == (16, 0, 0, 16)
     dead_only = PointSet(_unit([[1.0, 0.0, -1.5], [0.0, 1.0, -1.2]]))
-    (info,) = _fit_records(caplog, target, dead_only, pts, w, k=2, ridge=1e-9)
+    (info,) = _fit_records(caplog, target, dead_only, Grid(pts, w), k=2, ridge=1e-9)
     # no tile is read
     assert (info["columns"], info["solver"], info["tiles"], info["block_rows"], info["solver_rows"]) == (0, None, 0, 0, 0)
 
 
 def test_least_squares_fit_quiet_by_default(caplog):
     pts, w = domain_grid(2, 4096)
-    least_squares_fit(get_target("gaussian_bump", 2), generate_points(2, 16, "fibonacci_s2"), pts, w)
+    least_squares_fit(get_target("gaussian_bump", 2), generate_points(2, 16, "fibonacci_s2"), Grid(pts, w))
     assert not [r for r in caplog.records if r.name == "fnspace.models"]
 
 
@@ -1036,9 +1081,9 @@ def test_residual_matches_the_evaluated_error(d, k, n, strategy, radius, path, s
     target = get_target("gaussian_bump", d)
     kwargs = {"solve": {"ridge": 1e-9}, "lstsq": {}, "cap": {}}[path]
     if path == "cap":
-        kwargs = {"norm_cap": 0.5 * coef_stat(least_squares_fit(target, ps, x, w, k=k))[1]}
-    model = least_squares_fit(target, ps, x, w, k=k, **kwargs)
-    _assert_residual(model, error_norms(model, target, x, w, s=0)[0], *_weighted_design(ps, k, x, w, target),
+        kwargs = {"norm_cap": 0.5 * coef_stat(least_squares_fit(target, ps, Grid(x, w), k=k))[1]}
+    model = least_squares_fit(target, ps, Grid(x, w), k=k, **kwargs)
+    _assert_residual(model, error_norms(model, target, Grid(x, w), s=0)[0], *_weighted_design(ps, k, x, w, target),
                      cholesky=path == "solve")
 
 
@@ -1061,24 +1106,27 @@ def test_ridge_below_rounding_falls_back_to_the_qr_fold(caplog):
     neurons: B^T B has rank 10, and a ridge of 1e-20 is below its rounding, so
     dpotrf meets a pivot that is not positive.  The fit then takes the QR
     fold, c = V (s U^T z / (s^2 + ridge)), which matches the full design's
-    ridge solution from its SVD, and the fold's residual."""
+    ridge solution from its SVD, and the fold's residual.  The fold reads
+    the tile's Householder factor again, after the Cholesky pass read its
+    pivoted Cholesky factor, whose rows stop at the first pivot that is not
+    positive, so fewer of them."""
     ps = generate_points(2, 64, "fibonacci_s2")
     rng = np.random.Generator(np.random.Philox(0))
     x = np.tile(rng.uniform(-0.6, 0.6, (10, 2)), (8, 1))
     w = np.full(len(x), 1.0 / len(x))
     target = get_target("gaussian_bump", 2)
-    (info,) = _fit_records(caplog, target, ps, x, w, k=1, ridge=1e-20)
+    (info,) = _fit_records(caplog, target, ps, Grid(x, w), k=1, ridge=1e-20)
     assert (info["path"], info["solver"], info["live"]) == ("solve", "cholesky->qr", 40)
-    (free,) = _fit_records(caplog, target, ps, x, w, k=1)
-    assert info["solver_rows"] == 2 * free["solver_rows"]  # the fallback reads the tiles again
-    model = least_squares_fit(target, ps, x, w, k=1, ridge=1e-20)
+    (free,) = _fit_records(caplog, target, ps, Grid(x, w), k=1)
+    assert free["solver_rows"] < info["solver_rows"] < 2 * free["solver_rows"]  # the fallback reads the tiles again
+    model = least_squares_fit(target, ps, Grid(x, w), k=1, ridge=1e-20)
     A, y = _weighted_design(ps, 1, x, w, target)
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     want = Vt.T @ (s * (U.T @ y) / (s * s + 1e-20))
     assert np.linalg.norm(model.a - want) <= 1e-8 * np.linalg.norm(want)
     assert info["residual"] == model.residual
     assert model.residual <= 1e-12 * np.linalg.norm(y)  # ten points, forty neurons: it interpolates
-    assert abs(model.residual - error_norms(model, target, x, w)[0]) <= 1e-12 * np.linalg.norm(y)
+    assert abs(model.residual - error_norms(model, target, Grid(x, w))[0]) <= 1e-12 * np.linalg.norm(y)
 
 
 def test_ridge_fit_of_an_in_span_target_records_nan():
@@ -1093,10 +1141,10 @@ def test_ridge_fit_of_an_in_span_target_records_nan():
         return np.maximum(np.column_stack([x, np.ones(len(x))]) @ theta.T, 0.0) @ np.arange(1.0, 6.0)
 
     target = TargetFunction("in_span", 2, f)
-    ridge = least_squares_fit(target, ps, x, w, k=1, ridge=1e-9)
+    ridge = least_squares_fit(target, ps, Grid(x, w), k=1, ridge=1e-9)
     assert math.isnan(ridge.residual)
-    assert error_norms(ridge, target, x, w)[0] <= 1e-6
-    free = least_squares_fit(target, ps, x, w, k=1)
+    assert error_norms(ridge, target, Grid(x, w))[0] <= 1e-6
+    free = least_squares_fit(target, ps, Grid(x, w), k=1)
     assert 0.0 <= free.residual <= 1e-10 * math.sqrt(float(w @ f(x) ** 2))
 
 
@@ -1121,7 +1169,7 @@ def test_only_least_squares_fits_carry_a_residual():
     model = FiniteNeuronModel(1, ps, np.ones(8))
     assert math.isnan(model.residual) and "residual" not in repr(model)
     target = get_target("gaussian_bump", 1)
-    fit = least_squares_fit(target, ps, *domain_grid_1d(), k=1)
+    fit = least_squares_fit(target, ps, Grid(*domain_grid_1d()), k=1)
     assert fit.residual > 0.0 and fit == FiniteNeuronModel(1, ps, fit.a)
     with pytest.raises(TypeError):
         FiniteNeuronModel(1, ps, np.ones(8), residual=0.0)
@@ -1129,48 +1177,73 @@ def test_only_least_squares_fits_carry_a_residual():
     assert math.isnan(constructive_fit(get_target("smooth_even_circle", 1), rule, spec, grid).residual)
 
 
-def test_one_tiling_per_grid():
-    """Fits on one grid bisect it once, whatever their weights, directions, k
-    or path, and a criterion-06-style sweep bisects its grid once; an
-    in-place edit of the grid tiles it anew, so the fit matches a fit on a
-    fresh copy bit for bit."""
-    pts, w = domain_grid(2, 4096)
-    pts = pts.copy()
-    target = get_target("gaussian_bump", 2)
-    ps = generate_points(2, 32, "fibonacci_s2")
-    models._tiling.cache_clear()
-    least_squares_fit(target, ps, pts, w, k=1, ridge=1e-9)
-    least_squares_fit(target, ps, pts, np.full(len(pts), 1.0 / len(pts)), k=1, ridge=1e-9)
-    least_squares_fit(target, generate_points(2, 64, "fibonacci_s2"), pts, w, k=2)
-    info = models._tiling.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
-    pts[:100] *= 0.5
-    edited = least_squares_fit(target, ps, pts, w, k=1, ridge=1e-9)
-    assert models._tiling.cache_info().misses == 2
-    models._tiling.cache_clear()
-    fresh = least_squares_fit(target, ps, pts.copy(), w, k=1, ridge=1e-9)
-    assert np.array_equal(edited.a, fresh.a) and edited.residual == fresh.residual
-    cfg = ExperimentConfig(d=2, k=1, target="gaussian_bump", strategy="fibonacci_s2", ns=(8, 16, 32), ridge=1e-9)
-    misses = models._tiling.cache_info().misses
-    assert all(row["error_code"] == "" for row in run_rates(cfg).rows)
-    assert models._tiling.cache_info().misses == misses + 1
+def test_one_tiling_per_grid(monkeypatch):
+    """A ridge randcmp sweep makes one Grid: it builds one kd-tree and takes
+    the grid's radius and weighted rows once, which all 33 fits read, and
+    no fit copies the grid to bytes (ndarray.tobytes).  Fits on one Grid
+    share its tiling whatever their directions, k or path.  A Grid's points
+    and weights are read-only, as is everything it keeps, so an in-place
+    edit raises rather than leaving a stale tiling behind."""
+    trees = _count_trees(monkeypatch)
+    radii = []
+
+    def radius(grid):
+        radii.append(len(grid[0]))
+        return float(np.max(np.linalg.norm(grid[0], axis=1)))
+
+    counting = functools.cached_property(radius)
+    counting.__set_name__(Grid, "radius")
+    monkeypatch.setattr(Grid, "radius", counting)
+    solve, weighted = models._solve_reduced, []
+
+    def spy(P, k, T, grid, *args):
+        weighted.append(grid.scaled(k))
+        return solve(P, k, T, grid, *args)
+
+    monkeypatch.setattr(models, "_solve_reduced", spy)
+    cfg = ExperimentConfig(d=2, k=1, target="gaussian_bump", strategy="fibonacci_s2", ns=(16, 24, 32),
+                           seeds=tuple(range(10)), ridge=1e-9)
+    copied = []
+
+    def profile(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__name__", "") == "tobytes":
+            copied.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        summary = run_randcmp(cfg)
+    finally:
+        sys.setprofile(None)
+    assert len(summary["rows"]) == 3 and len(weighted) == 33
+    assert len(trees) == 1 and radii == trees  # the 40960-row criterion-08 disk grid
+    assert all(rows is weighted[0] for rows in weighted) and not copied
+    grid, target = Grid(*domain_grid(2, 4096)), get_target("gaussian_bump", 2)
+    trees.clear()
+    least_squares_fit(target, generate_points(2, 32, "fibonacci_s2"), grid, k=1, ridge=1e-9)
+    least_squares_fit(target, generate_points(2, 64, "fibonacci_s2"), grid, k=2)
+    least_squares_fit(target, generate_points(2, 64, "fibonacci_s2"), grid, k=2, norm_cap=1.0)
+    assert trees == [len(grid[0])]
+    for array in (*grid, grid.tiles.order, grid.tiles.xt, *grid.tiles.level(100), grid.w, grid.sw, grid.scaled(2),
+                  grid.tabulate(target)):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.5
 
 
 @pytest.mark.parametrize("ridge", [0.0, 1e-9], ids=["lstsq", "ridge"])
 def test_a_fit_does_not_depend_on_the_fits_before_it(ridge):
     """An n = 32 fit on the criterion-06 disk grid reads a coarser tile
-    level than an n = 512 fit before it on the same grid, and equals a
-    fit on a freshly tiled grid bit for bit."""
+    level than an n = 512 fit before it on the same Grid, and after a k = 2
+    fit that weights the grid's rows anew, it equals a fit on a fresh Grid
+    bit for bit."""
     pts, w = domain_grid(2, 64 * 512)
     target = get_target("gaussian_bump", 2)
-    small = generate_points(2, 32, "fibonacci_s2")
-    models._tiling.cache_clear()
-    fresh = least_squares_fit(target, small, pts, w, k=1, ridge=ridge)
-    models._tiling.cache_clear()
-    least_squares_fit(target, generate_points(2, 512, "fibonacci_s2"), pts, w, k=1, ridge=ridge)
-    after = least_squares_fit(target, small, pts, w, k=1, ridge=ridge)
-    assert models._tiling.cache_info().hits == 1
-    assert len(models._tiling(pts.tobytes(), 2, False)._boxes) == 2  # the two fits read two levels
+    small, large = generate_points(2, 32, "fibonacci_s2"), generate_points(2, 512, "fibonacci_s2")
+    fresh = least_squares_fit(target, small, Grid(pts, w), k=1, ridge=ridge)
+    grid = Grid(pts, w)
+    least_squares_fit(target, large, grid, k=1, ridge=ridge)
+    least_squares_fit(target, small, grid, k=2, ridge=ridge)
+    after = least_squares_fit(target, small, grid, k=1, ridge=ridge)
+    assert len(grid.tiles._boxes) == 2  # the n = 512 fit and the n = 32 fits read two levels
     assert np.array_equal(after.a, fresh.a) and after.residual == fresh.residual
 
 
@@ -1189,15 +1262,19 @@ def test_tile_levels_partition_the_grid(d, on_sphere, rows, data, seed):
     largest tile, ceil(rows / 2^L) rows, down to max_rows.  Every lifted row
     lies in its tile's box up to 2 eps, on grids with fewer and more rows
     than a kd-tree leaf holds and on grids whose rows repeat, down to one
-    row repeated throughout."""
+    row repeated throughout.  A Grid lifts its rows to (x, 1), on the
+    sphere too, and the kd-tree never splits on the column of 1s, so a
+    sphere Grid's tiles are those of its eta rows."""
     rng = np.random.Generator(np.random.Philox(seed))
     distinct = data.draw(st.integers(1, rows), label="distinct")
     max_rows = data.draw(st.integers(1, rows), label="max_rows")
     base = _unit(rng.standard_normal((distinct, d + 1))) if on_sphere else _small_grid(d, 1.0, distinct, rng)[0]
     x = base[rng.integers(distinct, size=rows)]
-    lifted = x if on_sphere else np.column_stack([x, np.ones(rows)])
-    tiling = models._tiling(x.tobytes(), x.shape[1], on_sphere)
+    lifted = np.column_stack([x, np.ones(rows)])
+    tiling = Grid(x, np.ones(rows)).tiles
     assert np.array_equal(np.sort(tiling.order), np.arange(rows))
+    if on_sphere:
+        assert np.array_equal(models._Tiles(x).order, tiling.order)
     assert np.array_equal(tiling.xt, lifted[tiling.order].T)
     bounds, centres, half = tiling.level(max_rows)
     sizes = np.diff(bounds)
@@ -1224,7 +1301,7 @@ def test_ridge_fit_holds_no_full_design(path, caplog):
     tracemalloc.start()
     try:
         with caplog.at_level(logging.DEBUG, logger="fnspace.models"):
-            least_squares_fit(target, ps, pts, w, k=1, **path)
+            least_squares_fit(target, ps, Grid(pts, w), k=1, **path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1261,15 +1338,15 @@ def test_error_norms_match_direct_evaluation():
     pts, w = domain_grid(2, 4096)
     pts, w = pts[: 3 * B + 5], w[: 3 * B + 5]  # a partial last block
     target = get_target("gaussian_bump", 2)
-    model = least_squares_fit(target, ps, pts, w, k=2)
-    l2, h1 = error_norms(model, target, pts, w, s=1)
+    model = least_squares_fit(target, ps, Grid(pts, w), k=2)
+    l2, h1 = error_norms(model, target, Grid(pts, w), s=1)
     z = np.column_stack([pts, np.ones(len(pts))]) @ ps.points.T
     diff = sigma_k(2, z) @ model.a - target(pts)
     gdiff = (sigma_k_prime(2, z) * model.a) @ ps.points[:, :2] - target.grad(pts)
     assert l2 == pytest.approx(math.sqrt(float(np.dot(w, diff**2))), rel=1e-13)
     h1_direct = math.sqrt(float(np.dot(w, np.sum(gdiff**2, axis=1))))
     assert h1 == pytest.approx(h1_direct, rel=1e-13)
-    assert error_norms(model, target, pts, w, s=0) == (l2, 0.0)
+    assert error_norms(model, target, Grid(pts, w), s=0) == (l2, 0.0)
 
 
 def _bisect_reference(G, c, n, M, max_iter=60):
@@ -1367,34 +1444,61 @@ def test_ridge_bisect_cap_quiet_by_default(caplog):
 
 @pytest.mark.parametrize("s", [0, 1])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-def test_error_norms_rejects_non_finite_grid_points(bad, s):
+def test_error_norms_rejects_non_finite_grid_points(bad, s, monkeypatch):
     """A grid row with a NaN or infinite coordinate is a ContractError that
-    names the grid, raised before the target is evaluated or the grid tiled:
-    it returned (nan, nan) without a word, and the kd-tree's ValueError is
-    not a cell error, so a sweep would have stopped on it."""
+    names the grid, raised when the Grid is made, before the target is
+    evaluated or the grid tiled: it returned (nan, nan) without a word, and
+    the kd-tree's ValueError is not a cell error, so a sweep would have
+    stopped on it."""
     target = get_target("gaussian_bump", 2)
     pts, w = domain_grid(2, 4096)
-    model = least_squares_fit(target, generate_points(2, 16, "fibonacci_s2"), pts, w, k=1, ridge=1e-9)
+    model = least_squares_fit(target, generate_points(2, 16, "fibonacci_s2"), Grid(pts, w), k=1, ridge=1e-9)
     pts = pts.copy()
     pts[7, 1] = bad
     calls = []
     spy = TargetFunction("spy", 2, lambda x: calls.append(len(x)) or target.f(x), target.grad)
-    misses = models._tiling.cache_info().misses
+    trees = _count_trees(monkeypatch)
     with pytest.raises(ContractError, match="grid points must be finite"):
-        error_norms(model, spy, pts, w, s=s)
-    assert models._tiling.cache_info().misses == misses and not calls
+        error_norms(model, spy, Grid(pts, w), s=s)
+    assert not trees and not calls
 
 
 def test_error_norms_check_the_weights_before_they_evaluate():
     target = get_target("gaussian_bump", 2)
     pts, w = domain_grid(2, 4096)
-    model = least_squares_fit(target, generate_points(2, 16, "fibonacci_s2"), pts, w, k=1, ridge=1e-9)
+    model = least_squares_fit(target, generate_points(2, 16, "fibonacci_s2"), Grid(pts, w), k=1, ridge=1e-9)
     calls = []
     spy = TargetFunction("spy", 2, lambda x: calls.append(len(x)) or target.f(x), target.grad)
     for s in (0, 1):
         with pytest.raises(ContractError, match="grid weights"):
-            error_norms(model, spy, pts, -w, s=s)
+            error_norms(model, spy, Grid(pts, -w), s=s)
     assert not calls
+
+
+def test_both_walkers_classify_a_shared_level_alike(monkeypatch):
+    """On one level of one Grid and with the same directions, _design_blocks
+    and _tile_values each classify every tile in one _classify call and
+    see the same dead and polynomial masks."""
+    pts, w = domain_grid(2, 4096)
+    ps = generate_points(2, 64, "fibonacci_s2")
+    grid = Grid(pts, w)
+    calls, classify = [], models._classify
+
+    def spy(centres, half, P):
+        calls.append(classify(centres, half, P))
+        return calls[-1]
+
+    monkeypatch.setattr(models, "_classify", spy)
+    model = FiniteNeuronModel(2, ps, np.random.default_rng(0).standard_normal(ps.n))
+    for _ in models._tile_values(model, grid.tiles):
+        pass
+    level = grid.tiles.level(_block_rows(ps.n))
+    for _ in _design_blocks(ps.points, 2, np.zeros((6, 0)), grid, level, np.zeros(len(pts))):
+        pass
+    (dead, poly), (dead_fit, poly_fit) = calls
+    assert dead.shape == (len(level[0]) - 1, ps.n) and len(level[0]) > 2
+    assert np.array_equal(dead, dead_fit) and np.array_equal(poly, poly_fit)
+    assert dead.any() and poly.any() and not np.all(dead | poly)
 
 
 # c of the per-row bound c eps sum_j |a_j| (sum_i |theta_ji x_i|)^k, fixed before
@@ -1460,7 +1564,7 @@ def test_tiled_evaluation_matches_evaluate(d, k, on_sphere, n, kink_share, disti
     x = base[rng.integers(len(base), size=min(blocks * _block_rows(n), 12000))]
     grad = k >= 1 and not on_sphere
     values, grads = model._evaluate(x, grad=grad)
-    tiling = models._tiling(x.tobytes(), x.shape[1], on_sphere)
+    tiling = Grid(x, np.ones(len(x))).tiles
     got = np.full((1 + d * grad, len(x)), np.nan)
     for lo, hi, V in models._tile_values(model, tiling, grad=grad):
         got[:, lo:hi] = V

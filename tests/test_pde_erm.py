@@ -645,11 +645,11 @@ def test_grid_values_are_evaluated_once_and_read_only(make):
 
 
 def test_the_erm_grid_is_tiled_and_tabulated_once(monkeypatch):
-    """disk_problem() builds neither its grid's tiling nor its table of w, h,
-    f and grad f.  Fits through dataclasses.replace(problem, grid=<wrapper>),
+    """disk_problem() builds neither its grid's tiling nor its tables of w,
+    h, f and grad f.  Fits through dataclasses.replace(problem, grid=<wrapper>),
     as the erm_disk benchmark runs them, alternating with fits on fresh
-    interval problems, build the disk tiling once and its table once, and
-    an interval problem is freed with its grid once it goes."""
+    interval problems, build the disk tiling once and each of its tables
+    once, and an interval problem is freed with its grid once it goes."""
     built = []
 
     class Counting(models._Tiles):
@@ -660,18 +660,18 @@ def test_the_erm_grid_is_tiled_and_tabulated_once(monkeypatch):
     monkeypatch.setattr(models, "_Tiles", Counting)
     prob = disk_problem()
     grid = prob.grid()
-    assert built == [] and not {"tiles", "_table"} & set(vars(grid))
+    assert built == [] and not {"tiles", "w", "_tables"} & set(vars(grid))
     tables, freed = set(), []
     for n in (8, 16, 24):
         wrapped = dataclasses.replace(prob, grid=lambda: prob.grid())
         erm_fit(wrapped, generate_points(2, n, "fibonacci_s2"), prob.sample(64 * n, n), k=2)
-        tables.add(id(vars(grid)["_table"][1]))
+        tables.add(tuple(map(id, [grid.w, *vars(grid)["_tables"].values()])))
         interval = interval_problem()
         erm_fit(interval, interval_directions(n), interval.sample(64 * n, n), k=2)
         freed += [weakref.ref(interval), weakref.ref(interval.grid().tiles)]
         del interval
     gc.collect()
-    assert built.count(len(grid[0])) == 1 and len(tables) == 1
+    assert built.count(len(grid[0])) == 1 and len(tables) == 1 and len(tables.pop()) == 4
     assert all(ref() is None for ref in freed)
 
 
