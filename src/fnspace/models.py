@@ -39,7 +39,8 @@ Fits and error norms take their grid as a Grid: read-only (points,
 weights) that keeps what every fit on it shares, each built on its first
 use: its largest radius, its tiling by a balanced kd-tree, and in tile
 order its weights, their square roots, its lifted rows weighted for the
-last k asked and one table of values per target function asked.
+last k asked and one table of values for each of the last three
+functions asked.  Anything else passed as a grid is a ContractError.
 least_squares_fit on a domain drops the neurons that are 0 on the whole
 grid and fits the ones that are polynomials there through an orthonormal
 basis of their span, which leaves the solution unchanged.  It never holds
@@ -431,9 +432,10 @@ class Grid(tuple):
     are those of the eta rows).  In tile order, w holds the weights, sw
     their square roots, scaled(k) the lifted rows weighted by sw^(1/k),
     kept for the last k asked, and tabulate(fn) fn's values, kept for
-    every fn asked.  In every other respect it is the tuple (points,
-    weights), so an object that holds it, and every copy of that object,
-    shares its caches.
+    the last three functions asked: an ERM fit reads h, f and grad f, and
+    a rates sweep alternates a fit of f and error_norms of f and grad f.
+    In every other respect it is the tuple (points, weights), so an object
+    that holds it, and every copy of that object, shares its caches.
     """
 
     def __new__(cls, points, weights):
@@ -471,12 +473,16 @@ class Grid(tuple):
 
     def tabulate(self, fn) -> np.ndarray:
         """fn(points) in tile order: one row, or one row per component of a
-        vector value."""
+        vector value.  The tables of the last three functions asked are
+        kept; asking for one makes it the last."""
         tables = self.__dict__.setdefault("_tables", {})
-        if fn not in tables:
-            values = np.take(fn(self[0]), self.tiles.order, axis=0)
-            tables[fn] = _read_only(np.ascontiguousarray(values.T))
-        return tables[fn]
+        table = tables.pop(fn, None)
+        if table is None:
+            table = _read_only(np.ascontiguousarray(np.take(fn(self[0]), self.tiles.order, axis=0).T))
+            if len(tables) == 3:
+                del tables[next(iter(tables))]
+        tables[fn] = table
+        return table
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -524,19 +530,15 @@ def _design_blocks(P, k, T, grid, tiles, yw, gram=False):
     # monomial coefficients of each live neuron's (theta . x)^k and of each column of T
     lift = np.hstack([M, T]).T
     dead, poly = _classify(centres[:, :width], half[:, :width], P)
-    crossing = ~(dead | poly)
     xs, sw = grid.scaled(k)[:width], grid.sw
     bounds = bounds.tolist()
-    e_width = int(np.max(np.count_nonzero(crossing, axis=1))) + n_mono + 1
+    e_width = int(np.max(np.count_nonzero(~(dead | poly), axis=1))) + n_mono + 1
     e_buf = np.empty(e_width * max(hi - lo for lo, hi in zip(bounds, bounds[1:])))
     b_buf = np.empty((cols + 1) * e_width)
     for t, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        cross = crossing[t].nonzero()[0]
+        cross = np.flatnonzero(~(dead[t] | poly[t]))
         E = e_buf[: (n_mono + len(cross) + 1) * (hi - lo)].reshape(-1, hi - lo)
-        if n_mono == width:  # degree 1: the monomials are the lifted rows
-            E[:n_mono] = xs[:, lo:hi]
-        else:
-            np.prod(xs[idx, lo:hi], axis=1, out=E[:n_mono])
+        np.prod(xs[idx, lo:hi], axis=1, out=E[:n_mono])
         sigma_k(k, np.matmul(P[cross], xs[:, lo:hi], out=E[n_mono:-1]), out=E[n_mono:-1])
         if not k:
             E[:-1] *= sw[lo:hi]
@@ -556,7 +558,7 @@ def _design_blocks(P, k, T, grid, tiles, yw, gram=False):
             R = np.triu(dgeqrf(E.T, lwork=32 * len(E), overwrite_a=1)[0][: min(len(E), hi - lo)])
         Bt = b_buf[: (cols + 1) * len(R)].reshape(cols + 1, len(R))
         np.matmul(lift, R[:, :n_mono].T, out=Bt[:cols])
-        Bt[:n_live][dead[t]] = 0.0
+        Bt[np.flatnonzero(dead[t])] = 0.0
         Bt[cross] = R[:, n_mono:-1].T
         Bt[cols] = R[:, -1]
         yield Bt
@@ -756,9 +758,9 @@ def least_squares_fit(
     smallest extra ridge parameter that meets it (ridge_bisect_cap).  A
     rank-deficient design with ridge=0 yields the minimum-norm solution.
     A ridge or norm_cap that is negative or NaN is a ConfigurationError,
-    and grid points of the wrong width a ContractError (a Grid refuses
-    points that are not finite and weights other than one finite value
-    >= 0 per point).
+    and grid_points that is not a Grid, or holds points of the wrong
+    width, a ContractError (a Grid refuses points that are not finite and
+    weights other than one finite value >= 0 per point).
 
     Only the neurons the grid can tell apart are fitted.  On a domain of
     largest grid radius r (grid_points.radius), a dead neuron (0 on the
@@ -799,6 +801,8 @@ def least_squares_fit(
     logger, quiet by default.
     """
     start = time.perf_counter()
+    if not isinstance(grid_points, Grid):
+        raise ContractError("grid_points must be a models.Grid")
     if not (ridge >= 0.0 and norm_cap >= 0.0):  # NaN too
         raise ConfigurationError(f"ridge and norm_cap must be >= 0, got {ridge} and {norm_cap}")
     if grid_points[0].shape[1] != f.d + f.on_sphere:
@@ -852,13 +856,16 @@ def error_norms(
     """Discrete (L2 error, H1-seminorm error) on grid_points, a Grid of
     (points, weights); the latter is 0.0 when s=0.
 
-    Grid points of the wrong width for the model are a ContractError.  The
-    model is evaluated tile by tile on the grid's tiling, which a fit on
-    the same Grid has built already, and no values or gradients array as
-    long as the grid is formed (_tile_values); the target's values and
-    gradients come from the grid's table of them in tile order, kept for
-    the next call, and are reduced with the weights tile by tile.
+    grid_points that is not a Grid, or holds points of the wrong width for
+    the model, is a ContractError.  The model is evaluated tile by tile on
+    the grid's tiling, which a fit on the same Grid has built already, and
+    no values or gradients array as long as the grid is formed
+    (_tile_values); the target's values and gradients come from the grid's
+    tables of them in tile order, kept for the next calls, and are reduced
+    with the weights tile by tile.
     """
+    if not isinstance(grid_points, Grid):
+        raise ContractError("grid_points must be a models.Grid")
     if s not in (0, 1):
         raise ContractError("s must be 0 or 1")
     if s == 1 and f.grad is None:

@@ -274,6 +274,45 @@ def test_inputs_of_the_wrong_width_are_rejected():
         least_squares_fit(get_target("gaussian_bump", 2), ps, Grid(sphere_pts, np.full(16, 1.0 / 16)))
 
 
+@pytest.mark.parametrize("grid", [
+    domain_grid_1d(32),
+    domain_grid_1d(32)[0],
+    list(domain_grid_1d(32)),
+])
+def test_a_grid_that_is_not_a_grid_is_rejected(grid):
+    """least_squares_fit and error_norms take a Grid: (points, weights) as
+    a tuple or a list, or the points alone, is a ContractError."""
+    ps = generate_points(1, 4, "equispaced_circle")
+    target = get_target("gaussian_bump", 1)
+    with pytest.raises(ContractError, match="models.Grid"):
+        least_squares_fit(target, ps, grid, ridge=1e-9)
+    with pytest.raises(ContractError, match="models.Grid"):
+        error_norms(FiniteNeuronModel(1, ps, np.ones(4)), target, grid, s=1)
+
+
+def test_grid_keeps_the_tables_of_the_last_three_functions():
+    """Grid.tabulate keeps one table for each of the last three functions
+    asked, a function asked again counting as the last: a fourth function
+    drops the least recently asked, whose table is then computed anew."""
+    grid = Grid(*domain_grid_1d(64))
+    calls = []
+
+    def tracked(name):
+        def fn(x):
+            calls.append(name)
+            return np.full(len(x), float(len(name)))
+        return fn
+
+    f, g, h, u = (tracked(name) for name in ("f", "gg", "hhh", "uuuu"))
+    tables = {fn: grid.tabulate(fn) for fn in (f, g, h)}
+    assert grid.tabulate(f) is tables[f]  # f is now the last asked
+    grid.tabulate(u)  # drops g, the least recently asked
+    assert grid.tabulate(f) is tables[f] and grid.tabulate(h) is tables[h]
+    assert calls == ["f", "gg", "hhh", "uuuu"] and len(vars(grid)["_tables"]) == 3
+    assert grid.tabulate(g) is not tables[g] and calls[-1] == "gg"
+    assert np.array_equal(grid.tabulate(g), tables[g])
+
+
 def test_single_ridge_value_and_gradient():
     pts = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     ps = PointSet(pts)
