@@ -14,9 +14,8 @@ pass holds more than two blocks of BLOCK_FLOATS floats whatever the grid
 size, besides its outputs, evaluation's (x, 1) rows of the block, a
 least-squares solve's (cols + 1)-wide arrays (the Gram, or the triangular
 factor with the rows waiting under it and the block of virtual rows, see
-_solve_reduced) and what a Grid keeps: its lifted rows in tile order,
-those rows weighted for the last k fitted, and its weights and target
-values in tile order.
+_solve_reduced) and what a Grid keeps: its rows and their lifts, those
+rows weighted for the last k fitted, and its target tables.
 Evaluation at arbitrary points (FiniteNeuronModel._evaluate), of width
 n, writes each block's inputs as (x, 1) rows into one small reused buffer,
 forms the preactivation z = theta . (x, 1) once, in a block, and yields
@@ -36,11 +35,12 @@ eigendecomposition of its Gram matrix (ridge_bisect_cap), capped least
 squares on the SVD of its QR factor.
 
 Fits and error norms take their grid as a Grid: read-only (points,
-weights) that keeps what every fit on it shares, each built on its first
-use: its largest radius, its tiling by a balanced kd-tree, and in tile
-order its weights, their square roots, its lifted rows weighted for the
-last k asked and one table of values for each of the last three
-functions asked.  Anything else passed as a grid is a ContractError.
+weights) whose rows a balanced kd-tree put in tile order when it was
+built, so every tile is a run of rows, and which keeps what every fit on
+it shares, each built on its first use: its largest radius, its tile
+boxes, the weights' square roots, its lifted rows weighted for the last k
+asked and one table of values for each of the last three functions
+asked.  Anything else passed as a grid is a ContractError.
 least_squares_fit on a domain drops the neurons that are 0 on the whole
 grid and fits the ones that are polynomials there through an orthonormal
 basis of their span, which leaves the solution unchanged.  It never holds
@@ -380,31 +380,54 @@ def _block_rows(width: int) -> int:
     return max(1, BLOCK_FLOATS // width)
 
 
-class _Tiles:
-    """A grid's lifted rows cut into tiles by a balanced kd-tree.
+class Grid(tuple):
+    """A grid's (points, weights), read-only and in tile order, that keeps
+    what every fit and error norm on it shares.
 
-    order permutes the grid rows as scipy's balanced cKDTree leaves them
-    (Bentley, CACM 18(9), 1975): each node is a run of rows, split at its
-    median along the widest side of its bounding box, so level 0 is one
-    tile of every row and level L + 1 cuts each tile of level L that holds
-    two rows or more at its middle row.  Where the tree splits elsewhere
-    (inside one of its leaves of 16 rows, or on rows that are all equal) a
-    tile is still a run of rows, only its box is looser.  xt holds the
-    rows given (a Grid's lifted rows (x, 1)) as columns, one per grid
-    row, in tile order.
+    Building a Grid orders its rows once, as scipy's balanced cKDTree
+    leaves the lifted rows (x, 1) (Bentley, CACM 18(9), 1975): each node is
+    a run of rows, split at its median along the widest side of its box, so
+    level 0 is one tile of every row and level L + 1 cuts each tile of
+    level L that holds two rows or more at its middle row (level).  Where
+    the tree splits elsewhere (inside a leaf of 16 rows, or on equal rows)
+    a tile is still a run of rows, only its box is looser.  Its points,
+    weights, xt (the lifted rows as columns) and tables share that order.
+    The order depends on the order of the rows given, so Grid(*grid) may
+    order them differently: two Grids of one grid hold the same (point,
+    weight) pairs, and a second Grid is built from the source arrays.
+
+    A sphere model reads the first d + 1 rows of xt, eta, and of each tile
+    box (the kd-tree never splits on the constant column, so the tiles are
+    those of the eta rows).  Built on first use and kept: radius, the
+    largest |x|, which classifies a domain fit's neurons, each level's
+    boxes, sw, the weights' square roots, scaled(k), xt weighted by
+    sw^(1/k), for the last k asked, and tabulate(fn), fn's values, for the
+    last three functions asked: an ERM fit reads h, f and grad f, and a
+    rates sweep alternates a fit of f and error_norms of f and grad f.
+    Otherwise it is the tuple (points, weights), so an object that holds
+    it, and every copy of that object, shares its caches.
     """
 
-    def __init__(self, lifted: np.ndarray):
-        self.order = cKDTree(lifted, balanced_tree=True).indices
-        self.xt = np.take(lifted.T, self.order, axis=1)
-        self._boxes = {}
-        for array in (self.order, self.xt):  # shared by every fit on this grid
-            array.flags.writeable = False
+    def __new__(cls, points, weights):
+        points = np.atleast_2d(np.asarray(points, dtype=float))  # copied in tile order below
+        if not np.all(np.isfinite(points)):
+            raise ContractError("grid points must be finite")
+        weights = _grid_weights(weights, len(points))
+        lifted = _lifted(points, points.shape[1], False)
+        order = cKDTree(lifted, balanced_tree=True).indices
+        grid = super().__new__(cls, (_read_only(points[order]), _read_only(weights[order])))
+        grid.xt = _read_only(np.ascontiguousarray(lifted[order].T))
+        grid._boxes = {}
+        return grid
+
+    @cached_property
+    def radius(self) -> float:
+        return float(np.max(np.linalg.norm(self[0], axis=1)))
 
     def level(self, max_rows: int):
         """(bounds, centres, half-widths) of the coarsest level whose tiles
         hold at most max_rows >= 1 rows: tile t is the rows
-        order[bounds[t]:bounds[t + 1]], all within centres[t] +- half-widths[t]."""
+        bounds[t]:bounds[t + 1], all within centres[t] +- half-widths[t]."""
         rows, L = self.xt.shape[1], 0
         while -(-rows >> L) > max_rows:  # ceil(rows / 2^L) rows in level L's largest tile
             L += 1
@@ -414,71 +437,28 @@ class _Tiles:
                 bounds = np.union1d(bounds, bounds[:-1] + np.diff(bounds) // 2)
             lo = np.minimum.reduceat(self.xt, bounds[:-1], axis=1).T
             hi = np.maximum.reduceat(self.xt, bounds[:-1], axis=1).T
-            self._boxes[L] = (bounds, 0.5 * (lo + hi), 0.5 * (hi - lo))
-            for array in self._boxes[L]:
-                array.flags.writeable = False
+            self._boxes[L] = tuple(map(_read_only, (bounds, 0.5 * (lo + hi), 0.5 * (hi - lo))))
         return self._boxes[L]
-
-
-class Grid(tuple):
-    """A grid's (points, weights), copied once and read-only, that keeps
-    what every fit and error norm on it shares, each built on first use.
-
-    radius is the largest |x| over its points, which classifies the
-    neurons of a fit on a domain.  tiles is the _Tiles of its points lifted
-    to (x, 1); a sphere model reads the first d + 1 of those rows, eta,
-    and the first d + 1 columns of each tile box, which bound the same
-    rows (the kd-tree never splits on the constant column, so the tiles
-    are those of the eta rows).  In tile order, w holds the weights, sw
-    their square roots, scaled(k) the lifted rows weighted by sw^(1/k),
-    kept for the last k asked, and tabulate(fn) fn's values, kept for
-    the last three functions asked: an ERM fit reads h, f and grad f, and
-    a rates sweep alternates a fit of f and error_norms of f and grad f.
-    In every other respect it is the tuple (points, weights), so an object
-    that holds it, and every copy of that object, shares its caches.
-    """
-
-    def __new__(cls, points, weights):
-        points = np.array(points, dtype=float, ndmin=2)
-        if not np.all(np.isfinite(points)):
-            raise ContractError("grid points must be finite")
-        weights = _grid_weights(weights, len(points)).copy()
-        points.flags.writeable = weights.flags.writeable = False
-        return super().__new__(cls, (points, weights))
-
-    @cached_property
-    def radius(self) -> float:
-        return float(np.max(np.linalg.norm(self[0], axis=1)))
-
-    @cached_property
-    def tiles(self) -> _Tiles:
-        points = self[0]
-        return _Tiles(_lifted(points, points.shape[1], False))
-
-    @cached_property
-    def w(self) -> np.ndarray:
-        return _read_only(self[1][self.tiles.order])
 
     @cached_property
     def sw(self) -> np.ndarray:
-        return _read_only(np.sqrt(self.w))
+        return _read_only(np.sqrt(self[1]))
 
     def scaled(self, k: int) -> np.ndarray:
-        """tiles.xt with each column scaled by its sw^(1/k), or tiles.xt at k = 0."""
+        """xt with each column scaled by its sw^(1/k), or xt at k = 0."""
         held = self.__dict__.get("_scaled")
         if held is None or held[0] != k:
-            xt = self.tiles.xt
-            held = self.__dict__["_scaled"] = (k, _read_only(xt * self.sw ** (1.0 / k)) if k else xt)
+            held = self.__dict__["_scaled"] = (k, _read_only(self.xt * self.sw ** (1.0 / k)) if k else self.xt)
         return held[1]
 
     def tabulate(self, fn) -> np.ndarray:
-        """fn(points) in tile order: one row, or one row per component of a
-        vector value.  The tables of the last three functions asked are
-        kept; asking for one makes it the last."""
+        """fn(points): one row, or one row per component of a vector value.
+        The tables of the last three functions asked are kept; asking for
+        one makes it the last."""
         tables = self.__dict__.setdefault("_tables", {})
         table = tables.pop(fn, None)
         if table is None:
-            table = _read_only(np.ascontiguousarray(np.take(fn(self[0]), self.tiles.order, axis=0).T))
+            table = _read_only(np.ascontiguousarray(fn(self[0]).T))
             if len(tables) == 3:
                 del tables[next(iter(tables))]
         tables[fn] = table
@@ -495,10 +475,10 @@ def _design_blocks(P, k, T, grid, tiles, yw, gram=False):
     reduced design, one block per tile, neuron-major: each Bt^T Bt is the
     [B | y]^T [B | y] of its tile's grid rows.
 
-    tiles is a level of grid.tiles and yw the weighted targets in tile
-    order; the neurons read the first P.shape[1] lifted rows (all of
-    (x, 1), or eta on the sphere).  Each live neuron is classified on each
-    tile box as on the whole grid, with the bound
+    tiles is a level of the Grid grid (Grid.level) and yw the weighted
+    targets on its rows; the neurons read the first P.shape[1] lifted rows
+    (all of (x, 1), or eta on the sphere).  Each live neuron is classified
+    on each tile box as on the whole grid, with the bound
     theta . c +- sum_j |theta_j| h_j and CLASS_MARGIN: dead (0 on the
     tile), polynomial ((theta . x)^k there) or crossing.  The tile's
     E = [Q | sigma_k(C x^T)^T | y], with Q its degree-k monomials of the
@@ -564,12 +544,12 @@ def _design_blocks(P, k, T, grid, tiles, yw, gram=False):
         yield Bt
 
 
-def _tile_values(model: FiniteNeuronModel, tiling: _Tiles, grad: bool = False):
-    """Yield (lo, hi, V), tile by tile, over the level of tiling whose tiles
-    hold at most _block_rows(n) rows: V[-1] holds the model's values at the
-    tile's lifted rows tiling.xt[:, lo:hi] (their first d + 1 rows, eta, for
-    a sphere model) and, with grad, V[:d] its gradients, one row per
-    component.
+def _tile_values(model: FiniteNeuronModel, grid: Grid, grad: bool = False):
+    """Yield (lo, hi, V), tile by tile, over the level of the Grid grid whose
+    tiles hold at most _block_rows(n) rows: V[-1] holds the model's values
+    at the grid rows lo:hi, whose lifted rows are grid.xt[:, lo:hi] (their
+    first d + 1 rows, eta, for a sphere model), and, with grad, V[:d] its
+    gradients, one row per component.
 
     Each neuron is classified on each tile box as _design_blocks does
     (_classify), one call for a group of tiles: the most tiles whose
@@ -595,7 +575,7 @@ def _tile_values(model: FiniteNeuronModel, tiling: _Tiles, grad: bool = False):
     if grad and model.on_sphere:
         raise ContractError("gradient is implemented for domain models only")
     x_rows = P.shape[1]  # the lifted rows the neurons read
-    bounds, centres, half = tiling.level(_block_rows(model.n))
+    bounds, centres, half = grid.level(_block_rows(model.n))
     group = _block_rows(8 * model.n)
     classes = itertools.chain.from_iterable(
         zip(*_classify(centres[g : g + group, :x_rows], half[g : g + group, :x_rows], P))
@@ -612,7 +592,7 @@ def _tile_values(model: FiniteNeuronModel, tiling: _Tiles, grad: bool = False):
     c_buf, e_buf = np.empty((width, n_mono + model.n)), np.empty(0)
     for lo, hi, (dead, poly) in zip(bounds.tolist(), bounds[1:].tolist(), classes):
         cross = np.flatnonzero(dead == poly)  # neither: a neuron cannot be both
-        x = tiling.xt[:x_rows, lo:hi]
+        x = grid.xt[:x_rows, lo:hi]
         cols = n_mono + len(cross)
         if cols * (hi - lo) > len(e_buf):
             e_buf = np.empty(cols * (hi - lo))
@@ -770,12 +750,12 @@ def least_squares_fit(
     and the ridge, minimum-norm and norm-cap problems keep their solutions
     exactly.  Sphere targets prune nothing.  The weighted reduced design B
     and the weighted target y are never built as rows: the grid's tiles
-    (grid_points.tiles) that hold at most _block_rows(live + C(k + d, d) +
+    (grid_points.level) that hold at most _block_rows(live + C(k + d, d) +
     1) rows each give a factor of their own small design, in which a
     neuron that does not cross the tile's box is 0 or its monomial sum,
     lifted to the columns of [B | y] (_design_blocks), from the grid's
-    weighted rows and its table of f in tile order, both kept for the next
-    fit on the grid.  With a ridge and no cap, each tile's factor comes
+    weighted rows and its table of f, both kept for the next fit on the
+    grid.  With a ridge and no cap, each tile's factor comes
     from the pivoted Cholesky factor of its Gram, one dsyrk per tile
     accumulates [B | y]^T [B | y], which holds G = B^T B and B^T y, and
     (G + ridge I) a = B^T y is solved by Cholesky (dpotrf, then two
@@ -822,9 +802,9 @@ def least_squares_fit(
     P = ps.points[live]
     n_live = len(P)
     cols = n_live + T.shape[1]
-    yw = grid_points.tabulate(f) * grid_points.sw  # in tile order
+    yw = grid_points.tabulate(f) * grid_points.sw
     if cols:
-        tiles = grid_points.tiles.level(_block_rows(n_live + math.comb(k + ps.d, k) + 1))
+        tiles = grid_points.level(_block_rows(n_live + math.comb(k + ps.d, k) + 1))
         c, residual, solver, solver_rows = _solve_reduced(P, k, T, grid_points, tiles, yw, ridge, norm_cap, n)
         sizes = np.diff(tiles[0])
     else:  # every neuron is 0 on the grid
@@ -858,11 +838,11 @@ def error_norms(
 
     grid_points that is not a Grid, or holds points of the wrong width for
     the model, is a ContractError.  The model is evaluated tile by tile on
-    the grid's tiling, which a fit on the same Grid has built already, and
-    no values or gradients array as long as the grid is formed
+    the grid's tiles, whose boxes a fit on the same Grid may have built
+    already, and no values or gradients array as long as the grid is formed
     (_tile_values); the target's values and gradients come from the grid's
-    tables of them in tile order, kept for the next calls, and are reduced
-    with the weights tile by tile.
+    tables of them, kept for the next calls, and are reduced with the
+    weights tile by tile.
     """
     if not isinstance(grid_points, Grid):
         raise ContractError("grid_points must be a models.Grid")
@@ -872,10 +852,10 @@ def error_norms(
         raise ContractError("H1 error needs the target gradient")
     if grid_points[0].shape[1] != model.d + model.on_sphere:
         raise ContractError("grid points must have d components (d+1 on the sphere)")
-    w, values = grid_points.w, grid_points.tabulate(f)
+    w, values = grid_points[1], grid_points.tabulate(f)
     grads = grid_points.tabulate(f.grad) if s == 1 else None
     l2 = h1 = 0.0  # the value row is reduced alone, so l2 is the same at either s
-    for lo, hi, V in _tile_values(model, grid_points.tiles, grad=s == 1):
+    for lo, hi, V in _tile_values(model, grid_points, grad=s == 1):
         V[-1] -= values[lo:hi]  # V holds the gradient's rows, then the values
         if s == 1:
             V[:-1] -= grads[:, lo:hi]

@@ -17,7 +17,6 @@ import logging
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -47,10 +46,11 @@ class EllipticProblem:
     """Manufactured Neumann problem -Lap(f) + f = h on Omega.
 
     sample(m, seed) draws uniform points on Omega; grid() returns a dense
-    quadrature (points, weights) with weights summing to |Omega|, the same
-    models.Grid on every call, so its tiling and its tables of h, f and
-    grad f are built once and outlive any dataclasses.replace of the
-    problem.  d is the solution's.
+    quadrature (points, weights), weights summing to |Omega|, as a
+    models.Grid (anything else is a ContractError where it is read), built
+    on the first call and the same on every call, so its tile boxes and
+    tables of h, f and grad f are built once and outlive any
+    dataclasses.replace of the problem.  d is the solution's.
     """
 
     name: str
@@ -58,27 +58,12 @@ class EllipticProblem:
     source: Callable[[np.ndarray], np.ndarray]
     solution: TargetFunction
     sample: Callable[[int, int], np.ndarray]
-    grid: Callable[[], tuple[np.ndarray, np.ndarray]]
+    grid: Callable[[], Grid]
     exact_energy: float
 
     @property
     def d(self) -> int:
         return self.solution.d
-
-    @cached_property
-    def grid_values(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(h, f, grad f) on grid()'s points, read-only: the grid's tables
-        of them (Grid.tabulate), which every fit on the problem reads, put
-        back in grid order."""
-        grid = _as_grid(self.grid())
-        out = []
-        for fn in (self.source, self.solution, self.solution.grad):
-            table = grid.tabulate(fn)
-            values = np.empty_like(table)
-            values[..., grid.tiles.order] = table
-            values.flags.writeable = False
-            out.append(values)
-        return out[0], out[1], out[2].T
 
 
 INTERVAL_GRID_POINTS = 4096
@@ -103,18 +88,6 @@ def disk_grid(n_r: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, np.repeat(wr * r, DISK_GRID_ANGLES) / DISK_GRID_ANGLES
 
 
-def _fixed_grid(pts: np.ndarray, w: np.ndarray) -> Callable[[], Grid]:
-    """A grid() that returns one Grid of pts and w: read-only, and tiled and
-    tabulated only when a fit first asks."""
-    grid = Grid(pts, w)
-    return lambda: grid
-
-
-def _as_grid(grid) -> Grid:
-    """grid() as a Grid: itself, or a Grid of the (points, weights) given."""
-    return grid if isinstance(grid, Grid) else Grid(*grid)
-
-
 def interval_problem() -> EllipticProblem:
     """Omega = (0,1), f = cos(pi x), h = (pi^2+1) cos(pi x).
 
@@ -134,8 +107,8 @@ def interval_problem() -> EllipticProblem:
         rng = np.random.Generator(np.random.Philox(seed))
         return rng.uniform(0.0, 1.0, (m, 1))
 
-    x = midpoint_grid(0.0, 1.0, INTERVAL_GRID_POINTS)
-    grid = _fixed_grid(x[:, None], np.full(INTERVAL_GRID_POINTS, 1.0 / INTERVAL_GRID_POINTS))
+    x = midpoint_grid(0.0, 1.0, INTERVAL_GRID_POINTS)[:, None]
+    grid = functools.cache(lambda: Grid(x, np.full(INTERVAL_GRID_POINTS, 1.0 / INTERVAL_GRID_POINTS)))
     sol = TargetFunction("cos_pi_x", 1, f, fg)
     return EllipticProblem("interval", 1.0, h, sol, sample, grid, -(math.pi**2 + 1.0) / 4.0)
 
@@ -144,7 +117,10 @@ def disk_problem() -> EllipticProblem:
     """Omega = unit disk, f = cos(pi r^2).
 
     Then -Lap(f) + f = 4 pi sin(pi r^2) + (4 pi^2 r^2 + 1) cos(pi r^2),
-    and grad f vanishes on r = 1, so the Neumann data is zero.
+    and grad f vanishes on r = 1, so the Neumann data is zero.  With u = r^2,
+    int |grad f|^2 = 4 pi^3 int_0^1 u sin^2(pi u) du = pi^3 and int f^2 =
+    pi int_0^1 cos^2(pi u) du = pi/2, so E(f) = -(pi^3 + pi/2)/2, half
+    the squared energy norm of f with its sign changed.
     """
 
     def f(x):
@@ -172,13 +148,13 @@ def disk_problem() -> EllipticProblem:
             filled += take
         return out
 
-    pts, w = disk_grid(DISK_GRID_RADII)
-    grid = _fixed_grid(pts, 2.0 * math.pi * w)
-    # at the minimizer E(f) = -(1/2)||f||_energy^2; computed on the dense grid
+    @functools.cache
+    def grid():
+        pts, w = disk_grid(DISK_GRID_RADII)
+        return Grid(pts, 2.0 * math.pi * w)
+
     sol = TargetFunction("cos_pi_r2", 2, f, fg)
-    gp, gw = grid()
-    e_exact = float(np.dot(gw, _psi(f(gp), fg(gp), h(gp))))
-    return EllipticProblem("disk", math.pi, h, sol, sample, grid, e_exact)
+    return EllipticProblem("disk", math.pi, h, sol, sample, grid, -(math.pi**3 + math.pi / 2.0) / 2.0)
 
 
 def interval_directions(n: int) -> PointSet:
@@ -229,10 +205,19 @@ def _psi(gv: np.ndarray, gr: np.ndarray, hv: np.ndarray) -> np.ndarray:
     return 0.5 * np.sum(gr**2, axis=-1) + 0.5 * gv**2 - hv * gv
 
 
+def _problem_grid(problem: EllipticProblem) -> Grid:
+    """problem.grid(), a ContractError unless it is a models.Grid."""
+    grid = problem.grid()
+    if not isinstance(grid, Grid):
+        raise ContractError("grid_points must be a models.Grid")
+    return grid
+
+
 def energy(g, grad_g, problem: EllipticProblem) -> float:
-    """Grid-quadrature value of int_Omega Psi(g)."""
-    pts, w = problem.grid()
-    return float(np.dot(w, _psi(g(pts), grad_g(pts), problem.grid_values[0])))
+    """Grid-quadrature value of int_Omega Psi(g), with h from the grid's
+    table of it (Grid.tabulate), which every fit on the problem reads."""
+    pts, w = grid = _problem_grid(problem)
+    return float(np.dot(w, _psi(g(pts), grad_g(pts), grid.tabulate(problem.source))))
 
 
 def empirical_risk(g, grad_g, problem: EllipticProblem, samples: np.ndarray) -> float:
@@ -247,16 +232,16 @@ def empirical_risk(g, grad_g, problem: EllipticProblem, samples: np.ndarray) -> 
 def _grid_energy(model: FiniteNeuronModel, problem: EllipticProblem) -> tuple[float, float]:
     """(population energy, H1 error) of model on problem's grid, from one
     pass of the tiled evaluator (models._tile_values) over the grid's
-    tables of w, h, grad f and f (Grid.tabulate): per tile, sum w Psi(g)
-    and sum w ((g - f)^2 + |grad g - grad f|^2), with no array as long as
-    the grid."""
-    grid = _as_grid(problem.grid())
-    w, h = grid.w, grid.tabulate(problem.source)
+    weights and its tables of h, grad f and f (Grid.tabulate): per tile,
+    sum w Psi(g) and sum w ((g - f)^2 + |grad g - grad f|^2), with no array
+    as long as the grid."""
+    grid = _problem_grid(problem)
+    w, h = grid[1], grid.tabulate(problem.source)
     fg, f = grid.tabulate(problem.solution.grad), grid.tabulate(problem.solution)
     # per tile, each weighted by w: g_c^2 for each gradient component and the value, h g, and (g - f)_c^2
     c = problem.d + 1
     sums, y_buf = np.zeros(2 * c + 1), np.empty(0)
-    for lo, hi, V in _tile_values(model, grid.tiles, grad=True):
+    for lo, hi, V in _tile_values(model, grid, grad=True):
         if len(sums) * (hi - lo) > len(y_buf):
             y_buf = np.empty(len(sums) * (hi - lo))
         Y = y_buf[: len(sums) * (hi - lo)].reshape(len(sums), hi - lo)
@@ -342,10 +327,9 @@ def erm_fit(
     empirical_risk(model, model.gradient, problem, samples).  The energy,
     excess risk and H1 error against the manufactured solution come from
     one tiled pass over problem.grid() (_grid_energy), within rounding of
-    a dense evaluation: the grid's tiling and its tables of h, f and grad f
-    are built by the first fit and kept on the grid, or built on every call
-    when grid() returns a plain (points, weights) tuple rather than a
-    models.Grid.  An uncapped A that is exactly singular (neurons
+    a dense evaluation: the grid's tile boxes and its tables of h, f and
+    grad f are built by the first fit and kept on the grid, and a grid()
+    that returns anything but a models.Grid is a ContractError.  An uncapped A that is exactly singular (neurons
     0 on every sample give zero rows) is solved as A + 1e-12 I instead.
     Each call sends one JSON debug record to the "fnspace.pde_erm"
     logger, quiet by default: n, m, k, assembly ("built" or "reused"),

@@ -28,7 +28,7 @@ from fnspace.harness import (
     run_rates,
     theoretical_slope,
 )
-from fnspace.models import Grid, TargetFunction, error_norms, least_squares_fit
+from fnspace.models import TargetFunction, error_norms, least_squares_fit
 from fnspace.sphere import generate_points
 
 
@@ -433,17 +433,18 @@ def test_sweeps_evaluate_the_target_once_on_their_grid(monkeypatch):
 
 def test_sweep_grid_tables_are_read_only_and_kept_per_function():
     """The sweep grid's tables of a target and of its gradient are read-only,
-    in tile order, computed once each and kept side by side; another Grid
-    of the same points computes its own."""
+    on the grid's own rows, computed once each and kept side by side;
+    another Grid of the same source arrays holds the same rows and computes
+    its own."""
     cfg = ExperimentConfig(d=2, k=1, target="gaussian_bump", strategy="fibonacci_s2", ns=(8, 16), ridge=1e-9)
     grid = harness._ls_grid(cfg)
     target = get_target("gaussian_bump", 2)
     values, grads = grid.tabulate(target), grid.tabulate(target.grad)
     assert grid.tabulate(target) is values and grid.tabulate(target.grad) is grads
     assert not values.flags.writeable and not grads.flags.writeable
-    order = grid.tiles.order
-    assert np.array_equal(values, target(grid[0])[order]) and np.array_equal(grads, target.grad(grid[0])[order].T)
-    other = Grid(*grid)
+    assert np.array_equal(values, target(grid[0])) and np.array_equal(grads, target.grad(grid[0]).T)
+    other = harness._ls_grid(cfg)
+    assert np.array_equal(other[0], grid[0]) and np.array_equal(other[1], grid[1])
     assert other.tabulate(target) is not values and np.array_equal(other.tabulate(target), values)
 
 

@@ -253,6 +253,13 @@ def test_non_finite_grid_points_are_rejected(bad, ridge, monkeypatch):
     assert not trees
 
 
+def _pairs(points, weights):
+    """The (point, weight) rows of a grid, sorted: equal for two grids that
+    hold the same pairs, in whatever order."""
+    rows = np.column_stack([points, weights])
+    return rows[np.lexsort(rows.T[::-1])]
+
+
 def _count_trees(monkeypatch):
     """A list that gains an entry for each kd-tree models builds from here on."""
     trees, tree = [], models.cKDTree
@@ -790,8 +797,8 @@ def _blocks(P, k, T, grid, yw, gram):
     """(level, blocks): the tile level a fit of P takes on the Grid grid, and
     copies of the blocks _design_blocks yields there (it reuses one
     buffer), from Householder or, with gram, pivoted Cholesky tile factors."""
-    level = grid.tiles.level(_block_rows(len(P) + math.comb(k + P.shape[1] - 1, k) + 1))
-    blocks = _design_blocks(P, k, T, grid, level, yw[grid.tiles.order], gram)
+    level = grid.level(_block_rows(len(P) + math.comb(k + P.shape[1] - 1, k) + 1))
+    blocks = _design_blocks(P, k, T, grid, level, yw, gram)
     return level, [Bt.copy() for Bt in blocks]
 
 
@@ -809,26 +816,25 @@ def test_design_blocks_share_one_buffer_within_the_budget():
     P, T, _ = _reduced(ps, 2, pts, False)
     assert len(P) < 96 - 6 and T.shape == (6, 6)  # dead and polynomial directions were pruned
     cols = len(P) + 6
-    sw = np.sqrt(w)
-    yw = sw * np.cos(pts[:, 0])
-    dense, _ = _dense_rows(P, T, 2, pts, False, sw, yw)
     grid = Grid(pts, w)
-    tiling = grid.tiles
-    assert np.array_equal(np.sort(tiling.order), np.arange(len(pts)))
-    assert np.array_equal(tiling.xt, np.column_stack([pts, np.ones(len(pts))])[tiling.order].T)
+    assert np.array_equal(_pairs(*grid), _pairs(pts, w))
+    assert np.array_equal(grid.xt, np.column_stack([grid[0], np.ones(len(pts))]).T)
+    sw = np.sqrt(grid[1])
+    yw = sw * np.cos(grid[0][:, 0])
+    dense, _ = _dense_rows(P, T, 2, grid[0], False, sw, yw)
     max_rows = BLOCK_FLOATS // (cols + 1)
-    bounds, centres, half = level = tiling.level(max_rows)
+    bounds, centres, half = level = grid.level(max_rows)
     sizes = np.diff(bounds)
     tiles = 1 << math.ceil(math.log2(len(pts) / max_rows))  # median cuts halve every tile
     assert len(sizes) == tiles > 1 and np.all(sizes == len(pts) // tiles)
     for t, (lo, hi) in enumerate(zip(bounds, bounds[1:])):  # within the box, to the rounding of c and h
-        assert np.all(np.abs(tiling.xt[:, lo:hi].T - centres[t]) <= half[t] + 2 * np.finfo(float).eps)
+        assert np.all(np.abs(grid.xt[:, lo:hi].T - centres[t]) <= half[t] + 2 * np.finfo(float).eps)
     blocks = []
-    for t, Bt in enumerate(_design_blocks(P, 2, T, grid, level, yw[tiling.order])):
+    for t, Bt in enumerate(_design_blocks(P, 2, T, grid, level, yw)):
         assert Bt.flags.c_contiguous and Bt.shape[0] == cols + 1 and Bt.shape[1] < sizes[t]
         assert Bt.size <= BLOCK_FLOATS
         assert not blocks or np.shares_memory(Bt, blocks[0][1])
-        rows = dense[tiling.order[bounds[t] : bounds[t + 1]]]
+        rows = dense[bounds[t] : bounds[t + 1]]
         want = rows.T @ rows
         assert np.max(np.abs(Bt @ Bt.T - want)) <= 1e-13 * np.max(np.abs(want))
         blocks.append((Bt.copy(), Bt))
@@ -883,6 +889,7 @@ def test_virtual_rows_have_the_gram_of_the_grid_rows(d, k, n, on_sphere, rows, g
     if deficient == "zero weights":
         w[rng.random(rows) < 0.5] = 0.0
     grid = Grid(x, w)
+    x, w = grid  # the grid's rows, in the order its blocks read them
     sw = np.sqrt(w)
     yw = y_scale * sw * rng.standard_normal(rows)
     dirs = _unit(rng.standard_normal((n, d + 1)))
@@ -894,10 +901,9 @@ def test_virtual_rows_have_the_gram_of_the_grid_rows(d, k, n, on_sphere, rows, g
         mp.setattr(models, "BLOCK_FLOATS", SMALL_BLOCK_FLOATS)
         if not on_sphere:  # both edge directions are live on the grid, so the fit takes this level
             n_live = len(_reduced(PointSet(dirs), k, x, False)[0]) + 2
-            tiling = grid.tiles
-            bounds, _, _ = tiling.level(_block_rows(n_live + math.comb(k + d, k) + 1))
+            bounds, _, _ = grid.level(_block_rows(n_live + math.comb(k + d, k) + 1))
             t, axis = int(rng.integers(len(bounds) - 1)), int(rng.integers(d))
-            side = tiling.xt[axis, bounds[t] : bounds[t + 1]]
+            side = grid.xt[axis, bounds[t] : bounds[t + 1]]
             for end, shift in ((side.max(), 0.5e-12), (side.min(), -0.5e-12)):
                 edge = np.zeros(d + 1)
                 edge[axis], edge[d] = 1.0, shift - end
@@ -1033,7 +1039,7 @@ def test_least_squares_fit_diagnostics_record(caplog):
     dead, poly = int(np.sum(b + wn * r < -1e-12)), int(np.sum(b - wn * r > 1e-12))
     live = 96 - dead - poly
     cols = live + 6
-    bounds, centres, half = Grid(pts, w).tiles.level(BLOCK_FLOATS // (live + 7))
+    bounds, centres, half = Grid(pts, w).level(BLOCK_FLOATS // (live + 7))
     P, _, _ = _reduced(ps, 2, pts, False)
     mid, spread = centres @ P.T, half @ np.abs(P).T
     crossing = np.count_nonzero(np.abs(mid) <= spread + 1e-12, axis=1)
@@ -1219,10 +1225,11 @@ def test_only_least_squares_fits_carry_a_residual():
 def test_one_tiling_per_grid(monkeypatch):
     """A ridge randcmp sweep makes one Grid: it builds one kd-tree and takes
     the grid's radius and weighted rows once, which all 33 fits read, and
-    no fit copies the grid to bytes (ndarray.tobytes).  Fits on one Grid
-    share its tiling whatever their directions, k or path.  A Grid's points
-    and weights are read-only, as is everything it keeps, so an in-place
-    edit raises rather than leaving a stale tiling behind."""
+    no fit copies the grid to bytes (ndarray.tobytes).  A Grid builds its
+    kd-tree when it is built, and fits on it build none, whatever their
+    directions, k or path.  A Grid's points and weights are read-only, as
+    is everything it keeps, so an in-place edit raises rather than leaving
+    a stale tiling behind."""
     trees = _count_trees(monkeypatch)
     radii = []
 
@@ -1256,14 +1263,14 @@ def test_one_tiling_per_grid(monkeypatch):
     assert len(summary["rows"]) == 3 and len(weighted) == 33
     assert len(trees) == 1 and radii == trees  # the 40960-row criterion-08 disk grid
     assert all(rows is weighted[0] for rows in weighted) and not copied
-    grid, target = Grid(*domain_grid(2, 4096)), get_target("gaussian_bump", 2)
     trees.clear()
+    grid, target = Grid(*domain_grid(2, 4096)), get_target("gaussian_bump", 2)
+    assert trees == [len(grid[0])]
     least_squares_fit(target, generate_points(2, 32, "fibonacci_s2"), grid, k=1, ridge=1e-9)
     least_squares_fit(target, generate_points(2, 64, "fibonacci_s2"), grid, k=2)
     least_squares_fit(target, generate_points(2, 64, "fibonacci_s2"), grid, k=2, norm_cap=1.0)
     assert trees == [len(grid[0])]
-    for array in (*grid, grid.tiles.order, grid.tiles.xt, *grid.tiles.level(100), grid.w, grid.sw, grid.scaled(2),
-                  grid.tabulate(target)):
+    for array in (*grid, grid.xt, *grid.level(100), grid.sw, grid.scaled(2), grid.tabulate(target)):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.5
 
@@ -1282,7 +1289,7 @@ def test_a_fit_does_not_depend_on_the_fits_before_it(ridge):
     least_squares_fit(target, large, grid, k=1, ridge=ridge)
     least_squares_fit(target, small, grid, k=2, ridge=ridge)
     after = least_squares_fit(target, small, grid, k=1, ridge=ridge)
-    assert len(grid.tiles._boxes) == 2  # the n = 512 fit and the n = 32 fits read two levels
+    assert len(grid._boxes) == 2  # the n = 512 fit and the n = 32 fits read two levels
     assert np.array_equal(after.a, fresh.a) and after.residual == fresh.residual
 
 
@@ -1295,27 +1302,29 @@ def test_a_fit_does_not_depend_on_the_fits_before_it(ridge):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_tile_levels_partition_the_grid(d, on_sphere, rows, data, seed):
-    """A level's tiles are runs of one permutation of the grid rows that
-    partition it, each of at most max_rows rows.  It is the coarsest such
-    level: L halvings at each tile's middle row, L the fewest that bring the
-    largest tile, ceil(rows / 2^L) rows, down to max_rows.  Every lifted row
-    lies in its tile's box up to 2 eps, on grids with fewer and more rows
-    than a kd-tree leaf holds and on grids whose rows repeat, down to one
-    row repeated throughout.  A Grid lifts its rows to (x, 1), on the
-    sphere too, and the kd-tree never splits on the column of 1s, so a
-    sphere Grid's tiles are those of its eta rows."""
+    """A Grid's (point, weight) pairs are the pairs it was given, in the
+    order of its tiles, and xt is its points lifted to (x, 1).  A level's
+    tiles are runs of those rows that partition them, each of at most
+    max_rows rows.  It is the coarsest such level: L halvings at each
+    tile's middle row, L the fewest that bring the largest tile,
+    ceil(rows / 2^L) rows, down to max_rows.  Every lifted row lies in its
+    tile's box up to 2 eps, on grids with fewer and more rows than a kd-tree
+    leaf holds and on grids whose rows repeat, down to one row repeated
+    throughout.  A Grid lifts its rows to (x, 1), on the sphere too, and
+    the kd-tree never splits on the column of 1s, so a sphere Grid's rows
+    are in the order a kd-tree of its eta rows leaves them."""
     rng = np.random.Generator(np.random.Philox(seed))
     distinct = data.draw(st.integers(1, rows), label="distinct")
     max_rows = data.draw(st.integers(1, rows), label="max_rows")
     base = _unit(rng.standard_normal((distinct, d + 1))) if on_sphere else _small_grid(d, 1.0, distinct, rng)[0]
     x = base[rng.integers(distinct, size=rows)]
-    lifted = np.column_stack([x, np.ones(rows)])
-    tiling = Grid(x, np.ones(rows)).tiles
-    assert np.array_equal(np.sort(tiling.order), np.arange(rows))
+    w = rng.random(rows)
+    grid = Grid(x, w)
+    assert np.array_equal(_pairs(*grid), _pairs(x, w))
     if on_sphere:
-        assert np.array_equal(models._Tiles(x).order, tiling.order)
-    assert np.array_equal(tiling.xt, lifted[tiling.order].T)
-    bounds, centres, half = tiling.level(max_rows)
+        assert np.array_equal(grid[0], x[models.cKDTree(x, balanced_tree=True).indices])
+    assert np.array_equal(grid.xt, np.column_stack([grid[0], np.ones(rows)]).T)
+    bounds, centres, half = grid.level(max_rows)
     sizes = np.diff(bounds)
     assert bounds[0] == 0 and bounds[-1] == rows and np.all(sizes >= 1) and np.max(sizes) <= max_rows
     L = 0
@@ -1323,7 +1332,7 @@ def test_tile_levels_partition_the_grid(d, on_sphere, rows, data, seed):
         L += 1
     assert len(sizes) == min(rows, 2**L) and set(sizes) <= {rows // 2**L, -(-rows // 2**L)}
     for t, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        assert np.all(np.abs(tiling.xt[:, lo:hi].T - centres[t]) <= half[t] + 2 * np.finfo(float).eps)
+        assert np.all(np.abs(grid.xt[:, lo:hi].T - centres[t]) <= half[t] + 2 * np.finfo(float).eps)
 
 
 @pytest.mark.parametrize(
@@ -1529,9 +1538,9 @@ def test_both_walkers_classify_a_shared_level_alike(monkeypatch):
 
     monkeypatch.setattr(models, "_classify", spy)
     model = FiniteNeuronModel(2, ps, np.random.default_rng(0).standard_normal(ps.n))
-    for _ in models._tile_values(model, grid.tiles):
+    for _ in models._tile_values(model, grid):
         pass
-    level = grid.tiles.level(_block_rows(ps.n))
+    level = grid.level(_block_rows(ps.n))
     for _ in _design_blocks(ps.points, 2, np.zeros((6, 0)), grid, level, np.zeros(len(pts))):
         pass
     (dead, poly), (dead_fit, poly_fit) = calls
@@ -1602,16 +1611,16 @@ def test_tiled_evaluation_matches_evaluate(d, k, on_sphere, n, kink_share, disti
     model = FiniteNeuronModel(k, ps, rng.standard_normal(n) * 10.0 ** rng.uniform(-2, 2, n), on_sphere=on_sphere)
     x = base[rng.integers(len(base), size=min(blocks * _block_rows(n), 12000))]
     grad = k >= 1 and not on_sphere
+    grid = Grid(x, np.ones(len(x)))
+    x = grid[0]
     values, grads = model._evaluate(x, grad=grad)
-    tiling = Grid(x, np.ones(len(x))).tiles
     got = np.full((1 + d * grad, len(x)), np.nan)
-    for lo, hi, V in models._tile_values(model, tiling, grad=grad):
+    for lo, hi, V in models._tile_values(model, grid, grad=grad):
         got[:, lo:hi] = V
-    order = tiling.order
-    reach = np.abs(models._lifted(x, d, on_sphere)[order]) @ np.abs(ps.points.T)
+    reach = np.abs(models._lifted(x, d, on_sphere)) @ np.abs(ps.points.T)
     eps = np.finfo(float).eps
-    assert np.all(np.abs(got[-1] - values[order]) <= TILE_C * eps * (reach**k @ np.abs(model.a)))
+    assert np.all(np.abs(got[-1] - values) <= TILE_C * eps * (reach**k @ np.abs(model.a)))
     if grad:
         for i in range(d):
             bound = TILE_C * eps * k * reach ** (k - 1) @ np.abs(model.a * ps.points[:, i])
-            assert np.all(np.abs(got[i] - grads[order, i]) <= bound)
+            assert np.all(np.abs(got[i] - grads[:, i]) <= bound)

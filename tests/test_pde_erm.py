@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 from fnspace import models
 from fnspace.errors import ConfigurationError, ContractError
 from fnspace.pde_erm import (
+    DISK_GRID_RADII,
     EXCESS_FLOOR,
     EllipticProblem,
     _grid_energy,
     _psi,
+    disk_grid,
     disk_problem,
     empirical_risk,
     energy,
@@ -283,11 +285,22 @@ def _disk_grid_reference(n_r, n_t):
     return pts, np.repeat(wr * r, n_t)
 
 
+def _pairs(points, weights):
+    """The (point, weight) rows of a grid, sorted: equal for two grids that
+    hold the same pairs, in whatever order."""
+    rows = np.column_stack([points, weights])
+    return rows[np.lexsort(rows.T[::-1])]
+
+
 def test_disk_grids_bit_identical_to_reference():
-    pts, w = disk_problem().grid()
+    """disk_grid and domain_grid are the reference grids bit for bit, and
+    each problem's Grid holds the same (point, weight) pairs, in its tile
+    order."""
+    pts, w = disk_grid(DISK_GRID_RADII)
     want_pts, wr = _disk_grid_reference(256, 512)
     assert np.array_equal(pts, want_pts)
-    assert np.array_equal(w, wr * (2.0 * math.pi / 512))
+    assert np.array_equal(w, wr / 512)
+    assert np.array_equal(_pairs(*disk_problem().grid()), _pairs(want_pts, wr * (2.0 * math.pi / 512)))
     for min_points in (2048, 64 * 640):
         pts, w = domain_grid(2, min_points)
         want_pts, wr = _disk_grid_reference(max(80, math.ceil(min_points / 512)), 512)
@@ -295,7 +308,7 @@ def test_disk_grids_bit_identical_to_reference():
         assert np.array_equal(w, (wr / 512) / (wr / 512).sum())
     # the interval grids as pde_erm and harness each wrote them before midpoint_grid
     x, w = interval_problem().grid()
-    assert np.array_equal(x[:, 0], (np.arange(4096) + 0.5) / 4096)
+    assert np.array_equal(np.sort(x[:, 0]), (np.arange(4096) + 0.5) / 4096)
     assert np.array_equal(w, np.full(4096, 1.0 / 4096))
     for n in (1, 7, 512, 4096):
         x, w = domain_grid(1, n)
@@ -624,6 +637,9 @@ def test_erm_fit_sequences_match_the_reference(calls):
 
 @pytest.mark.parametrize("make", [interval_problem, disk_problem])
 def test_grid_values_are_evaluated_once_and_read_only(make):
+    """Fits and energy on a problem read h on its grid from one table,
+    evaluated once, as they read f and grad f: read-only, on the grid's
+    own rows."""
     base = make()
     calls = []
 
@@ -633,45 +649,67 @@ def test_grid_values_are_evaluated_once_and_read_only(make):
 
     prob = dataclasses.replace(base, source=source)
     ps = interval_directions(4) if prob.d == 1 else generate_points(2, 8, "fibonacci_s2")
-    hv, fv, fg = prob.grid_values
     erm_fit(prob, ps, prob.sample(256, 0), k=2)
     energy(prob.solution, prob.solution.grad, prob)
-    assert prob.grid_values[0] is hv
-    pts, _ = prob.grid()
+    erm_fit(prob, ps, prob.sample(256, 1), k=2)
+    pts, _ = grid = prob.grid()
+    hv, fv, fg = (grid.tabulate(fn) for fn in (source, prob.solution, prob.solution.grad))
     assert calls.count(len(pts)) == 1
     assert np.array_equal(hv, base.source(pts)) and np.array_equal(fv, base.solution(pts))
-    assert np.array_equal(fg, base.solution.grad(pts))
+    assert np.array_equal(fg, base.solution.grad(pts).T)
     assert not any(v.flags.writeable for v in (hv, fv, fg))
 
 
-def test_the_erm_grid_is_tiled_and_tabulated_once(monkeypatch):
-    """disk_problem() builds neither its grid's tiling nor its tables of w,
-    h, f and grad f.  Fits through dataclasses.replace(problem, grid=<wrapper>),
-    as the erm_disk benchmark runs them, alternating with fits on fresh
-    interval problems, build the disk tiling once and each of its tables
-    once, and an interval problem is freed with its grid once it goes."""
-    built = []
-
-    class Counting(models._Tiles):
-        def __init__(self, lifted):
-            built.append(len(lifted))
-            super().__init__(lifted)
-
-    monkeypatch.setattr(models, "_Tiles", Counting)
+def test_disk_exact_energy_is_the_grid_quadrature():
+    """disk_problem's closed form E(f) = -(pi^3 + pi/2)/2 is within 1e-12 of
+    the grid quadrature of Psi(f), the oracle it replaced."""
     prob = disk_problem()
+    pts, w = prob.grid()
+    quadrature = float(np.dot(w, _psi(prob.solution(pts), prob.solution.grad(pts), prob.source(pts))))
+    assert prob.exact_energy == -(math.pi**3 + math.pi / 2.0) / 2.0
+    assert abs(prob.exact_energy - quadrature) <= 1e-12
+
+
+def test_a_problem_grid_that_is_not_a_grid_is_refused():
+    """A problem whose grid() returns (points, weights) as a plain tuple, not
+    a models.Grid, is a ContractError in energy and in erm_fit."""
+    base = interval_problem()
+    prob = dataclasses.replace(base, grid=lambda: tuple(base.grid()))
+    with pytest.raises(ContractError, match="models.Grid"):
+        energy(prob.solution, prob.solution.grad, prob)
+    with pytest.raises(ContractError, match="models.Grid"):
+        erm_fit(prob, interval_directions(4), prob.sample(256, 0), k=2)
+
+
+def test_the_erm_grid_is_tiled_and_tabulated_once(monkeypatch):
+    """disk_problem() builds no Grid: its grid is built, with its kd-tree,
+    on the first call of grid(), with neither tile boxes nor tables.  Fits
+    through dataclasses.replace(problem, grid=<wrapper>), as the erm_disk
+    benchmark runs them, alternating with fits on fresh interval problems,
+    build no other disk kd-tree and each of its tables of h, f and grad f
+    once, and an interval problem is freed with its grid once it goes."""
+    built, tree = [], models.cKDTree
+
+    def counting(*args, **kwargs):
+        built.append(len(args[0]))
+        return tree(*args, **kwargs)
+
+    monkeypatch.setattr(models, "cKDTree", counting)
+    prob = disk_problem()
+    assert built == []
     grid = prob.grid()
-    assert built == [] and not {"tiles", "w", "_tables"} & set(vars(grid))
+    assert built == [len(grid[0])] and not grid._boxes and "_tables" not in vars(grid)
     tables, freed = set(), []
     for n in (8, 16, 24):
         wrapped = dataclasses.replace(prob, grid=lambda: prob.grid())
         erm_fit(wrapped, generate_points(2, n, "fibonacci_s2"), prob.sample(64 * n, n), k=2)
-        tables.add(tuple(map(id, [grid.w, *vars(grid)["_tables"].values()])))
+        tables.add(tuple(map(id, vars(grid)["_tables"].values())))
         interval = interval_problem()
         erm_fit(interval, interval_directions(n), interval.sample(64 * n, n), k=2)
-        freed += [weakref.ref(interval), weakref.ref(interval.grid().tiles)]
+        freed += [weakref.ref(interval), weakref.ref(interval.grid().xt)]
         del interval
     gc.collect()
-    assert built.count(len(grid[0])) == 1 and len(tables) == 1 and len(tables.pop()) == 4
+    assert built.count(len(grid[0])) == 1 and len(tables) == 1 and len(tables.pop()) == 3
     assert all(ref() is None for ref in freed)
 
 
