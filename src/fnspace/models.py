@@ -5,34 +5,27 @@ in R^d, or f_n(eta) = sum_j a_j sigma_k(theta_j . eta) when fitted on the
 sphere itself.  Two fitting routes are provided: the constructive
 coefficient recipe a_j = tau_j sum_m sigma_hat(m)^{-1} (Pi_m g)(theta_j),
 which reproduces the harmonic coefficients of g up to the quadrature
-degree, and plain (optionally ridge-regularized and norm-capped) least
-squares on a sample grid.
+degree, and plain (optionally ridge-regularized) least squares on a
+sample grid; a norm cap is the smallest ridge meeting it (ridge_bisect_cap).
 
 One rule sizes every blocked pass: a block is _block_rows(width) rows of
 width floats, at most BLOCK_FLOATS floats (1 MiB) in all, so no blocked
 pass holds more than two blocks of BLOCK_FLOATS floats whatever the grid
-size, besides its outputs, evaluation's (x, 1) rows of the block, a
-least-squares solve's (cols + 1)-wide arrays (the Gram, or the triangular
-factor with the rows waiting under it and the block of virtual rows, see
-_solve_reduced) and what a Grid keeps: its rows and their lifts, those
-rows weighted for the last k fitted, and its target tables.
-Evaluation at arbitrary points (FiniteNeuronModel._evaluate), of width
-n, writes each block's inputs as (x, 1) rows into one small reused buffer,
-forms the preactivation z = theta . (x, 1) once, in a block, and yields
-the values sigma_k(z) @ a and, when asked, the gradients sigma_k'(z) @ (a W)
-together from one r = max(z, 0); sigma_k'(z) takes a second block except
-at k = 2, where sigma_2' = 2r and the 2 is folded into a W.  Evaluation on
-a Grid (_tile_values), which error_norms and pde_erm's energy and H1
-error reduce tile by tile, walks the level of the grid's tiles that hold
-at most _block_rows(n) rows and classifies each neuron on each tile box,
-a group of tiles per call, as the fits do (_classify): dead neurons are
-skipped, polynomial ones are folded into the tile's monomial coefficients,
-and sigma_k is formed only for the few neurons whose kink crosses the
-tile, so it never holds an array as long as the grid.
-least_squares_fit and pde_erm.erm_fit share one O(n)-per-step root
-search for a norm cap's ridge, _cap_root: erm_fit runs it on one
-eigendecomposition of its Gram matrix (ridge_bisect_cap), capped least
-squares on the SVD of its QR factor.
+size, besides its outputs, evaluation's lifted copy of its input (d + 1
+floats a row), a least-squares solve's (cols + 1)-wide arrays (the Gram,
+or the triangular factor with the rows waiting under it and the block of
+virtual rows, see _solve_reduced) and what a Grid keeps: its rows and
+their lifts, those rows weighted for the last k fitted, and its target
+tables.
+
+Every pass over rows walks tiles, runs of rows in a box, through one
+walker (_tiles), which classifies each neuron on each box as dead,
+polynomial or crossing and forms only the crossing ones' activations.
+The fits reduce its E = [degree-k monomials | sigma_k | y] on a Grid's
+tiles (_design_blocks); evaluation (_tile_values) takes [degree-(k - 1)
+monomials | sigma_k' / k] on a Grid's tiles, for error_norms and
+pde_erm's energy, or on tiles of consecutive rows of any input, which
+FiniteNeuronModel._evaluate answers in the caller's row order.
 
 Fits and error norms take their grid as a Grid: read-only (points,
 weights) whose rows a balanced kd-tree put in tile order when it was
@@ -48,17 +41,17 @@ the weighted design's rows: on a tile most neurons are again 0 or a
 polynomial, (theta . (x, 1))^k.  Each tile gives one block of virtual
 rows, a factor F of its small design E = [monomials | crossing neurons |
 y] with F^T F = E^T E, lifted to every column (_design_blocks), with the
-Gram of the tile's rows of [B | y].  A ridge without a cap factors each
-tile's Gram E^T E, scaled to unit diagonal, by pivoted Cholesky
-(dpstrf), adds one dsyrk per block to
-[B | y]^T [B | y], whose last column is B^T y, and solves by Cholesky on
-that triangle, falling back to the QR fold when a pivot is not positive;
-every other fit factors each tile by Householder QR and folds the blocks
-into a QR factor of the design, so its condition number is never squared
-(see _solve_reduced).  Both end in the triangular factor
-[[R, z], [0, rho]] of [B | y], which holds the fit's weighted residual
-on its grid: the model returned carries it as residual, so a caller
-measuring the L2 error on that same grid need not evaluate the model.
+Gram of the tile's rows of [B | y].  A ridge fit factors each tile's
+Gram E^T E, scaled to unit diagonal, by pivoted Cholesky (dpstrf), adds
+one dsyrk per block to [B | y]^T [B | y], whose last column is B^T y,
+and solves by Cholesky on that triangle, falling back to the QR fold when
+a pivot is not positive; a fit without a ridge factors each tile by
+Householder QR and folds the blocks into a QR factor of the design, so
+its condition number is never squared (see _solve_reduced).  Both end in
+the triangular factor [[R, z], [0, rho]] of [B | y], which holds the
+fit's weighted residual on its grid: the model returned carries it as
+residual, so a caller measuring the L2 error on that same grid need not
+evaluate the model.
 """
 
 from __future__ import annotations
@@ -176,55 +169,20 @@ class FiniteNeuronModel:
     def n(self) -> int:
         return self.ps.n
 
-    def _evaluate(
-        self, x: np.ndarray, grad: bool = False
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """(values, gradients or None) at the rows of x, block by block.
-
-        Each block of at most _block_rows(n) rows is copied into one reused
-        buffer of lifted rows, whose column of 1s (on a domain) is written
-        once, and z = lifted(x) theta^T is formed in one reused block.
-        Values alone are sigma_k(z) @ a, taken in place.  With gradients,
-        r = max(z, 0) is taken once: sigma_k'(z) is written from r into a
-        second block (r > 0 at k = 1, k r^(k-1) above), then r is raised to
-        the power k in place for the values.  At k = 2, sigma_2'(z) = 2r,
-        so the 2 is folded into the coefficients, r @ (2 a W), and the
-        second block is never allocated.  Doubling is exact, so values and
-        gradients are bit-identical to sigma_k(z) @ a and sigma_k'(z) @ (a W)
-        at every k.
-        """
-        if grad and self.k < 1:
-            raise ContractError("gradient undefined for k=0")
-        if grad and self.on_sphere:
-            raise ContractError("gradient is implemented for domain models only")
+    def _evaluate(self, x: np.ndarray, grad: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+        """(values, gradients or None) at the rows of x, in their order: x is
+        lifted once, as the columns xt of (x, 1) or eta, and the tiled
+        evaluator walks its tiles of _block_rows(n) consecutive rows."""
         x = _inputs(x, self.d, self.on_sphere)
-        rows, step = len(x), _block_rows(self.n)
-        pt = self.ps.points.T
-        values = np.empty(rows)
-        z_buf = np.empty((min(rows, step), self.n))
-        lifted = np.ones((len(z_buf), self.d + 1))
-        if grad:
-            grads = np.empty((rows, self.d))
-            aw = self.a[:, None] * self.ps.points[:, : self.d]
-            if self.k == 2:  # sigma_2' = 2r: the 2 goes into the coefficients
-                aw *= 2.0
-            dz_buf = None if self.k == 2 else np.empty_like(z_buf)
-        else:
-            grads = None
-        for lo in range(0, rows, step):
-            hi = min(lo + step, rows)
-            xt = lifted[: hi - lo]
-            xt[:, : x.shape[1]] = x[lo:hi]
-            z = np.matmul(xt, pt, out=z_buf[: hi - lo])
+        xt = np.ones((self.d + 1, len(x)))
+        xt[: x.shape[1]] = x.T
+        values = np.empty(len(x))
+        grads = np.empty((len(x), self.d)) if grad else None
+        bounds = np.append(np.arange(0, len(x), _block_rows(self.n)), len(x))
+        for lo, hi, V in _tile_values(self, xt, _tile_boxes(xt, bounds), grad):
+            values[lo:hi] = V[-1]
             if grad:
-                r = np.maximum(z, 0.0, out=z)
-                dz = r if self.k == 2 else sigma_k_prime(self.k, r, out=dz_buf[: hi - lo])
-                np.matmul(dz, aw, out=grads[lo:hi])
-                if self.k > 1:
-                    r **= self.k
-                np.matmul(r, self.a, out=values[lo:hi])
-            else:
-                np.matmul(sigma_k(self.k, z, out=z), self.a, out=values[lo:hi])
+                grads[lo:hi] = V[:-1].T
         return values, grads
 
     def __call__(self, x: np.ndarray) -> np.ndarray | float:
@@ -298,7 +256,8 @@ def ridge_bisect_cap(G: np.ndarray, c: np.ndarray, n: int, M: float) -> tuple[np
     """(a, lam): smallest ridge lam >= 0 with sqrt(n)||a||_2 <= M, a = (G + lam I)^+ c.
 
     G = U diag(s) U^T once, then a(lam) = U (U^T c) / (s + lam) costs O(n).
-    At lam = 0 eigenvalues at or below lstsq's cutoff eps n s_max are zeroed.
+    At lam = 0 eigenvalues at or below lstsq's cutoff eps n s_max are zeroed,
+    and a lam below rounding leaves the others' entries bit for bit.
     ||a(lam)|| falls with lam and is at most ||c|| / lam, so a binding cap has
     its root in (0, sqrt(n)||c|| / M]; searching up to twice that survives
     rounding.  a is finally rescaled onto the cap.  One JSON debug record
@@ -308,15 +267,7 @@ def ridge_bisect_cap(G: np.ndarray, c: np.ndarray, n: int, M: float) -> tuple[np
     evals, U = np.linalg.eigh(G)
     s = np.maximum(evals, 0.0)  # a Gram matrix; rounding can leave eigenvalues at -eps
     keep = s > np.finfo(float).eps * len(s) * s[-1]
-    return _cap_root(s, U, U.T @ c, float(np.linalg.norm(c)), keep, n, M)
-
-
-def _cap_root(s, U, p, c_norm, keep, n, M) -> tuple[np.ndarray, float]:
-    """ridge_bisect_cap given G = U diag(s) U^T, p = U^T c, ||c|| and the
-    eigenvalues `keep` inverts at lam = 0.  coef(0) divides as coef(lam > 0)
-    does, so a lam below rounding leaves the kept entries bit for bit and the
-    norm cannot drop under the cap between 0 and the smallest positive lam."""
-    root_n = math.sqrt(n)
+    p, root_n = U.T @ c, math.sqrt(n)
 
     def coef(lam: float) -> np.ndarray:
         return np.divide(p, s, out=np.zeros_like(s), where=keep) if lam == 0.0 else p / (s + lam)
@@ -325,7 +276,7 @@ def _cap_root(s, U, p, c_norm, keep, n, M) -> tuple[np.ndarray, float]:
         return root_n * float(np.linalg.norm(coef(lam))) - M
 
     binds = bool(gap(0.0) > 0.0)
-    lam = brentq(gap, 0.0, 2.0 * root_n * c_norm / M, xtol=1e-300) if binds else 0.0
+    lam = brentq(gap, 0.0, 2.0 * root_n * float(np.linalg.norm(c)) / M, xtol=1e-300) if binds else 0.0
     a = U @ coef(lam)
     nrm = root_n * float(np.linalg.norm(a))
     if nrm > M:
@@ -405,11 +356,14 @@ class Grid(tuple):
     last three functions asked: an ERM fit reads h, f and grad f, and a
     rates sweep alternates a fit of f and error_norms of f and grad f.
     Otherwise it is the tuple (points, weights), so an object that holds
-    it, and every copy of that object, shares its caches.
+    it, and every copy of that object, shares its caches.  A Grid of no
+    points is a ContractError.
     """
 
     def __new__(cls, points, weights):
         points = np.atleast_2d(np.asarray(points, dtype=float))  # copied in tile order below
+        if not len(points):
+            raise ContractError("a grid needs at least one point")
         if not np.all(np.isfinite(points)):
             raise ContractError("grid points must be finite")
         weights = _grid_weights(weights, len(points))
@@ -427,7 +381,10 @@ class Grid(tuple):
     def level(self, max_rows: int):
         """(bounds, centres, half-widths) of the coarsest level whose tiles
         hold at most max_rows >= 1 rows: tile t is the rows
-        bounds[t]:bounds[t + 1], all within centres[t] +- half-widths[t]."""
+        bounds[t]:bounds[t + 1], all within centres[t] +- half-widths[t]
+        (_tile_boxes).  A max_rows below 1 is a ContractError."""
+        if not max_rows >= 1:
+            raise ContractError(f"a tile holds at least one row, got max_rows = {max_rows}")
         rows, L = self.xt.shape[1], 0
         while -(-rows >> L) > max_rows:  # ceil(rows / 2^L) rows in level L's largest tile
             L += 1
@@ -435,9 +392,7 @@ class Grid(tuple):
             bounds = np.array([0, rows])
             for _ in range(L):
                 bounds = np.union1d(bounds, bounds[:-1] + np.diff(bounds) // 2)
-            lo = np.minimum.reduceat(self.xt, bounds[:-1], axis=1).T
-            hi = np.maximum.reduceat(self.xt, bounds[:-1], axis=1).T
-            self._boxes[L] = tuple(map(_read_only, (bounds, 0.5 * (lo + hi), 0.5 * (hi - lo))))
+            self._boxes[L] = tuple(map(_read_only, _tile_boxes(self.xt, bounds)))
         return self._boxes[L]
 
     @cached_property
@@ -465,9 +420,52 @@ class Grid(tuple):
         return table
 
 
+def _tile_boxes(xt: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(bounds, centres, half-widths): the level of tiles bounds[t]:bounds[t + 1]
+    of the columns of xt, each in the box centres[t] +- half-widths[t]."""
+    lo = np.minimum.reduceat(xt, bounds[:-1], axis=1).T
+    hi = np.maximum.reduceat(xt, bounds[:-1], axis=1).T
+    return bounds, 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
+
+
+def _tiles(P, degree, act, xt, tiles, extra=0):
+    """Yield (lo, hi, dead, poly, cross, E) for each tile lo:hi of the level
+    tiles (Grid.level, _tile_boxes) of the columns of xt.  The neurons, rows
+    theta of P, read the tile's first P.shape[1] rows x: dead and poly mark
+    those that are 0 and (theta . x)^k on the tile's box (_classify), cross
+    indexes the others, and E = [monomials of x of the given degree |
+    act(P[cross] x) | extra rows for the caller] is a view of one buffer,
+    grown to the largest tile's and reused, valid until the next tile.
+    Each _classify call takes the most tiles whose masks fit in an eighth
+    of a block (_block_rows(8 n)): a whole level at n <= 128 on 131072 rows.
+    """
+    x_rows, (bounds, centres, half) = P.shape[1], tiles
+    idx = _monomials(x_rows - 1, degree)[0]
+    n_mono = len(idx)
+    group = _block_rows(8 * max(len(P), 1))
+    classes = itertools.chain.from_iterable(
+        zip(*_classify(centres[g : g + group, :x_rows], half[g : g + group, :x_rows], P))
+        for g in range(0, len(centres), group))
+    buf = np.empty(0)
+    for lo, hi, (dead, poly) in zip(bounds.tolist(), bounds[1:].tolist(), classes):
+        cross = np.flatnonzero(dead == poly)  # neither: a neuron cannot be both
+        x = xt[:x_rows, lo:hi]
+        size = (n_mono + len(cross) + extra) * (hi - lo)
+        if size > len(buf):
+            buf = np.empty(size)
+        E = buf[:size].reshape(-1, hi - lo)
+        if degree == 1:
+            E[:n_mono] = x
+        else:
+            np.prod(x[idx], axis=1, out=E[:n_mono])
+        Z = E[n_mono : n_mono + len(cross)]
+        act(np.matmul(P[cross], x, out=Z), out=Z)
+        yield lo, hi, dead, poly, cross, E
 
 
 def _design_blocks(P, k, T, grid, tiles, yw, gram=False):
@@ -477,15 +475,13 @@ def _design_blocks(P, k, T, grid, tiles, yw, gram=False):
 
     tiles is a level of the Grid grid (Grid.level) and yw the weighted
     targets on its rows; the neurons read the first P.shape[1] lifted rows
-    (all of (x, 1), or eta on the sphere).  Each live neuron is classified
-    on each tile box as on the whole grid, with the bound
-    theta . c +- sum_j |theta_j| h_j and CLASS_MARGIN: dead (0 on the
-    tile), polynomial ((theta . x)^k there) or crossing.  The tile's
-    E = [Q | sigma_k(C x^T)^T | y], with Q its degree-k monomials of the
-    lifted rows and C its crossing neurons, scaled by sw, is reduced to a
-    factor F with F^T F = E^T E, of at most C(k + d, d) + |C| + 1 rows.
+    (all of (x, 1), or eta on the sphere).  The tile walker (_tiles) gives
+    each tile's E = [Q | sigma_k(C x^T)^T | y], with Q its degree-k
+    monomials of the lifted rows and C its crossing neurons, scaled by sw,
+    and E is reduced to a factor F with F^T F = E^T E, of at most
+    C(k + d, d) + |C| + 1 rows.
     By default F is the triangular factor R of one Householder QR (dgeqrf,
-    in place in one reused buffer), of at most the tile's rows.  With gram,
+    in place in the walker's buffer), of at most the tile's rows.  With gram,
     for a solver that forms the Gram anyway, F comes from the tile's Gram
     E^T E (dsyrk), scaled to unit diagonal by the column norms N, and its
     pivoted Cholesky factor (dpstrf; Hammarling, Higham and Lucas, PARA
@@ -496,30 +492,19 @@ def _design_blocks(P, k, T, grid, tiles, yw, gram=False):
     in the span of the tile's other columns are rounding of theirs, which
     may exceed y's own norm^2.  [B | y] is E times a lift: a polynomial
     neuron, and each column of T, is its monomial coefficients on Q, a dead
-    neuron 0, and a crossing neuron and y their own columns of E.  So F times that lift, the block, has
-    [B | y]'s Gram on the tile.  For k >= 1 sigma_k and the monomials are
-    positively homogeneous of degree k in the lifted input, so the grid's
-    rows scaled by sw^(1/k) (grid.scaled) scale every row of E by sw; for
-    k = 0 each E is scaled.
+    neuron 0, and a crossing neuron and y their own columns of E.  So F
+    times that lift, the block, has [B | y]'s Gram on the tile; the blocks
+    share one buffer that grows to the largest.  For k >= 1 sigma_k and the
+    monomials are positively homogeneous of degree k in the lifted input,
+    so the grid's rows scaled by sw^(1/k) (grid.scaled) scale every row of
+    E by sw; for k = 0 each E is scaled.
     """
-    width = P.shape[1]
-    bounds, centres, half = tiles
     idx, M = _monomial_lift(P, k)
-    n_live, n_mono = len(P), len(idx)
-    cols = n_live + T.shape[1]
+    n_mono, cols = len(idx), len(P) + T.shape[1]
     # monomial coefficients of each live neuron's (theta . x)^k and of each column of T
     lift = np.hstack([M, T]).T
-    dead, poly = _classify(centres[:, :width], half[:, :width], P)
-    xs, sw = grid.scaled(k)[:width], grid.sw
-    bounds = bounds.tolist()
-    e_width = int(np.max(np.count_nonzero(~(dead | poly), axis=1))) + n_mono + 1
-    e_buf = np.empty(e_width * max(hi - lo for lo, hi in zip(bounds, bounds[1:])))
-    b_buf = np.empty((cols + 1) * e_width)
-    for t, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        cross = np.flatnonzero(~(dead[t] | poly[t]))
-        E = e_buf[: (n_mono + len(cross) + 1) * (hi - lo)].reshape(-1, hi - lo)
-        np.prod(xs[idx, lo:hi], axis=1, out=E[:n_mono])
-        sigma_k(k, np.matmul(P[cross], xs[:, lo:hi], out=E[n_mono:-1]), out=E[n_mono:-1])
+    sw, b_buf = grid.sw, np.empty(0)
+    for lo, hi, dead, _, cross, E in _tiles(P, k, functools.partial(sigma_k, k), grid.scaled(k), tiles, extra=1):
         if not k:
             E[:-1] *= sw[lo:hi]
         E[-1] = yw[lo:hi]
@@ -536,78 +521,56 @@ def _design_blocks(P, k, T, grid, tiles, yw, gram=False):
         else:
             # a workspace of 32 floats per column of E^T lets LAPACK run its blocked code (block size 32)
             R = np.triu(dgeqrf(E.T, lwork=32 * len(E), overwrite_a=1)[0][: min(len(E), hi - lo)])
+        if (cols + 1) * len(R) > len(b_buf):
+            b_buf = np.empty((cols + 1) * len(R))
         Bt = b_buf[: (cols + 1) * len(R)].reshape(cols + 1, len(R))
         np.matmul(lift, R[:, :n_mono].T, out=Bt[:cols])
-        Bt[np.flatnonzero(dead[t])] = 0.0
+        Bt[np.flatnonzero(dead)] = 0.0
         Bt[cross] = R[:, n_mono:-1].T
         Bt[cols] = R[:, -1]
         yield Bt
 
 
-def _tile_values(model: FiniteNeuronModel, grid: Grid, grad: bool = False):
-    """Yield (lo, hi, V), tile by tile, over the level of the Grid grid whose
-    tiles hold at most _block_rows(n) rows: V[-1] holds the model's values
-    at the grid rows lo:hi, whose lifted rows are grid.xt[:, lo:hi] (their
-    first d + 1 rows, eta, for a sphere model), and, with grad, V[:d] its
-    gradients, one row per component.
+def _tile_values(model: FiniteNeuronModel, xt: np.ndarray, tiles, grad: bool = False):
+    """Yield (lo, hi, V) for each tile of the level tiles, of at most
+    _block_rows(n) rows, of the lifted rows xt (their first d + 1 rows, eta,
+    for a sphere model): V[-1] holds the model's values at the rows lo:hi,
+    and, with grad, V[:d] its gradients, one row per component.
 
-    Each neuron is classified on each tile box as _design_blocks does
-    (_classify), one call for a group of tiles: the most tiles whose
-    group x n mask rows fit in an eighth of a block (_block_rows(8 n)), so
-    the call's float arrays stay small beside the tile's own, and every
-    tile of a level at n <= 128 on 131072 rows is one call.  A dead neuron
-    is skipped, a
-    polynomial one is folded into the tile's coefficients on the monomials
-    of the lifted rows (_monomial_lift), and the crossing ones are formed in
-    one reused buffer under those monomials, so one product of [folded | crossing]
-    coefficients with that buffer gives the tile's sum.  For k >= 1 that
+    On each tile the walker (_tiles) classifies the neurons: a dead one is
+    skipped, a polynomial one folded into the tile's coefficients on the
+    monomials (_monomial_lift), and one product of [folded | crossing]
+    coefficients with the walker's buffer gives the tile's sum.  For k >= 1 that
     sum is u = sum_j a_j theta_j sigma_k'(z_j), on the monomials of degree
     k - 1: u's first d components are the gradient, and since sigma_k(z) =
     z sigma_k'(z) / k, the value is x . u / k, with x the lifted row, so
     values and gradients come from one pass and values alone are the same
-    bits.  For k = 0 the sum is the values, sum_j a_j sigma_0(z_j).  The
-    moves against _evaluate are rounding, a few eps
-    sum_j |a_j| (sum_i |theta_ji x_i|)^k per row at most.
+    bits.  For k = 0 the sum is the values, sum_j a_j sigma_0(z_j).  Against
+    sigma_k(z) @ a and sigma_k'(z) @ (a W) each row moves by rounding, a
+    few eps sum_j |a_j| (sum_i |theta_ji x_i|)^k at most.
     """
     k, d, P = model.k, model.d, model.ps.points
     if grad and k < 1:
         raise ContractError("gradient undefined for k=0")
     if grad and model.on_sphere:
         raise ContractError("gradient is implemented for domain models only")
-    x_rows = P.shape[1]  # the lifted rows the neurons read
-    bounds, centres, half = grid.level(_block_rows(model.n))
-    group = _block_rows(8 * model.n)
-    classes = itertools.chain.from_iterable(
-        zip(*_classify(centres[g : g + group, :x_rows], half[g : g + group, :x_rows], P))
-        for g in range(0, len(centres), group))
     # u = sum_j k a_j theta_j s(z_j) with s = sigma_k' / k, that is max(z, 0)^(k - 1)
     # (z > 0 at k = 1, as sigma_1' reads), or the values sum_j a_j sigma_0(z_j) at k = 0
     coef = k * model.a[:, None] * P if k else model.a[:, None]
-    act = functools.partial(sigma_k_prime, 1) if k == 1 else functools.partial(sigma_k, max(k - 1, 0))
-    idx, M = _monomial_lift(P, max(k - 1, 0))
-    n_mono, width = len(idx), coef.shape[1]
+    degree = max(k - 1, 0)
+    act = functools.partial(sigma_k_prime, 1) if k == 1 else functools.partial(sigma_k, degree)
+    M = _monomial_lift(P, degree)[1]
+    n_mono, width = len(M), coef.shape[1]
     # a polynomial neuron's term on the monomials, one row of width x n_mono per neuron
     fold = (coef[:, :, None] * M.T[:, None, :]).reshape(model.n, width * n_mono)
-    # [folded | crossing] coefficients, and the monomials over the crossing neurons' sigma
-    c_buf, e_buf = np.empty((width, n_mono + model.n)), np.empty(0)
-    for lo, hi, (dead, poly) in zip(bounds.tolist(), bounds[1:].tolist(), classes):
-        cross = np.flatnonzero(dead == poly)  # neither: a neuron cannot be both
-        x = grid.xt[:x_rows, lo:hi]
-        cols = n_mono + len(cross)
-        if cols * (hi - lo) > len(e_buf):
-            e_buf = np.empty(cols * (hi - lo))
-        E = e_buf[: cols * (hi - lo)].reshape(cols, hi - lo)
-        if n_mono == len(x):  # degree 1: the monomials are the lifted rows
-            E[:n_mono] = x
-        else:
-            np.prod(x[idx], axis=1, out=E[:n_mono])
-        act(np.matmul(P[cross], x, out=E[n_mono:]), out=E[n_mono:])
-        C = c_buf[:, :cols]
+    c_buf = np.empty((width, n_mono + model.n))  # [folded | crossing] coefficients
+    for lo, hi, _, poly, cross, E in _tiles(P, degree, act, xt, tiles):
+        C = c_buf[:, : len(E)]
         C[:, :n_mono] = (poly @ fold).reshape(width, n_mono)
         C[:, n_mono:] = coef[cross].T
         u = C @ E
         if k:  # u[:d] is the gradient; its last row, which no output needs, takes the values
-            value = np.einsum("ij,ij->j", x, u)
+            value = np.einsum("ij,ij->j", xt[: P.shape[1], lo:hi], u)
             u = u if grad else u[d:]
             np.divide(value, k, out=u[-1])
         yield lo, hi, u
@@ -629,7 +592,7 @@ def _ridge_residual(yy: float, z: np.ndarray, c: np.ndarray, ridge: float, size:
     return math.sqrt(res2) if res2 >= RESIDUAL_FLOOR * (yy + size) else math.nan
 
 
-def _solve_reduced(P, k, T, grid, tiles, yw, ridge, norm_cap, n) -> tuple[np.ndarray, float, str, int]:
+def _solve_reduced(P, k, T, grid, tiles, yw, ridge) -> tuple[np.ndarray, float, str, int]:
     """(c, residual, solver, solver_rows): coefficients for the weighted
     reduced design B = sw [sigma_k(P x^T) | Q T] on the Grid grid, the grid
     residual ||B c - y||, the solver taken (cholesky, qr or cholesky->qr)
@@ -638,9 +601,8 @@ def _solve_reduced(P, k, T, grid, tiles, yw, ridge, norm_cap, n) -> tuple[np.nda
     Both solvers read the blocks of virtual rows of [B | y] that the tiles
     of the level tiles give (_design_blocks), whose Grams sum to
     [B | y]^T [B | y], and end in a triangular factor [[R, z], [0, rho]]
-    of [B | y].  A ridge without a cap, which squares the condition number
-    anyway, takes each tile's block from the pivoted Cholesky factor of
-    the tile's Gram, adds each block's Gram to the upper triangle of one
+    of [B | y].  A ridge, which squares the condition number anyway, takes
+    each tile's block from the pivoted Cholesky factor of the tile's Gram, adds each block's Gram to the upper triangle of one
     (cols + 1)^2 matrix with one dsyrk, whose last column is B^T y and
     corner y^T y, adds the ridge to its diagonal, and factors
     R^T R = B^T B + ridge I with dpotrf on that triangle; two dtrtrs give
@@ -655,15 +617,13 @@ def _solve_reduced(P, k, T, grid, tiles, yw, ridge, norm_cap, n) -> tuple[np.nda
     come from R = U diag(s) V^T without squaring its condition number.
     Over the s above lstsq's cutoff eps max(rows, cols) s_max, rows the
     grid's, c = V (U^T z / s) is the minimum-norm least-squares solution,
-    and with a ridge c = V (s U^T z / (s^2 + ridge)); a cap instead runs
-    the root search on G = V diag(s^2) V^T and B^T y = V diag(s) U^T z,
-    which at lam = 0 inverts the same s.  The fold's residual is
-    sqrt(rho^2 + ||R c - z||^2), which involves no cancellation.
+    and with a ridge c = V (s U^T z / (s^2 + ridge)).  The fold's residual
+    is sqrt(rho^2 + ||R c - z||^2), which involves no cancellation.
     """
     rows = len(grid[0])
     cols = len(P) + T.shape[1]
     solver, solver_rows = "qr", 0
-    if ridge > 0.0 and norm_cap == 0.0:
+    if ridge > 0.0:
         G = np.zeros((cols + 1, cols + 1), order="F")
         for Bt in _design_blocks(P, k, T, grid, tiles, yw, gram=True):
             dsyrk(1.0, Bt.T, beta=1.0, c=G, trans=1, overwrite_c=1)
@@ -697,13 +657,10 @@ def _solve_reduced(P, k, T, grid, tiles, yw, ridge, norm_cap, n) -> tuple[np.nda
     rho = float(design[cols, cols]) if r > cols else 0.0
     U, s, Vt = np.linalg.svd(R)
     Uz = U.T @ z
-    keep = (s > np.finfo(float).eps * max(rows, cols) * s[0]) | (ridge > 0.0)
-    if norm_cap > 0.0:
-        p = s * Uz
-        c = _cap_root(s * s + ridge, Vt.T, p, float(np.linalg.norm(p)), keep, n, norm_cap)[0]
-    elif ridge > 0.0:
+    if ridge > 0.0:
         c = Vt.T @ (s * Uz / (s * s + ridge))
     else:
+        keep = s > np.finfo(float).eps * max(rows, cols) * s[0]
         c = Vt.T @ np.divide(Uz, s, out=np.zeros(cols), where=keep)
     return c, math.hypot(rho, float(np.linalg.norm(R @ c - z))), solver, solver_rows
 
@@ -729,41 +686,40 @@ def least_squares_fit(
     grid_points: Grid,
     k: int = 1,
     ridge: float = 0.0,
-    norm_cap: float = 0.0,
 ) -> FiniteNeuronModel:
     """Weighted least squares over grid_points, a Grid of (points, weights)
-    on the domain (or the sphere).
+    on the domain (or the sphere), with an optional ridge.
 
-    With norm_cap > 0, the cap sqrt(n)||a||_2 <= M is enforced by the
-    smallest extra ridge parameter that meets it (ridge_bisect_cap).  A
-    rank-deficient design with ridge=0 yields the minimum-norm solution.
-    A ridge or norm_cap that is negative or NaN is a ConfigurationError,
-    and grid_points that is not a Grid, or holds points of the wrong
-    width, a ContractError (a Grid refuses points that are not finite and
-    weights other than one finite value >= 0 per point).
+    A rank-deficient design with ridge=0 yields the minimum-norm solution.
+    A norm cap sqrt(n)||a||_2 <= M is the smallest ridge that meets it,
+    which ridge_bisect_cap finds on a Gram matrix.  A ridge that is
+    negative or NaN is a ConfigurationError, and grid_points that is not a
+    Grid, or holds points of the wrong width, a ContractError (a Grid
+    refuses points that are not finite and weights other than one finite
+    value >= 0 per point).
 
     Only the neurons the grid can tell apart are fitted.  On a domain of
     largest grid radius r (grid_points.radius), a dead neuron (0 on the
     grid) gets a_j = 0, and the polynomial block Q U_r S_r V_r^T is fitted
     through its r columns Q U_r S_r with coefficients c, lifted back as
     a_P = V_r c.  V_r has orthonormal columns, so ||a|| = ||(a_live, c)||
-    and the ridge, minimum-norm and norm-cap problems keep their solutions
-    exactly.  Sphere targets prune nothing.  The weighted reduced design B
-    and the weighted target y are never built as rows: the grid's tiles
+    and the ridge and minimum-norm problems keep their solutions exactly.
+    Sphere targets prune nothing.  The weighted reduced design B and the
+    weighted target y are never built as rows: the grid's tiles
     (grid_points.level) that hold at most _block_rows(live + C(k + d, d) +
     1) rows each give a factor of their own small design, in which a
     neuron that does not cross the tile's box is 0 or its monomial sum,
     lifted to the columns of [B | y] (_design_blocks), from the grid's
     weighted rows and its table of f, both kept for the next fit on the
-    grid.  With a ridge and no cap, each tile's factor comes
-    from the pivoted Cholesky factor of its Gram, one dsyrk per tile
-    accumulates [B | y]^T [B | y], which holds G = B^T B and B^T y, and
+    grid.  With a ridge, each tile's factor comes from the pivoted
+    Cholesky factor of its Gram, one dsyrk per tile accumulates
+    [B | y]^T [B | y], which holds G = B^T B and B^T y, and
     (G + ridge I) a = B^T y is solved by Cholesky (dpotrf, then two
     dtrtrs); a pivot that is not positive, as a ridge below rounding on a
-    rank-deficient design gives, falls back to the QR fold.  Every other
-    fit folds the tiles' Householder QR factors into a QR factor, whose SVD
-    gives the minimum-norm solution, or the cap's root search, without
-    squaring the condition number as G does (see _solve_reduced).
+    rank-deficient design gives, falls back to the QR fold.  A fit without
+    a ridge folds the tiles' Householder QR factors into a QR factor, whose
+    SVD gives the minimum-norm solution without squaring the condition
+    number as G does (see _solve_reduced).
 
     The model returned carries the fit's grid residual
     sqrt(sum_i w_i (f_n(x_i) - f(x_i))^2) as model.residual, read from the
@@ -774,7 +730,7 @@ def least_squares_fit(
     the caller evaluates the model with error_norms instead.  Every model
     no least-squares fit produced has residual NaN.  One JSON debug record
     per fit (rows, n, the live, polynomial and dead counts, the reduced
-    column count, the problem solved: lstsq, solve or cap, the solver
+    column count, the problem solved: lstsq or solve, the solver
     taken: cholesky, qr or cholesky->qr, the residual, the tiles read, the
     rows of the largest as block_rows, the virtual rows the solver read as
     solver_rows, and the seconds taken) goes to the "fnspace.models"
@@ -783,8 +739,8 @@ def least_squares_fit(
     start = time.perf_counter()
     if not isinstance(grid_points, Grid):
         raise ContractError("grid_points must be a models.Grid")
-    if not (ridge >= 0.0 and norm_cap >= 0.0):  # NaN too
-        raise ConfigurationError(f"ridge and norm_cap must be >= 0, got {ridge} and {norm_cap}")
+    if not ridge >= 0.0:  # NaN too
+        raise ConfigurationError(f"ridge must be >= 0, got {ridge}")
     if grid_points[0].shape[1] != f.d + f.on_sphere:
         raise ContractError("grid points must have d components (d+1 on the sphere)")
     rows, n = len(grid_points[0]), ps.n
@@ -805,7 +761,7 @@ def least_squares_fit(
     yw = grid_points.tabulate(f) * grid_points.sw
     if cols:
         tiles = grid_points.level(_block_rows(n_live + math.comb(k + ps.d, k) + 1))
-        c, residual, solver, solver_rows = _solve_reduced(P, k, T, grid_points, tiles, yw, ridge, norm_cap, n)
+        c, residual, solver, solver_rows = _solve_reduced(P, k, T, grid_points, tiles, yw, ridge)
         sizes = np.diff(tiles[0])
     else:  # every neuron is 0 on the grid
         c, residual, solver, solver_rows = np.zeros(0), float(np.linalg.norm(yw)), None, 0
@@ -817,12 +773,12 @@ def least_squares_fit(
         _log.debug("%s", json.dumps({
             "rows": rows, "n": n, "live": n_live, "polynomial": int(np.count_nonzero(poly)),
             "dead": int(np.count_nonzero(dead)), "columns": cols,
-            "path": "cap" if norm_cap > 0.0 else "solve" if ridge > 0.0 else "lstsq",
+            "path": "solve" if ridge > 0.0 else "lstsq",
             "solver": solver, "residual": residual, "tiles": len(sizes),
             "block_rows": int(np.max(sizes, initial=0)), "solver_rows": solver_rows,
             "seconds": time.perf_counter() - start,
         }))
-    model = FiniteNeuronModel(k, ps, a, norm_cap, on_sphere=f.on_sphere)
+    model = FiniteNeuronModel(k, ps, a, on_sphere=f.on_sphere)
     object.__setattr__(model, "residual", residual)
     return model
 
@@ -855,7 +811,7 @@ def error_norms(
     w, values = grid_points[1], grid_points.tabulate(f)
     grads = grid_points.tabulate(f.grad) if s == 1 else None
     l2 = h1 = 0.0  # the value row is reduced alone, so l2 is the same at either s
-    for lo, hi, V in _tile_values(model, grid_points, grad=s == 1):
+    for lo, hi, V in _tile_values(model, grid_points.xt, grid_points.level(_block_rows(model.n)), s == 1):
         V[-1] -= values[lo:hi]  # V holds the gradient's rows, then the values
         if s == 1:
             V[:-1] -= grads[:, lo:hi]

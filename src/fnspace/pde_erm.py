@@ -23,7 +23,7 @@ import numpy as np
 
 from .activation import sigma_k, sigma_k_prime
 from .errors import ConfigurationError, ContractError
-from .models import FiniteNeuronModel, Grid, TargetFunction, _tile_values, ridge_bisect_cap
+from .models import FiniteNeuronModel, Grid, TargetFunction, _block_rows, _tile_values, ridge_bisect_cap
 from .sphere import PointSet
 
 __all__ = [
@@ -241,7 +241,7 @@ def _grid_energy(model: FiniteNeuronModel, problem: EllipticProblem) -> tuple[fl
     # per tile, each weighted by w: g_c^2 for each gradient component and the value, h g, and (g - f)_c^2
     c = problem.d + 1
     sums, y_buf = np.zeros(2 * c + 1), np.empty(0)
-    for lo, hi, V in _tile_values(model, grid, grad=True):
+    for lo, hi, V in _tile_values(model, grid.xt, grid.level(_block_rows(model.n)), grad=True):
         if len(sums) * (hi - lo) > len(y_buf):
             y_buf = np.empty(len(sums) * (hi - lo))
         Y = y_buf[: len(sums) * (hi - lo)].reshape(len(sums), hi - lo)
@@ -322,7 +322,7 @@ def erm_fit(
     in-place edit of either array is seen and rebuilds.  Solves the
     quadratic program (ridge_bisect_cap if the cap sqrt(n)||a||_2 <=
     norm_cap is set; a negative or NaN norm_cap is a ConfigurationError).
-    The fitted model's blocked evaluation then gives the empirical risk
+    The fitted model's tiled evaluation then gives the empirical risk
     |Omega| mean Psi(g) at the samples, equal to
     empirical_risk(model, model.gradient, problem, samples).  The energy,
     excess risk and H1 error against the manufactured solution come from

@@ -177,6 +177,10 @@ def test_ls_zero_target():
 
 
 def test_ls_norm_cap_binds():
+    """A norm cap on a least-squares fit is a ridge: ridge_bisect_cap on the
+    weighted design's Gram finds the smallest lam that meets a cap a tenth
+    of the free fit's sqrt(n)||a||, and least_squares_fit at ridge lam gives
+    those coefficients (3.5e-15 apart measured), on the cap."""
     ps = generate_points(1, 16, "equispaced_circle")
 
     def f(x):
@@ -185,15 +189,17 @@ def test_ls_norm_cap_binds():
     target = TargetFunction("cos", 1, f)
     pts, w = domain_grid_1d()
     free = least_squares_fit(target, ps, Grid(pts, w), k=2)
-    free_norm = coef_stat(free)[1]
-    M = free_norm / 10.0
-    capped = least_squares_fit(target, ps, Grid(pts, w), k=2, norm_cap=M)
+    M = coef_stat(free)[1] / 10.0
+    A, y = _weighted_design(ps, 2, pts, w, target)
+    a, lam = ridge_bisect_cap(A.T @ A, A.T @ y, ps.n, M)
+    assert lam > 0.0 and M * (1.0 - 1e-9) <= math.sqrt(ps.n) * np.linalg.norm(a) <= M * (1.0 + 1e-12)
+    capped = least_squares_fit(target, ps, Grid(pts, w), k=2, ridge=lam)
+    assert np.linalg.norm(capped.a - a) <= 1e-10 * np.linalg.norm(a)
     assert coef_stat(capped)[1] <= M * (1.0 + 1e-6)
     assert coef_stat(capped)[1] >= M * (1.0 - 1e-3)
 
 
-@pytest.mark.parametrize("bad", [{"ridge": -1e-3}, {"norm_cap": -5.0}, {"ridge": math.nan}, {"norm_cap": math.nan}],
-                         ids=["ridge", "norm_cap", "nan_ridge", "nan_norm_cap"])
+@pytest.mark.parametrize("bad", [{"ridge": -1e-3}, {"ridge": math.nan}], ids=["ridge", "nan_ridge"])
 def test_ls_rejects_a_negative_ridge_or_cap(bad):
     target = TargetFunction("zero", 1, lambda x: np.zeros(len(np.atleast_2d(x))))
     with pytest.raises(ConfigurationError, match="must be >= 0"):
@@ -440,6 +446,9 @@ def _offset_rows(offset, B):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_blocked_evaluation_matches_one_shot(offset, k, d, n, on_sphere, seed):
+    """A model called on more rows than one tile holds, under a small float
+    budget, gives sigma_k(z) @ a and sigma_k'(z) @ (a W) within the tiled
+    evaluator's bound; features gives sigma_k(z) and sigma_k'(z) bit for bit."""
     rng = np.random.Generator(np.random.Philox(seed))
     pts = rng.standard_normal((n, d + 1))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
@@ -450,14 +459,9 @@ def test_blocked_evaluation_matches_one_shot(offset, k, d, n, on_sphere, seed):
     x = rng.uniform(-1.5, 1.5, (rows, d + 1 if on_sphere else d))
     xt = x if on_sphere else np.column_stack([x, np.ones(rows)])
     z = xt @ pts.T
-    scale = np.abs(sigma_k(k, z)) @ np.abs(a)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(models, "BLOCK_FLOATS", SMALL_BLOCK_FLOATS)
-        assert np.all(np.abs(model(x) - sigma_k(k, z) @ a) <= 1e-13 * scale)
-        if k >= 1 and not on_sphere:
-            want = (sigma_k_prime(k, z) * a) @ pts[:, :d]
-            gscale = (np.abs(sigma_k_prime(k, z)) @ np.abs(a))[:, None]
-            assert np.all(np.abs(model.gradient(x) - want) <= 1e-13 * gscale)
+        _assert_within_the_tile_bound(model, x, model(x), model.gradient(x) if k >= 1 and not on_sphere else None)
     assert np.array_equal(features(ps, k, x), sigma_k(k, z))
     if k >= 1:
         phi, dphi = features(ps, k, x, grad=True)
@@ -465,9 +469,9 @@ def test_blocked_evaluation_matches_one_shot(offset, k, d, n, on_sphere, seed):
 
 
 def _evaluate_reference(model, x, grad, B):
-    """FiniteNeuronModel._evaluate as written with sigma_k' and sigma_k each
-    taken from z, sigma_k' in a second buffer, over blocks of B rows of the
-    whole lifted input: the bit reference."""
+    """FiniteNeuronModel._evaluate as written before the tiled evaluator, with
+    sigma_k' and sigma_k each taken from z, sigma_k' in a second buffer, over
+    blocks of B rows of the whole lifted input."""
     xt = x if model.on_sphere else np.column_stack([x, np.ones(len(x))])
     rows = len(xt)
     values = np.empty(rows)
@@ -484,6 +488,21 @@ def _evaluate_reference(model, x, grad, B):
     return values, grads
 
 
+def _assert_within_the_tile_bound(model, x, values, grads, want=None):
+    """values (and grads, unless None) at the rows x are want, by default
+    _evaluate_reference's, within the tiled evaluator's bound: TILE_C eps
+    sum_j |a_j| (sum_i |theta_ji x_i|)^k per row, and its k-fold
+    counterpart per gradient component."""
+    want_values, want_grads = want or _evaluate_reference(model, x, grads is not None, max(1, len(x)))
+    reach = np.abs(models._lifted(x, model.d, model.on_sphere)) @ np.abs(model.ps.points.T)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(values - want_values) <= TILE_C * eps * (reach**model.k @ np.abs(model.a)))
+    if grads is not None:
+        for i in range(model.d):
+            bound = TILE_C * eps * model.k * reach ** (model.k - 1) @ np.abs(model.a * model.ps.points[:, i])
+            assert np.all(np.abs(grads[:, i] - want_grads[:, i]) <= bound)
+
+
 def _assert_bits_equal(got, want):
     assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -498,10 +517,11 @@ def _assert_bits_equal(got, want):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_evaluation_bit_identical_to_two_buffer_reference(offset, k, d, n, on_sphere, seed):
-    """Values and gradients from one r = max(z, 0) per block, with the 2 of
-    sigma_2' = 2r folded into the coefficients and each block's (x, 1) rows
-    written into a reused buffer, equal the two-buffer loop's over the lifted
-    input."""
+    """Values alone are the values of a values-and-gradients call bit for
+    bit, and model(x) and model.gradient(x) are _evaluate's, on inputs that
+    straddle a tile boundary under a small float budget; all are the
+    two-buffer loop's values and gradients within the tiled evaluator's
+    bound, which replaced that loop's bit identity."""
     rng = np.random.Generator(np.random.Philox(seed))
     pts = rng.standard_normal((n, d + 1))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
@@ -514,18 +534,21 @@ def test_evaluation_bit_identical_to_two_buffer_reference(offset, k, d, n, on_sp
         mp.setattr(models, "BLOCK_FLOATS", SMALL_BLOCK_FLOATS)
         values, grads = model._evaluate(x, grad=grad)
         values_only = model._evaluate(x)[0]
-    want_values, want_grads = _evaluate_reference(model, x, grad, B)
-    _assert_bits_equal(values, want_values)
-    _assert_bits_equal(values_only, want_values)
-    if grad:
-        _assert_bits_equal(grads, want_grads)
+        _assert_bits_equal(model(x), values_only)
+        if grad:
+            _assert_bits_equal(model.gradient(x), grads)
+    _assert_bits_equal(values_only, values)
+    _assert_within_the_tile_bound(model, x, values, grads, _evaluate_reference(model, x, grad, B))
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 @pytest.mark.parametrize("on_sphere", [False, True])
 def test_evaluation_at_zero_preactivations_matches_the_reference(k, on_sphere, monkeypatch):
     """Inputs on the kinks, where z is exactly 0 (and -0 in the input), over
-    more than one block: r > 0 is False there, as z > 0 is."""
+    more than one tile: sigma_0 and sigma_1', which jump there, take the
+    reference's side (a wrong side is off by some |a_j|, far above the
+    bound), and every value and gradient is the reference's within the
+    tiled evaluator's bound."""
     monkeypatch.setattr(models, "BLOCK_FLOATS", SMALL_BLOCK_FLOATS)
     B = SMALL_BLOCK_FLOATS // 5
     s = math.sqrt(0.5)
@@ -541,22 +564,17 @@ def test_evaluation_at_zero_preactivations_matches_the_reference(k, on_sphere, m
     assert np.count_nonzero(z == 0.0) >= len(x)
     grad = k >= 1 and not on_sphere
     values, grads = model._evaluate(x, grad=grad)
-    want_values, want_grads = _evaluate_reference(model, x, grad, B)
-    assert values.tobytes() == want_values.tobytes()
-    if grad:
-        assert grads.tobytes() == want_grads.tobytes()
+    assert len(x) > _block_rows(5)
+    _assert_within_the_tile_bound(model, x, values, grads, _evaluate_reference(model, x, grad, B))
 
 
-def _ls_reference(f, ps, pts, w, k, ridge=0.0, norm_cap=0.0):
+def _ls_reference(f, ps, pts, w, k, ridge=0.0):
     """least_squares_fit as written before the in-place design: the bit reference."""
     z = np.column_stack([pts, np.ones(len(pts))]) @ ps.points.T
     design = np.where(z >= 0.0, 1.0, 0.0) if k == 0 else np.maximum(z, 0.0) ** k
     sw = np.sqrt(w)
     Aw = design * sw[:, None]
     yw = f(pts) * sw
-    if norm_cap > 0.0:
-        G = Aw.T @ Aw + ridge * np.eye(ps.n)
-        return ridge_bisect_cap(G, Aw.T @ yw, ps.n, norm_cap)[0]
     if ridge > 0.0:
         return np.linalg.solve(Aw.T @ Aw + ridge * np.eye(ps.n), Aw.T @ yw)
     return np.linalg.lstsq(Aw, yw, rcond=None)[0]
@@ -570,9 +588,7 @@ def _ridge_objective(f, ps, pts, w, k, a, ridge=0.0):
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
-@pytest.mark.parametrize(
-    "path", [{}, {"ridge": 1e-6}, {"norm_cap": 0.5}], ids=["lstsq", "ridge", "cap"]
-)
+@pytest.mark.parametrize("path", [{}, {"ridge": 1e-6}], ids=["lstsq", "ridge"])
 def test_ls_coefficients_bit_identical_to_reference(k, path):
     """The pruned fit solves the reference's problem: no higher objective, and
     coefficients within 1e-8 (9.5e-10 measured, at ridge 1e-6, k=1)."""
@@ -585,9 +601,6 @@ def test_ls_coefficients_bit_identical_to_reference(k, path):
     got_obj = _ridge_objective(target, ps, pts, w, k, model.a, ridge)
     assert got_obj <= _ridge_objective(target, ps, pts, w, k, want, ridge) * (1.0 + 1e-10)
     assert np.linalg.norm(model.a - want) <= 1e-8 * np.linalg.norm(want)
-    if "norm_cap" in path:  # the cap path is exercised only if the cap binds
-        free = least_squares_fit(target, ps, Grid(pts, w), k=k)
-        assert coef_stat(free)[1] > path["norm_cap"]
 
 
 def _unit(rows):
@@ -624,7 +637,7 @@ def _polynomial_null_space(ps, k, poly, rng):
     n=st.integers(1, 60),
     strategy=st.sampled_from(["uniform_random", "structured"]),
     radius=st.floats(0.2, 1.0),
-    path=st.sampled_from([{}, {"ridge": 1e-9}, {"ridge": 1e-6}, "cap"]),
+    path=st.sampled_from([{}, {"ridge": 1e-9}, {"ridge": 1e-6}]),
     seed=st.integers(0, 2**32 - 1),
 )
 @example(d=2, k=3, n=26, strategy="uniform_random", radius=0.451171875, path={}, seed=67550)
@@ -650,9 +663,6 @@ def test_pruned_fit_solves_the_full_problem(d, k, n, strategy, radius, path, see
     at = np.argmin(np.linalg.norm(ps.points[:, None, :] - extra, axis=2), axis=0)
     x, w = _small_grid(d, radius, 3 * ps.n + 20, rng)
     target = get_target("gaussian_bump", d)
-    if path == "cap":
-        free = coef_stat(least_squares_fit(target, ps, Grid(x, w), k=k))[1]
-        path = {"norm_cap": 0.5 * free}
     model = least_squares_fit(target, ps, Grid(x, w), k=k, **path)
     a = model.a
     r = float(np.max(np.linalg.norm(x, axis=1)))
@@ -704,9 +714,8 @@ def test_blocked_solvers_match_the_dense_design(d, k, n, on_sphere, offset, radi
     one fold.  Reference: the full rows x n design A of every direction,
     solved densely.  Tolerances, fixed in advance: with
     lam = 1e-6 ||A||_F^2, so cond(A^T A + lam I) <= 1e6 + 1, the ridge path
-    (dsyrk) and the QR fold (a ridge under a cap that does not bind) give
-    ||a - a_ref|| <= 1e-8 ||a_ref||; the ridge-free QR fold reaches the
-    lstsq objective within a relative 1e-10 plus 1e-13 ||y_w||^2.  Each
+    (dsyrk) gives ||a - a_ref|| <= 1e-8 ||a_ref||; the ridge-free QR fold
+    reaches the lstsq objective within a relative 1e-10 plus 1e-13 ||y_w||^2.  Each
     fit's residual is ||A a - y_w|| within _assert_residual's tolerances,
     and its record reads the tiles the rule gives."""
     rng = np.random.Generator(np.random.Philox(seed))
@@ -740,12 +749,11 @@ def test_blocked_solvers_match_the_dense_design(d, k, n, on_sphere, offset, radi
         assert np.array_equal(least_squares_fit(target, ps, Grid(x, w), k=k, ridge=1.0).a, np.zeros(ps.n))
         return
     want = np.linalg.solve(A.T @ A + lam * np.eye(ps.n), A.T @ yw)
-    huge = 1e6 * math.sqrt(ps.n) * float(np.linalg.norm(want))
     rows = len(x)
     tiles = 1 << max(0, math.ceil(math.log2(rows / step)))  # median cuts halve every tile
     with pytest.MonkeyPatch.context() as mp, _model_records() as records:
         mp.setattr(models, "BLOCK_FLOATS", SMALL_BLOCK_FLOATS)
-        for path in ({"ridge": lam}, {"ridge": lam, "norm_cap": huge}, {}):
+        for path in ({"ridge": lam}, {}):
             model = least_squares_fit(target, ps, Grid(x, w), k=k, **path)
             info = records[-1]
             assert (info["tiles"], info["block_rows"]) == (min(tiles, rows), -(-rows // tiles))
@@ -809,8 +817,10 @@ def test_design_blocks_share_one_buffer_within_the_budget():
     covers.  The blocks are neuron-major views of one C-contiguous buffer, one
     per tile, with at most (crossing neurons + 7) rows, fewer than the
     tile's; each has the Gram of its tile's rows of the dense weighted
-    reduced design [B | y], within 1e-13 of its largest entry.
-    _block_rows gives as many rows as the budget holds."""
+    reduced design [B | y], within 1e-13 of its largest entry.  The blocks
+    are views of one buffer that grows to the largest: a block shares the
+    memory of the block before it unless it is larger than every block
+    before it.  _block_rows gives as many rows as the budget holds."""
     pts, w = domain_grid(2, 4096)
     ps = generate_points(2, 96, "fibonacci_s2")
     P, T, _ = _reduced(ps, 2, pts, False)
@@ -833,7 +843,8 @@ def test_design_blocks_share_one_buffer_within_the_budget():
     for t, Bt in enumerate(_design_blocks(P, 2, T, grid, level, yw)):
         assert Bt.flags.c_contiguous and Bt.shape[0] == cols + 1 and Bt.shape[1] < sizes[t]
         assert Bt.size <= BLOCK_FLOATS
-        assert not blocks or np.shares_memory(Bt, blocks[0][1])
+        if blocks:
+            assert np.shares_memory(Bt, blocks[-1][1]) == (Bt.size <= max(c.size for c, _ in blocks))
         rows = dense[bounds[t] : bounds[t + 1]]
         want = rows.T @ rows
         assert np.max(np.abs(Bt @ Bt.T - want)) <= 1e-13 * np.max(np.abs(want))
@@ -947,7 +958,7 @@ def test_pruned_columns_are_exact():
             assert np.all(least_squares_fit(target, ps, Grid(pts, w), k=k, **path).a[dead] == 0.0)
 
 
-@pytest.mark.parametrize("path", [{}, {"ridge": 1e-6}, {"norm_cap": 1e-3}], ids=["lstsq", "ridge", "cap"])
+@pytest.mark.parametrize("path", [{}, {"ridge": 1e-6}], ids=["lstsq", "ridge"])
 def test_every_direction_dead_gives_zero_coefficients(path):
     pts, w = domain_grid(2, 4096)
     ps = PointSet(_unit([[1.0, 0.0, -1.5], [0.0, 1.0, -1.2], [-0.6, 0.8, -2.0]]))
@@ -957,7 +968,7 @@ def test_every_direction_dead_gives_zero_coefficients(path):
     assert model.residual == pytest.approx(error_norms(model, target, Grid(pts, w))[0], rel=1e-12)
 
 
-@pytest.mark.parametrize("path", [{}, {"ridge": 1e-9}, {"norm_cap": 0.05}], ids=["lstsq", "ridge", "cap"])
+@pytest.mark.parametrize("path", [{}, {"ridge": 1e-9}], ids=["lstsq", "ridge"])
 def test_fewer_polynomial_directions_than_monomials(path):
     """k=3 on the disk has 10 monomials; 4 polynomial directions span only 4 of them."""
     pts, w = domain_grid(2, 4096)
@@ -977,24 +988,29 @@ def test_fewer_polynomial_directions_than_monomials(path):
     assert np.linalg.norm(model.a - want) <= 1e-6 * np.linalg.norm(want)
 
 
-def test_capped_fit_on_a_rank_deficient_design_matches_the_design_svd(caplog):
-    """Fibonacci n=96, k=2 on the disk: the full design has cond ~ 1e16.  At the
-    fit's own lambda, a = V diag(s/(s^2+lambda)) U^T y from the SVD of the
-    full design is the accurate answer; the full Gram read 2.5e-4 from it
-    here, the pruned Gram 4.8e-5, the QR factor of the pruned design 1.9e-10."""
+def test_capped_fit_on_a_rank_deficient_design_matches_the_design_svd():
+    """Fibonacci n=96, k=2 on the disk: the full design has cond ~ 1e16, so
+    its Gram G is rank-deficient to rounding (eigenvalues down to -2e-15).
+    ridge_bisect_cap(G, B^T y) under half the free fit's norm binds near the
+    Gram's rounding level and puts a on the cap.  At its lambda, a =
+    V diag(s/(s^2+lambda)) U^T y from the SVD of the full design is the
+    accurate answer: the Gram's a read 2.5e-4 from it, and a least-squares
+    fit at ridge lambda, the capped fit, 3.5e-6."""
     pts, w = domain_grid(2, 4096)
     ps = generate_points(2, 96, "fibonacci_s2")
     target = get_target("gaussian_bump", 2)
     cap = 0.5 * coef_stat(least_squares_fit(target, ps, Grid(pts, w), k=2))[1]
-    with caplog.at_level(logging.DEBUG, logger="fnspace.models"):
-        model = least_squares_fit(target, ps, Grid(pts, w), k=2, norm_cap=cap)
-    lam = [json.loads(r.getMessage()) for r in caplog.records if "lam" in r.getMessage()][0]["lam"]
+    A, y = _weighted_design(ps, 2, pts, w, target)
+    G = A.T @ A
+    assert np.linalg.eigvalsh(G)[0] <= 0.0  # rank-deficient to rounding
+    a, lam = ridge_bisect_cap(G, A.T @ y, ps.n, cap)
     assert 1e-12 < lam < 1e-10  # the cap binds near the Gram's rounding level
-    sw = np.sqrt(w)
-    U, s, Vt = np.linalg.svd(features(ps, 2, pts) * sw[:, None], full_matrices=False)
-    want = Vt.T @ (s / (s**2 + lam) * (U.T @ (target(pts) * sw)))
-    want *= min(1.0, cap / (math.sqrt(ps.n) * np.linalg.norm(want)))
-    assert np.linalg.norm(model.a - want) <= 1e-8 * np.linalg.norm(want)
+    assert cap * (1.0 - 1e-9) <= math.sqrt(ps.n) * np.linalg.norm(a) <= cap * (1.0 + 1e-12)
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    want = Vt.T @ (s / (s**2 + lam) * (U.T @ y))
+    assert np.linalg.norm(a - want) <= 1e-3 * np.linalg.norm(want)
+    capped = least_squares_fit(target, ps, Grid(pts, w), k=2, ridge=lam)
+    assert np.linalg.norm(capped.a - want) <= 1e-4 * np.linalg.norm(want)
 
 
 @contextlib.contextmanager
@@ -1025,11 +1041,11 @@ def _fit_records(caplog, *args, **kwargs):
 def test_least_squares_fit_diagnostics_record(caplog):
     """One record per fit.  tiles counts the grid tiles the fit read,
     block_rows is the largest of them and solver_rows the virtual rows the
-    solver read: on the QR and capped paths min(tile rows, crossing neurons
-    + 7) per tile at k = 2 on the disk, counted here from the tile boxes,
-    and on the Cholesky path the rank its pivoted Cholesky factor reached,
-    at most as many.  The three paths read the same tiles; a fit with every
-    neuron dead reads none."""
+    solver read: on the QR path min(tile rows, crossing neurons + 7) per
+    tile at k = 2 on the disk, counted here from the tile boxes, and on the
+    Cholesky path the rank its pivoted Cholesky factor reached, at most as
+    many.  Both paths read the same tiles; a fit with every neuron dead
+    reads none."""
     pts, w = domain_grid(2, 4096)
     ps = generate_points(2, 96, "fibonacci_s2")
     target = get_target("gaussian_bump", 2)
@@ -1061,11 +1077,7 @@ def test_least_squares_fit_diagnostics_record(caplog):
     assert residual == least_squares_fit(target, ps, Grid(pts, w), k=2, ridge=1e-9).residual > 0.0
     (lstsq,) = _fit_records(caplog, target, ps, Grid(pts, w), k=2)
     assert (lstsq["path"], lstsq["solver"]) == ("lstsq", "qr")
-    capped = _fit_records(caplog, target, ps, Grid(pts, w), k=2, norm_cap=1.0)
-    assert [r.get("path") for r in capped] == [None, "cap"]  # ridge_bisect_cap's record first
-    assert capped[1]["solver"] == "qr"
-    for record in (lstsq, capped[1]):  # both solvers read the same virtual rows
-        assert {key: record[key] for key in tiled} == tiled
+    assert {key: lstsq[key] for key in tiled} == tiled
     # a grid shorter than one tile is one tile; a wide design's tiles stay within the budget
     (short,) = _fit_records(caplog, target, ps, Grid(pts[:500], w[:500]), k=2, ridge=1e-9)
     assert (short["tiles"], short["block_rows"]) == (1, 500)
@@ -1103,7 +1115,7 @@ def _weighted_design(ps, k, x, w, target):
     n=st.integers(2, 48),
     strategy=st.sampled_from(["uniform_random", "structured"]),
     radius=st.floats(0.3, 1.0),
-    path=st.sampled_from(["lstsq", "solve", "cap"]),
+    path=st.sampled_from(["lstsq", "solve"]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_residual_matches_the_evaluated_error(d, k, n, strategy, radius, path, seed):
@@ -1124,9 +1136,7 @@ def test_residual_matches_the_evaluated_error(d, k, n, strategy, radius, path, s
         ps = PointSet(_unit(rng.standard_normal((n, d + 1))))
     x, w = _small_grid(d, radius, 4 * ps.n + 40, rng)
     target = get_target("gaussian_bump", d)
-    kwargs = {"solve": {"ridge": 1e-9}, "lstsq": {}, "cap": {}}[path]
-    if path == "cap":
-        kwargs = {"norm_cap": 0.5 * coef_stat(least_squares_fit(target, ps, Grid(x, w), k=k))[1]}
+    kwargs = {"solve": {"ridge": 1e-9}, "lstsq": {}}[path]
     model = least_squares_fit(target, ps, Grid(x, w), k=k, **kwargs)
     _assert_residual(model, error_norms(model, target, Grid(x, w), s=0)[0], *_weighted_design(ps, k, x, w, target),
                      cholesky=path == "solve")
@@ -1268,7 +1278,7 @@ def test_one_tiling_per_grid(monkeypatch):
     assert trees == [len(grid[0])]
     least_squares_fit(target, generate_points(2, 32, "fibonacci_s2"), grid, k=1, ridge=1e-9)
     least_squares_fit(target, generate_points(2, 64, "fibonacci_s2"), grid, k=2)
-    least_squares_fit(target, generate_points(2, 64, "fibonacci_s2"), grid, k=2, norm_cap=1.0)
+    least_squares_fit(target, generate_points(2, 64, "fibonacci_s2"), grid, k=2, ridge=1e-9)
     assert trees == [len(grid[0])]
     for array in (*grid, grid.xt, *grid.level(100), grid.sw, grid.scaled(2), grid.tabulate(target)):
         with pytest.raises(ValueError, match="read-only"):
@@ -1335,12 +1345,10 @@ def test_tile_levels_partition_the_grid(d, on_sphere, rows, data, seed):
         assert np.all(np.abs(grid.xt[:, lo:hi].T - centres[t]) <= half[t] + 2 * np.finfo(float).eps)
 
 
-@pytest.mark.parametrize(
-    "path", [{}, {"ridge": 1e-9}, {"norm_cap": 1.0}], ids=["lstsq", "ridge", "cap"]
-)
+@pytest.mark.parametrize("path", [{}, {"ridge": 1e-9}], ids=["lstsq", "ridge"])
 def test_ridge_fit_holds_no_full_design(path, caplog):
     """A fit at n=256 on 40960 rows works over row blocks, accumulating the Gram
-    (ridge) or a QR factor (ridge-free or capped): its peak allocation stays far
+    (ridge) or a QR factor (ridge-free): its peak allocation stays far
     below one rows x n design (84 MB), and each block of [B | y] within the
     float budget."""
     pts, w = domain_grid(2, 40960)
@@ -1362,9 +1370,10 @@ def test_ridge_fit_holds_no_full_design(path, caplog):
 @pytest.mark.parametrize("n", [16, 512])
 def test_evaluation_holds_at_most_two_blocks(n, k):
     """A values-and-gradients call on the 131072-point disk grid peaks at its
-    outputs plus two blocks of BLOCK_FLOATS floats (one at k = 2, where
-    sigma_2' = 2r needs none of its own) and the block's (x, 1) rows, with
-    64 KiB of slack for small objects: no copy of the whole input is made."""
+    outputs, one lifted copy of its input, (x, 1) as 3 floats a row, and two
+    blocks of BLOCK_FLOATS floats, with 64 KiB of slack for small objects
+    (1.8 blocks measured at n = 16, k = 3, where the tile's buffer holds 6
+    monomials beside the 16 neurons)."""
     pts, _ = disk_problem().grid()
     ps = generate_points(2, n, "fibonacci_s2")
     model = FiniteNeuronModel(k, ps, np.random.default_rng(0).standard_normal(n))
@@ -1375,9 +1384,8 @@ def test_evaluation_holds_at_most_two_blocks(n, k):
     finally:
         tracemalloc.stop()
     assert len(pts) == 131072
-    blocks = 1 if k == 2 else 2
-    lifted = 8 * _block_rows(n) * 3
-    assert peak <= values.nbytes + grads.nbytes + blocks * 8 * BLOCK_FLOATS + lifted + 64 * 1024
+    lifted = 8 * len(pts) * 3
+    assert peak <= values.nbytes + grads.nbytes + lifted + 2 * 8 * BLOCK_FLOATS + 64 * 1024
 
 
 def test_error_norms_match_direct_evaluation():
@@ -1525,8 +1533,9 @@ def test_error_norms_check_the_weights_before_they_evaluate():
 
 def test_both_walkers_classify_a_shared_level_alike(monkeypatch):
     """On one level of one Grid and with the same directions, _design_blocks
-    and _tile_values each classify every tile in one _classify call and
-    see the same dead and polynomial masks."""
+    and _tile_values each walk its tiles through the one tile walker
+    (_tiles), classify every tile in one _classify call and see the same
+    dead and polynomial masks."""
     pts, w = domain_grid(2, 4096)
     ps = generate_points(2, 64, "fibonacci_s2")
     grid = Grid(pts, w)
@@ -1537,12 +1546,20 @@ def test_both_walkers_classify_a_shared_level_alike(monkeypatch):
         return calls[-1]
 
     monkeypatch.setattr(models, "_classify", spy)
+    walks, tiles = [], models._tiles
+
+    def walker(P, degree, *args, **kwargs):
+        walks.append(degree)
+        return tiles(P, degree, *args, **kwargs)
+
+    monkeypatch.setattr(models, "_tiles", walker)
     model = FiniteNeuronModel(2, ps, np.random.default_rng(0).standard_normal(ps.n))
-    for _ in models._tile_values(model, grid):
-        pass
     level = grid.level(_block_rows(ps.n))
+    for _ in models._tile_values(model, grid.xt, level):
+        pass
     for _ in _design_blocks(ps.points, 2, np.zeros((6, 0)), grid, level, np.zeros(len(pts))):
         pass
+    assert walks == [1, 2]  # sigma_2' / 2 on the degree-1 monomials, then sigma_2 on the degree-2 ones
     (dead, poly), (dead_fit, poly_fit) = calls
     assert dead.shape == (len(level[0]) - 1, ps.n) and len(level[0]) > 2
     assert np.array_equal(dead, dead_fit) and np.array_equal(poly, poly_fit)
@@ -1600,12 +1617,13 @@ def _kinked_grid(d, n, kinked, on_sphere, distinct, rng):
 # tile boxes that end on kink rows, whose bound rounds to the wrong side of 0 without CLASS_MARGIN
 @example(d=1, k=0, on_sphere=False, n=26, kink_share=1.0, distinct=256, blocks=3, seed=28)
 def test_tiled_evaluation_matches_evaluate(d, k, on_sphere, n, kink_share, distinct, blocks, seed):
-    """The tiled evaluator gives _evaluate's values, and for k >= 1 on a
-    domain its gradients, at every grid row within TILE_C eps times the
-    row's sum_j |a_j| (sum_i |theta_ji x_i|)^k (its k-fold counterpart for a
-    gradient component), on grids of repeated rows, of rows exactly on
-    kinks, which tile boxes end on and where sigma_0 and sigma_1' jump, and
-    of more rows than one tile holds."""
+    """The tiled evaluator on a Grid's tiles, and _evaluate on tiles of
+    consecutive rows of the same rows, give sigma_k(z) @ a, and for k >= 1
+    on a domain sigma_k'(z) @ (a W), at every row within TILE_C eps times
+    the row's sum_j |a_j| (sum_i |theta_ji x_i|)^k (its k-fold counterpart
+    for a gradient component), on grids of repeated rows, of rows exactly
+    on kinks, which tile boxes end on and where sigma_0 and sigma_1' jump,
+    and of more rows than one tile holds."""
     rng = np.random.Generator(np.random.Philox(seed))
     ps, base = _kinked_grid(d, n, round(kink_share * n), on_sphere, distinct, rng)
     model = FiniteNeuronModel(k, ps, rng.standard_normal(n) * 10.0 ** rng.uniform(-2, 2, n), on_sphere=on_sphere)
@@ -1613,14 +1631,83 @@ def test_tiled_evaluation_matches_evaluate(d, k, on_sphere, n, kink_share, disti
     grad = k >= 1 and not on_sphere
     grid = Grid(x, np.ones(len(x)))
     x = grid[0]
-    values, grads = model._evaluate(x, grad=grad)
+    want = _evaluate_reference(model, x, grad, len(x))
     got = np.full((1 + d * grad, len(x)), np.nan)
-    for lo, hi, V in models._tile_values(model, grid, grad=grad):
+    for lo, hi, V in models._tile_values(model, grid.xt, grid.level(_block_rows(n)), grad=grad):
         got[:, lo:hi] = V
-    reach = np.abs(models._lifted(x, d, on_sphere)) @ np.abs(ps.points.T)
-    eps = np.finfo(float).eps
-    assert np.all(np.abs(got[-1] - values) <= TILE_C * eps * (reach**k @ np.abs(model.a)))
-    if grad:
-        for i in range(d):
-            bound = TILE_C * eps * k * reach ** (k - 1) @ np.abs(model.a * ps.points[:, i])
-            assert np.all(np.abs(got[i] - grads[:, i]) <= bound)
+    _assert_within_the_tile_bound(model, x, got[-1], got[:-1].T if grad else None, want)
+    _assert_within_the_tile_bound(model, x, *model._evaluate(x, grad=grad), want)
+
+
+def _callers_order(grid, x):
+    """For each row of the Grid grid, the index of that row in x, whose rows
+    are distinct."""
+    where = {row.tobytes(): i for i, row in enumerate(x)}
+    return np.array([where[row.tobytes()] for row in grid[0]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 2),
+    k=st.integers(0, 3),
+    on_sphere=st.booleans(),
+    n=st.integers(1, 40),
+    extra=st.integers(1, 64),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_evaluation_keeps_the_callers_row_order(d, k, on_sphere, n, extra, seed):
+    """model(x) and model.gradient(x) answer row for row in x's order: at
+    each row of a Grid of the same rows, which a kd-tree reordered, they
+    are the tiled evaluator's values on that Grid within its bound, over
+    more tiles than one under a small float budget.  Values handed back in
+    the Grid's tile order would miss by far more than the bound."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    ps = PointSet(_unit(rng.standard_normal((n, d + 1))))
+    model = FiniteNeuronModel(k, ps, rng.standard_normal(n), on_sphere=on_sphere)
+    rows = max(64, 2 * (SMALL_BLOCK_FLOATS // n) + extra)  # more than two tiles of the model's
+    x = _unit(rng.standard_normal((rows, d + 1))) if on_sphere else rng.uniform(-1.0, 1.0, (rows, d))
+    grid = Grid(x, np.ones(rows))
+    order = _callers_order(grid, x)
+    assert not np.array_equal(order, np.arange(rows))  # the kd-tree moved rows
+    grad = k >= 1 and not on_sphere
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(models, "BLOCK_FLOATS", SMALL_BLOCK_FLOATS)
+        tiled = np.full((1 + d * grad, rows), np.nan)
+        for lo, hi, V in models._tile_values(model, grid.xt, grid.level(_block_rows(n)), grad=grad):
+            tiled[:, lo:hi] = V
+        values = model(x)
+        grads = model.gradient(x) if grad else None
+    want = (tiled[-1], tiled[:-1].T if grad else None)
+    _assert_within_the_tile_bound(model, grid[0], values[order], grads[order] if grad else None, want)
+
+
+def test_a_grid_needs_a_point():
+    """A Grid of no rows is a ContractError: error_norms on one raised
+    IndexError from the tile boxes' reduceat."""
+    for points in (np.zeros((0, 2)), np.zeros((0, 3))):
+        with pytest.raises(ContractError, match="at least one point"):
+            Grid(points, np.zeros(0))
+
+
+@pytest.mark.parametrize("max_rows", [0, -1, 0.5, math.nan])
+def test_a_tile_level_needs_a_row_per_tile(max_rows):
+    """Grid.level with max_rows below 1 is a ContractError: at 0 it looped
+    for ever, halving tiles that never reach 0 rows."""
+    grid = Grid(*domain_grid(2, 4096))
+    with pytest.raises(ContractError, match="at least one row"):
+        grid.level(max_rows)
+    assert grid.level(1)[0].tolist() == list(range(len(grid[0]) + 1))
+
+
+@pytest.mark.parametrize("on_sphere", [False, True])
+def test_a_model_at_no_points_gives_no_values(on_sphere):
+    """A model called on an array of no rows returns an empty array, and its
+    gradient an empty (0, d) array; a k = 0 gradient is still refused."""
+    ps = generate_points(2, 16, "fibonacci_s2")
+    model = FiniteNeuronModel(2, ps, np.ones(16), on_sphere=on_sphere)
+    values = model(np.zeros((0, 3 if on_sphere else 2)))
+    assert isinstance(values, np.ndarray) and values.shape == (0,)
+    if not on_sphere:
+        assert model.gradient(np.zeros((0, 2))).shape == (0, 2)
+        with pytest.raises(ContractError, match="k=0"):
+            FiniteNeuronModel(0, ps, np.ones(16)).gradient(np.zeros((0, 2)))
